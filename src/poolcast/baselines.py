@@ -10,7 +10,7 @@ import numpy as np
 
 from . import clustering, model
 from .clustering import (Assignment, FallbackFlags, SelectionConfig,
-                         compute_fallback, fit_prototypes, init_assignments)
+                         fit_prototypes, init_assignments)
 from .data import PreparedData
 from .model import ParamSet, TrainConfig, derive_seed
 
@@ -143,6 +143,9 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
 
     features = training_feature_vectors(prepared) if kind == "feat_kmeans" else None
     cache = clustering._TrainCache(prepared, cfg)
+    prepared.audit.set_phase("fallback")
+    pooled = clustering.pooled_val_losses(prepared, global_params, cfg,
+                                          kind="mse")
     table = []
     best = None
     best_key = None
@@ -153,10 +156,8 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
             prepared.audit.set_phase("fit-prototypes")
             protos, _ = fit_prototypes(prepared, assignment, global_params,
                                        run_cfg, proto_epochs, cache)
-            flags = compute_fallback(prepared, assignment, protos,
-                                     global_params, run_cfg, kind="mse")
-            sel_abs, glob_risk = clustering.val_risk_pair(
-                prepared, assignment, flags, protos, global_params, run_cfg,
+            flags, sel_abs, glob_risk = clustering.sweep_run_fallback(
+                prepared, assignment, protos, global_params, pooled, run_cfg,
                 kind="mse")
             sel_pen = sel_abs + sel_cfg.gamma * k / n
             table.append(clustering.SelectionRun(k, seed, sel_abs, sel_pen, 0,

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 training
 divergence, 5 protocol violation (repeated TEST evaluation). Set the
 POOLCAST_THREADS environment variable before launching to cap the BLAS
-thread pool (results are thread-count independent either way).
+thread pool (results are thread-count independent either way). The cap
+takes effect only if the variable is set before numpy is first imported in
+the process, and it does not override BLAS thread variables already set.
 """
 
 from __future__ import annotations

@@ -234,16 +234,23 @@ def outer_loop(prepared: PreparedData, global_params: ParamSet,
 # ---------------------------------------------------------------------------
 
 
-def _cluster_val_means(prepared: PreparedData, assignment: Assignment,
-                       prototypes: list[ParamSet], global_params: ParamSet,
-                       cfg: TrainConfig, kind: str | None = None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sizes, mean member VAL loss at h=1 under own prototype / under pooled)."""
-    k = assignment.n_clusters
+def pooled_val_losses(prepared: PreparedData, global_params: ParamSet,
+                      cfg: TrainConfig, kind: str | None = None) -> np.ndarray:
+    """Per-series VAL loss at h=1 of the pooled model, the fallback's reference."""
     glob = losses.per_series_split_losses(global_params, prepared, "va", 1, cfg,
                                           kind=kind)
     if glob is None:
         raise ValueError("no VAL windows at h=1; cannot compute fallback")
+    return glob
+
+
+def cluster_val_means(prepared: PreparedData, assignment: Assignment,
+                      prototypes: list[ParamSet], pooled: np.ndarray,
+                      cfg: TrainConfig, kind: str | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sizes, mean member VAL loss at h=1 under own prototype / under pooled),
+    given the pooled model's per-series losses from :func:`pooled_val_losses`."""
+    k = assignment.n_clusters
     sizes = assignment.sizes()
     clus_means = np.full(k, np.nan)
     glob_means = np.full(k, np.nan)
@@ -254,19 +261,29 @@ def _cluster_val_means(prepared: PreparedData, assignment: Assignment,
         own = losses.per_series_split_losses(prototypes[j], prepared, "va", 1,
                                              cfg, kind=kind, series=members)
         clus_means[j] = float(np.mean(own))
-        glob_means[j] = float(np.mean(glob[members]))
+        glob_means[j] = float(np.mean(pooled[members]))
     return sizes, clus_means, glob_means
+
+
+def _val_means(prepared, assignment, prototypes, global_params, cfg, kind):
+    pooled = pooled_val_losses(prepared, global_params, cfg, kind=kind)
+    return cluster_val_means(prepared, assignment, prototypes, pooled, cfg,
+                             kind=kind)
 
 
 def compute_fallback(prepared: PreparedData, assignment: Assignment,
                      prototypes: list[ParamSet], global_params: ParamSet,
-                     cfg: TrainConfig, kind: str | None = None) -> FallbackFlags:
+                     cfg: TrainConfig, kind: str | None = None,
+                     means=None) -> FallbackFlags:
     """Flag clusters whose mean member VAL loss at h=1 strictly exceeds the
     pooled model's on the same members; empty clusters are flagged by
-    convention. The result is frozen: nothing downstream may revisit it."""
+    convention. The result is frozen: nothing downstream may revisit it.
+    ``means`` reuses a :func:`cluster_val_means` result instead of scoring."""
     prepared.audit.set_phase("fallback")
-    sizes, clus, glob = _cluster_val_means(prepared, assignment, prototypes,
-                                           global_params, cfg, kind=kind)
+    if means is None:
+        means = _val_means(prepared, assignment, prototypes, global_params, cfg,
+                           kind)
+    sizes, clus, glob = means
     flagged = []
     for j in range(assignment.n_clusters):
         flagged.append(True if sizes[j] == 0 else bool(clus[j] > glob[j]))
@@ -288,10 +305,13 @@ def routed_val_risk(prepared: PreparedData, assignment: Assignment,
 def val_risk_pair(prepared: PreparedData, assignment: Assignment,
                   flags: FallbackFlags, prototypes: list[ParamSet],
                   global_params: ParamSet, cfg: TrainConfig,
-                  kind: str | None = None) -> tuple[float, float]:
-    """(routed risk, pooled risk) on VAL at h=1 under identical aggregation."""
-    sizes, clus, glob = _cluster_val_means(prepared, assignment, prototypes,
-                                           global_params, cfg, kind=kind)
+                  kind: str | None = None, means=None) -> tuple[float, float]:
+    """(routed risk, pooled risk) on VAL at h=1 under identical aggregation.
+    ``means`` reuses a :func:`cluster_val_means` result instead of scoring."""
+    if means is None:
+        means = _val_means(prepared, assignment, prototypes, global_params, cfg,
+                           kind)
+    sizes, clus, glob = means
     n = float(sizes.sum())
     routed_total = 0.0
     global_total = 0.0
@@ -302,6 +322,26 @@ def val_risk_pair(prepared: PreparedData, assignment: Assignment,
         routed_total += sizes[j] * chosen
         global_total += sizes[j] * glob[j]
     return routed_total / n, global_total / n
+
+
+def sweep_run_fallback(prepared: PreparedData, assignment: Assignment,
+                       prototypes: list[ParamSet], global_params: ParamSet,
+                       pooled: np.ndarray, cfg: TrainConfig,
+                       kind: str | None = None
+                       ) -> tuple[FallbackFlags, float, float]:
+    """Fallback flags and (routed, pooled) VAL risk of one (K, seed) run.
+
+    Scores each cluster's members once and reuses ``pooled``, the pooled
+    model's VAL losses, which are the same for every run of a sweep.
+    """
+    prepared.audit.set_phase("fallback")
+    means = cluster_val_means(prepared, assignment, prototypes, pooled, cfg,
+                              kind=kind)
+    flags = compute_fallback(prepared, assignment, prototypes, global_params,
+                             cfg, kind=kind, means=means)
+    routed, glob = val_risk_pair(prepared, assignment, flags, prototypes,
+                                 global_params, cfg, kind=kind, means=means)
+    return flags, routed, glob
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +379,8 @@ def select_k(prepared: PreparedData, global_params: ParamSet, cfg: TrainConfig,
     smaller K, then the smaller seed."""
     n = prepared.n_series
     cache = _TrainCache(prepared, cfg)
+    prepared.audit.set_phase("fallback")
+    pooled = pooled_val_losses(prepared, global_params, cfg)
     table: list[SelectionRun] = []
     best = None
     best_key = None
@@ -349,11 +391,9 @@ def select_k(prepared: PreparedData, global_params: ParamSet, cfg: TrainConfig,
             run_cfg = replace(cfg, seed=derive_seed(cfg.seed, "proto", seed))
             loop = outer_loop(prepared, global_params, init, run_cfg, sel_cfg,
                               proto_epochs, cache)
-            flags = compute_fallback(prepared, loop.assignment, loop.prototypes,
-                                     global_params, run_cfg)
-            sel_abs, glob_risk = val_risk_pair(prepared, loop.assignment, flags,
-                                               loop.prototypes, global_params,
-                                               run_cfg)
+            flags, sel_abs, glob_risk = sweep_run_fallback(
+                prepared, loop.assignment, loop.prototypes, global_params,
+                pooled, run_cfg)
             sel_pen = sel_abs + sel_cfg.gamma * k / n
             table.append(SelectionRun(k, seed, sel_abs, sel_pen,
                                       loop.assignment.iterations, loop.converged,

@@ -216,16 +216,32 @@ def _parse_cell(cell: str, where: str) -> float:
 
 
 def _load_csv_file(path: str, header: bool) -> np.ndarray:
-    rows = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for rownum, row in enumerate(reader):
-            if header and rownum == 0:
-                continue
-            if not row:
-                continue
-            rows.append([_parse_cell(c, f"{os.path.basename(path)}:{rownum + 1}:{j + 1}")
-                         for j, c in enumerate(row)])
+        records = list(csv.reader(fh))
+    # fast path: float() strips whitespace and reads NaN exactly as
+    # _parse_cell does; empty or unreadable cells, ragged rows and infinities
+    # take the checked path, which decides the values and the error messages
+    try:
+        rows = [list(map(float, row))
+                for row in records[1 if header else 0:] if row]
+    except ValueError:
+        rows = None
+    if rows and len({len(r) for r in rows}) == 1:
+        values = np.array(rows, dtype=np.float64)
+        if not np.isinf(values).any():
+            return values
+    return _check_csv_records(path, records, header)
+
+
+def _check_csv_records(path: str, records: list[list[str]], header: bool) -> np.ndarray:
+    rows = []
+    for rownum, row in enumerate(records):
+        if header and rownum == 0:
+            continue
+        if not row:
+            continue
+        rows.append([_parse_cell(c, f"{os.path.basename(path)}:{rownum + 1}:{j + 1}")
+                     for j, c in enumerate(row)])
     if not rows:
         raise DataError(f"{path}: no data rows")
     widths = {len(r) for r in rows}

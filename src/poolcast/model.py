@@ -16,6 +16,7 @@ order so results are bitwise reproducible for a given seed.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -50,8 +51,9 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf for very negative x, which correctly yields 0;
+    # callers silence that overflow with one np.errstate around their loop
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def median_index(levels) -> int:
@@ -79,24 +81,31 @@ class ParamSet:
              "w_quant", "b_quant")
 
     def __init__(self, *tensors):
-        if len(tensors) != len(self.NAMES):
-            raise ValueError(f"expected {len(self.NAMES)} tensors")
-        latent, p_dim = tensors[0].shape
-        hidden = tensors[1].shape[0]
-        n_levels = tensors[12].shape[0] // latent
-        shapes = self.shapes(p_dim, latent, hidden, n_levels)
-        self.flat = np.empty(sum(int(np.prod(s)) for _, s in shapes))
-        offset = 0
-        for (name, shape), t in zip(shapes, tensors):
-            t = np.asarray(t, dtype=np.float64)
-            if t.shape != shape:
-                raise ValueError(f"{name}: expected shape {shape}, got {t.shape}")
-            size = t.size
-            view = self.flat[offset:offset + size].reshape(shape)
-            view[...] = t
-            setattr(self, name, view)
-            offset += size
-        self.spec_offset = tensors[0].size  # everything after mix is specialized
+        """``ParamSet(*tensors)`` copies the 14 tensors, in :attr:`NAMES`
+        order, into a new flat buffer; ``ParamSet(layout, flat)`` adopts the
+        float64 buffer ``flat`` of a cached :class:`_Layout` without copying."""
+        if len(tensors) == 2 and isinstance(tensors[0], _Layout):
+            layout, flat = tensors
+            if flat.dtype != np.float64 or flat.shape != (layout.size,):
+                raise ValueError(f"expected a float64 buffer of {layout.size} values")
+        else:
+            if len(tensors) != len(self.NAMES):
+                raise ValueError(f"expected {len(self.NAMES)} tensors")
+            latent, p_dim = tensors[0].shape
+            hidden = tensors[1].shape[0]
+            n_levels = tensors[12].shape[0] // latent
+            layout = _layout(p_dim, latent, hidden, n_levels)
+            flat = np.empty(layout.size)
+            for (name, shape, lo, hi), t in zip(layout.slots, tensors):
+                t = np.asarray(t, dtype=np.float64)
+                if t.shape != shape:
+                    raise ValueError(f"{name}: expected shape {shape}, got {t.shape}")
+                flat[lo:hi].reshape(shape)[...] = t
+        self.layout = layout
+        self.flat = flat
+        for name, shape, lo, hi in layout.slots:
+            setattr(self, name, flat[lo:hi].reshape(shape))
+        self.spec_offset = layout.spec_offset  # everything after mix is specialized
 
     @property
     def latent(self) -> int:
@@ -118,12 +127,10 @@ class ParamSet:
         return [getattr(self, n) for n in self.NAMES]
 
     def copy(self) -> "ParamSet":
-        return ParamSet(*self.tensors())
+        return ParamSet(self.layout, self.flat.copy())
 
     def zeros_like(self) -> "ParamSet":
-        out = self.copy()
-        out.flat[:] = 0.0
-        return out
+        return ParamSet(self.layout, np.zeros(self.layout.size))
 
     def max_diff(self, other: "ParamSet", specialized_only: bool = False) -> float:
         off = self.spec_offset if specialized_only else 0
@@ -152,6 +159,26 @@ class ParamSet:
             ("w_out", (latent, hidden)), ("b_out", (latent,)),
             ("w_quant", (n_levels * latent, hidden)), ("b_quant", (n_levels * latent,)),
         )
+
+
+class _Layout:
+    """Name, shape and flat-buffer slice of every tensor for one model size."""
+
+    def __init__(self, p_dim: int, latent: int, hidden: int, n_levels: int):
+        slots = []
+        offset = 0
+        for name, shape in ParamSet.shapes(p_dim, latent, hidden, n_levels):
+            size = int(np.prod(shape))
+            slots.append((name, shape, offset, offset + size))
+            offset += size
+        self.slots = tuple(slots)
+        self.size = offset
+        self.spec_offset = slots[0][3]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(p_dim: int, latent: int, hidden: int, n_levels: int) -> _Layout:
+    return _Layout(p_dim, latent, hidden, n_levels)
 
 
 def init_params(p_dim: int, latent: int, hidden: int, n_levels: int,
@@ -226,51 +253,59 @@ class _GruCache:
     rst: np.ndarray
     cand: np.ndarray
     h_states: np.ndarray   # (n, w+1, H), h_states[:, 0] = 0
+    w_all: np.ndarray      # input weights of the three gates, (3H, r)
+    u_zr: np.ndarray       # recurrent weights of update and reset, (2H, H)
 
 
-def _gru_forward(params: ParamSet, x: np.ndarray) -> tuple[np.ndarray, _GruCache]:
+def _gru_forward(params: ParamSet, x: np.ndarray, keep: bool = True
+                 ) -> tuple[np.ndarray, _GruCache | None]:
+    """Final hidden state, plus the activations backprop needs when ``keep``."""
     n, w, p = x.shape
     hid = params.hidden
     z_in = x.reshape(n * w, p) @ params.mix.T
     w_all = np.concatenate([params.w_update, params.w_reset, params.w_cand])
     b_all = np.concatenate([params.b_update, params.b_reset, params.b_cand])
     gates_in = (z_in @ w_all.T + b_all).reshape(n, w, 3 * hid)
-    z_in = z_in.reshape(n, w, params.latent)
+    g_zr, g_c = gates_in[:, :, :2 * hid], gates_in[:, :, 2 * hid:]
     u_zr = np.concatenate([params.u_update, params.u_reset])
+    u_zr_t, u_cand_t = u_zr.T, params.u_cand.T
 
-    upd = np.empty((n, w, hid))
-    rst = np.empty((n, w, hid))
-    cand = np.empty((n, w, hid))
-    h_states = np.empty((n, w + 1, hid))
+    if keep:
+        zr_all = np.empty((n, w, 2 * hid))
+        cand = np.empty((n, w, hid))
+        h_states = np.empty((n, w + 1, hid))
     h = np.zeros((n, hid))
-    h_states[:, 0] = h
-    for t in range(w):
-        g = gates_in[:, t]
-        zr = _sigmoid(g[:, :2 * hid] + h @ u_zr.T)
-        z = zr[:, :hid]
-        r = zr[:, hid:]
-        c = np.tanh(g[:, 2 * hid:] + (r * h) @ params.u_cand.T)
-        h = z * h + (1.0 - z) * c
-        upd[:, t] = z
-        rst[:, t] = r
-        cand[:, t] = c
-        h_states[:, t + 1] = h
-    return h, _GruCache(x, z_in, upd, rst, cand, h_states)
+    with np.errstate(over="ignore"):
+        for t in range(w):
+            zr = _sigmoid(g_zr[:, t] + h @ u_zr_t)
+            z = zr[:, :hid]
+            c = np.tanh(g_c[:, t] + (zr[:, hid:] * h) @ u_cand_t)
+            if keep:
+                h_states[:, t] = h
+                zr_all[:, t] = zr
+                cand[:, t] = c
+            h = z * h + (1.0 - z) * c
+    if not keep:
+        return h, None
+    h_states[:, w] = h
+    return h, _GruCache(x, z_in.reshape(n, w, params.latent), zr_all[:, :, :hid],
+                        zr_all[:, :, hid:], cand, h_states, w_all, u_zr)
 
 
 def _gru_backward(params: ParamSet, cache: _GruCache, dh: np.ndarray,
                   grads: ParamSet) -> None:
     n, w, _ = cache.x.shape
     hid = params.hidden
-    u_zr = np.concatenate([params.u_update, params.u_reset])
+    u_zr, u_cand = cache.u_zr, params.u_cand
     d_acts = np.empty((n, w, 3 * hid))
     dh = dh.copy()
     for t in range(w - 1, -1, -1):
         h_prev = cache.h_states[:, t]
         z, r, c = cache.upd[:, t], cache.rst[:, t], cache.cand[:, t]
-        da_c = (dh * (1.0 - z)) * (1.0 - c * c)
-        d_rh = da_c @ params.u_cand
-        d_acts[:, t, :hid] = (dh * (h_prev - c)) * z * (1.0 - z)
+        one_m_z = 1.0 - z
+        da_c = (dh * one_m_z) * (1.0 - c * c)
+        d_rh = da_c @ u_cand
+        d_acts[:, t, :hid] = (dh * (h_prev - c)) * z * one_m_z
         d_acts[:, t, hid:2 * hid] = (d_rh * h_prev) * r * (1.0 - r)
         d_acts[:, t, 2 * hid:] = da_c
         dh = dh * z + d_rh * r + d_acts[:, t, :2 * hid] @ u_zr
@@ -289,8 +324,7 @@ def _gru_backward(params: ParamSet, cache: _GruCache, dh: np.ndarray,
     grads.u_reset += d_acts[:, :, hid:2 * hid].reshape(n * w, hid).T @ h_prevs
     rh_all = (cache.rst * cache.h_states[:, :w]).reshape(n * w, hid)
     grads.u_cand += d_acts[:, :, 2 * hid:].reshape(n * w, hid).T @ rh_all
-    w_all = np.concatenate([params.w_update, params.w_reset, params.w_cand])
-    dz_in = flat_acts @ w_all
+    dz_in = flat_acts @ cache.w_all
     grads.mix += dz_in.T @ cache.x.reshape(n * w, params.p_dim)
 
 
@@ -312,12 +346,12 @@ def _quantiles_from_hidden(params: ParamSet, h: np.ndarray
 
 
 def _point_batch(params: ParamSet, x: np.ndarray) -> np.ndarray:
-    h, _ = _gru_forward(params, x)
+    h, _ = _gru_forward(params, x, keep=False)
     return _point_from_hidden(params, h)[0]
 
 
 def _quantile_batch(params: ParamSet, x: np.ndarray) -> np.ndarray:
-    h, _ = _gru_forward(params, x)
+    h, _ = _gru_forward(params, x, keep=False)
     return _quantiles_from_hidden(params, h)[0]
 
 
@@ -399,7 +433,7 @@ def batch_loss(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
     """Forward-only objective value on one batch (data term + anchor pull)."""
     if len(x) == 0:
         raise ValueError("empty batch")
-    h, _ = _gru_forward(params, x)
+    h, _ = _gru_forward(params, x, keep=False)
     if cfg.mode == "point":
         pred, _ = _point_from_hidden(params, h)
         data = float(np.mean(huber_elem(pred - y, cfg.huber_delta)))
@@ -411,20 +445,23 @@ def batch_loss(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
 
 
 def loss_and_gradients(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
-                       y: np.ndarray, cfg: TrainConfig
-                       ) -> tuple[float, ParamSet]:
+                       y: np.ndarray, cfg: TrainConfig,
+                       grads: ParamSet | None = None) -> tuple[float, ParamSet]:
     """Batch objective and its exact gradient.
 
     The data term is the batch mean of the Huber loss (point mode) or of the
     multi-quantile pinball loss (quantile mode). With an anchor, the squared
     distance of the specialized tensors to the anchor is added with weight
     ``l2sp_weight``, and the shared mixing matrix is frozen (zero gradient).
+    The gradient is accumulated into ``grads`` when given, which must then be
+    all zero, and into a new :class:`ParamSet` otherwise; it is returned.
     """
     if len(x) == 0:
         raise ValueError("empty batch")
     n = x.shape[0]
     p = params.p_dim
-    grads = params.zeros_like()
+    if grads is None:
+        grads = params.zeros_like()
     h, cache = _gru_forward(params, x)
 
     if cfg.mode == "point":
@@ -451,7 +488,8 @@ def loss_and_gradients(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
         draw = np.empty_like(dlatents)
         draw[:, 0] = suffix[:, 0]     # base feeds all levels
         if nq > 1:
-            draw[:, 1:] = suffix[:, 1:] * _sigmoid(raw[:, 1:])
+            with np.errstate(over="ignore"):
+                draw[:, 1:] = suffix[:, 1:] * _sigmoid(raw[:, 1:])
         draw = draw.reshape(n, nq * params.latent)
         grads.w_quant += draw.T @ h
         grads.b_quant += draw.sum(axis=0)
@@ -517,6 +555,7 @@ def train(initial: ParamSet, anchor: ParamSet | None, x: np.ndarray,
     if len(x) == 0:
         raise ValueError("empty training window set")
     params = initial.copy()
+    grads = params.zeros_like()  # one buffer, zeroed before every step
     skip_mix = anchor is not None or freeze_mix
     opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_adam,
                skip_mix=skip_mix)
@@ -528,7 +567,9 @@ def train(initial: ParamSet, anchor: ParamSet | None, x: np.ndarray,
         order = rng.permutation(n)
         for lo in range(0, n, bs):
             idx = order[lo:lo + bs]
-            loss, grads = loss_and_gradients(params, anchor, x[idx], y[idx], cfg)
+            grads.flat.fill(0.0)
+            loss, _ = loss_and_gradients(params, anchor, x[idx], y[idx], cfg,
+                                         grads)
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite training loss in epoch {epoch}; "
@@ -553,8 +594,7 @@ def save_checkpoint(params: ParamSet, w: int, mode: str, path: str) -> None:
         fh.write(struct.pack("<QQQQQQ", params.latent, params.p_dim,
                              params.hidden, w, params.n_levels,
                              _MODE_FLAGS[mode]))
-        for t in params.tensors():
-            fh.write(t.astype("<f8").tobytes(order="C"))
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[ParamSet, int, str]:
@@ -568,13 +608,11 @@ def load_checkpoint(path: str) -> tuple[ParamSet, int, str]:
         latent, p_dim, hidden, w, n_levels, mode_flag = struct.unpack("<QQQQQQ", head)
         if mode_flag not in _FLAG_MODES:
             raise ValueError(f"{path}: unknown mode flag {mode_flag}")
-        tensors = []
-        for _, shape in ParamSet.shapes(p_dim, latent, hidden, n_levels):
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated checkpoint payload")
-            tensors.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
+        layout = _layout(p_dim, latent, hidden, n_levels)
+        buf = fh.read(layout.size * 8)
+        if len(buf) != layout.size * 8:
+            raise ValueError(f"{path}: truncated checkpoint payload")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes in checkpoint")
-    return ParamSet(*tensors), int(w), _FLAG_MODES[mode_flag]
+    flat = np.frombuffer(buf, dtype="<f8").astype(np.float64)
+    return ParamSet(layout, flat), int(w), _FLAG_MODES[mode_flag]

@@ -298,8 +298,11 @@ def _checkpoint_dir(run_dir: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_prepare(cfg: RunConfig) -> dict:
-    prepared = load_prepared(cfg)
+def cmd_prepare(cfg: RunConfig, prepared: PreparedData | None = None) -> dict:
+    """Start the run's manifest from the config and the TRAIN standardizer;
+    ``prepared`` saves loading the dataset when the caller already has it."""
+    if prepared is None:
+        prepared = load_prepared(cfg)
     manifest = {
         "config": cfg.as_dict(),
         "standardizer": {
@@ -342,7 +345,7 @@ def _store_cluster_artifacts(cfg: RunConfig, manifest: dict, run_dir: str,
 def _train_core(cfg: RunConfig, candidates) -> tuple[dict, PreparedData]:
     """Shared body of the train and select-k commands."""
     prepared = load_prepared(cfg)
-    manifest = cmd_prepare(cfg)  # refresh config + standardizer snapshot
+    manifest = cmd_prepare(cfg, prepared)  # refresh config + standardizer snapshot
     tc = cfg.train_config()
 
     global_params = _fit_global(prepared, cfg)

@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
-from poolcast.data import (DataError, MtsDataset, SplitSpec, enumerate_windows,
+from poolcast.data import (DataError, MtsDataset, SplitSpec, _check_csv_records,
+                           _load_csv_file, enumerate_windows,
                            fit_impute_standardize, load_dataset, prepare,
                            save_csv, save_packed, split)
 
@@ -86,6 +89,61 @@ def test_packed_truncated(tmp_path):
     path.write_bytes(b"MTS1" + (3).to_bytes(8, "little") * 3 + b"\0" * 10)
     with pytest.raises(DataError, match="payload"):
         load_dataset(str(path), fmt="packed")
+
+
+# ---------------------------------------------------------------------------
+# CSV reader: one-pass parse and the checked per-cell path
+# ---------------------------------------------------------------------------
+
+
+def checked_parse(path, header=False):
+    with open(path, newline="") as fh:
+        return _check_csv_records(str(path), list(csv.reader(fh)), header)
+
+
+def test_csv_fast_path_matches_checked_path_bitwise(tmp_path):
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(40, 5)) * 10.0 ** rng.integers(-12, 12, size=(40, 5))
+    values[rng.random(values.shape) < 0.2] *= -1.0
+    path = tmp_path / "a.csv"
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                            for row in values))
+    fast = _load_csv_file(str(path), header=False)
+    assert fast.tobytes() == checked_parse(path).tobytes()
+    assert fast.tobytes() == values.tobytes()
+
+
+def test_csv_empty_nan_and_padded_cells(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text(" 1.5 ,NaN,\n-2, nan ,\t3e2\n")
+    out = _load_csv_file(str(path), header=False)
+    assert out.tobytes() == checked_parse(path).tobytes()
+    expected = np.array([[1.5, np.nan, np.nan], [-2.0, np.nan, 300.0]])
+    np.testing.assert_array_equal(out, expected)
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", " Infinity"])
+def test_csv_infinite_cell_names_file_row_col(tmp_path, token):
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "a.csv").write_text(f"1,2\n3,{token}\n")
+    with pytest.raises(DataError, match=r"non-finite value .* at a\.csv:2:2$"):
+        load_dataset(str(d))
+
+
+def test_csv_ragged_rows_and_header(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("1,2\n3\n")
+    with pytest.raises(DataError, match=r"ragged rows \(column counts \[1, 2\]\)"):
+        _load_csv_file(str(path), header=False)
+    path.write_text("x,y\n1,2\n\n3,4\n")
+    out = _load_csv_file(str(path), header=True)
+    np.testing.assert_array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(DataError, match=r"unreadable cell 'x' at a\.csv:1:1"):
+        _load_csv_file(str(path), header=False)
+    path.write_text("x,y\n")
+    with pytest.raises(DataError, match="no data rows"):
+        _load_csv_file(str(path), header=True)
 
 
 # ---------------------------------------------------------------------------

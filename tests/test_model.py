@@ -1,12 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from poolcast.losses import huber
-from poolcast.model import (ParamSet, QuantilePrediction, TrainConfig,
-                            TrainingDiverged, batch_loss, forward_point,
-                            forward_quantiles, init_params, load_checkpoint,
-                            loss_and_gradients, median_index, rollout,
-                            save_checkpoint, train)
+from poolcast.model import (Adam, ParamSet, QuantilePrediction, TrainConfig,
+                            TrainingDiverged, _gru_forward, batch_loss,
+                            clip_gradients_, forward_point, forward_quantiles,
+                            init_params, load_checkpoint, loss_and_gradients,
+                            median_index, rollout, save_checkpoint, train)
 
 TINY = dict(p_dim=3, latent=2, hidden=4, n_levels=3)
 
@@ -308,6 +310,71 @@ def test_empty_training_set_rejected():
     with pytest.raises(ValueError):
         train(tiny_params(0), None, np.empty((0, 5, 3)), np.empty((0, 3)),
               TrainConfig(w=5))
+
+
+def reference_train(initial, anchor, x, y, cfg):
+    """train() spelled out from the public step functions, with a fresh
+    gradient ParamSet on every step."""
+    params = initial.copy()
+    skip_mix = anchor is not None
+    opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_adam,
+               skip_mix=skip_mix)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(x))
+        for lo in range(0, len(x), cfg.batch):
+            idx = order[lo:lo + cfg.batch]
+            _, grads = loss_and_gradients(params, anchor, x[idx], y[idx], cfg)
+            if skip_mix:
+                grads.mix[:] = 0.0
+            clip_gradients_(grads, cfg.clip, skip_mix=skip_mix)
+            opt.step(params, grads)
+    return params
+
+
+@pytest.mark.parametrize("mode,anchored", [("point", False), ("quantile", False),
+                                           ("point", True), ("quantile", True)])
+def test_train_with_reused_gradient_buffer_is_bitwise_reference(mode, anchored):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(70, 5, 3))  # 70 = 4 batches of 16 and one of 6
+    y = rng.normal(size=(70, 3))
+    init = tiny_params(6)
+    anchor = tiny_params(7) if anchored else None
+    cfg = TrainConfig(w=5, epochs=3, batch=16, mode=mode, clip=0.5, seed=2)
+    fitted = train(init, anchor, x, y, cfg)
+    expected = reference_train(init, anchor, x, y, cfg)
+    assert fitted.flat.tobytes() == expected.flat.tobytes()
+    assert fitted.max_diff(init) > 0.0
+
+
+def test_paramset_copies_are_views_of_their_own_buffer(tmp_path):
+    params = tiny_params(1)
+    path = str(tmp_path / "m.pcm")
+    save_checkpoint(params, w=5, mode="point", path=path)
+    copies = [params.copy(), params.zeros_like(), load_checkpoint(path)[0]]
+    assert copies[0].flat.tobytes() == params.flat.tobytes()
+    assert not copies[1].flat.any()
+    for other in copies:
+        assert not np.shares_memory(other.flat, params.flat)
+        other.flat[:] = np.arange(other.flat.size)
+        tiled = np.concatenate([t.ravel() for t in other.tensors()])
+        np.testing.assert_array_equal(tiled, np.arange(other.flat.size))
+        assert other.spec_offset == params.spec_offset
+
+
+def test_gru_forward_saturates_without_overflow_warning():
+    params = tiny_params(3)
+    params.flat *= 100.0
+    x = np.full((4, 5, 3), 30.0)
+    x[1::2] *= -1.0
+    y = np.zeros((4, 3))
+    pre = x[:, 0] @ params.mix.T @ params.w_update.T
+    assert np.abs(pre).max() > 1000.0  # exp(-pre) overflows float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, _ = _gru_forward(params, x)
+        loss_and_gradients(params, None, x, y, TrainConfig(w=5, mode="quantile"))
+    assert np.isfinite(h).all()
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,21 @@ def test_selection_table_size_rule(tmp_path, data_dir):
         cfg.selection_seeds)
 
 
+def test_select_k_loads_dataset_once(tmp_path, data_dir, monkeypatch):
+    calls = []
+    load = pipeline.load_dataset
+
+    def counting_load(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_dataset", counting_load)
+    path = write_config(tmp_path, data_dir, tmp_path / "rload",
+                        "k_candidates = 2\nselection_seeds = 0\n")
+    pipeline.cmd_select_k(RunConfig.from_file(path))
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # command flows
 # ---------------------------------------------------------------------------
