@@ -321,7 +321,8 @@ def val_risk_pair(prepared: PreparedData, assignment: Assignment,
         chosen = glob[j] if flags.flagged[j] else clus[j]
         routed_total += sizes[j] * chosen
         global_total += sizes[j] * glob[j]
-    return routed_total / n, global_total / n
+    # plain floats: selection.csv writes their repr
+    return float(routed_total / n), float(global_total / n)
 
 
 def sweep_run_fallback(prepared: PreparedData, assignment: Assignment,

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -84,6 +85,23 @@ def test_selection_table_size_rule(tmp_path, data_dir):
     manifest = pipeline.load_manifest(cfg.run_dir)
     assert len(manifest["selection_table"]) == len(cfg.k_candidates) * len(
         cfg.selection_seeds)
+
+
+@pytest.mark.parametrize("method", ["cluster", "feat_kmeans"])
+def test_selection_csv_matches_manifest_table(tmp_path, data_dir, method):
+    path = write_config(tmp_path, data_dir, tmp_path / "rcsv",
+                        f"method = {method}\n")
+    cfg = RunConfig.from_file(path)
+    pipeline.cmd_select_k(cfg)
+    with open(os.path.join(cfg.run_dir, "selection.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    table = pipeline.load_manifest(cfg.run_dir)["selection_table"]
+    assert len(rows) == len(table) == 4
+    for row, ref in zip(rows, table):
+        for key in ("k", "seed", "sel_abs", "sel_pen", "global_risk",
+                    "iterations"):
+            assert float(row[key]) == ref[key]
+        assert row["converged"] == str(ref["converged"])
 
 
 def test_select_k_loads_dataset_once(tmp_path, data_dir, monkeypatch):
