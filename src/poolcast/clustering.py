@@ -274,7 +274,7 @@ def _val_means(prepared, assignment, prototypes, global_params, cfg, kind):
 def compute_fallback(prepared: PreparedData, assignment: Assignment,
                      prototypes: list[ParamSet], global_params: ParamSet,
                      cfg: TrainConfig, kind: str | None = None,
-                     means=None) -> FallbackFlags:
+                     means: tuple | None = None) -> FallbackFlags:
     """Flag clusters whose mean member VAL loss at h=1 strictly exceeds the
     pooled model's on the same members; empty clusters are flagged by
     convention. The result is frozen: nothing downstream may revisit it.
@@ -305,7 +305,8 @@ def routed_val_risk(prepared: PreparedData, assignment: Assignment,
 def val_risk_pair(prepared: PreparedData, assignment: Assignment,
                   flags: FallbackFlags, prototypes: list[ParamSet],
                   global_params: ParamSet, cfg: TrainConfig,
-                  kind: str | None = None, means=None) -> tuple[float, float]:
+                  kind: str | None = None, means: tuple | None = None
+                  ) -> tuple[float, float]:
     """(routed risk, pooled risk) on VAL at h=1 under identical aggregation.
     ``means`` reuses a :func:`cluster_val_means` result instead of scoring."""
     if means is None:
