@@ -146,29 +146,22 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
     prepared.audit.set_phase("fallback")
     pooled = clustering.pooled_val_losses(prepared, global_params, cfg,
                                           kind="mse")
-    table = []
-    best = None
-    best_key = None
-    for k in sorted(sel_cfg.candidates):
-        for seed in sel_cfg.seeds:
-            assignment = _labels_for(kind, k, seed, n, features)
-            run_cfg = replace(cfg, seed=derive_seed(cfg.seed, kind, seed))
-            prepared.audit.set_phase("fit-prototypes")
-            protos, _ = fit_prototypes(prepared, assignment, global_params,
+
+    def run(k, seed):
+        assignment = _labels_for(kind, k, seed, n, features)
+        run_cfg = replace(cfg, seed=derive_seed(cfg.seed, kind, seed))
+        prepared.audit.set_phase("fit-prototypes")
+        protos, inert = fit_prototypes(prepared, assignment, global_params,
                                        run_cfg, proto_epochs, cache)
-            flags, sel_abs, glob_risk = clustering.sweep_run_fallback(
-                prepared, assignment, protos, global_params, pooled, run_cfg,
-                kind="mse")
-            sel_pen = sel_abs + sel_cfg.gamma * k / n
-            table.append(clustering.SelectionRun(k, seed, sel_abs, sel_pen, 0,
-                                                 True, global_risk=glob_risk))
-            key = (sel_pen, k, seed)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (k, seed, assignment, flags, protos)
-    k_star, seed_star, assignment, flags, protos = best
-    return BaselineFit(kind, k_star, seed_star, assignment, flags, protos,
-                       None, table)
+        loop = clustering.LoopResult(assignment, protos, inert,
+                                     [assignment.labels], converged=True)
+        return (loop,) + clustering.sweep_run_fallback(
+            prepared, assignment, protos, global_params, pooled, run_cfg,
+            kind="mse")
+
+    res = clustering.run_sweep(prepared, sel_cfg, run)
+    return BaselineFit(kind, res.k_star, res.seed_star, res.assignment,
+                       res.flags, res.prototypes, None, res.table)
 
 
 def run_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,

@@ -6,6 +6,10 @@ POOLCAST_THREADS environment variable before launching to cap the BLAS
 thread pool (results are thread-count independent either way). The cap
 takes effect only if the variable is set before numpy is first imported in
 the process, and it does not override BLAS thread variables already set.
+
+The (K, seed) selection sweeps run on min(runs, usable CPUs) forked worker
+processes, each with a one-thread BLAS; their outputs are bitwise those of
+the serial sweep, and platforms without fork run the sweep serially.
 """
 
 from __future__ import annotations

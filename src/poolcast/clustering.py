@@ -16,6 +16,8 @@ TEST is read exactly once, during final evaluation.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -373,40 +375,126 @@ class SelectionResult:
     label_trace: list[np.ndarray]
 
 
+# the sweep in progress, as (per-run function, audit), for forked workers to
+# inherit: a per-run closure cannot be pickled into a pool task
+_SWEEP = None
+# OpenBLAS's thread-count setter under its plain and 64-bit-integer names
+_BLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "scipy_openblas_set_num_threads64_")
+
+
+def sweep_workers(n_runs: int) -> int:
+    """Worker processes for a sweep of ``n_runs`` runs: one per usable CPU and
+    at most one per run; 1 (in-process) where ``fork`` is unavailable."""
+    if n_runs < 2 or not hasattr(os, "fork"):
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    return max(1, min(n_runs, cpus))
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Cap the BLAS numpy already loaded at one thread, so workers running side
+    by side do not contend for cores; a no-op if no OpenBLAS setter is found.
+    Results do not depend on the BLAS thread count."""
+    try:
+        # symbols are looked up in this numpy extension and the libraries it
+        # links, which include numpy's BLAS
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return
+    for name in _BLAS_SET_THREADS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+            return
+
+
+def _sweep_task(key):
+    run, audit = _SWEEP
+    return run(*key), audit
+
+
+def _sweep_outcomes(prepared: PreparedData, run, keys):
+    """``(key, run(*key))`` for every (k, seed) key, in key order.
+
+    With more than one worker the runs execute in forked processes; each
+    returns its audit, whose reads are merged into ``prepared.audit``, and a
+    worker's exception is re-raised here with its original type.
+    """
+    workers = sweep_workers(len(keys))
+    if workers == 1:
+        for key in keys:
+            yield key, run(*key)
+        return
+    import multiprocessing  # only the parallel path pays for the import
+
+    global _SWEEP
+    _SWEEP = (run, prepared.audit)
+    try:
+        with multiprocessing.get_context("fork").Pool(
+                workers, initializer=_pin_blas_to_one_thread) as pool:
+            for key, (outcome, audit) in zip(keys, pool.imap(_sweep_task, keys)):
+                prepared.audit.merge(audit)
+                yield key, outcome
+    finally:
+        _SWEEP = None
+
+
+def run_sweep(prepared: PreparedData, sel_cfg: SelectionConfig,
+              run) -> SelectionResult:
+    """The (K, seed) sweep shared by the method and the clustered baselines.
+
+    ``run(k, seed)`` returns ``(loop, flags, routed risk, pooled risk)`` for
+    one candidate; it must read data only through ``prepared``. The kept run
+    minimizes routed risk + gamma * K / N; ties prefer the smaller K, then the
+    smaller seed. Runs execute on :func:`sweep_workers` forked processes, each
+    with a one-thread BLAS, and give bitwise the results of a serial sweep.
+    """
+    n = prepared.n_series
+    keys = [(k, seed) for k in sorted(sel_cfg.candidates) for seed in sel_cfg.seeds]
+    table: list[SelectionRun] = []
+    best = None
+    best_key = None
+    for (k, seed), (loop, flags, sel_abs, glob_risk) in _sweep_outcomes(
+            prepared, run, keys):
+        sel_pen = sel_abs + sel_cfg.gamma * k / n
+        table.append(SelectionRun(k, seed, sel_abs, sel_pen,
+                                  loop.assignment.iterations, loop.converged,
+                                  global_risk=glob_risk))
+        key = (sel_pen, k, seed)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (loop, flags)
+    loop, flags = best
+    _, k_star, seed_star = best_key
+    return SelectionResult(k_star, seed_star, table, loop.assignment, flags,
+                           loop.prototypes, loop.label_trace)
+
+
 def select_k(prepared: PreparedData, global_params: ParamSet, cfg: TrainConfig,
              sel_cfg: SelectionConfig, proto_epochs: int,
              features: np.ndarray | None = None) -> SelectionResult:
     """Sweep (K, seed), running the full TRAIN/VAL loop plus fallback for each,
-    and keep the run minimizing routed risk + gamma * K / N. Ties prefer the
-    smaller K, then the smaller seed."""
-    n = prepared.n_series
+    and keep the run minimizing routed risk + gamma * K / N (:func:`run_sweep`)."""
     cache = _TrainCache(prepared, cfg)
     prepared.audit.set_phase("fallback")
     pooled = pooled_val_losses(prepared, global_params, cfg)
-    table: list[SelectionRun] = []
-    best = None
-    best_key = None
-    for k in sorted(sel_cfg.candidates):
-        for seed in sel_cfg.seeds:
-            init = init_assignments(n, k, seed, strategy=sel_cfg.init_strategy,
-                                    features=features)
-            run_cfg = replace(cfg, seed=derive_seed(cfg.seed, "proto", seed))
-            loop = outer_loop(prepared, global_params, init, run_cfg, sel_cfg,
-                              proto_epochs, cache)
-            flags, sel_abs, glob_risk = sweep_run_fallback(
-                prepared, loop.assignment, loop.prototypes, global_params,
-                pooled, run_cfg)
-            sel_pen = sel_abs + sel_cfg.gamma * k / n
-            table.append(SelectionRun(k, seed, sel_abs, sel_pen,
-                                      loop.assignment.iterations, loop.converged,
-                                      global_risk=glob_risk))
-            key = (sel_pen, k, seed)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (k, seed, loop, flags)
-    k_star, seed_star, loop, flags = best
-    return SelectionResult(k_star, seed_star, table, loop.assignment, flags,
-                           loop.prototypes, loop.label_trace)
+
+    def run(k, seed):
+        init = init_assignments(prepared.n_series, k, seed,
+                                strategy=sel_cfg.init_strategy, features=features)
+        run_cfg = replace(cfg, seed=derive_seed(cfg.seed, "proto", seed))
+        loop = outer_loop(prepared, global_params, init, run_cfg, sel_cfg,
+                          proto_epochs, cache)
+        return (loop,) + sweep_run_fallback(prepared, loop.assignment,
+                                            loop.prototypes, global_params,
+                                            pooled, run_cfg)
+
+    return run_sweep(prepared, sel_cfg, run)
 
 
 # ---------------------------------------------------------------------------

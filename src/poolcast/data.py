@@ -14,6 +14,7 @@ consumed before the final evaluation phase.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import struct
@@ -334,6 +335,23 @@ def load_pems(path: str) -> MtsDataset:
     return MtsDataset(values, np.isfinite(values), names)
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Open a temporary file beside ``path`` for writing and move it onto
+    ``path`` once the block completes, so a crash mid-write leaves the previous
+    file (or none) in place, never a truncated one."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_packed(ds: MtsDataset, path: str) -> None:
     """Write the packed binary format: magic, N/T/P as little-endian u64,
     then row-major float64 values series by series, NaN marking missing."""
@@ -486,6 +504,15 @@ class AccessAudit:
             return
         grid = self._grid()
         grid[np.asarray(series, dtype=np.int64), t_lo:t_hi + 1] = True
+
+    def merge(self, other: "AccessAudit") -> None:
+        """Add the reads ``other`` recorded (a sweep worker's copy of this
+        audit) to this one, phase by phase."""
+        for phase, grid in other._touched.items():
+            if phase in self._touched:
+                self._touched[phase] |= grid
+            else:
+                self._touched[phase] = grid.copy()
 
     def counts(self, phase: str) -> dict[str, int]:
         grid = self._touched.get(phase)

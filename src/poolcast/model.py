@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_open
 from .losses import huber_deriv, huber_elem, pinball_elem
 
 CHECKPOINT_MAGIC = b"PCM1"
@@ -36,6 +37,10 @@ class TrainingDiverged(Exception):
     def __init__(self, message: str, last_finite_epoch: int):
         super().__init__(message)
         self.last_finite_epoch = last_finite_epoch
+
+    def __reduce__(self):
+        # pickled from sweep workers back to the parent with both fields
+        return TrainingDiverged, (self.args[0], self.last_finite_epoch)
 
 
 def derive_seed(base: int, *keys) -> int:
@@ -106,6 +111,10 @@ class ParamSet:
         for name, shape, lo, hi in layout.slots:
             setattr(self, name, flat[lo:hi].reshape(shape))
         self.spec_offset = layout.spec_offset  # everything after mix is specialized
+
+    def __reduce__(self):
+        # rebuild the tensor views over the unpickled buffer
+        return ParamSet, (self.layout, self.flat)
 
     @property
     def latent(self) -> int:
@@ -588,8 +597,8 @@ def train(initial: ParamSet, anchor: ParamSet | None, x: np.ndarray,
 
 def save_checkpoint(params: ParamSet, w: int, mode: str, path: str) -> None:
     """Binary checkpoint: magic, (r, P, H, w, Q, mode) header, then tensors
-    in declared order as little-endian float64."""
-    with open(path, "wb") as fh:
+    in declared order as little-endian float64, written atomically."""
+    with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<QQQQQQ", params.latent, params.p_dim,
                              params.hidden, w, params.n_levels,

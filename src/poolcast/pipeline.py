@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines, clustering, losses, model
 from .data import (DataError, PreparedData, SplitSpec, Standardizer,
-                   load_dataset, prepare, save_csv, save_packed)
+                   atomic_open, load_dataset, prepare, save_csv, save_packed)
 from .model import ParamSet, TrainConfig, derive_seed
 from .synthetic import SyntheticSpec, generate
 
@@ -238,7 +238,7 @@ def load_manifest(run_dir: str) -> dict:
 
 def save_manifest(run_dir: str, manifest: dict) -> None:
     os.makedirs(run_dir, exist_ok=True)
-    with open(_manifest_path(run_dir), "w") as fh:
+    with atomic_open(_manifest_path(run_dir)) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -405,7 +405,7 @@ def cmd_select_k(cfg: RunConfig) -> dict:
         raise ConfigError(f"select-k does not apply to method {cfg.method!r}")
     manifest, _ = _train_core(cfg, None)
     table_path = os.path.join(cfg.run_dir, "selection.csv")
-    with open(table_path, "w") as fh:
+    with atomic_open(table_path) as fh:
         fh.write("k,seed,sel_abs,sel_pen,global_risk,iterations,converged\n")
         for row in manifest["selection_table"]:
             fh.write(f"{row['k']},{row['seed']},{row['sel_abs']!r},"
@@ -456,7 +456,7 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
 
     run_dir = cfg.run_dir
     report_json = os.path.join(run_dir, "report.json")
-    with open(report_json, "w") as fh:
+    with atomic_open(report_json) as fh:
         json.dump({"method": cfg.method,
                    "rows": artifacts.report.to_records()}, fh, indent=2,
                   sort_keys=True)

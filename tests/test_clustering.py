@@ -1,9 +1,11 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 
-from poolcast import losses
+from poolcast import clustering, losses
+from poolcast.baselines import fit_baseline
 from poolcast.clustering import (Assignment, CostMatrix, FallbackFlags,
                                  SelectionConfig, assign_new_series,
                                  compute_cost_matrix, compute_fallback,
@@ -303,3 +305,60 @@ def test_flagged_prototypes_excluded_from_routing(small_world):
     segment = rng.normal(size=(30, 4))
     # even a prototype identical to global is skipped when flagged
     assert assign_new_series(segment, gp, [better], flags, CFG) == -1
+
+
+# ---------------------------------------------------------------------------
+# the (K, seed) sweep driver
+# ---------------------------------------------------------------------------
+
+
+def test_sweep_workers_one_per_usable_cpu_and_run(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert [clustering.sweep_workers(n) for n in (1, 2, 3, 20)] == [1, 2, 3, 3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5},
+                        raising=False)
+    assert clustering.sweep_workers(20) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert clustering.sweep_workers(20) == 1
+
+
+def _sweep_outputs(method, global_params):
+    ds, _ = generate(SyntheticSpec(n_series=9, n_times=120, n_components=4,
+                                   n_regimes=3, seed=5))
+    prepared = prepare(ds, SplitSpec(80, 20, 20))
+    sel = SelectionConfig(candidates=(2, 3), seeds=(0, 1), max_outer_iters=3,
+                          assign_horizons=(1,))
+    if method == "cluster":
+        res = clustering.select_k(prepared, global_params, CFG, sel,
+                                  proto_epochs=2)
+        fit = (res.k_star, res.seed_star, res.table, res.assignment, res.flags,
+               res.prototypes, [t.tolist() for t in res.label_trace])
+    else:
+        res = fit_baseline(method, prepared, global_params, CFG, sel,
+                           proto_epochs=2)
+        fit = (res.k, res.seed, res.selection_table, res.assignment, res.flags,
+               res.prototypes, None)
+    k, seed, table, assignment, flags, protos, trace = fit
+    audit = {ph: prepared.audit.counts(ph) for ph in prepared.audit._touched}
+    return (k, seed, table, assignment.labels.tolist(), trace, flags.flagged,
+            [p.flat.tobytes() for p in protos], audit)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+@pytest.mark.parametrize("method", ["cluster", "feat_kmeans",
+                                    "random_balanced"])
+def test_parallel_sweep_is_bitwise_serial(small_world, monkeypatch, method):
+    _, global_params, _ = small_world
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(clustering, "sweep_workers",
+                            lambda n, w=workers: w)
+        outputs.append(_sweep_outputs(method, global_params))
+    serial, parallel = outputs
+    assert len(serial[2]) == 4
+    if method == "cluster":  # reassign reads happen only inside the runs
+        assert serial[7]["reassign"]["va"] > 0
+    assert parallel == serial

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -306,6 +307,12 @@ def test_divergence_aborts_with_last_finite_epoch():
     assert err.value.last_finite_epoch == -1
 
 
+def test_training_diverged_survives_pickling():
+    err = pickle.loads(pickle.dumps(TrainingDiverged("loss is nan", 2)))
+    assert type(err) is TrainingDiverged
+    assert str(err) == "loss is nan" and err.last_finite_epoch == 2
+
+
 def test_empty_training_set_rejected():
     with pytest.raises(ValueError):
         train(tiny_params(0), None, np.empty((0, 5, 3)), np.empty((0, 3)),
@@ -360,6 +367,18 @@ def test_paramset_copies_are_views_of_their_own_buffer(tmp_path):
         tiled = np.concatenate([t.ravel() for t in other.tensors()])
         np.testing.assert_array_equal(tiled, np.arange(other.flat.size))
         assert other.spec_offset == params.spec_offset
+
+
+def test_unpickled_paramset_tensors_are_views_of_its_buffer():
+    params = tiny_params(2)
+    clone = pickle.loads(pickle.dumps(params))
+    assert clone.flat.tobytes() == params.flat.tobytes()
+    assert not np.shares_memory(clone.flat, params.flat)
+    for name, t in zip(ParamSet.NAMES, clone.tensors()):
+        assert np.shares_memory(t, clone.flat), name
+    clone.flat[:] = np.arange(clone.flat.size)
+    tiled = np.concatenate([t.ravel() for t in clone.tensors()])
+    np.testing.assert_array_equal(tiled, np.arange(clone.flat.size))
 
 
 def test_gru_forward_saturates_without_overflow_warning():

@@ -1,11 +1,19 @@
 import csv
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
-from poolcast import cli, pipeline
+import poolcast
+from poolcast import cli, clustering, model, pipeline
+from poolcast.model import TrainingDiverged, derive_seed
 from poolcast.pipeline import ConfigError, ProtocolError, RunConfig
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="sweep workers are forked")
 
 FAST_KEYS = """
 data_format = csv
@@ -117,6 +125,94 @@ def test_select_k_loads_dataset_once(tmp_path, data_dir, monkeypatch):
                         "k_candidates = 2\nselection_seeds = 0\n")
     pipeline.cmd_select_k(RunConfig.from_file(path))
     assert len(calls) == 1
+
+
+def run_bytes(run_dir):
+    """Bytes of the manifest, tables and every checkpoint of a run."""
+    names = ["manifest.json", "selection.csv", "report.json"]
+    names += [os.path.join("checkpoints", f)
+              for f in sorted(os.listdir(os.path.join(run_dir, "checkpoints")))]
+    out = {}
+    for name in names:
+        with open(os.path.join(run_dir, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+@needs_fork
+def test_select_k_and_evaluate_bytes_do_not_depend_on_worker_count(
+        tmp_path, data_dir, monkeypatch):
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(clustering, "sweep_workers",
+                            lambda n, w=workers: w)
+        work = tmp_path / f"w{workers}"
+        work.mkdir()
+        monkeypatch.chdir(work)  # the manifest records the relative run_dir
+        cfg = write_config(work, data_dir, "run")
+        assert cli.main(["select-k", "--config", cfg]) == 0
+        assert cli.main(["evaluate", "--config", cfg]) == 0
+        outputs.append(run_bytes("run"))
+    assert "checkpoints/proto_01.pcm" in outputs[0]
+    assert outputs[1] == outputs[0]
+
+
+def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path, data_dir):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(poolcast.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if not k.endswith("_NUM_THREADS")}
+        env["POOLCAST_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        work = tmp_path / f"t{threads}"
+        work.mkdir()
+        cfg = write_config(work, data_dir, "run")
+        for command in ("select-k", "evaluate"):
+            subprocess.run([sys.executable, "-m", "poolcast.cli", command,
+                            "--config", cfg], cwd=work, env=env, check=True,
+                           capture_output=True, timeout=300)
+        outputs.append(run_bytes(str(work / "run")))
+    assert outputs[1] == outputs[0]
+
+
+@needs_fork
+def test_diverging_sweep_worker_exits_with_code_4(tmp_path, data_dir,
+                                                  monkeypatch):
+    monkeypatch.setattr(clustering, "sweep_workers", lambda n: 2)
+    diverging_seed = derive_seed(0, "proto", 1)
+    train = model.train
+
+    def train_or_diverge(initial, anchor, x, y, cfg, **kwargs):
+        if anchor is not None and cfg.seed == diverging_seed:
+            raise TrainingDiverged("non-finite training loss in epoch 1; "
+                                   "last finite epoch was 0", 0)
+        return train(initial, anchor, x, y, cfg, **kwargs)
+
+    monkeypatch.setattr(model, "train", train_or_diverge)
+    cfg = write_config(tmp_path, data_dir, tmp_path / "rdiv")
+    argv = ["select-k", "--config", cfg, "--set", "k_candidates=2"]
+    # run in a child so that a parent stuck on a lost worker error times out
+    proc = multiprocessing.get_context("fork").Process(
+        target=lambda: os._exit(cli.main(argv)))
+    proc.start()
+    proc.join(timeout=120)
+    hung = proc.is_alive()
+    if hung:
+        proc.kill()
+        proc.join()
+    assert not hung
+    assert proc.exitcode == 4
+
+
+def test_failed_manifest_write_keeps_previous_manifest(tmp_path):
+    run_dir = str(tmp_path / "r")
+    pipeline.save_manifest(run_dir, {"test_evaluated": True})
+    with pytest.raises(TypeError):  # json.dump fails partway through
+        pipeline.save_manifest(run_dir, {"a": 1, "b": object()})
+    assert pipeline.load_manifest(run_dir) == {"test_evaluated": True}
+    assert os.listdir(run_dir) == ["manifest.json"]
 
 
 # ---------------------------------------------------------------------------
