@@ -21,12 +21,11 @@ from .data import (AccessAudit, DataError, MtsDataset, PreparedData,
                    fit_impute_standardize, load_dataset, load_pems, prepare,
                    save_csv, save_packed, split)
 from .losses import (MetricRow, MetricTable, empirical_quantile, huber,
-                     interval_stats, mae, mse, multi_pinball, pinball,
-                     split_mean_loss)
+                     interval_stats, loss_elem, pinball)
 from .model import (ParamSet, QuantilePrediction, TrainConfig,
-                    TrainingDiverged, forward_point, forward_quantiles,
-                    init_params, load_checkpoint, loss_and_gradients,
-                    rollout, save_checkpoint, train)
+                    TrainingDiverged, forecast, forward_point,
+                    forward_quantiles, init_params, load_checkpoint,
+                    loss_and_gradients, rollout, save_checkpoint, train)
 
 __version__ = "0.1.0"
 
@@ -35,9 +34,8 @@ __all__ = [
     "Standardizer", "enumerate_windows", "fit_impute_standardize",
     "load_dataset", "load_pems", "prepare", "save_csv", "save_packed", "split",
     "MetricRow", "MetricTable", "empirical_quantile", "huber",
-    "interval_stats", "mae", "mse", "multi_pinball", "pinball",
-    "split_mean_loss",
+    "interval_stats", "loss_elem", "pinball",
     "ParamSet", "QuantilePrediction", "TrainConfig", "TrainingDiverged",
-    "forward_point", "forward_quantiles", "init_params", "load_checkpoint",
+    "forecast", "forward_point", "forward_quantiles", "init_params", "load_checkpoint",
     "loss_and_gradients", "rollout", "save_checkpoint", "train",
 ]

@@ -292,18 +292,6 @@ def compute_fallback(prepared: PreparedData, assignment: Assignment,
     return FallbackFlags(flagged=tuple(flagged))
 
 
-def routed_val_risk(prepared: PreparedData, assignment: Assignment,
-                    flags: FallbackFlags, prototypes: list[ParamSet],
-                    global_params: ParamSet, cfg: TrainConfig,
-                    kind: str | None = None) -> float:
-    """Mean routed VAL loss at h=1: members of flagged clusters fall back to
-    the pooled model. Aggregated as size-weighted per-cluster means, which
-    makes the min construction an exact floating-point property."""
-    routed, _ = val_risk_pair(prepared, assignment, flags, prototypes,
-                              global_params, cfg, kind=kind)
-    return routed
-
-
 def val_risk_pair(prepared: PreparedData, assignment: Assignment,
                   flags: FallbackFlags, prototypes: list[ParamSet],
                   global_params: ParamSet, cfg: TrainConfig,
@@ -511,6 +499,15 @@ class EvalArtifacts:
     series_mse: dict = None            # (method, horizon) -> per-series TEST MSE
 
 
+def _model_groups(models: list[ParamSet]) -> list[tuple[ParamSet, np.ndarray]]:
+    """(model, indices of the series it serves), one entry per distinct model
+    object in order of first use, so each model scores its series in one batch."""
+    groups: dict[int, list[int]] = {}
+    for i, m in enumerate(models):
+        groups.setdefault(id(m), []).append(i)
+    return [(models[ids[0]], np.asarray(ids)) for ids in groups.values()]
+
+
 def _per_series_test_scores(prepared: PreparedData, models: list[ParamSet],
                             h: int, cfg: TrainConfig,
                             calib: CalibrationTable | None):
@@ -523,62 +520,54 @@ def _per_series_test_scores(prepared: PreparedData, models: list[ParamSet],
     s_mse = np.empty(n)
     s_mae = np.empty(n)
     s_pin = np.empty(n) if cfg.mode == "quantile" else None
-    inside_parts, width_parts = [], []
+    targets, lowers, uppers = [], [], []
 
-    groups: dict[int, list[int]] = {}
-    for i, m in enumerate(models):
-        groups.setdefault(id(m), []).append(i)
-    for ids in groups.values():
-        params = models[ids[0]]
-        x, y = prepared.per_series_windows("te", h, cfg.w, np.asarray(ids))
+    for params, ids in _model_groups(models):
+        x, y = prepared.per_series_windows("te", h, cfg.w, ids)
         s, nw, w, p = x.shape
         if nw == 0:
             raise ValueError(f"no TEST windows at h={h}")
-        xf = x.reshape(s * nw, w, p)
         yf = y.reshape(s * nw, p)
-        if cfg.mode == "quantile":
-            fan = model.rollout(params, xf, h, mode="quantile", levels=cfg.quantiles)
-            med = fan[:, model.median_index(cfg.quantiles)]
-            q = np.asarray(cfg.quantiles).reshape(1, -1, 1)
-            pin = losses.pinball_elem(fan, yf[:, None, :], q).mean(axis=(1, 2))
-            s_pin[ids] = pin.reshape(s, nw).mean(axis=1)
+        point, fan = model.forecast(params, x.reshape(s * nw, w, p), h, cfg)
+
+        def series_mean(kind, pred, axes):
+            per_window = losses.loss_elem(kind, pred, yf, cfg).mean(axis=axes)
+            return per_window.reshape(s, nw).mean(axis=1)
+
+        s_mse[ids] = series_mean("mse", point, 1)
+        s_mae[ids] = series_mean("mae", point, 1)
+        if fan is not None:
+            s_pin[ids] = series_mean("pinball", fan, (1, 2))
             lo, hi = fan[:, 0], fan[:, -1]
             if calib is not None:
-                lo, hi = calib.apply(h, med, lo, hi)
-            inside_parts.append(((yf >= lo) & (yf <= hi)).ravel())
-            width_parts.append((hi - lo).ravel())
-            pred = med
-        else:
-            pred = model.rollout(params, xf, h, mode="point")
-        err = pred - yf
-        s_mse[ids] = (err ** 2).mean(axis=1).reshape(s, nw).mean(axis=1)
-        s_mae[ids] = np.abs(err).mean(axis=1).reshape(s, nw).mean(axis=1)
+                lo, hi = calib.apply(h, point, lo, hi)
+            targets.append(yf.ravel())
+            lowers.append(lo.ravel())
+            uppers.append(hi.ravel())
 
     coverage = width = None
     if cfg.mode == "quantile":
-        coverage = float(np.mean(np.concatenate(inside_parts)))
-        width = float(np.mean(np.concatenate(width_parts)))
+        coverage, width = losses.interval_stats(
+            np.concatenate(targets), np.concatenate(lowers), np.concatenate(uppers))
     return s_mse, s_mae, s_pin, coverage, width
 
 
 def val_calibration_streams(prepared: PreparedData, models: list[ParamSet],
-                             horizons, cfg: TrainConfig) -> dict:
+                            horizons, cfg: TrainConfig) -> dict:
+    """Per horizon, the VAL (median, lower, upper, target) streams of every
+    series under its routed model, for :func:`calibration.calibrate`; needs a
+    quantile-mode config."""
     streams = {}
-    groups: dict[int, list[int]] = {}
-    for i, m in enumerate(models):
-        groups.setdefault(id(m), []).append(i)
-    med_i = model.median_index(cfg.quantiles)
+    groups = _model_groups(models)
     for h in horizons:
         meds, los, his, targets = [], [], [], []
-        for ids in groups.values():
-            params = models[ids[0]]
-            x, y = prepared.per_series_windows("va", h, cfg.w, np.asarray(ids))
+        for params, ids in groups:
+            x, y = prepared.per_series_windows("va", h, cfg.w, ids)
             s, nw, w, p = x.shape
             if nw == 0:
                 continue
-            fan = model.rollout(params, x.reshape(s * nw, w, p), h,
-                                mode="quantile", levels=cfg.quantiles)
-            meds.append(fan[:, med_i].ravel())
+            point, fan = model.forecast(params, x.reshape(s * nw, w, p), h, cfg)
+            meds.append(point.ravel())
             los.append(fan[:, 0].ravel())
             his.append(fan[:, -1].ravel())
             targets.append(y.reshape(-1))
@@ -687,8 +676,9 @@ def assign_new_series(segment: np.ndarray, global_params: ParamSet,
                       cfg: TrainConfig) -> int:
     """Route a new series from an initial observed segment.
 
-    Evaluates the one-step loss of the pooled model and every unflagged
-    prototype over all (window, target) pairs in the segment and returns the
+    Evaluates the one-step training loss (:func:`model.batch_loss`, without
+    anchor) of the pooled model and every unflagged prototype over all
+    (window, target) pairs in the segment and returns the
     winner's id: -1 for the pooled model, otherwise the prototype index. The
     pooled model wins ties and wins whenever no prototype strictly improves.
     The segment must already be standardized and hold at least w + 1 steps.
@@ -705,20 +695,12 @@ def assign_new_series(segment: np.ndarray, global_params: ParamSet,
     x = np.ascontiguousarray(np.swapaxes(sw[ends - (w - 1)], 1, 2))
     y = segment[ends + 1]
 
-    def segment_loss(params: ParamSet) -> float:
-        if cfg.mode == "quantile":
-            fan = model.rollout(params, x, 1, mode="quantile", levels=cfg.quantiles)
-            q = np.asarray(cfg.quantiles).reshape(1, -1, 1)
-            return float(np.mean(losses.pinball_elem(fan, y[:, None, :], q)))
-        pred = model.rollout(params, x, 1, mode="point")
-        return float(np.mean(losses.huber_elem(pred - y, cfg.huber_delta)))
-
-    global_loss = segment_loss(global_params)
+    global_loss = model.batch_loss(global_params, None, x, y, cfg)
     best_id, best_loss = -1, global_loss
     for k, proto in enumerate(prototypes):
         if flags.flagged[k]:
             continue
-        loss_k = segment_loss(proto)
+        loss_k = model.batch_loss(proto, None, x, y, cfg)
         if loss_k < best_loss:
             best_id, best_loss = k, loss_k
     return best_id

@@ -77,16 +77,6 @@ class MtsDataset:
     def n_components(self) -> int:
         return self.values.shape[2]
 
-    @property
-    def series(self) -> list[np.ndarray]:
-        """Per-series (T, P) read-only views."""
-        out = []
-        for i in range(self.n_series):
-            v = self.values[i].view()
-            v.flags.writeable = False
-            out.append(v)
-        return out
-
     def freeze(self) -> "MtsDataset":
         self.values.flags.writeable = False
         self.mask.flags.writeable = False
@@ -125,13 +115,6 @@ class SplitSpec:
         if tag not in ranges:
             raise ValueError(f"unknown split tag {tag!r}")
         return ranges[tag]
-
-    def tag_of_time(self, t: int) -> str:
-        if t < self.t_train:
-            return "tr"
-        if t < self.t_train + self.t_val:
-            return "va"
-        return "te"
 
 
 @dataclass(frozen=True)
@@ -440,10 +423,6 @@ class WindowIndex:
 
     def count(self, h: int) -> int:
         return len(self.end_times[h])
-
-    def for_series(self, i: int, h: int) -> np.ndarray:
-        # shared grid: the same end-times are valid for every series
-        return self.end_times[h]
 
 
 def enumerate_windows(view: SplitView, w: int, horizons) -> WindowIndex:

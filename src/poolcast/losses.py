@@ -41,32 +41,24 @@ def pinball_elem(pred: np.ndarray, target: np.ndarray, q) -> np.ndarray:
     return u * (q - (u < 0))
 
 
-def pinball_deriv_wrt_pred(pred: np.ndarray, target: np.ndarray, q) -> np.ndarray:
-    u = target - pred
-    return (u < 0) - q
+def loss_elem(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarray:
+    """Elementwise loss of forecasts against targets, unreduced.
 
-
-def multi_pinball(preds: np.ndarray, target: np.ndarray, levels) -> float:
-    """Mean pinball over components and quantile levels.
-
-    ``preds`` has shape (Q, P) (or (..., Q, P)); ``target`` shape (P,)
-    (or broadcastable); ``levels`` is the increasing quantile grid.
+    "huber", "mse" and "mae" compare point forecasts (..., P) with targets
+    (..., P); "pinball" compares a quantile fan (..., Q, P) with targets
+    (..., P) at the levels ``cfg.quantiles``. Huber uses ``cfg.huber_delta``.
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    q = np.asarray(levels, dtype=np.float64).reshape((-1, 1))
-    target = np.asarray(target, dtype=np.float64)
-    vals = pinball_elem(preds, target[..., None, :], q)
-    return float(vals.mean())
-
-
-def mse(pred, target) -> float:
-    e = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    return float(np.mean(e * e))
-
-
-def mae(pred, target) -> float:
-    e = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    return float(np.mean(np.abs(e)))
+    if kind == "pinball":
+        q = np.asarray(cfg.quantiles).reshape((-1, 1))
+        return pinball_elem(pred, target[..., None, :], q)
+    e = pred - target
+    if kind == "huber":
+        return huber_elem(e, cfg.huber_delta)
+    if kind == "mse":
+        return e * e
+    if kind == "mae":
+        return np.abs(e)
+    raise ValueError(f"unknown loss kind {kind!r}")
 
 
 def empirical_quantile(sample, q: float) -> float:
@@ -88,9 +80,10 @@ def per_series_split_losses(params, prepared, tag: str, h: int, cfg,
     """Per-series mean forecasting loss on one segment at one horizon.
 
     Uses recursive rollout for h > 1. ``kind`` overrides the loss implied by
-    the config mode ("huber", "pinball", or "mse"; MSE is evaluated on the
-    point forecast, i.e. the median path in quantile mode). Returns an array
-    of shape (n_series_selected,), or None when the window index is empty.
+    the config mode (any :func:`loss_elem` kind; the point losses score the
+    point forecast, i.e. the median path in quantile mode, and "pinball"
+    needs a quantile-mode config). Returns an array of shape
+    (n_series_selected,), or None when the window index is empty.
     """
     from . import model  # deferred: model depends on this module for losses
 
@@ -102,33 +95,13 @@ def per_series_split_losses(params, prepared, tag: str, h: int, cfg,
         return None
     s, n, w, p = x.shape
     kind = kind or ("pinball" if cfg.mode == "quantile" else "huber")
-    xf = x.reshape(s * n, w, p)
+    point, fan = model.forecast(params, x.reshape(s * n, w, p), h, cfg)
+    yf = y.reshape(s * n, p)
     if kind == "pinball":
-        preds = model.rollout(params, xf, h, mode="quantile", levels=cfg.quantiles)
-        q = np.asarray(cfg.quantiles).reshape((-1, 1))
-        per = pinball_elem(preds, y.reshape(s * n, 1, p), q).mean(axis=(1, 2))
+        per = loss_elem(kind, fan, yf, cfg).mean(axis=(1, 2))
     else:
-        if cfg.mode == "quantile":
-            fan = model.rollout(params, xf, h, mode="quantile", levels=cfg.quantiles)
-            preds = fan[:, model.median_index(cfg.quantiles), :]
-        else:
-            preds = model.rollout(params, xf, h, mode="point")
-        e = preds - y.reshape(s * n, p)
-        if kind == "huber":
-            per = huber_elem(e, cfg.huber_delta).mean(axis=1)
-        elif kind == "mse":
-            per = (e * e).mean(axis=1)
-        else:
-            raise ValueError(f"unknown loss kind {kind!r}")
+        per = loss_elem(kind, point, yf, cfg).mean(axis=1)
     return per.reshape(s, n).mean(axis=1)
-
-
-def split_mean_loss(params, prepared, series: int, tag: str, h: int, cfg,
-                    kind: str | None = None) -> float | None:
-    """Mean per-window loss of one series on one segment; None when empty."""
-    out = per_series_split_losses(params, prepared, tag, h, cfg, kind=kind,
-                                  series=[series])
-    return None if out is None else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,46 +170,6 @@ def summarize_method(method: str, horizon: int,
         coverage=coverage, width=width,
         delta_pct=delta, ben_pct=ben, fb_pct=100.0 * fallback_share,
     )
-
-
-def test_metrics(method: str, horizon: int, preds: np.ndarray,
-                 targets: np.ndarray, ref_preds: np.ndarray,
-                 fallback_share: float, quantile_fan: np.ndarray | None = None,
-                 levels=None, bounds=None) -> MetricRow:
-    """One TEST report row from aligned per-series prediction streams.
-
-    ``preds``, ``targets``, ``ref_preds`` are (N, n_windows, P); ``preds``
-    holds the point forecast (the median path in quantile mode) and
-    ``ref_preds`` the pooled reference on the same windows. Optionally,
-    ``quantile_fan`` (N, n_windows, Q, P) with its ``levels`` adds the mean
-    pinball column, and ``bounds`` = (lower, upper) arrays shaped like
-    ``targets`` add coverage and width.
-    """
-    preds = np.asarray(preds, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    ref_preds = np.asarray(ref_preds, dtype=np.float64)
-    if not (preds.shape == targets.shape == ref_preds.shape) or preds.ndim != 3:
-        raise ValueError("length mismatch between prediction/target streams")
-    err = preds - targets
-    series_mse = (err ** 2).mean(axis=(1, 2))
-    series_mae = np.abs(err).mean(axis=(1, 2))
-    ref_err = ref_preds - targets
-    ref_mse = (ref_err ** 2).mean(axis=(1, 2))
-    series_pin = None
-    if quantile_fan is not None:
-        fan = np.asarray(quantile_fan, dtype=np.float64)
-        if fan.shape[:2] != targets.shape[:2] or fan.shape[3] != targets.shape[2]:
-            raise ValueError("length mismatch in quantile fan")
-        q = np.asarray(levels, dtype=np.float64).reshape(1, 1, -1, 1)
-        series_pin = pinball_elem(fan, targets[:, :, None, :], q).mean(axis=(1, 2, 3))
-    coverage = width = None
-    if bounds is not None:
-        lower, upper = (np.asarray(b, dtype=np.float64) for b in bounds)
-        if lower.shape != targets.shape or upper.shape != targets.shape:
-            raise ValueError("length mismatch in interval bounds")
-        coverage, width = interval_stats(targets, lower, upper)
-    return summarize_method(method, horizon, series_mse, series_mae, ref_mse,
-                            fallback_share, series_pin, coverage, width)
 
 
 class MetricTable:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import atomic_open
-from .losses import huber_deriv, huber_elem, pinball_elem
+from .losses import huber_deriv, huber_elem, loss_elem
 
 CHECKPOINT_MAGIC = b"PCM1"
 _MODE_FLAGS = {"point": 0, "quantile": 1}
@@ -149,12 +149,6 @@ class ParamSet:
         d = self.flat[self.spec_offset:] - other.flat[other.spec_offset:]
         return float(d @ d)
 
-    def validate(self) -> None:
-        if not np.all(np.isfinite(self.flat)):
-            for name, t in zip(self.NAMES, self.tensors()):
-                if not np.all(np.isfinite(t)):
-                    raise ValueError(f"non-finite entries in parameter {name}")
-
     @staticmethod
     def shapes(p_dim: int, latent: int, hidden: int, n_levels: int):
         return (
@@ -243,10 +237,6 @@ class QuantilePrediction:
 
     levels: tuple
     values: np.ndarray  # (Q, P)
-
-    @property
-    def median(self) -> np.ndarray:
-        return self.values[median_index(self.levels)]
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +411,21 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, mode: str = "point",
     return out
 
 
+def forecast(params: ParamSet, x: np.ndarray, h: int, cfg: TrainConfig
+             ) -> tuple[np.ndarray, np.ndarray | None]:
+    """h-step forecasts of the windows x (n, w, P) in the config's mode.
+
+    Returns ``(point, fan)``: in point mode the point forecasts (n, P) and
+    None; in quantile mode the fan (n, Q, P) at ``cfg.quantiles`` and its
+    median path (n, P) as the point forecast. Every scoring site forecasts
+    through here.
+    """
+    if cfg.mode == "quantile":
+        fan = rollout(params, x, h, mode="quantile", levels=cfg.quantiles)
+        return fan[:, median_index(cfg.quantiles)], fan
+    return rollout(params, x, h, mode="point"), None
+
+
 # ---------------------------------------------------------------------------
 # loss and gradients
 # ---------------------------------------------------------------------------
@@ -445,11 +450,10 @@ def batch_loss(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
     h, _ = _gru_forward(params, x, keep=False)
     if cfg.mode == "point":
         pred, _ = _point_from_hidden(params, h)
-        data = float(np.mean(huber_elem(pred - y, cfg.huber_delta)))
+        data = float(np.mean(loss_elem("huber", pred, y, cfg)))
     else:
         preds, _, _ = _quantiles_from_hidden(params, h)
-        q = np.asarray(cfg.quantiles).reshape(1, -1, 1)
-        data = float(np.mean(pinball_elem(preds, y[:, None, :], q)))
+        data = float(np.mean(loss_elem("pinball", preds, y, cfg)))
     return data + _anchor_penalty(params, anchor, cfg.l2sp_weight, None)
 
 

@@ -513,16 +513,8 @@ def _write_plot_data(cfg: RunConfig, prepared: PreparedData, artifacts) -> None:
             _, nw, w, p = x.shape
             xf = x.reshape(nw, w, p)
             ends = prepared.window_index("te", tc.w, [h]).end_times[h]
-            if cfg.mode == "quantile":
-                fan_g = model.rollout(artifacts.refit_global, xf, h,
-                                      mode="quantile", levels=tc.quantiles)
-                fan_m = model.rollout(artifacts.routed_models[i], xf, h,
-                                      mode="quantile", levels=tc.quantiles)
-                med = model.median_index(tc.quantiles)
-                pred_g, pred_m = fan_g[:, med], fan_m[:, med]
-            else:
-                pred_g = model.rollout(artifacts.refit_global, xf, h, mode="point")
-                pred_m = model.rollout(artifacts.routed_models[i], xf, h, mode="point")
+            pred_g, _ = model.forecast(artifacts.refit_global, xf, h, tc)
+            pred_m, _ = model.forecast(artifacts.routed_models[i], xf, h, tc)
             for j, t_end in enumerate(ends):
                 rows.append((prepared.dataset.names[i], int(t_end + h),
                              y[0, j, 0], pred_g[j, 0], pred_m[j, 0]))
@@ -532,18 +524,26 @@ def _write_plot_data(cfg: RunConfig, prepared: PreparedData, artifacts) -> None:
                 fh.write(f"{name},{t},{actual!r},{pg!r},{pm!r}\n")
 
 
-def _read_segment(path: str, p_dim: int, csv_header: bool) -> np.ndarray:
+def _read_segment(path: str, p_dim: int, w: int, csv_header: bool) -> np.ndarray:
+    """The raw (length, P) segment of a new series; a :class:`DataError` when
+    it cannot be read or is too short to hold one (window, target) pair."""
     from .data import _load_csv_file, load_packed
-    if path.endswith(".csv"):
-        seg = _load_csv_file(path, csv_header)
-    else:
-        ds = load_packed(path)
-        if ds.n_series != 1:
-            raise DataError(f"{path}: expected a single-series packed file")
-        seg = np.where(ds.mask[0], ds.values[0], np.nan)
+    try:
+        if path.endswith(".csv"):
+            seg = _load_csv_file(path, csv_header)
+        else:
+            ds = load_packed(path)
+            if ds.n_series != 1:
+                raise DataError(f"{path}: expected a single-series packed file")
+            seg = np.where(ds.mask[0], ds.values[0], np.nan)
+    except OSError as exc:
+        raise DataError(f"cannot read segment: {exc}") from None
     if seg.shape[1] != p_dim:
         raise DataError(
             f"segment has {seg.shape[1]} components, the run expects {p_dim}")
+    if seg.shape[0] < w + 1:
+        raise DataError(
+            f"segment has {seg.shape[0]} steps; need at least w + 1 = {w + 1}")
     return seg
 
 
@@ -558,7 +558,7 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
                        sigma=np.asarray(manifest["standardizer"]["sigma"]),
                        eps=float(manifest["standardizer"]["eps"]))
     tc = cfg.train_config()
-    raw = _read_segment(segment_path, len(std.mu), cfg.csv_header)
+    raw = _read_segment(segment_path, len(std.mu), tc.w, cfg.csv_header)
     filled = np.where(np.isfinite(raw), raw, std.mu)
     segment = std.transform(filled)
 
@@ -583,19 +583,12 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     window = segment[-tc.w:]
     forecasts = {}
     for h in cfg.horizons:
-        if cfg.mode == "quantile":
-            fan = model.rollout(chosen, window, h, mode="quantile",
-                                levels=tc.quantiles)
-            std_vals = fan.values
-            forecasts[str(h)] = {
-                "levels": list(fan.levels),
-                "standardized": std_vals.tolist(),
-                "raw": std.inverse(std_vals).tolist(),
-            }
-        else:
-            pred = model.rollout(chosen, window, h, mode="point")
-            forecasts[str(h)] = {"standardized": pred.tolist(),
-                                 "raw": std.inverse(pred).tolist()}
+        point, fan = model.forecast(chosen, window[None], h, tc)
+        std_vals = point[0] if fan is None else fan[0]
+        forecasts[str(h)] = {"standardized": std_vals.tolist(),
+                             "raw": std.inverse(std_vals).tolist()}
+        if fan is not None:
+            forecasts[str(h)]["levels"] = list(tc.quantiles)
     result = {
         "routed_model": "global" if routed_id < 0 else f"prototype_{routed_id}",
         "routed_id": routed_id,

@@ -101,21 +101,6 @@ def generate(spec: SyntheticSpec) -> tuple[MtsDataset, np.ndarray]:
     return MtsDataset(values, np.ones_like(values, dtype=bool), names), labels.copy()
 
 
-def nn_feature_separability(ds: MtsDataset, labels: np.ndarray,
-                            t_train: int) -> float:
-    """Leave-one-out 1-nearest-neighbor accuracy on per-series summary features.
-
-    Features are per-component mean and standard deviation over the first
-    ``t_train`` times, the same summaries the feature-based clustering
-    baseline uses. Serves as the generator's separability oracle.
-    """
-    seg = ds.values[:, :t_train, :]
-    feats = np.concatenate([seg.mean(axis=1), seg.std(axis=1)], axis=1)
-    d2 = ((feats[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    return float(np.mean(labels[np.argmin(d2, axis=1)] == labels))
-
-
 def adjusted_rand_index(labels_a, labels_b) -> float:
     """Chance-corrected pair-counting agreement between two labelings."""
     a = np.asarray(labels_a)

@@ -10,7 +10,7 @@ from poolcast.clustering import (Assignment, CostMatrix, FallbackFlags,
                                  SelectionConfig, assign_new_series,
                                  compute_cost_matrix, compute_fallback,
                                  fit_prototypes, init_assignments, outer_loop,
-                                 reassign, routed_val_risk, val_risk_pair)
+                                 reassign, val_risk_pair)
 from poolcast.data import SplitSpec, prepare
 from poolcast.model import TrainConfig, init_params, train
 from poolcast.synthetic import SyntheticSpec, generate
@@ -238,7 +238,7 @@ def test_routed_risk_dominance_exact(small_world):
         no_fallback = FallbackFlags(flagged=(False,) * 3)
         fully, _ = val_risk_pair(prepared, a, no_fallback, protos, gp, CFG)
         assert routed <= fully
-        assert routed == routed_val_risk(prepared, a, flags, protos, gp, CFG)
+        assert routed == val_risk_pair(prepared, a, flags, protos, gp, CFG)[0]
 
 
 def test_fallback_frozen_against_test_perturbation(small_world):

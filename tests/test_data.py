@@ -280,7 +280,8 @@ def test_window_index_shared_across_series():
     ds = make_ds(n=3, t=60, p=1)
     views = split(ds, SplitSpec(40, 10, 10))
     idx = enumerate_windows(views["te"], 5, [2])
-    np.testing.assert_array_equal(idx.for_series(0, 2), idx.for_series(2, 2))
+    # one grid for every series: TEST targets t + 2 for t in 49..57
+    np.testing.assert_array_equal(idx.end_times[2], np.arange(49, 58))
 
 
 # ---------------------------------------------------------------------------

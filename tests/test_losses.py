@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolcast.losses import (MetricRow, MetricTable, empirical_quantile,
-                             huber, interval_stats, multi_pinball, pinball,
+                             huber, interval_stats, loss_elem, pinball,
                              summarize_method)
-from poolcast.losses import test_metrics as metrics_from_streams
+from poolcast.model import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +60,10 @@ def test_multi_pinball_averages_levels_and_components():
     target = np.array([1.0, 1.0])
     expected = (pinball(0, 1, 0.2) + pinball(0, 1, 0.2)
                 + pinball(1, 1, 0.8) + pinball(1, 1, 0.8)) / 4
-    assert multi_pinball(preds, target, (0.2, 0.8)) == pytest.approx(expected)
+    cfg = TrainConfig(quantiles=(0.2, 0.8))
+    elems = loss_elem("pinball", preds, target, cfg)
+    assert elems.shape == (2, 2)
+    assert elems.mean() == pytest.approx(expected)
 
 
 def test_empirical_minimizer_matches_sort_oracle_fixed():
@@ -119,8 +122,8 @@ def test_summarize_method_delta_and_ben():
 
 def test_split_mean_loss_sentinel_and_mean():
     from poolcast.data import SplitSpec, prepare
-    from poolcast.model import TrainConfig, forward_point, init_params
-    from poolcast.losses import split_mean_loss
+    from poolcast.losses import per_series_split_losses
+    from poolcast.model import forward_point, init_params
     from poolcast.synthetic import SyntheticSpec, generate
 
     ds, _ = generate(SyntheticSpec(n_series=2, n_times=40, n_components=2,
@@ -129,8 +132,13 @@ def test_split_mean_loss_sentinel_and_mean():
     cfg = TrainConfig(w=4, seed=0)
     params = init_params(2, 2, 4, 3, seed=0)
 
+    def series_0(h):
+        out = per_series_split_losses(params, prepared, "va", h, cfg,
+                                      series=[0])
+        return None if out is None else float(out[0])
+
     # mean over windows equals the mean of manually computed per-window losses
-    got = split_mean_loss(params, prepared, 0, "va", 1, cfg)
+    got = series_0(1)
     x, y = prepared.per_series_windows("va", 1, cfg.w, [0])
     per_window = [huber(forward_point(params, w_), t, cfg.huber_delta)
                   for w_, t in zip(x[0], y[0])]
@@ -138,18 +146,17 @@ def test_split_mean_loss_sentinel_and_mean():
 
     # h=7 leaves exactly one valid window: the mean of one is that loss
     from poolcast.model import rollout
-    single = split_mean_loss(params, prepared, 0, "va", 7, cfg)
+    single = series_0(7)
     x7, y7 = prepared.per_series_windows("va", 7, cfg.w, [0])
     assert x7.shape[1] == 1
     only = huber(rollout(params, x7[0, 0], 7, mode="point"), y7[0, 0],
                  cfg.huber_delta)
     assert single == pytest.approx(only, rel=0, abs=1e-15)
     # h=8 exceeds the segment: undefined sentinel
-    assert split_mean_loss(params, prepared, 0, "va", 8, cfg) is None
+    assert series_0(8) is None
 
 
 def test_train_config_validation():
-    from poolcast.model import TrainConfig
     with pytest.raises(ValueError):
         TrainConfig(l2sp_weight=-1.0)
     with pytest.raises(ValueError):
@@ -168,32 +175,31 @@ def test_metrics_row_from_streams():
     ref = targets + 1.0          # per-series reference MSE exactly 1
     preds = targets.copy()
     preds[3:] = targets[3:] + 2.0  # three series beat the reference
-    row = metrics_from_streams("m", 1, preds, targets, ref,
-                               fallback_share=0.3)
+    cfg = TrainConfig(quantiles=(0.1, 0.5, 0.9))
+
+    def series_mean(kind, pred):
+        return loss_elem(kind, pred, targets, cfg).mean(axis=(1, 2))
+
+    row = summarize_method("m", 1, series_mean("mse", preds),
+                           series_mean("mae", preds), series_mean("mse", ref),
+                           fallback_share=0.3)
     assert row.ben_pct == pytest.approx(30.0)
     assert row.fb_pct == pytest.approx(30.0)
     assert row.mse == pytest.approx((3 * 0.0 + 7 * 4.0) / 10)
+    assert row.mae == pytest.approx((3 * 0.0 + 7 * 2.0) / 10)
     assert row.delta_pct == pytest.approx(100.0 * (1.0 - row.mse) / 1.0)
 
-    bounds = (targets - 1.0, targets + 1.0)
+    coverage, width = interval_stats(targets, targets - 1.0, targets + 1.0)
     fan = np.stack([targets - 0.5, targets, targets + 0.5], axis=2)
-    row = metrics_from_streams("m", 1, preds, targets, ref, 0.0,
-                               quantile_fan=fan, levels=(0.1, 0.5, 0.9),
-                               bounds=bounds)
+    series_pin = loss_elem("pinball", fan, targets, cfg).mean(axis=(1, 2, 3))
+    row = summarize_method("m", 1, series_mean("mse", preds),
+                           series_mean("mae", preds), series_mean("mse", ref),
+                           0.0, series_pin, coverage, width)
     assert row.coverage == 1.0 and row.width == pytest.approx(2.0)
     # fan offsets -0.5 / 0 / +0.5 at levels 0.1 / 0.5 / 0.9:
     # rho = 0.5*0.1, 0, 0.5*(1-0.9), averaged over the three levels
     expected_pin = (0.5 * 0.1 + 0.0 + 0.5 * (1 - 0.9)) / 3
     assert row.pinball == pytest.approx(expected_pin)
-
-
-def test_metrics_rejects_mismatched_streams():
-    a = np.zeros((3, 4, 2))
-    with pytest.raises(ValueError, match="length mismatch"):
-        metrics_from_streams("m", 1, a, a[:, :3], a, 0.0)
-    with pytest.raises(ValueError, match="length mismatch"):
-        metrics_from_streams("m", 1, a, a, a, 0.0,
-                             bounds=(a[:, :3], a[:, :3]))
 
 
 def test_metric_table_serialization(tmp_path):

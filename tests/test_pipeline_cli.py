@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import poolcast
@@ -364,6 +365,46 @@ def test_quantile_mode_flow(tmp_path, data_dir):
     assert row["width"] >= 0.0
 
 
+def test_forecast_new_quantile_routing(tmp_path, data_dir):
+    run_dir = str(tmp_path / "quant_route")
+    path = write_config(tmp_path, data_dir, run_dir,
+                        "k = 3\nmode = quantile\n")
+    cfg = RunConfig.from_file(path)
+    pipeline.cmd_train(cfg)
+    manifest = pipeline.cmd_evaluate(cfg)
+    tc = cfg.train_config()
+    mu = np.asarray(manifest["standardizer"]["mu"])
+    sigma = np.asarray(manifest["standardizer"]["sigma"])
+    pooled = model.load_checkpoint(manifest["checkpoint_refit_global"])[0]
+    # the refit checkpoint of each unflagged cluster, through its members
+    protos = {}
+    for label, ckpt in zip(manifest["assignment"], manifest["routed_checkpoints"]):
+        if not manifest["flags"][label]:
+            protos[label] = model.load_checkpoint(ckpt)[0]
+
+    routed = set()
+    for name in sorted(os.listdir(data_dir)):
+        result = pipeline.cmd_forecast_new(cfg, os.path.join(data_dir, name))
+        for h in cfg.horizons:
+            reply = result["forecasts"][str(h)]
+            assert reply["levels"] == list(cfg.quantiles)
+            assert np.asarray(reply["standardized"]).shape == (3, 4)
+            assert np.asarray(reply["raw"]).shape == (3, 4)
+
+        raw = np.loadtxt(os.path.join(data_dir, name), delimiter=",")
+        seg = (raw - mu) / sigma
+        w = tc.w
+        x = np.stack([seg[t - w + 1:t + 1] for t in range(w - 1, len(seg) - 1)])
+        y = seg[w:]
+        cost = {-1: model.batch_loss(pooled, None, x, y, tc)}
+        for k, params in protos.items():
+            cost[k] = model.batch_loss(params, None, x, y, tc)
+        # argmin over the candidates; the pooled model (-1) wins ties
+        assert result["routed_id"] == min(cost, key=lambda k: (cost[k], k))
+        routed.add(result["routed_id"])
+    assert len(routed) > 1
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
@@ -384,6 +425,15 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     assert cli.main(["evaluate", "--config", good]) == 0
     assert cli.main(["evaluate", "--config", good]) == 5
     capsys.readouterr()
+
+    # forecast-new segments that are missing or too short are data errors
+    short = tmp_path / "short.csv"
+    short.write_text("0.1,0.2,0.3,0.4\n" * 6)  # w = 6 needs 7 steps
+    for segment in (str(short), str(tmp_path / "missing.csv")):
+        assert cli.main(["forecast-new", "--config", good,
+                         "--segment", segment]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
 
 
 def test_cli_synth_and_report(tmp_path, capsys):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolcast.synthetic import (SyntheticSpec, adjusted_rand_index, generate,
-                                nn_feature_separability)
+from poolcast.baselines import training_feature_vectors
+from poolcast.data import SplitSpec, prepare
+from poolcast.synthetic import SyntheticSpec, adjusted_rand_index, generate
 
 
 def test_generation_deterministic():
@@ -29,7 +30,12 @@ def test_alpha_zero_gives_identical_regimes():
 def test_alpha_one_separable_with_small_noise():
     spec = SyntheticSpec(heterogeneity=1.0, noise_scale=0.05, seed=0)
     ds, labels = generate(spec)
-    assert nn_feature_separability(ds, labels, 200) > 0.9
+    # leave-one-out 1-nearest-neighbor accuracy on the feature baseline's
+    # TRAIN summaries
+    feats = training_feature_vectors(prepare(ds, SplitSpec(200, 50, 50)))
+    d2 = ((feats[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    assert np.mean(labels[np.argmin(d2, axis=1)] == labels) > 0.9
 
 
 def test_labels_balanced():
