@@ -33,10 +33,9 @@ for it, labels in enumerate(loop.label_trace):
 ari = adjusted_rand_index(loop.assignment.labels, true_labels)
 print(f"agreement with true regimes: ARI = {ari:.2f}")
 
-flags = clustering.compute_fallback(prepared, loop.assignment, loop.prototypes,
-                                    pooled, cfg)
-routed, pooled_risk = clustering.val_risk_pair(prepared, loop.assignment, flags,
-                                               loop.prototypes, pooled, cfg)
+flags, routed, pooled_risk = clustering.sweep_run_fallback(
+    prepared, loop.assignment, loop.prototypes,
+    clustering.pooled_val_losses(prepared, pooled, cfg), cfg)
 print(f"fallback flags: {flags.flagged}")
 print(f"routed VAL risk {routed:.4f} <= pooled VAL risk {pooled_risk:.4f}")
 

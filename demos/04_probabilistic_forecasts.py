@@ -12,8 +12,7 @@ import numpy as np
 from poolcast import clustering
 from poolcast.calibration import coverage_at
 from poolcast.data import SplitSpec, prepare
-from poolcast.model import (TrainConfig, derive_seed, forward_quantiles,
-                            init_params, rollout, train)
+from poolcast.model import TrainConfig, derive_seed, init_params, rollout, train
 from poolcast.synthetic import SyntheticSpec, generate
 
 ds, _ = generate(SyntheticSpec(n_series=18, n_times=300, n_components=6,
@@ -26,17 +25,17 @@ prepared.audit.set_phase("fit-global")
 x, y = prepared.windows("tr", 1, cfg.w)
 pooled = train(init_params(6, 5, 16, 3, seed=derive_seed(0, "init")), None, x, y, cfg)
 
-window = prepared.dataset.values[0, 192:200, :]
-fan = forward_quantiles(pooled, window, cfg.quantiles)
+window = prepared.dataset.values[0:1, 192:200, :]  # a batch of one window
+_, fan = rollout(pooled, window, 1, cfg)
 print("one-step fan for one window, first three components:")
-for level, row in zip(fan.levels, fan.values):
+for level, row in zip(cfg.quantiles, fan[0]):
     print(f"  q={level:.1f}: {np.round(row[:3], 3)}")
-print("monotone across levels:", bool(np.all(np.diff(fan.values, axis=0) >= -1e-12)))
+print("monotone across levels:", bool(np.all(np.diff(fan[0], axis=0) >= -1e-12)))
 
-deep = rollout(pooled, window, 6, mode="quantile", levels=cfg.quantiles)
+_, deep = rollout(pooled, window, 6, cfg)
 print("\nsix-step-ahead fan widens:",
-      float((fan.values[-1] - fan.values[0]).mean()), "->",
-      float((deep.values[-1] - deep.values[0]).mean()))
+      float((fan[0, -1] - fan[0, 0]).mean()), "->",
+      float((deep[0, -1] - deep[0, 0]).mean()))
 
 sel = clustering.SelectionConfig(candidates=(3,), seeds=(0,),
                                  max_outer_iters=3, assign_horizons=(1,))

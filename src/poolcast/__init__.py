@@ -22,10 +22,9 @@ from .data import (AccessAudit, DataError, MtsDataset, PreparedData,
                    save_csv, save_packed, split)
 from .losses import (MetricRow, MetricTable, empirical_quantile, huber,
                      interval_stats, loss_elem, pinball)
-from .model import (ParamSet, QuantilePrediction, TrainConfig,
-                    TrainingDiverged, forecast, forward_point,
-                    forward_quantiles, init_params, load_checkpoint,
-                    loss_and_gradients, rollout, save_checkpoint, train)
+from .model import (ParamSet, TrainConfig, TrainingDiverged, init_params,
+                    load_checkpoint, loss_and_gradients, rollout,
+                    save_checkpoint, train)
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,7 @@ __all__ = [
     "load_dataset", "load_pems", "prepare", "save_csv", "save_packed", "split",
     "MetricRow", "MetricTable", "empirical_quantile", "huber",
     "interval_stats", "loss_elem", "pinball",
-    "ParamSet", "QuantilePrediction", "TrainConfig", "TrainingDiverged",
-    "forecast", "forward_point", "forward_quantiles", "init_params", "load_checkpoint",
-    "loss_and_gradients", "rollout", "save_checkpoint", "train",
+    "ParamSet", "TrainConfig", "TrainingDiverged", "init_params",
+    "load_checkpoint", "loss_and_gradients", "rollout", "save_checkpoint",
+    "train",
 ]

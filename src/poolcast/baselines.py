@@ -4,12 +4,12 @@ clustering, and balanced random clustering."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import clustering, model
-from .clustering import (Assignment, FallbackFlags, SelectionConfig,
+from .clustering import (Assignment, SelectionConfig, SelectionResult,
                          fit_prototypes, init_assignments)
 from .data import PreparedData
 from .model import ParamSet, TrainConfig, derive_seed
@@ -92,20 +92,6 @@ def kmeans(features: np.ndarray, k: int, seed: int, max_iters: int = 100,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BaselineFit:
-    """Everything the evaluation step needs for one fitted baseline."""
-
-    method: str
-    k: int | None
-    seed: int | None
-    assignment: Assignment | None
-    flags: FallbackFlags | None
-    prototypes: list[ParamSet] | None
-    individual_models: list[ParamSet] | None
-    selection_table: list
-
-
 def _labels_for(kind: str, k: int, seed: int, n: int,
                 features: np.ndarray | None) -> Assignment:
     if kind == "feat_kmeans":
@@ -115,32 +101,19 @@ def _labels_for(kind: str, k: int, seed: int, n: int,
 
 def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
                  cfg: TrainConfig, sel_cfg: SelectionConfig,
-                 proto_epochs: int) -> BaselineFit:
-    """Fit a baseline on TRAIN with VAL-based selection, without touching TEST.
+                 proto_epochs: int) -> SelectionResult:
+    """Fit a clustered baseline ("feat_kmeans" or "random_balanced") on TRAIN
+    with VAL-based selection, without touching TEST.
 
-    Clustered baselines keep their initial labels fixed (no reassignment
-    loop), fit prototypes with the same warm-start objective, apply the
-    fallback safeguard, and choose (K, seed) by routed VAL MSE at h=1 plus
-    the same complexity penalty used for the main method.
+    The labels stay at their initial values (no reassignment loop, so the
+    label trace is those labels alone), prototypes are fit with the same
+    warm-start objective, the fallback safeguard applies, and (K, seed) is
+    chosen by routed VAL MSE at h=1 plus the same complexity penalty used
+    for the main method.
     """
-    n = prepared.n_series
-    if kind == "global":
-        return BaselineFit("global", None, None, None, None, None, None, [])
-    if kind == "individual":
-        cache = clustering._TrainCache(prepared, cfg)
-        models = []
-        prepared.audit.set_phase("fit-individual")
-        for i in range(n):
-            x, y = cache.pooled(np.asarray([i]))
-            models.append(model.train(
-                model.init_params(global_params.p_dim, global_params.latent,
-                                  global_params.hidden, global_params.n_levels,
-                                  derive_seed(cfg.seed, "individual", i)),
-                None, x, y, replace(cfg, seed=derive_seed(cfg.seed, "fit-ind", i))))
-        return BaselineFit("individual", None, None, None, None, None, models, [])
     if kind not in ("feat_kmeans", "random_balanced"):
-        raise ValueError(f"unknown baseline {kind!r}")
-
+        raise ValueError(f"unknown clustered baseline {kind!r}")
+    n = prepared.n_series
     features = training_feature_vectors(prepared) if kind == "feat_kmeans" else None
     cache = clustering._TrainCache(prepared, cfg)
     prepared.audit.set_phase("fallback")
@@ -156,22 +129,23 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
         loop = clustering.LoopResult(assignment, protos, inert,
                                      [assignment.labels], converged=True)
         return (loop,) + clustering.sweep_run_fallback(
-            prepared, assignment, protos, global_params, pooled, run_cfg,
-            kind="mse")
+            prepared, assignment, protos, pooled, run_cfg, kind="mse")
 
-    res = clustering.run_sweep(prepared, sel_cfg, run)
-    return BaselineFit(kind, res.k_star, res.seed_star, res.assignment,
-                       res.flags, res.prototypes, None, res.table)
+    return clustering.run_sweep(prepared, sel_cfg, run)
 
 
-def run_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
-                 cfg: TrainConfig, sel_cfg: SelectionConfig, proto_epochs: int,
-                 horizons=(1, 3, 6), refit_epochs: int = 15,
-                 coverage_target: float = 0.8):
-    """Fit a baseline and run the shared refit + single-use TEST evaluation."""
-    fit = fit_baseline(kind, prepared, global_params, cfg, sel_cfg, proto_epochs)
-    artifacts = clustering.final_refit_and_test(
-        prepared, fit.assignment, fit.flags, global_params, fit.prototypes,
-        cfg, horizons=horizons, method=kind, refit_epochs=refit_epochs,
-        coverage_target=coverage_target, individual_models=fit.individual_models)
-    return fit, artifacts
+def fit_individual(prepared: PreparedData, global_params: ParamSet,
+                   cfg: TrainConfig) -> list[ParamSet]:
+    """One model per series, each trained from a fresh seeded initialization
+    of the pooled model's shape on that series' TRAIN windows alone."""
+    cache = clustering._TrainCache(prepared, cfg)
+    prepared.audit.set_phase("fit-individual")
+    models = []
+    for i in range(prepared.n_series):
+        x, y = cache.pooled(np.asarray([i]))
+        models.append(model.train(
+            model.init_params(global_params.p_dim, global_params.latent,
+                              global_params.hidden, global_params.n_levels,
+                              derive_seed(cfg.seed, "individual", i)),
+            None, x, y, replace(cfg, seed=derive_seed(cfg.seed, "fit-ind", i))))
+    return models

@@ -67,7 +67,6 @@ class FallbackFlags:
     """Per-cluster non-specializable markers, frozen once computed."""
 
     flagged: tuple
-    frozen: bool = True
 
     def fallback_share(self, assignment: Assignment) -> float:
         routed = np.asarray(self.flagged)[assignment.labels]
@@ -267,46 +266,26 @@ def cluster_val_means(prepared: PreparedData, assignment: Assignment,
     return sizes, clus_means, glob_means
 
 
-def _val_means(prepared, assignment, prototypes, global_params, cfg, kind):
-    pooled = pooled_val_losses(prepared, global_params, cfg, kind=kind)
-    return cluster_val_means(prepared, assignment, prototypes, pooled, cfg,
-                             kind=kind)
-
-
-def compute_fallback(prepared: PreparedData, assignment: Assignment,
-                     prototypes: list[ParamSet], global_params: ParamSet,
-                     cfg: TrainConfig, kind: str | None = None,
-                     means: tuple | None = None) -> FallbackFlags:
+def compute_fallback(means: tuple) -> FallbackFlags:
     """Flag clusters whose mean member VAL loss at h=1 strictly exceeds the
-    pooled model's on the same members; empty clusters are flagged by
-    convention. The result is frozen: nothing downstream may revisit it.
-    ``means`` reuses a :func:`cluster_val_means` result instead of scoring."""
-    prepared.audit.set_phase("fallback")
-    if means is None:
-        means = _val_means(prepared, assignment, prototypes, global_params, cfg,
-                           kind)
+    pooled model's on the same members, from the ``(sizes, cluster means,
+    pooled means)`` of :func:`cluster_val_means`; empty clusters are flagged
+    by convention. The result is frozen: nothing downstream may revisit it."""
     sizes, clus, glob = means
-    flagged = []
-    for j in range(assignment.n_clusters):
-        flagged.append(True if sizes[j] == 0 else bool(clus[j] > glob[j]))
-    return FallbackFlags(flagged=tuple(flagged))
+    return FallbackFlags(flagged=tuple(
+        True if sizes[j] == 0 else bool(clus[j] > glob[j])
+        for j in range(len(sizes))))
 
 
-def val_risk_pair(prepared: PreparedData, assignment: Assignment,
-                  flags: FallbackFlags, prototypes: list[ParamSet],
-                  global_params: ParamSet, cfg: TrainConfig,
-                  kind: str | None = None, means: tuple | None = None
-                  ) -> tuple[float, float]:
-    """(routed risk, pooled risk) on VAL at h=1 under identical aggregation.
-    ``means`` reuses a :func:`cluster_val_means` result instead of scoring."""
-    if means is None:
-        means = _val_means(prepared, assignment, prototypes, global_params, cfg,
-                           kind)
+def val_risk_pair(means: tuple, flags: FallbackFlags) -> tuple[float, float]:
+    """(routed risk, pooled risk) on VAL at h=1 under identical aggregation,
+    from the ``(sizes, cluster means, pooled means)`` of
+    :func:`cluster_val_means`."""
     sizes, clus, glob = means
     n = float(sizes.sum())
     routed_total = 0.0
     global_total = 0.0
-    for j in range(assignment.n_clusters):
+    for j in range(len(sizes)):
         if sizes[j] == 0:
             continue
         chosen = glob[j] if flags.flagged[j] else clus[j]
@@ -317,23 +296,20 @@ def val_risk_pair(prepared: PreparedData, assignment: Assignment,
 
 
 def sweep_run_fallback(prepared: PreparedData, assignment: Assignment,
-                       prototypes: list[ParamSet], global_params: ParamSet,
-                       pooled: np.ndarray, cfg: TrainConfig,
-                       kind: str | None = None
+                       prototypes: list[ParamSet], pooled: np.ndarray,
+                       cfg: TrainConfig, kind: str | None = None
                        ) -> tuple[FallbackFlags, float, float]:
     """Fallback flags and (routed, pooled) VAL risk of one (K, seed) run.
 
     Scores each cluster's members once and reuses ``pooled``, the pooled
-    model's VAL losses, which are the same for every run of a sweep.
+    model's VAL losses from :func:`pooled_val_losses`, which are the same for
+    every run of a sweep.
     """
     prepared.audit.set_phase("fallback")
     means = cluster_val_means(prepared, assignment, prototypes, pooled, cfg,
                               kind=kind)
-    flags = compute_fallback(prepared, assignment, prototypes, global_params,
-                             cfg, kind=kind, means=means)
-    routed, glob = val_risk_pair(prepared, assignment, flags, prototypes,
-                                 global_params, cfg, kind=kind, means=means)
-    return flags, routed, glob
+    flags = compute_fallback(means)
+    return (flags,) + val_risk_pair(means, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +455,7 @@ def select_k(prepared: PreparedData, global_params: ParamSet, cfg: TrainConfig,
         loop = outer_loop(prepared, global_params, init, run_cfg, sel_cfg,
                           proto_epochs, cache)
         return (loop,) + sweep_run_fallback(prepared, loop.assignment,
-                                            loop.prototypes, global_params,
-                                            pooled, run_cfg)
+                                            loop.prototypes, pooled, run_cfg)
 
     return run_sweep(prepared, sel_cfg, run)
 
@@ -528,7 +503,7 @@ def _per_series_test_scores(prepared: PreparedData, models: list[ParamSet],
         if nw == 0:
             raise ValueError(f"no TEST windows at h={h}")
         yf = y.reshape(s * nw, p)
-        point, fan = model.forecast(params, x.reshape(s * nw, w, p), h, cfg)
+        point, fan = model.rollout(params, x.reshape(s * nw, w, p), h, cfg)
 
         def series_mean(kind, pred, axes):
             per_window = losses.loss_elem(kind, pred, yf, cfg).mean(axis=axes)
@@ -566,7 +541,7 @@ def val_calibration_streams(prepared: PreparedData, models: list[ParamSet],
             s, nw, w, p = x.shape
             if nw == 0:
                 continue
-            point, fan = model.forecast(params, x.reshape(s * nw, w, p), h, cfg)
+            point, fan = model.rollout(params, x.reshape(s * nw, w, p), h, cfg)
             meds.append(point.ravel())
             los.append(fan[:, 0].ravel())
             his.append(fan[:, -1].ravel())
@@ -582,8 +557,7 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
                          prototypes: list[ParamSet] | None, cfg: TrainConfig,
                          horizons=(1, 3, 6), method: str = "cluster",
                          refit_epochs: int = 15, coverage_target: float = 0.8,
-                         individual_models: list[ParamSet] | None = None,
-                         individual_refit_epochs: int | None = None
+                         individual_models: list[ParamSet] | None = None
                          ) -> EvalArtifacts:
     """Refit on TRAIN+VAL with frozen routing, then evaluate TEST once.
 
@@ -608,13 +582,12 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     routed: list[ParamSet]
     if individual_models is not None:
         routed = []
-        per_epochs = individual_refit_epochs if individual_refit_epochs is not None else refit_epochs
         for i in all_series:
             x_i, y_i = cache.pooled(np.asarray([i]))
             routed.append(model.train(
                 individual_models[i], None, x_i, y_i,
                 replace(cfg, seed=derive_seed(cfg.seed, "refit-individual", int(i))),
-                epochs=per_epochs))
+                epochs=refit_epochs))
         fallback_share = 0.0
     elif assignment is None:
         routed = [refit_global] * prepared.n_series

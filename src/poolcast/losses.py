@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_open
+
 
 def huber(pred, target, delta: float = 1.0) -> float:
     """Component-mean Huber loss: quadratic within delta, linear outside."""
@@ -95,7 +97,7 @@ def per_series_split_losses(params, prepared, tag: str, h: int, cfg,
         return None
     s, n, w, p = x.shape
     kind = kind or ("pinball" if cfg.mode == "quantile" else "huber")
-    point, fan = model.forecast(params, x.reshape(s * n, w, p), h, cfg)
+    point, fan = model.rollout(params, x.reshape(s * n, w, p), h, cfg)
     yf = y.reshape(s * n, p)
     if kind == "pinball":
         per = loss_elem(kind, fan, yf, cfg).mean(axis=(1, 2))
@@ -198,7 +200,8 @@ class MetricTable:
 
     def to_csv(self, path: str, paper_scale: bool = False) -> None:
         import csv
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path) as fh:
+            fh.reconfigure(newline="")  # the csv module writes its own line ends
             writer = csv.DictWriter(fh, fieldnames=self.COLUMNS)
             writer.writeheader()
             for rec in self.to_records(paper_scale):

@@ -231,14 +231,6 @@ class TrainConfig:
             raise ValueError("quantile levels must be strictly increasing")
 
 
-@dataclass
-class QuantilePrediction:
-    """Ordered quantile forecasts for one window: values[j] predicts levels[j]."""
-
-    levels: tuple
-    values: np.ndarray  # (Q, P)
-
-
 # ---------------------------------------------------------------------------
 # forward graph
 # ---------------------------------------------------------------------------
@@ -344,86 +336,37 @@ def _quantiles_from_hidden(params: ParamSet, h: np.ndarray
     return latents @ params.mix, latents, raw
 
 
-def _point_batch(params: ParamSet, x: np.ndarray) -> np.ndarray:
-    h, _ = _gru_forward(params, x, keep=False)
-    return _point_from_hidden(params, h)[0]
+def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
+            ) -> tuple[np.ndarray, np.ndarray | None]:
+    """h-step forecasts of a batch of windows (n, w, P) in the config's mode.
 
-
-def _quantile_batch(params: ParamSet, x: np.ndarray) -> np.ndarray:
-    h, _ = _gru_forward(params, x, keep=False)
-    return _quantiles_from_hidden(params, h)[0]
-
-
-def forward_point(params: ParamSet, window: np.ndarray) -> np.ndarray:
-    """One-step point forecast: (w, P) -> (P,), or batched (n, w, P) -> (n, P)."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 2:
-        return _point_batch(params, window[None])[0]
-    return _point_batch(params, window)
-
-
-def forward_quantiles(params: ParamSet, window: np.ndarray, levels):
-    """One-step quantile fan; single windows return a :class:`QuantilePrediction`."""
-    levels = tuple(levels)
-    if len(levels) != params.n_levels:
-        raise ValueError(
-            f"{len(levels)} levels given but head produces {params.n_levels}")
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 2:
-        values = _quantile_batch(params, window[None])[0]
-        return QuantilePrediction(levels=levels, values=values)
-    return _quantile_batch(params, window)
-
-
-def rollout(params: ParamSet, window: np.ndarray, h: int, mode: str = "point",
-            levels=None):
-    """Forecast h steps ahead by feeding one-step predictions back.
-
-    The oldest window row is dropped each step. In quantile mode the value
-    fed back is the median path; the full fan is produced only at the final
-    step. h = 1 reduces to the plain one-step forward.
+    One-step predictions are fed back, dropping the oldest window row each
+    step; in quantile mode the value fed back is the median path. Returns
+    ``(point, fan)``: in point mode the point forecasts (n, P) and None; in
+    quantile mode the median path (n, P) and the fan (n, Q, P) at
+    ``cfg.quantiles``, taken at the final step. Every forecast outside
+    training and :func:`batch_loss` runs through here.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
-    window = np.asarray(window, dtype=np.float64)
-    single = window.ndim == 2
-    x = window[None] if single else window
-    if mode == "quantile":
-        levels = tuple(levels if levels is not None else ())
-        if len(levels) != params.n_levels:
-            raise ValueError("quantile rollout needs the level grid")
-        med = median_index(levels)
+    quantile = cfg.mode == "quantile"
+    if quantile:
+        if len(cfg.quantiles) != params.n_levels:
+            raise ValueError(f"{len(cfg.quantiles)} levels given but head "
+                             f"produces {params.n_levels}")
+        med = median_index(cfg.quantiles)
+    x = np.asarray(window, dtype=np.float64)
+    fan = None
     for step in range(h):
-        if mode == "point":
-            out = _point_batch(params, x)
-            fed = out
-        elif mode == "quantile":
-            out = _quantile_batch(params, x)
-            fed = out[:, med]
+        hidden, _ = _gru_forward(params, x, keep=False)
+        if quantile:
+            fan = _quantiles_from_hidden(params, hidden)[0]
+            point = fan[:, med]
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            point = _point_from_hidden(params, hidden)[0]
         if step < h - 1:
-            x = np.concatenate([x[:, 1:], fed[:, None, :]], axis=1)
-    if single:
-        if mode == "quantile":
-            return QuantilePrediction(levels=levels, values=out[0])
-        return out[0]
-    return out
-
-
-def forecast(params: ParamSet, x: np.ndarray, h: int, cfg: TrainConfig
-             ) -> tuple[np.ndarray, np.ndarray | None]:
-    """h-step forecasts of the windows x (n, w, P) in the config's mode.
-
-    Returns ``(point, fan)``: in point mode the point forecasts (n, P) and
-    None; in quantile mode the fan (n, Q, P) at ``cfg.quantiles`` and its
-    median path (n, P) as the point forecast. Every scoring site forecasts
-    through here.
-    """
-    if cfg.mode == "quantile":
-        fan = rollout(params, x, h, mode="quantile", levels=cfg.quantiles)
-        return fan[:, median_index(cfg.quantiles)], fan
-    return rollout(params, x, h, mode="point"), None
+            x = np.concatenate([x[:, 1:], point[:, None, :]], axis=1)
+    return point, fan
 
 
 # ---------------------------------------------------------------------------

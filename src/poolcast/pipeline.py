@@ -25,6 +25,10 @@ from .model import ParamSet, TrainConfig, derive_seed
 from .synthetic import SyntheticSpec, generate
 
 
+# methods that fit cluster prototypes and route through fallback flags
+CLUSTERED_METHODS = ("cluster", "feat_kmeans", "random_balanced")
+
+
 class ConfigError(Exception):
     """Bad or inconsistent run configuration."""
 
@@ -355,26 +359,21 @@ def _train_core(cfg: RunConfig, candidates) -> tuple[dict, PreparedData]:
     manifest["checkpoint_global"] = global_path
     manifest["method"] = cfg.method
 
-    if cfg.method == "cluster":
-        features = (baselines.training_feature_vectors(prepared)
-                    if cfg.init == "feature" else None)
+    if cfg.method in CLUSTERED_METHODS:
         sel_cfg = cfg.selection_config(candidates)
-        result = clustering.select_k(prepared, global_params, tc, sel_cfg,
-                                     cfg.proto_epochs, features=features)
-        _store_cluster_artifacts(cfg, manifest, cfg.run_dir, result)
-    elif cfg.method in ("feat_kmeans", "random_balanced"):
-        sel_cfg = cfg.selection_config(candidates)
-        fit = baselines.fit_baseline(cfg.method, prepared, global_params, tc,
-                                     sel_cfg, cfg.proto_epochs)
-        result = clustering.SelectionResult(
-            fit.k, fit.seed, fit.selection_table, fit.assignment, fit.flags,
-            fit.prototypes, [fit.assignment.labels])
+        if cfg.method == "cluster":
+            features = (baselines.training_feature_vectors(prepared)
+                        if cfg.init == "feature" else None)
+            result = clustering.select_k(prepared, global_params, tc, sel_cfg,
+                                         cfg.proto_epochs, features=features)
+        else:
+            result = baselines.fit_baseline(cfg.method, prepared, global_params,
+                                            tc, sel_cfg, cfg.proto_epochs)
         _store_cluster_artifacts(cfg, manifest, cfg.run_dir, result)
     elif cfg.method == "individual":
-        fit = baselines.fit_baseline("individual", prepared, global_params, tc,
-                                     cfg.selection_config(), cfg.proto_epochs)
         paths = []
-        for i, params in enumerate(fit.individual_models):
+        for i, params in enumerate(baselines.fit_individual(prepared,
+                                                            global_params, tc)):
             path = os.path.join(ckpt, f"individual_{i:04d}.pcm")
             model.save_checkpoint(params, cfg.window, cfg.mode, path)
             paths.append(path)
@@ -388,7 +387,7 @@ def _train_core(cfg: RunConfig, candidates) -> tuple[dict, PreparedData]:
 
 def cmd_train(cfg: RunConfig) -> dict:
     """Fit GLOBAL plus the configured method at a fixed K."""
-    if cfg.method in ("cluster", "feat_kmeans", "random_balanced"):
+    if cfg.method in CLUSTERED_METHODS:
         if cfg.k <= 0:
             raise ConfigError("train needs k > 0 for clustered methods "
                               "(or use select-k)")
@@ -401,7 +400,7 @@ def cmd_train(cfg: RunConfig) -> dict:
 
 def cmd_select_k(cfg: RunConfig) -> dict:
     """Sweep all candidate K values and seeds; keep the penalized best."""
-    if cfg.method not in ("cluster", "feat_kmeans", "random_balanced"):
+    if cfg.method not in CLUSTERED_METHODS:
         raise ConfigError(f"select-k does not apply to method {cfg.method!r}")
     manifest, _ = _train_core(cfg, None)
     table_path = os.path.join(cfg.run_dir, "selection.csv")
@@ -417,7 +416,7 @@ def cmd_select_k(cfg: RunConfig) -> dict:
 def _load_trained(cfg: RunConfig, manifest: dict):
     global_params, _, _ = model.load_checkpoint(manifest["checkpoint_global"])
     assignment = flags = prototypes = individual = None
-    if cfg.method in ("cluster", "feat_kmeans", "random_balanced"):
+    if cfg.method in CLUSTERED_METHODS:
         labels = np.asarray(manifest["assignment"], dtype=np.int64)
         assignment = clustering.Assignment(labels, int(manifest["k"]))
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
@@ -499,7 +498,7 @@ def _write_plot_data(cfg: RunConfig, prepared: PreparedData, artifacts) -> None:
     for h in cfg.horizons:
         ref = artifacts.series_mse[("global", h)]
         m = artifacts.series_mse.get((cfg.method, h), ref)
-        with open(os.path.join(plot_dir, f"improvement_h{h}.csv"), "w") as fh:
+        with atomic_open(os.path.join(plot_dir, f"improvement_h{h}.csv")) as fh:
             fh.write("series,mse_method,mse_global,improvement_pct\n")
             for i, name in enumerate(prepared.dataset.names):
                 imp = 100.0 * (ref[i] - m[i]) / ref[i] if ref[i] else 0.0
@@ -513,15 +512,25 @@ def _write_plot_data(cfg: RunConfig, prepared: PreparedData, artifacts) -> None:
             _, nw, w, p = x.shape
             xf = x.reshape(nw, w, p)
             ends = prepared.window_index("te", tc.w, [h]).end_times[h]
-            pred_g, _ = model.forecast(artifacts.refit_global, xf, h, tc)
-            pred_m, _ = model.forecast(artifacts.routed_models[i], xf, h, tc)
+            pred_g, _ = model.rollout(artifacts.refit_global, xf, h, tc)
+            pred_m, _ = model.rollout(artifacts.routed_models[i], xf, h, tc)
             for j, t_end in enumerate(ends):
                 rows.append((prepared.dataset.names[i], int(t_end + h),
                              y[0, j, 0], pred_g[j, 0], pred_m[j, 0]))
-        with open(os.path.join(plot_dir, f"trajectory_h{h}.csv"), "w") as fh:
+        with atomic_open(os.path.join(plot_dir, f"trajectory_h{h}.csv")) as fh:
             fh.write("series,time,actual,pred_global,pred_method\n")
             for name, t, actual, pg, pm in rows:
                 fh.write(f"{name},{t},{actual!r},{pg!r},{pm!r}\n")
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write a command's ``--out`` file atomically; a path that cannot be
+    written is a :class:`DataError`."""
+    try:
+        with atomic_open(path) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _read_segment(path: str, p_dim: int, w: int, csv_header: bool) -> np.ndarray:
@@ -564,7 +573,7 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
 
     refit_global, _, _ = model.load_checkpoint(manifest["checkpoint_refit_global"])
     prototypes, flags = [], None
-    if cfg.method in ("cluster", "feat_kmeans", "random_balanced"):
+    if cfg.method in CLUSTERED_METHODS:
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
         routed_paths = manifest["routed_checkpoints"]
         labels = manifest["assignment"]
@@ -583,7 +592,7 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     window = segment[-tc.w:]
     forecasts = {}
     for h in cfg.horizons:
-        point, fan = model.forecast(chosen, window[None], h, tc)
+        point, fan = model.rollout(chosen, window[None], h, tc)
         std_vals = point[0] if fan is None else fan[0]
         forecasts[str(h)] = {"standardized": std_vals.tolist(),
                              "raw": std.inverse(std_vals).tolist()}
@@ -595,9 +604,7 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
         "forecasts": forecasts,
     }
     if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_output(out_path, json.dumps(result, indent=2, sort_keys=True) + "\n")
     return result
 
 
@@ -648,10 +655,8 @@ def cmd_report(run_dirs, out_path: str | None = None,
             merged.append(rec)
     if out_path:
         cols = ("run",) + losses.MetricTable.COLUMNS
-        with open(out_path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for rec in merged:
-                fh.write(",".join(
-                    "" if rec.get(c) is None else str(rec.get(c))
-                    for c in cols) + "\n")
+        lines = [",".join(cols)] + [
+            ",".join("" if rec.get(c) is None else str(rec.get(c)) for c in cols)
+            for rec in merged]
+        _write_output(out_path, "".join(line + "\n" for line in lines))
     return merged

@@ -18,8 +18,7 @@ from poolcast.calibration import GRID, apply_factor, coverage_at
 from poolcast.data import SplitSpec, load_pems, prepare
 from poolcast.losses import empirical_quantile, huber, pinball
 from poolcast.model import (ParamSet, TrainConfig, batch_loss, derive_seed,
-                            forward_point, forward_quantiles, init_params,
-                            loss_and_gradients, train)
+                            init_params, loss_and_gradients, rollout, train)
 from poolcast.synthetic import SyntheticSpec, generate, adjusted_rand_index
 
 LATENT, HIDDEN = 6, 16
@@ -88,9 +87,10 @@ def weak_heterogeneity_run():
     art = clustering.final_refit_and_test(
         prepared, result.assignment, result.flags, gp, result.prototypes, cfg,
         horizons=(1, 3, 6), refit_epochs=REFIT_EPOCHS)
-    _, art_ind = baselines.run_baseline(
-        "individual", prepared, gp, cfg, selection_config(),
-        proto_epochs=PROTO_EPOCHS, horizons=(1,), refit_epochs=REFIT_EPOCHS)
+    art_ind = clustering.final_refit_and_test(
+        prepared, None, None, gp, None, cfg, horizons=(1,),
+        method="individual", refit_epochs=REFIT_EPOCHS,
+        individual_models=baselines.fit_individual(prepared, gp, cfg))
     return {"prepared": prepared, "cfg": cfg, "global": gp, "result": result,
             "art": art, "art_individual": art_ind}
 
@@ -126,10 +126,10 @@ def _gradcheck_instance(mode, seed, step=1e-5):
     y = rng.normal(size=(3, 3))
     # central differences straddle a loss kink when a residual sits within
     # the step of it; redraw deterministically in that rare case
+    point, fan = rollout(params, x, 1, cfg)
     if mode == "point":
-        margin = np.abs(np.abs(forward_point(params, x) - y) - cfg.huber_delta)
+        margin = np.abs(np.abs(point - y) - cfg.huber_delta)
     else:
-        fan = forward_quantiles(params, x, cfg.quantiles)
         margin = np.abs(y[:, None, :] - fan)
     if margin.min() < 10 * step:
         return None
@@ -304,7 +304,9 @@ def test_criterion_06_fallback_dominance(heterogeneous_runs,
         bad.flat[bad.spec_offset:] += rng.normal(
             scale=9.0, size=bad.flat.size - bad.spec_offset)
         corrupted.append(bad)
-    flags = clustering.compute_fallback(prepared, assignment, corrupted, gp, cfg)
+    flags, _, _ = clustering.sweep_run_fallback(
+        prepared, assignment, corrupted,
+        clustering.pooled_val_losses(prepared, gp, cfg), cfg)
     assert flags.flagged == (True, True, True)
     art = clustering.final_refit_and_test(
         prepared, assignment, flags, gp, corrupted, cfg, horizons=(1,),

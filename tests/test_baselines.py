@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from poolcast.baselines import (fit_baseline, kmeans, run_baseline,
+from poolcast import clustering
+from poolcast.baselines import (fit_baseline, fit_individual, kmeans,
                                 training_feature_vectors)
 from poolcast.clustering import SelectionConfig
 from poolcast.data import SplitSpec, prepare
@@ -97,32 +98,34 @@ def test_fit_baseline_selects_k_and_seed(world):
     prepared, gp, _ = world
     sel = SelectionConfig(candidates=(2, 3), seeds=(0, 1), assign_horizons=(1,))
     fit = fit_baseline("random_balanced", prepared, gp, CFG, sel, proto_epochs=1)
-    assert fit.k in (2, 3) and fit.seed in (0, 1)
-    assert len(fit.selection_table) == 4
-    best = min(fit.selection_table, key=lambda r: (r.sel_pen, r.k, r.seed))
-    assert (fit.k, fit.seed) == (best.k, best.seed)
+    assert fit.k_star in (2, 3) and fit.seed_star in (0, 1)
+    assert len(fit.table) == 4
+    best = min(fit.table, key=lambda r: (r.sel_pen, r.k, r.seed))
+    assert (fit.k_star, fit.seed_star) == (best.k, best.seed)
+    # labels stay at their initial deal: no reassignment iterations
+    assert fit.assignment.iterations == 0
+    assert [t.tolist() for t in fit.label_trace] == [fit.assignment.labels.tolist()]
 
 
 def test_individual_baseline_one_model_per_series(world):
     prepared, gp, _ = world
-    sel = SelectionConfig(candidates=(2,), seeds=(0,))
-    fit = fit_baseline("individual", prepared, gp, CFG, sel, proto_epochs=1)
-    assert len(fit.individual_models) == 9
-    assert fit.flags is None
+    models = fit_individual(prepared, gp, CFG)
+    assert len(models) == 9
     # distinct parameters per series
-    assert fit.individual_models[0].max_diff(fit.individual_models[1]) > 0
+    assert models[0].max_diff(models[1]) > 0
 
 
 def test_all_flagged_collapses_to_global_bitwise(world):
     prepared, gp, _ = world
-    from poolcast import clustering
     a = clustering.init_assignments(9, 3, seed=0)
     protos = [p.copy() for p in [gp, gp, gp]]
     rng = np.random.default_rng(0)
     for p in protos:
         p.flat[p.spec_offset:] += rng.normal(scale=9.0,
                                              size=p.flat.size - p.spec_offset)
-    flags = clustering.compute_fallback(prepared, a, protos, gp, CFG, kind="mse")
+    pooled = clustering.pooled_val_losses(prepared, gp, CFG, kind="mse")
+    flags, _, _ = clustering.sweep_run_fallback(prepared, a, protos, pooled,
+                                                CFG, kind="mse")
     assert flags.flagged == (True, True, True)
     art = clustering.final_refit_and_test(prepared, a, flags, gp, protos, CFG,
                                           horizons=(1,), method="random_balanced",
@@ -136,10 +139,10 @@ def test_all_flagged_collapses_to_global_bitwise(world):
                                   art.series_mse[("global", 1)])
 
 
-def test_run_baseline_global_row_only(world):
+def test_global_method_reports_global_row_only(world):
     prepared, gp, _ = world
-    sel = SelectionConfig(candidates=(2,), seeds=(0,))
-    fit, art = run_baseline("global", prepared, gp, CFG, sel, proto_epochs=1,
-                            horizons=(1,), refit_epochs=1)
+    art = clustering.final_refit_and_test(prepared, None, None, gp, None, CFG,
+                                          horizons=(1,), method="global",
+                                          refit_epochs=1)
     methods = {r.method for r in art.report.rows}
     assert methods == {"global"}

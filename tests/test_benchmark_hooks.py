@@ -1,0 +1,75 @@
+"""The benchmark in ``perfbench/`` wraps program functions by name and reads
+their arguments by parameter name. A tiny point-mode and quantile-mode CLI
+flow run under its hooks must succeed with no wrapped call raising, so a
+signature change that breaks the benchmark fails here too."""
+
+import os
+import sys
+
+import pytest
+
+from poolcast import cli, pipeline
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+KEYS = """data_format = csv
+t_train = 80
+t_val = 20
+t_test = 20
+window = 6
+latent = 3
+hidden = 8
+epochs = 2
+proto_epochs = 1
+refit_epochs = 1
+max_outer_iters = 2
+k_candidates = 2
+selection_seeds = 0
+assign_horizons = 1
+horizons = 1,3
+seed = 0
+"""
+
+
+@pytest.fixture
+def hooks(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as is
+    import instrument
+    import tracer
+    return instrument, tracer.Tracer
+
+
+def test_benchmark_hooks_bind_and_run(hooks, tmp_path, monkeypatch):
+    instrument, Tracer = hooks
+    monkeypatch.chdir(tmp_path)
+    pipeline.cmd_synth("data", n_series=9, n_times=120, n_components=4,
+                       n_regimes=3, seed=5)
+    segment = os.path.join("data", "series", "s0000_r0.csv")
+    commands = []
+    for method, mode in (("cluster", "point"), ("feat_kmeans", "point"),
+                         ("cluster", "quantile")):
+        cfg = f"{method}_{mode}.cfg"
+        with open(cfg, "w") as fh:
+            fh.write(f"data_dir = data/series\nrun_dir = r_{method}_{mode}\n"
+                     f"method = {method}\nmode = {mode}\n" + KEYS)
+        commands += [["select-k", "--config", cfg],
+                     ["evaluate", "--config", cfg],
+                     ["forecast-new", "--config", cfg, "--segment", segment,
+                      "--out", f"r_{method}_{mode}/new.json"]]
+
+    tracer = Tracer()
+    instrument.install(tracer)
+    try:
+        codes = [tracer.run_op(f"{argv[0]}#{i}", cli.main, argv)
+                 for i, argv in enumerate(commands)]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(commands)
+    assert not tracer.errors
+    calls, _, _ = tracer.totals()
+    metrics = instrument.layer_metrics(tracer)
+    assert metrics["clustering.sweep_runs"] == 3  # one (K, seed) run per sweep
+    assert metrics["model.rollout_calls"] > 0
+    assert calls["calibration.calibrate"] == 1  # the quantile run's _calibrate

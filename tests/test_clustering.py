@@ -8,11 +8,13 @@ from poolcast import clustering, losses
 from poolcast.baselines import fit_baseline
 from poolcast.clustering import (Assignment, CostMatrix, FallbackFlags,
                                  SelectionConfig, assign_new_series,
-                                 compute_cost_matrix, compute_fallback,
-                                 fit_prototypes, init_assignments, outer_loop,
-                                 reassign, val_risk_pair)
+                                 cluster_val_means, compute_cost_matrix,
+                                 compute_fallback, fit_prototypes,
+                                 init_assignments, outer_loop,
+                                 pooled_val_losses, reassign,
+                                 sweep_run_fallback, val_risk_pair)
 from poolcast.data import SplitSpec, prepare
-from poolcast.model import TrainConfig, init_params, train
+from poolcast.model import TrainConfig, init_params, rollout, train
 from poolcast.synthetic import SyntheticSpec, generate
 
 CFG = TrainConfig(w=6, epochs=4, batch=64, mode="point", seed=0)
@@ -154,7 +156,6 @@ def test_cost_matrix_single_k_and_single_horizon(small_world):
 
 def test_cost_matrix_agrees_with_composition_oracle(small_world):
     # rollout-based entries equal the manual one-step composition exactly
-    from poolcast.model import forward_point
     prepared, gp, _ = small_world
     cost = compute_cost_matrix(prepared, [gp], (3,), CFG)
     x, y = prepared.per_series_windows("va", 3, CFG.w, [2])
@@ -162,7 +163,7 @@ def test_cost_matrix_agrees_with_composition_oracle(small_world):
     for window in x[0]:
         cur = window.copy()
         for step in range(3):
-            p = forward_point(gp, cur)
+            p = rollout(gp, cur[None], 1, CFG)[0][0]
             cur = np.concatenate([cur[1:], p[None, :]], axis=0)
         preds.append(p)
     manual = np.mean([losses.huber(p, t, CFG.huber_delta)
@@ -191,11 +192,17 @@ def test_outer_loop_stops_at_fixed_point(small_world):
 # ---------------------------------------------------------------------------
 
 
+def val_means(prepared, assignment, protos, gp):
+    """(sizes, cluster means, pooled means) of the members' VAL losses at h=1."""
+    return cluster_val_means(prepared, assignment, protos,
+                             pooled_val_losses(prepared, gp, CFG), CFG)
+
+
 def test_fallback_equality_is_not_flagged(small_world):
     prepared, gp, _ = small_world
     a = init_assignments(9, 3, seed=0)
     protos = [gp.copy(), gp.copy(), gp.copy()]
-    flags = compute_fallback(prepared, a, protos, gp, CFG)
+    flags = compute_fallback(val_means(prepared, a, protos, gp))
     assert flags.flagged == (False, False, False)
 
 
@@ -206,7 +213,7 @@ def test_fallback_flags_corrupted_prototype(small_world):
     rng = np.random.default_rng(0)
     protos[1].flat[protos[1].spec_offset:] += rng.normal(
         scale=5.0, size=protos[1].flat.size - protos[1].spec_offset)
-    flags = compute_fallback(prepared, a, protos, gp, CFG)
+    flags = compute_fallback(val_means(prepared, a, protos, gp))
     assert flags.flagged[1] is True
     assert flags.flagged[0] is False and flags.flagged[2] is False
 
@@ -214,7 +221,7 @@ def test_fallback_flags_corrupted_prototype(small_world):
 def test_empty_cluster_flagged_by_convention(small_world):
     prepared, gp, _ = small_world
     a = Assignment(np.zeros(9, dtype=int), 2)
-    flags = compute_fallback(prepared, a, [gp.copy(), gp.copy()], gp, CFG)
+    flags = compute_fallback(val_means(prepared, a, [gp.copy(), gp.copy()], gp))
     assert flags.flagged[1] is True
 
 
@@ -223,29 +230,32 @@ def test_routed_risk_full_fallback_equals_global(small_world):
     a = init_assignments(9, 3, seed=1)
     protos, _ = fit_prototypes(prepared, a, gp, CFG, proto_epochs=1)
     flags = FallbackFlags(flagged=(True, True, True))
-    routed, glob = val_risk_pair(prepared, a, flags, protos, gp, CFG)
+    routed, glob = val_risk_pair(val_means(prepared, a, protos, gp), flags)
     assert routed == glob
 
 
 def test_routed_risk_dominance_exact(small_world):
     prepared, gp, _ = small_world
+    pooled = pooled_val_losses(prepared, gp, CFG)
     for seed in range(4):
         a = init_assignments(9, 3, seed=seed)
         protos, _ = fit_prototypes(prepared, a, gp, CFG, proto_epochs=2)
-        flags = compute_fallback(prepared, a, protos, gp, CFG)
-        routed, glob = val_risk_pair(prepared, a, flags, protos, gp, CFG)
+        flags, routed, glob = sweep_run_fallback(prepared, a, protos, pooled,
+                                                 CFG)
         assert routed <= glob
+        means = val_means(prepared, a, protos, gp)
         no_fallback = FallbackFlags(flagged=(False,) * 3)
-        fully, _ = val_risk_pair(prepared, a, no_fallback, protos, gp, CFG)
+        fully, _ = val_risk_pair(means, no_fallback)
         assert routed <= fully
-        assert routed == val_risk_pair(prepared, a, flags, protos, gp, CFG)[0]
+        assert routed == val_risk_pair(means, flags)[0]
 
 
 def test_fallback_frozen_against_test_perturbation(small_world):
     prepared, gp, _ = small_world
     a = init_assignments(9, 3, seed=0)
     protos, _ = fit_prototypes(prepared, a, gp, CFG, proto_epochs=1)
-    flags = compute_fallback(prepared, a, protos, gp, CFG)
+    flags, _, _ = sweep_run_fallback(prepared, a, protos,
+                                     pooled_val_losses(prepared, gp, CFG), CFG)
     before = tuple(flags.flagged)
     # flags live in a frozen dataclass; mutating TEST data afterwards cannot
     # change them because nothing recomputes after the freeze
@@ -334,17 +344,13 @@ def _sweep_outputs(method, global_params):
     if method == "cluster":
         res = clustering.select_k(prepared, global_params, CFG, sel,
                                   proto_epochs=2)
-        fit = (res.k_star, res.seed_star, res.table, res.assignment, res.flags,
-               res.prototypes, [t.tolist() for t in res.label_trace])
     else:
         res = fit_baseline(method, prepared, global_params, CFG, sel,
                            proto_epochs=2)
-        fit = (res.k, res.seed, res.selection_table, res.assignment, res.flags,
-               res.prototypes, None)
-    k, seed, table, assignment, flags, protos, trace = fit
     audit = {ph: prepared.audit.counts(ph) for ph in prepared.audit._touched}
-    return (k, seed, table, assignment.labels.tolist(), trace, flags.flagged,
-            [p.flat.tobytes() for p in protos], audit)
+    return (res.k_star, res.seed_star, res.table, res.assignment.labels.tolist(),
+            [t.tolist() for t in res.label_trace], res.flags.flagged,
+            [p.flat.tobytes() for p in res.prototypes], audit)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")

@@ -1,15 +1,17 @@
 import pickle
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from poolcast.losses import huber
-from poolcast.model import (Adam, ParamSet, QuantilePrediction, TrainConfig,
-                            TrainingDiverged, _gru_forward, batch_loss,
-                            clip_gradients_, forward_point, forward_quantiles,
-                            init_params, load_checkpoint, loss_and_gradients,
-                            median_index, rollout, save_checkpoint, train)
+from poolcast.model import (Adam, ParamSet, TrainConfig, TrainingDiverged,
+                            _gru_forward, _point_from_hidden,
+                            _quantiles_from_hidden, batch_loss,
+                            clip_gradients_, init_params, load_checkpoint,
+                            loss_and_gradients, median_index, rollout,
+                            save_checkpoint, train)
 
 TINY = dict(p_dim=3, latent=2, hidden=4, n_levels=3)
 
@@ -52,11 +54,10 @@ def finite_difference_check(params, anchor, x, y, cfg, step=1e-5,
 def residuals_near_kink(params, x, y, cfg, margin):
     """True when any residual sits within ``margin`` of a loss kink, where
     central differences would straddle the non-smooth point."""
+    pred, fan = rollout(params, x, 1, cfg)
     if cfg.mode == "point":
-        pred = forward_point(params, x)
         return bool(np.any(np.abs(np.abs(pred - y) - cfg.huber_delta) < margin))
-    preds = forward_quantiles(params, x, cfg.quantiles)
-    return bool(np.any(np.abs(y[:, None, :] - preds) < margin))
+    return bool(np.any(np.abs(y[:, None, :] - fan) < margin))
 
 
 def draw_instance(mode, seed):
@@ -130,16 +131,18 @@ def test_perfect_prediction_loss_is_anchor_term_only():
 def test_zero_network_outputs_zero():
     params = tiny_params(0)
     params.flat[:] = 0.0
-    out = forward_point(params, np.random.default_rng(0).normal(size=(5, 3)))
-    np.testing.assert_array_equal(out, np.zeros(3))
+    out, fan = rollout(params, np.random.default_rng(0).normal(size=(1, 5, 3)),
+                       1, TrainConfig(w=5))
+    np.testing.assert_array_equal(out, np.zeros((1, 3)))
+    assert fan is None
 
 
 def test_output_shape_and_determinism():
     params = tiny_params(1)
-    window = np.random.default_rng(1).normal(size=(5, 3))
-    a = forward_point(params, window)
-    b = forward_point(params, window)
-    assert a.shape == (3,)
+    window = np.random.default_rng(1).normal(size=(1, 5, 3))
+    a, _ = rollout(params, window, 1, TrainConfig(w=5))
+    b, _ = rollout(params, window, 1, TrainConfig(w=5))
+    assert a.shape == (1, 3)
     np.testing.assert_array_equal(a, b)
 
 
@@ -148,14 +151,13 @@ def test_quantile_softplus_ladder():
     shapes = ParamSet.shapes(1, 1, 2, 3)
     params = ParamSet(*[np.zeros(s) for _, s in shapes])
     params.mix[0, 0] = 1.0
-    pred = forward_quantiles(params, np.zeros((4, 1)), (0.1, 0.5, 0.9))
-    assert isinstance(pred, QuantilePrediction)
+    cfg = TrainConfig(w=4, mode="quantile", quantiles=(0.1, 0.5, 0.9))
+    _, fan = rollout(params, np.zeros((1, 4, 1)), 1, cfg)
     np.testing.assert_allclose(
-        pred.values[:, 0], [0.0, np.log(2.0), 2.0 * np.log(2.0)], atol=1e-15)
+        fan[0, :, 0], [0.0, np.log(2.0), 2.0 * np.log(2.0)], atol=1e-15)
 
 
 def test_latent_quantiles_never_cross():
-    from poolcast.model import _gru_forward, _quantiles_from_hidden
     rng = np.random.default_rng(0)
     for trial in range(50):
         params = tiny_params(trial, jitter=1.0)
@@ -169,8 +171,13 @@ def test_latent_quantiles_never_cross():
 def test_single_level_grid():
     shapes = ParamSet.shapes(2, 2, 3, 1)
     params = ParamSet(*[np.random.default_rng(0).normal(size=s) for _, s in shapes])
-    pred = forward_quantiles(params, np.zeros((4, 2)), (0.5,))
-    assert pred.values.shape == (1, 2)
+    cfg = TrainConfig(w=4, mode="quantile", quantiles=(0.5,))
+    point, fan = rollout(params, np.zeros((1, 4, 2)), 1, cfg)
+    assert fan.shape == (1, 1, 2)
+    np.testing.assert_array_equal(point, fan[:, 0])
+    # a level grid that does not match the head is refused
+    with pytest.raises(ValueError, match="levels"):
+        rollout(params, np.zeros((1, 4, 2)), 1, replace(cfg, quantiles=(0.1, 0.5)))
 
 
 def test_median_index_prefers_half():
@@ -183,40 +190,36 @@ def test_median_index_prefers_half():
 # ---------------------------------------------------------------------------
 
 
-def compose_manually(params, window, h, mode, levels=None):
-    """Test-only oracle: h explicit one-step forwards with window shifting."""
+def compose_manually(params, window, h, cfg):
+    """Test-only oracle: h explicit one-step forwards of one (w, P) window,
+    shifting in each step's point forecast (the median in quantile mode)."""
     x = window.copy()
     for step in range(h):
-        if mode == "point":
-            pred = forward_point(params, x)
+        hidden, _ = _gru_forward(params, x[None], keep=False)
+        if cfg.mode == "point":
+            pred = _point_from_hidden(params, hidden)[0][0]
             fan = None
         else:
-            fan = forward_quantiles(params, x, levels).values
-            pred = fan[median_index(levels)]
+            fan = _quantiles_from_hidden(params, hidden)[0][0]
+            pred = fan[median_index(cfg.quantiles)]
         if step < h - 1:
             x = np.concatenate([x[1:], pred[None, :]], axis=0)
-    return pred if mode == "point" else fan
+    return pred, fan
 
 
 @pytest.mark.parametrize("mode", ["point", "quantile"])
 def test_rollout_equals_composition_oracle(mode):
     params = tiny_params(5)
     window = np.random.default_rng(5).normal(size=(5, 3))
-    levels = (0.1, 0.5, 0.9)
+    cfg = TrainConfig(w=5, mode=mode, quantiles=(0.1, 0.5, 0.9))
     for h in (1, 2, 3):
-        got = rollout(params, window, h, mode=mode, levels=levels)
-        want = compose_manually(params, window, h, mode, levels)
+        point, fan = rollout(params, window[None], h, cfg)
+        want_point, want_fan = compose_manually(params, window, h, cfg)
+        np.testing.assert_array_equal(point[0], want_point)
         if mode == "point":
-            np.testing.assert_array_equal(got, want)
+            assert fan is None
         else:
-            np.testing.assert_array_equal(got.values, want)
-
-
-def test_rollout_h1_is_forward():
-    params = tiny_params(6)
-    window = np.random.default_rng(6).normal(size=(5, 3))
-    np.testing.assert_array_equal(rollout(params, window, 1, mode="point"),
-                                  forward_point(params, window))
+            np.testing.assert_array_equal(fan[0], want_fan)
 
 
 def test_rollout_median_path_ignores_upper_increments():
@@ -224,22 +227,22 @@ def test_rollout_median_path_ignores_upper_increments():
     # h=2 median path bitwise unchanged
     params = tiny_params(8)
     window = np.random.default_rng(8).normal(size=(5, 3))
-    levels = (0.1, 0.5, 0.9)
+    cfg = TrainConfig(w=5, mode="quantile", quantiles=(0.1, 0.5, 0.9))
     r = params.latent
     zeroed = params.copy()
     zeroed.w_quant[2 * r:, :] = 0.0   # increment feeding only the 0.9 level
     zeroed.b_quant[2 * r:] = 0.0
-    med = median_index(levels)
-    a = rollout(params, window, 2, mode="quantile", levels=levels)
-    b = rollout(zeroed, window, 2, mode="quantile", levels=levels)
-    np.testing.assert_array_equal(a.values[med], b.values[med])
-    assert not np.array_equal(a.values[2], b.values[2])
+    med = median_index(cfg.quantiles)
+    _, a = rollout(params, window[None], 2, cfg)
+    _, b = rollout(zeroed, window[None], 2, cfg)
+    np.testing.assert_array_equal(a[0, med], b[0, med])
+    assert not np.array_equal(a[0, 2], b[0, 2])
 
 
 def test_rollout_rejects_bad_horizon():
     params = tiny_params(0)
     with pytest.raises(ValueError):
-        rollout(params, np.zeros((5, 3)), 0, mode="point")
+        rollout(params, np.zeros((1, 5, 3)), 0, TrainConfig(w=5))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +269,7 @@ def test_training_fits_constant_target():
     y = np.full((64, 2), 0.7)
     cfg = TrainConfig(w=4, epochs=400, batch=64, lr=3e-3, seed=0)
     fitted = train(params, None, x, y, cfg)
-    final = huber(forward_point(fitted, x), np.broadcast_to(y, (64, 2)), 1.0)
+    final = huber(rollout(fitted, x, 1, cfg)[0], np.broadcast_to(y, (64, 2)), 1.0)
     assert final < 1e-3
 
 

@@ -435,6 +435,18 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
+    # an --out path in a missing directory is a data error, not a traceback
+    missing_dir = str(tmp_path / "nodir")
+    segment = os.path.join(data_dir, sorted(os.listdir(data_dir))[0])
+    for argv in (["forecast-new", "--config", good, "--segment", segment,
+                  "--out", os.path.join(missing_dir, "new.json")],
+                 ["report", "--runs", run_dir,
+                  "--out", os.path.join(missing_dir, "merged.csv")]):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+    assert not os.path.exists(missing_dir)
+
 
 def test_cli_synth_and_report(tmp_path, capsys):
     out = tmp_path / "synthcli"
