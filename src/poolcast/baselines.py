@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import clustering, model
-from .clustering import (Assignment, SelectionConfig, SelectionResult,
-                         fit_prototypes, init_assignments)
+from .clustering import (SelectionConfig, SelectionResult, fit_prototypes,
+                         init_assignments)
 from .data import PreparedData
 from .model import ParamSet, TrainConfig, derive_seed
 
@@ -92,13 +92,6 @@ def kmeans(features: np.ndarray, k: int, seed: int, max_iters: int = 100,
 # ---------------------------------------------------------------------------
 
 
-def _labels_for(kind: str, k: int, seed: int, n: int,
-                features: np.ndarray | None) -> Assignment:
-    if kind == "feat_kmeans":
-        return Assignment(kmeans(features, k, seed=seed), k)
-    return init_assignments(n, k, seed, strategy="random_balanced")
-
-
 def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
                  cfg: TrainConfig, sel_cfg: SelectionConfig,
                  proto_epochs: int) -> SelectionResult:
@@ -114,6 +107,7 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
     if kind not in ("feat_kmeans", "random_balanced"):
         raise ValueError(f"unknown clustered baseline {kind!r}")
     n = prepared.n_series
+    strategy = "feature" if kind == "feat_kmeans" else "random_balanced"
     features = training_feature_vectors(prepared) if kind == "feat_kmeans" else None
     cache = clustering._TrainCache(prepared, cfg)
     prepared.audit.set_phase("fallback")
@@ -121,7 +115,7 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
                                           kind="mse")
 
     def run(k, seed):
-        assignment = _labels_for(kind, k, seed, n, features)
+        assignment = init_assignments(n, k, seed, strategy, features)
         run_cfg = replace(cfg, seed=derive_seed(cfg.seed, kind, seed))
         prepared.audit.set_phase("fit-prototypes")
         protos, inert = fit_prototypes(prepared, assignment, global_params,

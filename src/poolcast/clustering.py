@@ -465,6 +465,10 @@ def select_k(prepared: PreparedData, global_params: ParamSet, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 
 
+# series, from the first, whose TEST forecasts EvalArtifacts keeps for plots
+TRAJECTORY_SERIES = 3
+
+
 @dataclass
 class EvalArtifacts:
     refit_global: ParamSet
@@ -472,59 +476,9 @@ class EvalArtifacts:
     calibration: CalibrationTable | None
     report: MetricTable
     series_mse: dict = None            # (method, horizon) -> per-series TEST MSE
-
-
-def _model_groups(models: list[ParamSet]) -> list[tuple[ParamSet, np.ndarray]]:
-    """(model, indices of the series it serves), one entry per distinct model
-    object in order of first use, so each model scores its series in one batch."""
-    groups: dict[int, list[int]] = {}
-    for i, m in enumerate(models):
-        groups.setdefault(id(m), []).append(i)
-    return [(models[ids[0]], np.asarray(ids)) for ids in groups.values()]
-
-
-def _per_series_test_scores(prepared: PreparedData, models: list[ParamSet],
-                            h: int, cfg: TrainConfig,
-                            calib: CalibrationTable | None):
-    """Per-series TEST losses (and pooled interval stats in quantile mode).
-
-    Series sharing a model object are evaluated in one batch, so routed
-    members produce bitwise the same predictions as the reference model.
-    """
-    n = prepared.n_series
-    s_mse = np.empty(n)
-    s_mae = np.empty(n)
-    s_pin = np.empty(n) if cfg.mode == "quantile" else None
-    targets, lowers, uppers = [], [], []
-
-    for params, ids in _model_groups(models):
-        x, y = prepared.per_series_windows("te", h, cfg.w, ids)
-        s, nw, w, p = x.shape
-        if nw == 0:
-            raise ValueError(f"no TEST windows at h={h}")
-        yf = y.reshape(s * nw, p)
-        point, fan = model.rollout(params, x.reshape(s * nw, w, p), h, cfg)
-
-        def series_mean(kind, pred, axes):
-            per_window = losses.loss_elem(kind, pred, yf, cfg).mean(axis=axes)
-            return per_window.reshape(s, nw).mean(axis=1)
-
-        s_mse[ids] = series_mean("mse", point, 1)
-        s_mae[ids] = series_mean("mae", point, 1)
-        if fan is not None:
-            s_pin[ids] = series_mean("pinball", fan, (1, 2))
-            lo, hi = fan[:, 0], fan[:, -1]
-            if calib is not None:
-                lo, hi = calib.apply(h, point, lo, hi)
-            targets.append(yf.ravel())
-            lowers.append(lo.ravel())
-            uppers.append(hi.ravel())
-
-    coverage = width = None
-    if cfg.mode == "quantile":
-        coverage, width = losses.interval_stats(
-            np.concatenate(targets), np.concatenate(lowers), np.concatenate(uppers))
-    return s_mse, s_mae, s_pin, coverage, width
+    # (method, horizon) -> TEST (point, target), each (S, n, P), of the first
+    # S = min(TRAJECTORY_SERIES, N) series
+    trajectories: dict = None
 
 
 def val_calibration_streams(prepared: PreparedData, models: list[ParamSet],
@@ -533,22 +487,14 @@ def val_calibration_streams(prepared: PreparedData, models: list[ParamSet],
     series under its routed model, for :func:`calibration.calibrate`; needs a
     quantile-mode config."""
     streams = {}
-    groups = _model_groups(models)
+    groups = losses.model_groups(models)
     for h in horizons:
-        meds, los, his, targets = [], [], [], []
-        for params, ids in groups:
-            x, y = prepared.per_series_windows("va", h, cfg.w, ids)
-            s, nw, w, p = x.shape
-            if nw == 0:
-                continue
-            point, fan = model.rollout(params, x.reshape(s * nw, w, p), h, cfg)
-            meds.append(point.ravel())
-            los.append(fan[:, 0].ravel())
-            his.append(fan[:, -1].ravel())
-            targets.append(y.reshape(-1))
-        if meds:
-            streams[h] = (np.concatenate(meds), np.concatenate(los),
-                          np.concatenate(his), np.concatenate(targets))
+        parts = [(point.ravel(), fan[:, :, 0].ravel(), fan[:, :, -1].ravel(),
+                  y.ravel())
+                 for _, point, fan, y in losses.split_forecasts(
+                     groups, prepared, "va", h, cfg) if y.shape[1]]
+        if parts:
+            streams[h] = tuple(np.concatenate(c) for c in zip(*parts))
     return streams
 
 
@@ -619,24 +565,47 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
         calib = calibrate(streams, coverage_target)
 
     prepared.audit.set_phase("evaluate")
+    n = prepared.n_series
+    scored = [("global", [(refit_global, all_series)], 0.0)]
+    if method != "global":
+        scored.append((method, losses.model_groups(routed), fallback_share))
     table = MetricTable()
-    series_mse = {}
+    series_mse, trajectories = {}, {}
     for h in horizons:
-        ref_mse, ref_mae, ref_pin, ref_cov, ref_wid = _per_series_test_scores(
-            prepared, [refit_global] * prepared.n_series, h, cfg, calib)
-        table.add(summarize_method("global", h, ref_mse, ref_mae, ref_mse, 0.0,
-                                   ref_pin, ref_cov, ref_wid))
-        series_mse[("global", h)] = ref_mse
-        if method != "global":
-            m_mse, m_mae, m_pin, m_cov, m_wid = _per_series_test_scores(
-                prepared, routed, h, cfg, calib)
-            table.add(summarize_method(method, h, m_mse, m_mae, ref_mse,
-                                       fallback_share, m_pin, m_cov, m_wid))
-            series_mse[(method, h)] = m_mse
+        for name, groups, share in scored:
+            s_mse, s_mae = np.empty(n), np.empty(n)
+            s_pin = np.empty(n) if cfg.mode == "quantile" else None
+            bands = []   # (target, lower, upper) of each group, in group order
+            shown = {}   # series -> (point, target), for the plots
+            for ids, point, fan, y in losses.split_forecasts(
+                    groups, prepared, "te", h, cfg):
+                if y.shape[1] == 0:
+                    raise ValueError(f"no TEST windows at h={h}")
+                s_mse[ids] = losses.series_means("mse", point, y, cfg)
+                s_mae[ids] = losses.series_means("mae", point, y, cfg)
+                if fan is not None:
+                    s_pin[ids] = losses.series_means("pinball", fan, y, cfg)
+                    lo, hi = fan[:, :, 0], fan[:, :, -1]
+                    if calib is not None:
+                        lo, hi = calib.apply(h, point, lo, hi)
+                    bands.append((y.ravel(), lo.ravel(), hi.ravel()))
+                keep = ids < TRAJECTORY_SERIES
+                shown.update(zip(ids[keep], zip(point[keep], y[keep])))
+            coverage = width = None
+            if bands:
+                coverage, width = losses.interval_stats(
+                    *(np.concatenate(b) for b in zip(*bands)))
+            reference = s_mse if name == "global" else series_mse[("global", h)]
+            table.add(summarize_method(name, h, s_mse, s_mae, reference, share,
+                                       s_pin, coverage, width))
+            series_mse[(name, h)] = s_mse
+            trajectories[(name, h)] = tuple(
+                np.stack(a) for a in zip(*(shown[i] for i in sorted(shown))))
 
     if flags is not None and tuple(flags.flagged) != frozen_before:
         raise RuntimeError("fallback flags changed between freeze and TEST")
-    return EvalArtifacts(refit_global, routed, calib, table, series_mse)
+    return EvalArtifacts(refit_global, routed, calib, table, series_mse,
+                         trajectories)
 
 
 # ---------------------------------------------------------------------------

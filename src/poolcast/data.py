@@ -503,9 +503,6 @@ class AccessAudit:
             out[tag] = int(grid[:, t0:t1].sum())
         return out
 
-    def phases_reading(self, tag: str) -> list[str]:
-        return [ph for ph in self._touched if self.counts(ph)[tag] > 0]
-
     def test_reads_outside(self, allowed=("evaluate",)) -> int:
         return sum(self.counts(ph)["te"]
                    for ph in self._touched if ph not in allowed)

@@ -72,8 +72,50 @@ def empirical_quantile(sample, q: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# model-level split losses
+# split forecasts and per-series split losses
 # ---------------------------------------------------------------------------
+
+
+def model_groups(models) -> list[tuple]:
+    """(model, indices of the series it serves), one entry per distinct model
+    object in order of first use, so each model forecasts its series in one
+    batch."""
+    groups: dict[int, list[int]] = {}
+    for i, m in enumerate(models):
+        groups.setdefault(id(m), []).append(i)
+    return [(models[ids[0]], np.asarray(ids)) for ids in groups.values()]
+
+
+def split_forecasts(groups, prepared, tag: str, h: int, cfg):
+    """h-step forecasts of one segment, one batch per ``(params, series)`` group.
+
+    Yields ``(series, point, fan, target)`` in group order: the point forecasts
+    (S, n, P), the quantile fan (S, n, Q, P) or None in point mode, and the
+    targets (S, n, P), for the S series of the group and the n windows of the
+    segment. A segment without windows yields n = 0 and runs no rollout.
+    Every split forecast runs through here.
+    """
+    from . import model  # deferred: model depends on this module for losses
+
+    for params, series in groups:
+        x, y = prepared.per_series_windows(tag, h, cfg.w, series)
+        s, n, w, p = x.shape
+        if n == 0:
+            fan = (np.empty((s, 0, len(cfg.quantiles), p))
+                   if cfg.mode == "quantile" else None)
+            yield series, np.empty((s, 0, p)), fan, y
+            continue
+        point, fan = model.rollout(params, x.reshape(s * n, w, p), h, cfg)
+        yield (series, point.reshape(s, n, p),
+               None if fan is None else fan.reshape(s, n, -1, p), y)
+
+
+def series_means(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarray:
+    """Per-series mean :func:`loss_elem` of forecasts (S, n, ...) against
+    targets (S, n, P): the mean over each window's elements, then over the
+    windows."""
+    per = loss_elem(kind, pred, target, cfg)
+    return per.mean(axis=tuple(range(2, per.ndim))).mean(axis=1)
 
 
 def per_series_split_losses(params, prepared, tag: str, h: int, cfg,
@@ -87,23 +129,13 @@ def per_series_split_losses(params, prepared, tag: str, h: int, cfg,
     needs a quantile-mode config). Returns an array of shape
     (n_series_selected,), or None when the window index is empty.
     """
-    from . import model  # deferred: model depends on this module for losses
-
     if series is None:
         series = np.arange(prepared.n_series)
-    series = np.asarray(series, dtype=np.int64)
-    x, y = prepared.per_series_windows(tag, h, cfg.w, series)
-    if x.shape[1] == 0:
-        return None
-    s, n, w, p = x.shape
     kind = kind or ("pinball" if cfg.mode == "quantile" else "huber")
-    point, fan = model.rollout(params, x.reshape(s * n, w, p), h, cfg)
-    yf = y.reshape(s * n, p)
-    if kind == "pinball":
-        per = loss_elem(kind, fan, yf, cfg).mean(axis=(1, 2))
-    else:
-        per = loss_elem(kind, point, yf, cfg).mean(axis=1)
-    return per.reshape(s, n).mean(axis=1)
+    ((_, point, fan, y),) = split_forecasts([(params, series)], prepared, tag, h, cfg)
+    if y.shape[1] == 0:
+        return None
+    return series_means(kind, fan if kind == "pinball" else point, y, cfg)
 
 
 # ---------------------------------------------------------------------------

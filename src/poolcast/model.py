@@ -141,14 +141,6 @@ class ParamSet:
     def zeros_like(self) -> "ParamSet":
         return ParamSet(self.layout, np.zeros(self.layout.size))
 
-    def max_diff(self, other: "ParamSet", specialized_only: bool = False) -> float:
-        off = self.spec_offset if specialized_only else 0
-        return float(np.max(np.abs(self.flat[off:] - other.flat[off:])))
-
-    def specialized_sq_distance(self, other: "ParamSet") -> float:
-        d = self.flat[self.spec_offset:] - other.flat[other.spec_offset:]
-        return float(d @ d)
-
     @staticmethod
     def shapes(p_dim: int, latent: int, hidden: int, n_levels: int):
         return (

@@ -349,6 +349,11 @@ def _store_cluster_artifacts(cfg: RunConfig, manifest: dict, run_dir: str,
 def _train_core(cfg: RunConfig, candidates) -> tuple[dict, PreparedData]:
     """Shared body of the train and select-k commands."""
     prepared = load_prepared(cfg)
+    if cfg.method in CLUSTERED_METHODS:
+        for k in candidates or cfg.k_candidates:
+            if k > prepared.n_series:
+                raise ConfigError(f"K candidate {k} exceeds the number of "
+                                  f"series N={prepared.n_series}")
     manifest = cmd_prepare(cfg, prepared)  # refresh config + standardizer snapshot
     tc = cfg.train_config()
 
@@ -468,18 +473,14 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
     model.save_checkpoint(artifacts.refit_global, cfg.window, cfg.mode,
                           refit_global_path)
     manifest["checkpoint_refit_global"] = refit_global_path
-    routed_paths = []
-    seen = {}
-    for i, params in enumerate(artifacts.routed_models):
-        key = id(params)
-        if key not in seen:
-            if params is artifacts.refit_global:
-                seen[key] = refit_global_path
-            else:
-                path = os.path.join(ckpt, f"refit_routed_{len(seen):02d}.pcm")
-                model.save_checkpoint(params, cfg.window, cfg.mode, path)
-                seen[key] = path
-        routed_paths.append(seen[key])
+    routed_paths = [None] * len(artifacts.routed_models)
+    for g, (params, ids) in enumerate(losses.model_groups(artifacts.routed_models)):
+        path = refit_global_path
+        if params is not artifacts.refit_global:
+            path = os.path.join(ckpt, f"refit_routed_{g:02d}.pcm")
+            model.save_checkpoint(params, cfg.window, cfg.mode, path)
+        for i in ids:
+            routed_paths[i] = path
     manifest["routed_checkpoints"] = routed_paths
     manifest["calibration"] = (artifacts.calibration.as_dict()
                                if artifacts.calibration else None)
@@ -494,7 +495,6 @@ def _write_plot_data(cfg: RunConfig, prepared: PreparedData, artifacts) -> None:
     """CSV payloads for error-distribution and trajectory panels."""
     plot_dir = os.path.join(cfg.run_dir, "plots")
     os.makedirs(plot_dir, exist_ok=True)
-    tc = cfg.train_config()
     for h in cfg.horizons:
         ref = artifacts.series_mse[("global", h)]
         m = artifacts.series_mse.get((cfg.method, h), ref)
@@ -503,24 +503,20 @@ def _write_plot_data(cfg: RunConfig, prepared: PreparedData, artifacts) -> None:
             for i, name in enumerate(prepared.dataset.names):
                 imp = 100.0 * (ref[i] - m[i]) / ref[i] if ref[i] else 0.0
                 fh.write(f"{name},{m[i]!r},{ref[i]!r},{imp!r}\n")
-    # trajectories of the first component for a few series across TEST
-    n_show = min(3, prepared.n_series)
+    # the first component of the evaluation's TEST forecasts for a few series;
+    # the TEST windows' targets are the segment's last n steps
+    t_end = prepared.spec.bounds("te")[1]
     for h in cfg.horizons:
-        rows = []
-        for i in range(n_show):
-            x, y = prepared.per_series_windows("te", h, tc.w, [i])
-            _, nw, w, p = x.shape
-            xf = x.reshape(nw, w, p)
-            ends = prepared.window_index("te", tc.w, [h]).end_times[h]
-            pred_g, _ = model.rollout(artifacts.refit_global, xf, h, tc)
-            pred_m, _ = model.rollout(artifacts.routed_models[i], xf, h, tc)
-            for j, t_end in enumerate(ends):
-                rows.append((prepared.dataset.names[i], int(t_end + h),
-                             y[0, j, 0], pred_g[j, 0], pred_m[j, 0]))
+        glob, target = artifacts.trajectories[("global", h)]
+        pred, _ = artifacts.trajectories.get((cfg.method, h), (glob, target))
+        n = target.shape[1]
         with atomic_open(os.path.join(plot_dir, f"trajectory_h{h}.csv")) as fh:
             fh.write("series,time,actual,pred_global,pred_method\n")
-            for name, t, actual, pg, pm in rows:
-                fh.write(f"{name},{t},{actual!r},{pg!r},{pm!r}\n")
+            for i in range(len(target)):
+                for j in range(n):
+                    fh.write(f"{prepared.dataset.names[i]},{t_end - n + j},"
+                             f"{target[i, j, 0]!r},{glob[i, j, 0]!r},"
+                             f"{pred[i, j, 0]!r}\n")
 
 
 def _write_output(path: str, text: str) -> None:
@@ -575,13 +571,11 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     prototypes, flags = [], None
     if cfg.method in CLUSTERED_METHODS:
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
-        routed_paths = manifest["routed_checkpoints"]
-        labels = manifest["assignment"]
-        by_cluster = {}
-        for i, path in enumerate(routed_paths):
-            by_cluster.setdefault(labels[i], path)
-        prototypes = [model.load_checkpoint(by_cluster[k])[0]
-                      if k in by_cluster else refit_global
+        # flagged clusters route to the pooled model, which assign_new_series
+        # tries first; an unflagged cluster is never empty
+        labels, paths = manifest["assignment"], manifest["routed_checkpoints"]
+        prototypes = [refit_global if flags.flagged[k]
+                      else model.load_checkpoint(paths[labels.index(k)])[0]
                       for k in range(int(manifest["k"]))]
     else:
         flags = clustering.FallbackFlags(flagged=())
@@ -616,20 +610,23 @@ def cmd_synth(out_dir: str, fmt: str = "csv", n_series: int = 30,
                          n_components=n_components, n_regimes=n_regimes,
                          heterogeneity=alpha, noise_scale=noise, seed=seed)
     ds, labels = generate(spec)
-    os.makedirs(out_dir, exist_ok=True)
-    if fmt == "csv":
-        data_path = os.path.join(out_dir, "series")
-        save_csv(ds, data_path)
-    elif fmt == "packed":
-        data_path = os.path.join(out_dir, "data.mts")
-        save_packed(ds, data_path)
-    else:
-        raise ConfigError(f"unknown synth format {fmt!r}")
-    labels_path = os.path.join(out_dir, "labels.csv")
-    with open(labels_path, "w") as fh:
-        fh.write("series,regime\n")
-        for name, lab in zip(ds.names, labels):
-            fh.write(f"{name},{lab}\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        if fmt == "csv":
+            data_path = os.path.join(out_dir, "series")
+            save_csv(ds, data_path)
+        elif fmt == "packed":
+            data_path = os.path.join(out_dir, "data.mts")
+            save_packed(ds, data_path)
+        else:
+            raise ConfigError(f"unknown synth format {fmt!r}")
+        labels_path = os.path.join(out_dir, "labels.csv")
+        with open(labels_path, "w") as fh:
+            fh.write("series,regime\n")
+            for name, lab in zip(ds.names, labels):
+                fh.write(f"{name},{lab}\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {out_dir}: {exc}") from None
     return {"data": data_path, "labels": labels_path,
             "n_series": n_series, "n_times": n_times}
 
@@ -640,7 +637,11 @@ def cmd_report(run_dirs, out_path: str | None = None,
     merged = []
     for run_dir in run_dirs:
         manifest = load_manifest(run_dir)
-        report_path = manifest.get("report", {}).get("json")
+        # the manifest stores paths relative to where evaluate ran; rebase
+        # them onto the run directory as given here
+        stored = manifest.get("report", {}).get("json")
+        report_path = stored and os.path.join(
+            run_dir, os.path.relpath(stored, manifest["config"]["run_dir"]))
         if not report_path or not os.path.exists(report_path):
             raise DataError(f"{run_dir}: no evaluation report; run evaluate")
         with open(report_path) as fh:

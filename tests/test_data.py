@@ -316,7 +316,8 @@ def test_audit_records_phases_and_splits():
     prepared.windows("te", 1, 4)
     assert prepared.audit.counts("evaluate")["te"] > 0
     assert prepared.audit.test_reads_outside(allowed=("evaluate",)) == 0
-    assert prepared.audit.phases_reading("te") == ["evaluate"]
+    assert [ph for ph in ("fit-global", "reassign", "evaluate")
+            if prepared.audit.counts(ph)["te"] > 0] == ["evaluate"]
 
 
 def test_trval_segment_for_refit():

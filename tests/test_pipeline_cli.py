@@ -10,6 +10,7 @@ import pytest
 
 import poolcast
 from poolcast import cli, clustering, model, pipeline
+from poolcast.data import PreparedData
 from poolcast.model import TrainingDiverged, derive_seed
 from poolcast.pipeline import ConfigError, ProtocolError, RunConfig
 
@@ -405,6 +406,99 @@ def test_forecast_new_quantile_routing(tmp_path, data_dir):
     assert len(routed) > 1
 
 
+@pytest.fixture(scope="module", params=["point", "quantile"])
+def counted_evaluation(request, tmp_path_factory, data_dir):
+    """A cluster run evaluated with its ``model.rollout`` and
+    ``PreparedData.windows`` calls counted: (config, manifest, counts at the
+    end of evaluate, counts when final_refit_and_test returned)."""
+    tmp = tmp_path_factory.mktemp(f"counted_{request.param}")
+    cfg = RunConfig.from_file(write_config(
+        tmp, data_dir, str(tmp / "run"), f"k = 3\nmode = {request.param}\n"))
+    pipeline.cmd_train(cfg)
+    counts = {"rollout": 0, "windows": 0}
+    at_return = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    final = clustering.final_refit_and_test
+
+    def final_then_snapshot(*args, **kwargs):
+        artifacts = final(*args, **kwargs)
+        at_return.update(counts)
+        return artifacts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "rollout", counting("rollout", model.rollout))
+        mp.setattr(PreparedData, "windows",
+                   counting("windows", PreparedData.windows))
+        mp.setattr(clustering, "final_refit_and_test", final_then_snapshot)
+        manifest = pipeline.cmd_evaluate(cfg)
+    return cfg, manifest, counts, at_return
+
+
+def test_evaluate_forecasts_nothing_after_the_test_evaluation(counted_evaluation):
+    cfg, manifest, counts, at_return = counted_evaluation
+    # the plots format the evaluation's forecasts: no rollout, no gather
+    assert counts == at_return
+    n_h = len(cfg.horizons)
+    n_show = min(3, manifest["n_series"])
+    g = len(set(manifest["routed_checkpoints"]))  # distinct routed models
+    q = int(cfg.mode == "quantile")               # VAL calibration streams
+    # When the plots forecast TEST again, evaluate made
+    #   |H| * (1 + G + q * G) + 2 * |H| * min(3, N)      rollouts and
+    #   1 + |H| * (1 + G + q * G) + |H| * min(3, N)      window gathers:
+    # one rollout and gather per model group and horizon for the pooled
+    # reference, the routed models and calibration, the TRAIN+VAL gather of
+    # the refit, and per plotted series and horizon one gather and two rollouts.
+    scored = n_h * (1 + g + q * g)
+    assert counts["rollout"] == (scored + 2 * n_h * n_show) - 2 * n_h * n_show
+    assert counts["windows"] == (1 + scored + n_h * n_show) - n_h * n_show
+
+
+def test_trajectories_are_the_evaluation_forecasts(counted_evaluation):
+    cfg, manifest, _, _ = counted_evaluation
+    tc = cfg.train_config()
+    prepared = pipeline.load_prepared(cfg)
+    pooled = model.load_checkpoint(manifest["checkpoint_refit_global"])[0]
+    for h in cfg.horizons:
+        with open(os.path.join(cfg.run_dir, "plots", f"trajectory_h{h}.csv"),
+                  newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        ends = prepared.window_index("te", tc.w, [h]).end_times[h]
+        expected = []
+        for i in range(min(3, prepared.n_series)):
+            routed = model.load_checkpoint(manifest["routed_checkpoints"][i])[0]
+            # the series' TEST windows alone, under each saved checkpoint
+            x, y = prepared.per_series_windows("te", h, tc.w, [i])
+            pred_global = model.rollout(pooled, x[0], h, tc)[0]
+            pred_method = model.rollout(routed, x[0], h, tc)[0]
+            expected += [{"series": prepared.dataset.names[i],
+                          "time": str(t + h), "actual": repr(y[0, j, 0]),
+                          "pred_global": repr(pred_global[j, 0]),
+                          "pred_method": repr(pred_method[j, 0])}
+                         for j, t in enumerate(ends)]
+        assert rows == expected
+
+
+def test_report_from_the_parent_of_a_relative_run_dir(tmp_path, data_dir,
+                                                      monkeypatch):
+    work = tmp_path / "sub"
+    work.mkdir()
+    monkeypatch.chdir(work)  # the manifest records paths under "rg"
+    cfg = write_config(work, data_dir, "rg", "method = global\n")
+    assert cli.main(["train", "--config", cfg]) == 0
+    assert cli.main(["evaluate", "--config", cfg]) == 0
+    rows = pipeline.cmd_report(["rg"])
+    monkeypatch.chdir(tmp_path)
+    for run_dir in (os.path.join("sub", "rg"), str(work / "rg")):
+        assert pipeline.cmd_report([run_dir]) == [dict(r, run=run_dir)
+                                                  for r in rows]
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
@@ -446,6 +540,26 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
     assert not os.path.exists(missing_dir)
+
+    # synth into a path that is an existing file is a data error
+    assert cli.main(["synth", "--out", str(short), "--n-series", "3",
+                     "--n-times", "30", "--n-components", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+    # a K above the number of series (9) is a config error, raised before
+    # anything is fitted or written
+    too_many = str(tmp_path / "too_many")
+    big_k = write_config(tmp_path, data_dir, too_many)
+    for argv in (["select-k", "--set", "k_candidates=2,12"],
+                 ["select-k", "--set", "k_candidates=2,12",
+                  "--set", "method=random_balanced"],
+                 ["train", "--set", "k=12"]):
+        assert cli.main(argv + ["--config", big_k]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert "12" in err and "N=9" in err
+    assert not os.path.exists(too_many)
 
 
 def test_cli_synth_and_report(tmp_path, capsys):
