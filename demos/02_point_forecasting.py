@@ -9,6 +9,7 @@ recovered partition can be scored directly.
 import numpy as np
 
 from poolcast import clustering
+from poolcast.losses import format_rows
 from poolcast.data import SplitSpec, prepare
 from poolcast.model import TrainConfig, derive_seed, init_params, train
 from poolcast.synthetic import SyntheticSpec, generate, adjusted_rand_index
@@ -43,6 +44,6 @@ art = clustering.final_refit_and_test(prepared, loop.assignment, flags, pooled,
                                       loop.prototypes, cfg, horizons=(1, 3, 6),
                                       refit_epochs=5)
 print("\nTEST report (standardized units):")
-print(art.report.format())
+print(format_rows(art.report))
 print("\nTEST cells were read only by the evaluate phase:",
       prepared.audit.test_reads_outside(allowed=("evaluate",)) == 0)

@@ -10,6 +10,7 @@ per-horizon scalar chosen on VAL to hit the 80% coverage target.
 import numpy as np
 
 from poolcast import clustering
+from poolcast.losses import format_rows
 from poolcast.calibration import coverage_at
 from poolcast.data import SplitSpec, prepare
 from poolcast.model import TrainConfig, derive_seed, init_params, rollout, train
@@ -55,4 +56,4 @@ for h, (med, lo, hi, tv) in sorted(streams.items()):
     print(f"  h={h}: VAL coverage raw {raw:.3f} -> calibrated {cal:.3f}")
 
 print("\nTEST report:")
-print(art.report.format())
+print(format_rows(art.report))

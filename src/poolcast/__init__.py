@@ -19,9 +19,10 @@ if _threads:
 from .data import (AccessAudit, DataError, MtsDataset, PreparedData,
                    SplitSpec, Standardizer, enumerate_windows,
                    fit_impute_standardize, load_dataset, load_pems, prepare,
-                   save_csv, save_packed, split)
-from .losses import (MetricRow, MetricTable, empirical_quantile, huber,
-                     interval_stats, loss_elem, pinball)
+                   save_csv, save_packed, split, write_csv)
+from .losses import (REPORT_COLUMNS, empirical_quantile, format_rows, huber,
+                     interval_stats, loss_elem, paper_scale, pinball,
+                     summarize_method, write_report_csv)
 from .model import (ParamSet, TrainConfig, TrainingDiverged, init_params,
                     load_checkpoint, loss_and_gradients, rollout,
                     save_checkpoint, train)
@@ -32,8 +33,10 @@ __all__ = [
     "AccessAudit", "DataError", "MtsDataset", "PreparedData", "SplitSpec",
     "Standardizer", "enumerate_windows", "fit_impute_standardize",
     "load_dataset", "load_pems", "prepare", "save_csv", "save_packed", "split",
-    "MetricRow", "MetricTable", "empirical_quantile", "huber",
-    "interval_stats", "loss_elem", "pinball",
+    "write_csv",
+    "REPORT_COLUMNS", "empirical_quantile", "format_rows", "huber",
+    "interval_stats", "loss_elem", "paper_scale", "pinball",
+    "summarize_method", "write_report_csv",
     "ParamSet", "TrainConfig", "TrainingDiverged", "init_params",
     "load_checkpoint", "loss_and_gradients", "rollout", "save_checkpoint",
     "train",

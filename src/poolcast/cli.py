@@ -1,7 +1,12 @@
 """Command-line surface for the pipeline.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 training
-divergence, 5 protocol violation (repeated TEST evaluation). Set the
+Exit codes: 0 success; 2 configuration error (also a K above the number of
+series and a bad ``synth`` argument: fewer series than regimes, an alpha
+outside [0, 1], a negative or non-finite noise or a size below 1); 3 data
+error (also a missing or unreadable checkpoint or ``forecast-new`` segment,
+and an output path that cannot be written); 4 training divergence;
+5 protocol violation (repeated TEST evaluation). Run directories work from any working directory: the paths
+the manifest stores are resolved against the run directory given. Set the
 POOLCAST_THREADS environment variable before launching to cap the BLAS
 thread pool (results are thread-count independent either way). The cap
 takes effect only if the variable is set before numpy is first imported in
@@ -15,10 +20,11 @@ the serial sweep, and platforms without fork run the sweep serially.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .data import DataError
-from .losses import MetricTable, MetricRow
+from .losses import format_rows
 from .model import TrainingDiverged
 from . import pipeline
 from .pipeline import ConfigError, ProtocolError, RunConfig
@@ -92,19 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_rows(rows: list[dict]) -> None:
-    table = MetricTable()
-    for rec in rows:
-        table.add(MetricRow(
-            method=f"{rec.get('run', '')}:{rec['method']}" if "run" in rec
-            else rec["method"],
-            horizon=rec["horizon"], mse=rec["mse"], mae=rec["mae"],
-            pinball=rec.get("pinball"), coverage=rec.get("coverage"),
-            width=rec.get("width"), delta_pct=rec["delta_pct"],
-            ben_pct=rec["ben_pct"], fb_pct=rec["fb_pct"]))
-    print(table.format())
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -118,9 +111,9 @@ def main(argv=None) -> int:
                   f"to {info['data']} (labels: {info['labels']})")
             return 0
         if args.command == "report":
-            rows = pipeline.cmd_report(args.runs.split(","), out_path=args.out,
-                                       paper_scale=args.paper_scale)
-            _print_rows(rows)
+            print(format_rows(pipeline.cmd_report(
+                args.runs.split(","), out_path=args.out,
+                paper_scale=args.paper_scale)))
             return 0
 
         cfg = RunConfig.from_file(args.config, overrides=args.overrides)
@@ -145,9 +138,7 @@ def main(argv=None) -> int:
         elif args.command == "evaluate":
             manifest = pipeline.cmd_evaluate(cfg)
             with open(manifest["report"]["json"]) as fh:
-                import json
-                payload = json.load(fh)
-            _print_rows(payload["rows"])
+                print(format_rows(json.load(fh)["rows"]))
         elif args.command == "forecast-new":
             result = pipeline.cmd_forecast_new(cfg, args.segment, args.out)
             print(f"routed to {result['routed_model']}")

@@ -25,7 +25,7 @@ import numpy as np
 from . import losses, model
 from .calibration import CalibrationTable, calibrate
 from .data import PreparedData
-from .losses import MetricTable, summarize_method
+from .losses import summarize_method
 from .model import ParamSet, TrainConfig, derive_seed
 
 
@@ -474,7 +474,7 @@ class EvalArtifacts:
     refit_global: ParamSet
     routed_models: list[ParamSet]      # one entry per series
     calibration: CalibrationTable | None
-    report: MetricTable
+    report: list[dict]                 # summarize_method rows, as report.json
     series_mse: dict = None            # (method, horizon) -> per-series TEST MSE
     # (method, horizon) -> TEST (point, target), each (S, n, P), of the first
     # S = min(TRAJECTORY_SERIES, N) series
@@ -569,7 +569,7 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     scored = [("global", [(refit_global, all_series)], 0.0)]
     if method != "global":
         scored.append((method, losses.model_groups(routed), fallback_share))
-    table = MetricTable()
+    report = []
     series_mse, trajectories = {}, {}
     for h in horizons:
         for name, groups, share in scored:
@@ -596,15 +596,15 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
                 coverage, width = losses.interval_stats(
                     *(np.concatenate(b) for b in zip(*bands)))
             reference = s_mse if name == "global" else series_mse[("global", h)]
-            table.add(summarize_method(name, h, s_mse, s_mae, reference, share,
-                                       s_pin, coverage, width))
+            report.append(summarize_method(name, h, s_mse, s_mae, reference,
+                                           share, s_pin, coverage, width))
             series_mse[(name, h)] = s_mse
             trajectories[(name, h)] = tuple(
                 np.stack(a) for a in zip(*(shown[i] for i in sorted(shown))))
 
     if flags is not None and tuple(flags.flagged) != frozen_before:
         raise RuntimeError("fallback flags changed between freeze and TEST")
-    return EvalArtifacts(refit_global, routed, calib, table, series_mse,
+    return EvalArtifacts(refit_global, routed, calib, report, series_mse,
                          trajectories)
 
 

@@ -345,14 +345,25 @@ def save_packed(ds: MtsDataset, path: str) -> None:
         fh.write(values.astype("<f8").tobytes(order="C"))
 
 
+def write_csv(path: str, rows) -> None:
+    """Write ``rows`` (sequences of cells, a header row included) to ``path``
+    through :func:`atomic_open`, with "\n" line ends. None becomes an empty
+    cell and a float its shortest repr, which ``float()`` reads back bitwise.
+    Every CSV poolcast writes goes through here."""
+    with atomic_open(path) as fh:
+        fh.reconfigure(newline="")  # the csv module writes its own line ends
+        csv.writer(fh, lineterminator="\n").writerows(
+            ["" if v is None else repr(float(v)) if isinstance(v, float) else v
+             for v in row] for row in rows)
+
+
 def save_csv(ds: MtsDataset, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     values = np.where(ds.mask, ds.values, np.nan)
     for i, name in enumerate(ds.names):
-        with open(os.path.join(directory, f"{name}.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in values[i]:
-                writer.writerow(["" if np.isnan(x) else repr(float(x)) for x in row])
+        write_csv(os.path.join(directory, f"{name}.csv"),
+                  [[None if x != x else x for x in row]  # NaN is missing
+                   for row in values[i].tolist()])
 
 
 # ---------------------------------------------------------------------------

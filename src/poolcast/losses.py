@@ -9,11 +9,9 @@ mean with zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import atomic_open
+from .data import write_csv
 
 
 def huber(pred, target, delta: float = 1.0) -> float:
@@ -151,34 +149,9 @@ def interval_stats(target: np.ndarray, lower: np.ndarray, upper: np.ndarray
     return float(inside.mean()), float(np.mean(upper - lower))
 
 
-@dataclass
-class MetricRow:
-    method: str
-    horizon: int
-    mse: float
-    mae: float
-    delta_pct: float
-    ben_pct: float
-    fb_pct: float
-    pinball: float | None = None
-    coverage: float | None = None
-    width: float | None = None
-
-    LOSS_FIELDS = ("mse", "mae", "pinball")
-
-    def as_dict(self, paper_scale: bool = False) -> dict:
-        out = {
-            "method": self.method, "horizon": self.horizon,
-            "mse": self.mse, "mae": self.mae, "pinball": self.pinball,
-            "coverage": self.coverage, "width": self.width,
-            "delta_pct": self.delta_pct, "ben_pct": self.ben_pct,
-            "fb_pct": self.fb_pct,
-        }
-        if paper_scale:
-            for k in self.LOSS_FIELDS:
-                if out[k] is not None:
-                    out[k] = out[k] * 100.0
-        return out
+# the columns of a report row, in table order
+REPORT_COLUMNS = ("method", "horizon", "mse", "mae", "pinball", "coverage",
+                  "width", "delta_pct", "ben_pct", "fb_pct")
 
 
 def summarize_method(method: str, horizon: int,
@@ -187,8 +160,10 @@ def summarize_method(method: str, horizon: int,
                      fallback_share: float,
                      series_pinball: np.ndarray | None = None,
                      coverage: float | None = None,
-                     width: float | None = None) -> MetricRow:
-    """Aggregate per-series TEST losses into one report row.
+                     width: float | None = None) -> dict:
+    """Aggregate per-series TEST losses into one report row, the record
+    ``report.json`` stores (keys :data:`REPORT_COLUMNS`; pinball, coverage
+    and width are None in point mode).
 
     delta_pct and ben_pct compare per-series MSE against the pooled reference
     model on the same windows; ties count as not benefited.
@@ -197,61 +172,36 @@ def summarize_method(method: str, horizon: int,
     mu_ref = float(np.mean(reference_series_mse))
     delta = 100.0 * (mu_ref - mu) / mu_ref if mu_ref != 0 else 0.0
     ben = 100.0 * float(np.mean(series_mse < reference_series_mse))
-    return MetricRow(
-        method=method, horizon=horizon,
-        mse=mu, mae=float(np.mean(series_mae)),
-        pinball=None if series_pinball is None else float(np.mean(series_pinball)),
-        coverage=coverage, width=width,
-        delta_pct=delta, ben_pct=ben, fb_pct=100.0 * fallback_share,
-    )
+    return {
+        "method": method, "horizon": horizon,
+        "mse": mu, "mae": float(np.mean(series_mae)),
+        "pinball": None if series_pinball is None else float(np.mean(series_pinball)),
+        "coverage": coverage, "width": width,
+        "delta_pct": delta, "ben_pct": ben, "fb_pct": 100.0 * fallback_share,
+    }
 
 
-class MetricTable:
-    """Ordered collection of report rows with JSON / CSV serialization."""
+def paper_scale(rows: list[dict]) -> list[dict]:
+    """Copies of report rows with the loss columns (MSE, MAE, pinball) x100,
+    the published table convention."""
+    return [{k: v * 100.0 if k in ("mse", "mae", "pinball") and v is not None
+             else v for k, v in row.items()} for row in rows]
 
-    COLUMNS = ("method", "horizon", "mse", "mae", "pinball", "coverage",
-               "width", "delta_pct", "ben_pct", "fb_pct")
 
-    def __init__(self, rows: list[MetricRow] | None = None):
-        self.rows: list[MetricRow] = list(rows or [])
+def write_report_csv(path: str, rows: list[dict], columns) -> None:
+    """Report rows as a CSV table of ``columns``, through the one CSV writer."""
+    write_csv(path, [columns] + [[row.get(c) for c in columns] for row in rows])
 
-    def add(self, row: MetricRow) -> None:
-        self.rows.append(row)
 
-    def extend(self, rows) -> None:
-        self.rows.extend(rows)
-
-    def row(self, method: str, horizon: int) -> MetricRow:
-        for r in self.rows:
-            if r.method == method and r.horizon == horizon:
-                return r
-        raise KeyError((method, horizon))
-
-    def to_records(self, paper_scale: bool = False) -> list[dict]:
-        return [r.as_dict(paper_scale) for r in self.rows]
-
-    def to_csv(self, path: str, paper_scale: bool = False) -> None:
-        import csv
-        with atomic_open(path) as fh:
-            fh.reconfigure(newline="")  # the csv module writes its own line ends
-            writer = csv.DictWriter(fh, fieldnames=self.COLUMNS)
-            writer.writeheader()
-            for rec in self.to_records(paper_scale):
-                writer.writerow({k: ("" if rec[k] is None else rec[k])
-                                 for k in self.COLUMNS})
-
-    def format(self, paper_scale: bool = False) -> str:
-        recs = self.to_records(paper_scale)
-        lines = [" ".join(f"{c:>14}" for c in self.COLUMNS)]
-        for rec in recs:
-            cells = []
-            for c in self.COLUMNS:
-                v = rec[c]
-                if v is None:
-                    cells.append(f"{'-':>14}")
-                elif isinstance(v, float):
-                    cells.append(f"{v:>14.6f}")
-                else:
-                    cells.append(f"{str(v):>14}")
-            lines.append(" ".join(cells))
-        return "\n".join(lines)
+def format_rows(rows: list[dict]) -> str:
+    """Report rows as a fixed-width text table; a row's ``run``, when it has
+    one, prefixes its method."""
+    lines = [" ".join(f"{c:>14}" for c in REPORT_COLUMNS)]
+    for row in rows:
+        row = dict(row, method=f"{row['run']}:{row['method']}" if "run" in row
+                   else row["method"])
+        lines.append(" ".join(
+            f"{'-':>14}" if row[c] is None else f"{row[c]:>14.6f}"
+            if isinstance(row[c], float) else f"{str(row[c]):>14}"
+            for c in REPORT_COLUMNS))
+    return "\n".join(lines)

@@ -11,6 +11,7 @@ evaluation of the same run id is refused.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import baselines, clustering, losses, model
 from .data import (DataError, PreparedData, SplitSpec, Standardizer,
-                   atomic_open, load_dataset, prepare, save_csv, save_packed)
+                   atomic_open, load_dataset, prepare, save_csv, save_packed,
+                   write_csv)
 from .model import ParamSet, TrainConfig, derive_seed
 from .synthetic import SyntheticSpec, generate
 
@@ -408,27 +410,47 @@ def cmd_select_k(cfg: RunConfig) -> dict:
     if cfg.method not in CLUSTERED_METHODS:
         raise ConfigError(f"select-k does not apply to method {cfg.method!r}")
     manifest, _ = _train_core(cfg, None)
-    table_path = os.path.join(cfg.run_dir, "selection.csv")
-    with atomic_open(table_path) as fh:
-        fh.write("k,seed,sel_abs,sel_pen,global_risk,iterations,converged\n")
-        for row in manifest["selection_table"]:
-            fh.write(f"{row['k']},{row['seed']},{row['sel_abs']!r},"
-                     f"{row['sel_pen']!r},{row['global_risk']!r},"
-                     f"{row['iterations']},{row['converged']}\n")
+    cols = ("k", "seed", "sel_abs", "sel_pen", "global_risk", "iterations",
+            "converged")
+    write_csv(os.path.join(cfg.run_dir, "selection.csv"),
+              [cols] + [[row[c] for c in cols]
+                        for row in manifest["selection_table"]])
     return manifest
 
 
+def _run_file(run_dir: str, stored: str) -> str:
+    """Where a file the manifest names lies in ``run_dir`` as given now.
+
+    A stored path begins with the run directory as the command that wrote it
+    named it, relative to that command's working directory. Below the run
+    directory the layout is fixed (checkpoints in ``checkpoints/``, reports
+    at the top), so a run works from any directory and under any spelling."""
+    name = os.path.basename(stored)
+    return os.path.join(run_dir, "checkpoints" if name.endswith(".pcm") else "",
+                        name)
+
+
+def _load_params(run_dir: str, stored: str) -> ParamSet:
+    """The parameters of a checkpoint the manifest names; one that is missing
+    or unreadable is a :class:`DataError`."""
+    path = _run_file(run_dir, stored)
+    try:
+        return model.load_checkpoint(path)[0]
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from None
+
+
 def _load_trained(cfg: RunConfig, manifest: dict):
-    global_params, _, _ = model.load_checkpoint(manifest["checkpoint_global"])
+    global_params = _load_params(cfg.run_dir, manifest["checkpoint_global"])
     assignment = flags = prototypes = individual = None
     if cfg.method in CLUSTERED_METHODS:
         labels = np.asarray(manifest["assignment"], dtype=np.int64)
         assignment = clustering.Assignment(labels, int(manifest["k"]))
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
-        prototypes = [model.load_checkpoint(p)[0]
+        prototypes = [_load_params(cfg.run_dir, p)
                       for p in manifest["prototype_checkpoints"]]
     elif cfg.method == "individual":
-        individual = [model.load_checkpoint(p)[0]
+        individual = [_load_params(cfg.run_dir, p)
                       for p in manifest["individual_checkpoints"]]
     return global_params, assignment, flags, prototypes, individual
 
@@ -442,14 +464,14 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
             f"run {cfg.run_dir!r} already evaluated TEST; refusing a second use")
     if "checkpoint_global" not in manifest:
         raise DataError("no trained checkpoints in this run; run train/select-k")
-    # flip the marker before any TEST value is touched: a crash mid-way
-    # must not leave a second evaluation possible
-    manifest["test_evaluated"] = True
-    save_manifest(cfg.run_dir, manifest)
-
     prepared = load_prepared(cfg)
     tc = cfg.train_config()
     global_params, assignment, flags, prototypes, individual = _load_trained(cfg, manifest)
+    # flip the marker before any TEST value is touched: a crash from here on
+    # must not leave a second evaluation possible (a run whose data or
+    # checkpoints failed to load above has read no TEST value)
+    manifest["test_evaluated"] = True
+    save_manifest(cfg.run_dir, manifest)
 
     artifacts = clustering.final_refit_and_test(
         prepared, assignment, flags, global_params, prototypes, tc,
@@ -461,11 +483,11 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
     run_dir = cfg.run_dir
     report_json = os.path.join(run_dir, "report.json")
     with atomic_open(report_json) as fh:
-        json.dump({"method": cfg.method,
-                   "rows": artifacts.report.to_records()}, fh, indent=2,
-                  sort_keys=True)
+        json.dump({"method": cfg.method, "rows": artifacts.report}, fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
-    artifacts.report.to_csv(os.path.join(run_dir, "report.csv"))
+    losses.write_report_csv(os.path.join(run_dir, "report.csv"),
+                            artifacts.report, losses.REPORT_COLUMNS)
     _write_plot_data(cfg, prepared, artifacts)
 
     ckpt = _checkpoint_dir(run_dir)
@@ -498,11 +520,11 @@ def _write_plot_data(cfg: RunConfig, prepared: PreparedData, artifacts) -> None:
     for h in cfg.horizons:
         ref = artifacts.series_mse[("global", h)]
         m = artifacts.series_mse.get((cfg.method, h), ref)
-        with atomic_open(os.path.join(plot_dir, f"improvement_h{h}.csv")) as fh:
-            fh.write("series,mse_method,mse_global,improvement_pct\n")
-            for i, name in enumerate(prepared.dataset.names):
-                imp = 100.0 * (ref[i] - m[i]) / ref[i] if ref[i] else 0.0
-                fh.write(f"{name},{m[i]!r},{ref[i]!r},{imp!r}\n")
+        write_csv(os.path.join(plot_dir, f"improvement_h{h}.csv"),
+                  [("series", "mse_method", "mse_global", "improvement_pct")]
+                  + [(name, m[i], ref[i],
+                      100.0 * (ref[i] - m[i]) / ref[i] if ref[i] else 0.0)
+                     for i, name in enumerate(prepared.dataset.names)])
     # the first component of the evaluation's TEST forecasts for a few series;
     # the TEST windows' targets are the segment's last n steps
     t_end = prepared.spec.bounds("te")[1]
@@ -510,21 +532,19 @@ def _write_plot_data(cfg: RunConfig, prepared: PreparedData, artifacts) -> None:
         glob, target = artifacts.trajectories[("global", h)]
         pred, _ = artifacts.trajectories.get((cfg.method, h), (glob, target))
         n = target.shape[1]
-        with atomic_open(os.path.join(plot_dir, f"trajectory_h{h}.csv")) as fh:
-            fh.write("series,time,actual,pred_global,pred_method\n")
-            for i in range(len(target)):
-                for j in range(n):
-                    fh.write(f"{prepared.dataset.names[i]},{t_end - n + j},"
-                             f"{target[i, j, 0]!r},{glob[i, j, 0]!r},"
-                             f"{pred[i, j, 0]!r}\n")
+        write_csv(os.path.join(plot_dir, f"trajectory_h{h}.csv"),
+                  [("series", "time", "actual", "pred_global", "pred_method")]
+                  + [(prepared.dataset.names[i], t_end - n + j,
+                      target[i, j, 0], glob[i, j, 0], pred[i, j, 0])
+                     for i in range(len(target)) for j in range(n)])
 
 
-def _write_output(path: str, text: str) -> None:
-    """Write a command's ``--out`` file atomically; a path that cannot be
-    written is a :class:`DataError`."""
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failure to write a command's output at ``path`` into a
+    :class:`DataError`."""
     try:
-        with atomic_open(path) as fh:
-            fh.write(text)
+        yield
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
 
@@ -567,7 +587,7 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     filled = np.where(np.isfinite(raw), raw, std.mu)
     segment = std.transform(filled)
 
-    refit_global, _, _ = model.load_checkpoint(manifest["checkpoint_refit_global"])
+    refit_global = _load_params(cfg.run_dir, manifest["checkpoint_refit_global"])
     prototypes, flags = [], None
     if cfg.method in CLUSTERED_METHODS:
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
@@ -575,7 +595,7 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
         # tries first; an unflagged cluster is never empty
         labels, paths = manifest["assignment"], manifest["routed_checkpoints"]
         prototypes = [refit_global if flags.flagged[k]
-                      else model.load_checkpoint(paths[labels.index(k)])[0]
+                      else _load_params(cfg.run_dir, paths[labels.index(k)])
                       for k in range(int(manifest["k"]))]
     else:
         flags = clustering.FallbackFlags(flagged=())
@@ -598,19 +618,26 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
         "forecasts": forecasts,
     }
     if out_path:
-        _write_output(out_path, json.dumps(result, indent=2, sort_keys=True) + "\n")
+        with _writing(out_path), atomic_open(out_path) as fh:
+            json.dump(result, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return result
 
 
 def cmd_synth(out_dir: str, fmt: str = "csv", n_series: int = 30,
               n_times: int = 300, n_components: int = 8, n_regimes: int = 3,
               alpha: float = 1.0, noise: float = 0.2, seed: int = 0) -> dict:
-    """Write a synthetic dataset plus its ground-truth regime labels."""
-    spec = SyntheticSpec(n_series=n_series, n_times=n_times,
-                         n_components=n_components, n_regimes=n_regimes,
-                         heterogeneity=alpha, noise_scale=noise, seed=seed)
-    ds, labels = generate(spec)
+    """Write a synthetic dataset plus its ground-truth regime labels. Bad
+    sizes, an ``alpha`` outside [0, 1] or a negative or non-finite ``noise``
+    are a :class:`ConfigError`."""
     try:
+        spec = SyntheticSpec(n_series=n_series, n_times=n_times,
+                             n_components=n_components, n_regimes=n_regimes,
+                             heterogeneity=alpha, noise_scale=noise, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"synth: {exc}") from None
+    ds, labels = generate(spec)
+    with _writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
         if fmt == "csv":
             data_path = os.path.join(out_dir, "series")
@@ -621,12 +648,8 @@ def cmd_synth(out_dir: str, fmt: str = "csv", n_series: int = 30,
         else:
             raise ConfigError(f"unknown synth format {fmt!r}")
         labels_path = os.path.join(out_dir, "labels.csv")
-        with open(labels_path, "w") as fh:
-            fh.write("series,regime\n")
-            for name, lab in zip(ds.names, labels):
-                fh.write(f"{name},{lab}\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {out_dir}: {exc}") from None
+        write_csv(labels_path,
+                  [("series", "regime")] + list(zip(ds.names, labels)))
     return {"data": data_path, "labels": labels_path,
             "n_series": n_series, "n_times": n_times}
 
@@ -636,28 +659,17 @@ def cmd_report(run_dirs, out_path: str | None = None,
     """Merge evaluated runs into one comparison table."""
     merged = []
     for run_dir in run_dirs:
-        manifest = load_manifest(run_dir)
-        # the manifest stores paths relative to where evaluate ran; rebase
-        # them onto the run directory as given here
-        stored = manifest.get("report", {}).get("json")
-        report_path = stored and os.path.join(
-            run_dir, os.path.relpath(stored, manifest["config"]["run_dir"]))
+        stored = load_manifest(run_dir).get("report", {}).get("json")
+        report_path = stored and _run_file(run_dir, stored)
         if not report_path or not os.path.exists(report_path):
             raise DataError(f"{run_dir}: no evaluation report; run evaluate")
         with open(report_path) as fh:
-            payload = json.load(fh)
-        for row in payload["rows"]:
-            rec = dict(row)
-            if paper_scale:
-                for key in losses.MetricRow.LOSS_FIELDS:
-                    if rec.get(key) is not None:
-                        rec[key] = rec[key] * 100.0
-            rec["run"] = run_dir
-            merged.append(rec)
+            rows = json.load(fh)["rows"]
+        if paper_scale:
+            rows = losses.paper_scale(rows)
+        merged += [dict(row, run=run_dir) for row in rows]
     if out_path:
-        cols = ("run",) + losses.MetricTable.COLUMNS
-        lines = [",".join(cols)] + [
-            ",".join("" if rec.get(c) is None else str(rec.get(c)) for c in cols)
-            for rec in merged]
-        _write_output(out_path, "".join(line + "\n" for line in lines))
+        with _writing(out_path):
+            losses.write_report_csv(out_path, merged,
+                                    ("run",) + losses.REPORT_COLUMNS)
     return merged

@@ -35,6 +35,8 @@ class SyntheticSpec:
             raise ValueError("more regimes than series")
         if min(self.n_series, self.n_times, self.n_components, self.n_regimes) < 1:
             raise ValueError("all dimensions must be positive")
+        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError("noise_scale must be finite and non-negative")
 
     @property
     def true_labels(self) -> np.ndarray:

@@ -27,6 +27,13 @@ PROTO_EPOCHS = 8
 REFIT_EPOCHS = 5
 
 
+def report_row(report, method, horizon):
+    """The row of ``method`` at ``horizon`` in an evaluation's report."""
+    (row,) = [r for r in report
+              if r["method"] == method and r["horizon"] == horizon]
+    return row
+
+
 def acc_config(seed, mode="point"):
     return TrainConfig(w=8, epochs=10, batch=64, mode=mode, seed=seed)
 
@@ -68,7 +75,7 @@ def heterogeneous_runs():
         out.append({
             "k_star": result.k_star,
             "ari": adjusted_rand_index(result.assignment.labels, labels),
-            "delta_h1": art.report.row("cluster", 1).delta_pct,
+            "delta_h1": report_row(art.report, "cluster", 1)["delta_pct"],
             "table": result.table,
             "audit": prepared.audit,
         })
@@ -311,13 +318,13 @@ def test_criterion_06_fallback_dominance(heterogeneous_runs,
     art = clustering.final_refit_and_test(
         prepared, assignment, flags, gp, corrupted, cfg, horizons=(1,),
         refit_epochs=2)
-    row_m = art.report.row("cluster", 1)
-    row_g = art.report.row("global", 1)
-    assert row_m.fb_pct == 100.0
+    row_m = report_row(art.report, "cluster", 1)
+    row_g = report_row(art.report, "global", 1)
+    assert row_m["fb_pct"] == 100.0
     assert np.array_equal(art.series_mse[("cluster", 1)],
                           art.series_mse[("global", 1)])
-    assert row_m.mse == row_g.mse and row_m.mae == row_g.mae
-    assert row_m.delta_pct == 0.0
+    assert row_m["mse"] == row_g["mse"] and row_m["mae"] == row_g["mae"]
+    assert row_m["delta_pct"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +361,8 @@ def test_criterion_07_heterogeneity_recovery(heterogeneous_runs):
 
 def test_criterion_08_weak_heterogeneity_safety(weak_heterogeneity_run):
     art = weak_heterogeneity_run["art"]
-    g = art.report.row("global", 1).mse
-    c = art.report.row("cluster", 1).mse
+    g = report_row(art.report, "global", 1)["mse"]
+    c = report_row(art.report, "cluster", 1)["mse"]
     assert abs(c - g) / g <= 0.02, (
         f"alpha=0 routed TEST MSE {c:.6f} vs pooled {g:.6f} "
         f"({100 * (c - g) / g:+.2f}%)")
@@ -411,12 +418,13 @@ def test_criterion_10_paper_scale_structure(tmp_path, heterogeneous_runs,
     # one row per method and horizon with MSE / MAE / delta / Ben / Fb columns
     art = weak_heterogeneity_run["art"]
     out = tmp_path / "table.csv"
-    art.report.to_csv(str(out), paper_scale=True)
+    losses.write_report_csv(str(out), losses.paper_scale(art.report),
+                            losses.REPORT_COLUMNS)
     text = out.read_text().splitlines()
     assert text[0] == ("method,horizon,mse,mae,pinball,coverage,width,"
                        "delta_pct,ben_pct,fb_pct")
     assert len(text) == 1 + 2 * 3  # {global, cluster} x h in {1, 3, 6}
-    raw = art.report.row("global", 1).mse
+    raw = report_row(art.report, "global", 1)["mse"]
     scaled = float(text[1].split(",")[2])
     assert scaled == pytest.approx(raw * 100.0)
 
@@ -424,7 +432,7 @@ def test_criterion_10_paper_scale_structure(tmp_path, heterogeneous_runs,
     # reach at desk scale by design):
     # pooling beats one-model-per-series on pooled-friendly data
     art_ind = weak_heterogeneity_run["art_individual"]
-    assert (art_ind.report.row("individual", 1).mse
-            > art_ind.report.row("global", 1).mse)
+    assert (report_row(art_ind.report, "individual", 1)["mse"]
+            > report_row(art_ind.report, "global", 1)["mse"])
     # specialization beats pooling under heterogeneity
     assert sum(r["delta_h1"] > 0 for r in heterogeneous_runs["runs"]) >= 4

@@ -12,6 +12,13 @@ from poolcast.synthetic import SyntheticSpec, generate
 CFG = TrainConfig(w=6, epochs=4, batch=64, mode="point", seed=0)
 
 
+def report_row(report, method, horizon):
+    """The row of ``method`` at ``horizon`` in an evaluation's report."""
+    (row,) = [r for r in report
+              if r["method"] == method and r["horizon"] == horizon]
+    return row
+
+
 @pytest.fixture(scope="module")
 def world():
     ds, labels = generate(SyntheticSpec(n_series=9, n_times=120,
@@ -130,11 +137,11 @@ def test_all_flagged_collapses_to_global_bitwise(world):
     art = clustering.final_refit_and_test(prepared, a, flags, gp, protos, CFG,
                                           horizons=(1,), method="random_balanced",
                                           refit_epochs=2)
-    row_g = art.report.row("global", 1)
-    row_m = art.report.row("random_balanced", 1)
-    assert row_m.fb_pct == 100.0
-    assert row_m.mse == row_g.mse and row_m.mae == row_g.mae
-    assert row_m.delta_pct == 0.0 and row_m.ben_pct == 0.0
+    row_g = report_row(art.report, "global", 1)
+    row_m = report_row(art.report, "random_balanced", 1)
+    assert row_m["fb_pct"] == 100.0
+    assert row_m["mse"] == row_g["mse"] and row_m["mae"] == row_g["mae"]
+    assert row_m["delta_pct"] == 0.0 and row_m["ben_pct"] == 0.0
     np.testing.assert_array_equal(art.series_mse[("random_balanced", 1)],
                                   art.series_mse[("global", 1)])
 
@@ -144,5 +151,5 @@ def test_global_method_reports_global_row_only(world):
     art = clustering.final_refit_and_test(prepared, None, None, gp, None, CFG,
                                           horizons=(1,), method="global",
                                           refit_epochs=1)
-    methods = {r.method for r in art.report.rows}
+    methods = {r["method"] for r in art.report}
     assert methods == {"global"}

@@ -3,6 +3,8 @@ their arguments by parameter name. A tiny point-mode and quantile-mode CLI
 flow run under its hooks must succeed with no wrapped call raising, so a
 signature change that breaks the benchmark fails here too."""
 
+import csv
+import math
 import os
 import sys
 
@@ -47,9 +49,10 @@ def test_benchmark_hooks_bind_and_run(hooks, tmp_path, monkeypatch):
     pipeline.cmd_synth("data", n_series=9, n_times=120, n_components=4,
                        n_regimes=3, seed=5)
     segment = os.path.join("data", "series", "s0000_r0.csv")
-    commands = []
+    commands, runs = [], {}
     for method, mode in (("cluster", "point"), ("feat_kmeans", "point"),
                          ("cluster", "quantile")):
+        runs[f"r_{method}_{mode}"] = method, mode
         cfg = f"{method}_{mode}.cfg"
         with open(cfg, "w") as fh:
             fh.write(f"data_dir = data/series\nrun_dir = r_{method}_{mode}\n"
@@ -58,6 +61,9 @@ def test_benchmark_hooks_bind_and_run(hooks, tmp_path, monkeypatch):
                      ["evaluate", "--config", cfg],
                      ["forecast-new", "--config", cfg, "--segment", segment,
                       "--out", f"r_{method}_{mode}/new.json"]]
+    # the benchmark's closing step: its merged CSV is parsed by the harness
+    commands.append(["report", "--runs", ",".join(runs),
+                     "--out", "report_merged.csv"])
 
     tracer = Tracer()
     instrument.install(tracer)
@@ -73,3 +79,17 @@ def test_benchmark_hooks_bind_and_run(hooks, tmp_path, monkeypatch):
     assert metrics["clustering.sweep_runs"] == 3  # one (K, seed) run per sweep
     assert metrics["model.rollout_calls"] > 0
     assert calls["calibration.calibrate"] == 1  # the quantile run's _calibrate
+
+    # the harness's report_ok: one row per run, method and horizon, and
+    # every metric of the run's mode present and finite
+    with open("report_merged.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    keys = [(r["run"], r["method"], int(r["horizon"])) for r in rows]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {(run, method, h) for run, (m, _) in runs.items()
+                         for method in ("global", m) for h in (1, 3)}
+    for r in rows:
+        fields = ["mse", "mae", "delta_pct", "ben_pct", "fb_pct"]
+        if runs[r["run"]][1] == "quantile":
+            fields += ["pinball", "coverage", "width"]
+        assert all(r[f] != "" and math.isfinite(float(r[f])) for f in fields)

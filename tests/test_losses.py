@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolcast.losses import (MetricRow, MetricTable, empirical_quantile,
-                             huber, interval_stats, loss_elem, pinball,
-                             summarize_method)
+from poolcast.losses import (REPORT_COLUMNS, empirical_quantile, huber,
+                             interval_stats, loss_elem, paper_scale, pinball,
+                             summarize_method, write_report_csv)
 from poolcast.model import TrainConfig
 
 
@@ -111,13 +111,13 @@ def test_summarize_method_delta_and_ben():
     # method: mse 8 on both series -> delta +20, ben 100
     row = summarize_method("m", 1, np.array([8.0, 8.0]), np.array([1.0, 1.0]),
                            ref, fallback_share=0.3)
-    assert row.delta_pct == pytest.approx(20.0)
-    assert row.ben_pct == 100.0
-    assert row.fb_pct == pytest.approx(30.0)
+    assert row["delta_pct"] == pytest.approx(20.0)
+    assert row["ben_pct"] == 100.0
+    assert row["fb_pct"] == pytest.approx(30.0)
     # ties count as not benefited
     row = summarize_method("m", 1, np.array([10.0, 8.0]), np.array([1.0, 1.0]),
                            ref, fallback_share=0.0)
-    assert row.ben_pct == 50.0
+    assert row["ben_pct"] == 50.0
 
 
 def test_split_mean_loss_sentinel_and_mean():
@@ -183,11 +183,11 @@ def test_metrics_row_from_streams():
     row = summarize_method("m", 1, series_mean("mse", preds),
                            series_mean("mae", preds), series_mean("mse", ref),
                            fallback_share=0.3)
-    assert row.ben_pct == pytest.approx(30.0)
-    assert row.fb_pct == pytest.approx(30.0)
-    assert row.mse == pytest.approx((3 * 0.0 + 7 * 4.0) / 10)
-    assert row.mae == pytest.approx((3 * 0.0 + 7 * 2.0) / 10)
-    assert row.delta_pct == pytest.approx(100.0 * (1.0 - row.mse) / 1.0)
+    assert row["ben_pct"] == pytest.approx(30.0)
+    assert row["fb_pct"] == pytest.approx(30.0)
+    assert row["mse"] == pytest.approx((3 * 0.0 + 7 * 4.0) / 10)
+    assert row["mae"] == pytest.approx((3 * 0.0 + 7 * 2.0) / 10)
+    assert row["delta_pct"] == pytest.approx(100.0 * (1.0 - row["mse"]) / 1.0)
 
     coverage, width = interval_stats(targets, targets - 1.0, targets + 1.0)
     fan = np.stack([targets - 0.5, targets, targets + 0.5], axis=2)
@@ -195,19 +195,21 @@ def test_metrics_row_from_streams():
     row = summarize_method("m", 1, series_mean("mse", preds),
                            series_mean("mae", preds), series_mean("mse", ref),
                            0.0, series_pin, coverage, width)
-    assert row.coverage == 1.0 and row.width == pytest.approx(2.0)
+    assert row["coverage"] == 1.0 and row["width"] == pytest.approx(2.0)
     # fan offsets -0.5 / 0 / +0.5 at levels 0.1 / 0.5 / 0.9:
     # rho = 0.5*0.1, 0, 0.5*(1-0.9), averaged over the three levels
     expected_pin = (0.5 * 0.1 + 0.0 + 0.5 * (1 - 0.9)) / 3
-    assert row.pinball == pytest.approx(expected_pin)
+    assert row["pinball"] == pytest.approx(expected_pin)
 
 
 def test_metric_table_serialization(tmp_path):
-    table = MetricTable([MetricRow("global", 1, 0.0758, 0.1521, 0.0, 0.0, 0.0)])
+    # mse 0.0758 and mae 0.1521 against itself: delta, ben and fb all 0
+    rows = [summarize_method("global", 1, np.array([0.0758]),
+                             np.array([0.1521]), np.array([0.0758]), 0.0)]
     path = tmp_path / "t.csv"
-    table.to_csv(str(path), paper_scale=True)
+    write_report_csv(str(path), paper_scale(rows), REPORT_COLUMNS)
     text = path.read_text().splitlines()
     assert text[0].startswith("method,horizon,mse")
     assert "7.58" in text[1]  # x100 convention
-    rec = table.to_records()[0]
+    rec = rows[0]
     assert rec["pinball"] is None

@@ -477,11 +477,92 @@ def test_trajectories_are_the_evaluation_forecasts(counted_evaluation):
             pred_global = model.rollout(pooled, x[0], h, tc)[0]
             pred_method = model.rollout(routed, x[0], h, tc)[0]
             expected += [{"series": prepared.dataset.names[i],
-                          "time": str(t + h), "actual": repr(y[0, j, 0]),
-                          "pred_global": repr(pred_global[j, 0]),
-                          "pred_method": repr(pred_method[j, 0])}
+                          "time": str(t + h), "actual": repr(float(y[0, j, 0])),
+                          "pred_global": repr(float(pred_global[j, 0])),
+                          "pred_method": repr(float(pred_method[j, 0]))}
                          for j, t in enumerate(ends)]
         assert rows == expected
+
+
+def same_bits(cell: str, value) -> bool:
+    """A CSV cell parses with float() to exactly the stored float64."""
+    return np.float64(float(cell)).tobytes() == np.float64(value).tobytes()
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("mode", ["point", "quantile"])
+def test_run_directory_csvs_parse(tmp_path, data_dir, monkeypatch, mode):
+    run_dir = str(tmp_path / "run")
+    cfg = write_config(tmp_path, data_dir, run_dir, f"mode = {mode}\n")
+    horizons = RunConfig.from_file(cfg).horizons
+    evaluated = []
+    final = clustering.final_refit_and_test
+
+    def keep(*args, **kwargs):
+        evaluated.append(final(*args, **kwargs))
+        return evaluated[-1]
+
+    monkeypatch.setattr(clustering, "final_refit_and_test", keep)
+    merged = str(tmp_path / "merged.csv")
+    for argv in (["select-k", "--config", cfg], ["evaluate", "--config", cfg],
+                 ["report", "--runs", run_dir, "--out", merged]):
+        assert cli.main(argv) == 0
+    (art,) = evaluated
+    manifest = pipeline.load_manifest(run_dir)
+
+    rows = read_csv(os.path.join(run_dir, "selection.csv"))
+    assert len(rows) == len(manifest["selection_table"]) == 4
+    for row, ref in zip(rows, manifest["selection_table"]):
+        assert row["converged"] == str(ref["converged"])
+        for key in ("k", "seed", "sel_abs", "sel_pen", "global_risk",
+                    "iterations"):
+            assert same_bits(row[key], ref[key])
+
+    with open(os.path.join(run_dir, "report.json")) as fh:
+        stored = json.load(fh)["rows"]
+    assert stored == art.report
+    for path, prefix in ((os.path.join(run_dir, "report.csv"), {}),
+                         (merged, {"run": run_dir})):
+        rows = read_csv(path)
+        assert len(rows) == len(stored) == 2 * len(horizons)
+        for row, ref in zip(rows, stored):
+            ref = dict(prefix, **ref)
+            assert row.keys() == ref.keys()
+            for key, value in ref.items():
+                if value is None:
+                    assert row[key] == "" and mode == "point"
+                elif isinstance(value, str):
+                    assert row[key] == value
+                else:
+                    assert same_bits(row[key], value)
+
+    prepared = pipeline.load_prepared(RunConfig.from_file(cfg))
+    names, t_end = prepared.dataset.names, prepared.spec.bounds("te")[1]
+    for h in horizons:
+        ref, mse = art.series_mse[("global", h)], art.series_mse[("cluster", h)]
+        rows = read_csv(os.path.join(run_dir, "plots", f"improvement_h{h}.csv"))
+        assert [r["series"] for r in rows] == names
+        for i, row in enumerate(rows):
+            assert same_bits(row["mse_method"], mse[i])
+            assert same_bits(row["mse_global"], ref[i])
+            assert same_bits(row["improvement_pct"],
+                             100.0 * (ref[i] - mse[i]) / ref[i])
+        glob, target = art.trajectories[("global", h)]
+        pred = art.trajectories[("cluster", h)][0]
+        rows = read_csv(os.path.join(run_dir, "plots", f"trajectory_h{h}.csv"))
+        n = target.shape[1]
+        assert len(rows) == len(target) * n
+        for k, row in enumerate(rows):
+            i, j = divmod(k, n)
+            assert row["series"] == names[i]
+            assert int(row["time"]) == t_end - n + j
+            assert same_bits(row["actual"], target[i, j, 0])
+            assert same_bits(row["pred_global"], glob[i, j, 0])
+            assert same_bits(row["pred_method"], pred[i, j, 0])
 
 
 def test_report_from_the_parent_of_a_relative_run_dir(tmp_path, data_dir,
@@ -497,6 +578,26 @@ def test_report_from_the_parent_of_a_relative_run_dir(tmp_path, data_dir,
     for run_dir in (os.path.join("sub", "rg"), str(work / "rg")):
         assert pipeline.cmd_report([run_dir]) == [dict(r, run=run_dir)
                                                   for r in rows]
+
+    # a cluster run trained in sub/ as "cg", then evaluated and served from
+    # the parent as "sub/cg", and served from sub/ again
+    monkeypatch.chdir(work)
+    cfg = write_config(work, data_dir, "cg", "k = 2\n")
+    assert cli.main(["train", "--config", cfg]) == 0
+    segment = os.path.join(data_dir, sorted(os.listdir(data_dir))[0])
+    monkeypatch.chdir(tmp_path)
+    parent = ["--config", cfg, "--set", "run_dir=" + os.path.join("sub", "cg")]
+    assert cli.main(["evaluate"] + parent) == 0
+    assert cli.main(["forecast-new", "--segment", segment,
+                     "--out", "from_parent.json"] + parent) == 0
+    rows = pipeline.cmd_report([os.path.join("sub", "cg")])
+    assert {r["method"] for r in rows} == {"global", "cluster"}
+    monkeypatch.chdir(work)
+    assert cli.main(["forecast-new", "--config", cfg, "--segment", segment,
+                     "--out", "from_sub.json"]) == 0
+    assert ((tmp_path / "from_parent.json").read_bytes()
+            == (work / "from_sub.json").read_bytes())
+    assert pipeline.cmd_report(["cg"]) == [dict(r, run="cg") for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +617,16 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     run_dir = str(tmp_path / "cli_run")
     good = write_config(tmp_path, data_dir, run_dir, "k = 2\n")
     assert cli.main(["train", "--config", good]) == 0
+    # a missing checkpoint is a data error, and an evaluation that failed
+    # before reading TEST leaves the run's one TEST evaluation unused
+    proto = os.path.join(run_dir, "checkpoints", "proto_01.pcm")
+    os.rename(proto, proto + ".away")
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", good]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert not pipeline.load_manifest(run_dir)["test_evaluated"]
+    os.rename(proto + ".away", proto)
     assert cli.main(["evaluate", "--config", good]) == 0
     assert cli.main(["evaluate", "--config", good]) == 5
     capsys.readouterr()
@@ -546,6 +657,20 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
                      "--n-times", "30", "--n-components", "2"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
+
+    # synth arguments SyntheticSpec rejects are config errors, raised
+    # before anything is written
+    bad_synth = str(tmp_path / "bad_synth")
+    for flags in (["--n-series", "2"],                # fewer series than --k 3
+                  ["--alpha", "1.5"], ["--alpha", "-0.1"],
+                  ["--n-series", "0"], ["--n-times", "0"],
+                  ["--n-components", "0"], ["--k", "0"], ["--noise", "-1"],
+                  ["--noise", "nan"]):
+        assert cli.main(["synth", "--out", bad_synth, "--n-times", "30",
+                         "--n-components", "2"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+    assert not os.path.exists(bad_synth)
 
     # a K above the number of series (9) is a config error, raised before
     # anything is fitted or written

@@ -55,6 +55,9 @@ def test_spec_validation():
         SyntheticSpec(heterogeneity=1.5)
     with pytest.raises(ValueError):
         SyntheticSpec(n_series=2, n_regimes=3)
+    for noise in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SyntheticSpec(noise_scale=noise)
 
 
 # ---------------------------------------------------------------------------
