@@ -34,9 +34,11 @@ for it, labels in enumerate(loop.label_trace):
 ari = adjusted_rand_index(loop.assignment.labels, true_labels)
 print(f"agreement with true regimes: ARI = {ari:.2f}")
 
+# each series' VAL loss under its own prototype comes from the loop's last
+# cost matrix; the pooled model's is scored once
 flags, routed, pooled_risk = clustering.sweep_run_fallback(
-    prepared, loop.assignment, loop.prototypes,
-    clustering.pooled_val_losses(prepared, pooled, cfg), cfg)
+    loop.assignment, loop.cost.own_losses(loop.assignment),
+    clustering.pooled_val_losses(prepared, pooled, cfg))
 print(f"fallback flags: {flags.flagged}")
 print(f"routed VAL risk {routed:.4f} <= pooled VAL risk {pooled_risk:.4f}")
 

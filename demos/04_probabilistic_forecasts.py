@@ -27,13 +27,14 @@ x, y = prepared.windows("tr", 1, cfg.w)
 pooled = train(init_params(6, 5, 16, 3, seed=derive_seed(0, "init")), None, x, y, cfg)
 
 window = prepared.dataset.values[0:1, 192:200, :]  # a batch of one window
-_, fan = rollout(pooled, window, 1, cfg)
+# one rollout gives the whole path: step j of the fan is path[:, j - 1]
+_, path = rollout(pooled, window, 6, cfg)
+fan, deep = path[:, 0], path[:, -1]
 print("one-step fan for one window, first three components:")
 for level, row in zip(cfg.quantiles, fan[0]):
     print(f"  q={level:.1f}: {np.round(row[:3], 3)}")
 print("monotone across levels:", bool(np.all(np.diff(fan[0], axis=0) >= -1e-12)))
 
-_, deep = rollout(pooled, window, 6, cfg)
 print("\nsix-step-ahead fan widens:",
       float((fan[0, -1] - fan[0, 0]).mean()), "->",
       float((deep[0, -1] - deep[0, 0]).mean()))

@@ -30,8 +30,8 @@ truth = clustering.Assignment(labels.copy(), 3)
 prototypes, _ = clustering.fit_prototypes(prepared, truth, pooled, cfg,
                                           proto_epochs=10)
 flags, _, _ = clustering.sweep_run_fallback(
-    prepared, truth, prototypes, clustering.pooled_val_losses(prepared, pooled, cfg),
-    cfg)
+    truth, clustering.own_val_losses(prepared, truth, prototypes, cfg, "huber"),
+    clustering.pooled_val_losses(prepared, pooled, cfg))
 print("fallback flags:", flags.flagged)
 
 hits = 0
@@ -50,7 +50,7 @@ print(f"pure-noise segment routes to: "
 segment = prepared.standardizer.transform(deploy_segments[4])
 routed = clustering.assign_new_series(segment, pooled, prototypes, flags, cfg)
 chosen = pooled if routed < 0 else prototypes[routed]
-forecast = rollout(chosen, segment[None, -cfg.w:], 6, cfg)[0][0]
+forecast = rollout(chosen, segment[None, -cfg.w:], 6, cfg)[0][0, -1]
 print(f"\nseries 4 routes to prototype {routed}; 6-step-ahead forecast "
       f"(standardized): {np.round(forecast[:4], 3)} ...")
 print("forecast in raw units:",

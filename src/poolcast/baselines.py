@@ -121,9 +121,12 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
         protos, inert = fit_prototypes(prepared, assignment, global_params,
                                        run_cfg, proto_epochs, cache)
         loop = clustering.LoopResult(assignment, protos, inert,
-                                     [assignment.labels], converged=True)
-        return (loop,) + clustering.sweep_run_fallback(
-            prepared, assignment, protos, pooled, run_cfg, kind="mse")
+                                     [assignment.labels], converged=True,
+                                     cost=None)
+        prepared.audit.set_phase("fallback")
+        own = clustering.own_val_losses(prepared, assignment, protos, run_cfg,
+                                        "mse")
+        return (loop,) + clustering.sweep_run_fallback(assignment, own, pooled)
 
     return clustering.run_sweep(prepared, sel_cfg, run)
 

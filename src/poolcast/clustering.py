@@ -53,13 +53,22 @@ class Assignment:
 class CostMatrix:
     """VAL losses, one row per series and one column per prototype.
 
-    Entries are means over the assignment horizons; NaN marks an undefined
-    entry (no valid windows). Rows that are entirely NaN are excluded from
-    reassignment and keep their previous label.
+    ``values`` holds the means over the assignment ``horizons``;
+    ``by_horizon`` maps every horizon scored, the assignment horizons and
+    always h = 1 (the fallback's horizon), to its own (N, K) losses. NaN
+    marks an undefined entry (no valid windows). Rows of ``values`` that are
+    entirely NaN are excluded from reassignment and keep their previous
+    label.
     """
 
     values: np.ndarray
     horizons: tuple
+    by_horizon: dict
+
+    def own_losses(self, assignment: "Assignment") -> np.ndarray:
+        """Each series' loss at h = 1 under the prototype it is assigned to."""
+        return self.by_horizon[1][np.arange(len(assignment.labels)),
+                                  assignment.labels]
 
 
 @dataclass(frozen=True)
@@ -158,22 +167,27 @@ def compute_cost_matrix(prepared: PreparedData, prototypes: list[ParamSet],
     """VAL loss of every series under every prototype, averaged over horizons.
 
     Point mode scores with Huber, quantile mode with multi-level pinball;
-    h > 1 entries use recursive rollout. Horizons with no valid VAL windows
-    are skipped; if none remain, the whole matrix is NaN.
+    h > 1 entries use recursive rollout, one rollout per prototype for every
+    horizon. Horizons with no valid VAL windows are skipped in the mean; if
+    none remain, the whole matrix is NaN. The h = 1 losses are kept as well,
+    for the fallback.
     """
     n = prepared.n_series
-    cols = []
-    for k, proto in enumerate(prototypes):
-        per_h = []
-        for h in horizons:
-            vals = losses.per_series_split_losses(proto, prepared, "va", h, cfg)
-            if vals is not None:
-                per_h.append(vals)
-        if per_h:
-            cols.append(np.mean(per_h, axis=0))
-        else:
-            cols.append(np.full(n, np.nan))
-    return CostMatrix(np.stack(cols, axis=1), tuple(horizons))
+    kind = "pinball" if cfg.mode == "quantile" else "huber"
+    scored = tuple(sorted(set(horizons) | {1}))
+    cols = {h: [] for h in scored}
+    means = []
+    for proto in prototypes:
+        ((_, by_h),) = losses.split_forecasts([(proto, np.arange(n))], prepared,
+                                              "va", scored, cfg)
+        per_h = {h: losses.horizon_losses(kind, by_h[h], cfg) for h in scored}
+        for h in scored:
+            cols[h].append(np.full(n, np.nan) if per_h[h] is None else per_h[h])
+        present = [per_h[h] for h in horizons if per_h[h] is not None]
+        means.append(np.mean(present, axis=0) if present
+                     else np.full(n, np.nan))
+    return CostMatrix(np.stack(means, axis=1), tuple(horizons),
+                      {h: np.stack(c, axis=1) for h, c in cols.items()})
 
 
 def reassign(cost: CostMatrix, prev: Assignment) -> Assignment:
@@ -199,6 +213,7 @@ class LoopResult:
     inert: np.ndarray
     label_trace: list[np.ndarray]
     converged: bool
+    cost: CostMatrix | None   # the last reassignment's; None without a loop
 
 
 def outer_loop(prepared: PreparedData, global_params: ParamSet,
@@ -213,6 +228,7 @@ def outer_loop(prepared: PreparedData, global_params: ParamSet,
     assignment = init
     trace = [init.labels.copy()]
     prototypes, inert = [], np.zeros(init.n_clusters, dtype=bool)
+    cost = None
     converged = False
     for it in range(1, sel_cfg.max_outer_iters + 1):
         prepared.audit.set_phase("fit-prototypes")
@@ -227,7 +243,7 @@ def outer_loop(prepared: PreparedData, global_params: ParamSet,
         if unchanged:
             converged = True
             break
-    return LoopResult(assignment, prototypes, inert, trace, converged)
+    return LoopResult(assignment, prototypes, inert, trace, converged, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +261,28 @@ def pooled_val_losses(prepared: PreparedData, global_params: ParamSet,
     return glob
 
 
-def cluster_val_means(prepared: PreparedData, assignment: Assignment,
-                      prototypes: list[ParamSet], pooled: np.ndarray,
-                      cfg: TrainConfig, kind: str | None = None
+def own_val_losses(prepared: PreparedData, assignment: Assignment,
+                   prototypes: list[ParamSet], cfg: TrainConfig,
+                   kind: str) -> np.ndarray:
+    """Per-series VAL ``kind`` loss at h=1 of every series under its own
+    cluster's prototype, one rollout per non-empty cluster; for runs without
+    a :class:`CostMatrix` to read it from (:meth:`CostMatrix.own_losses`)."""
+    groups = [(prototypes[j], assignment.members(j))
+              for j in range(assignment.n_clusters)
+              if len(assignment.members(j))]
+    own = np.full(prepared.n_series, np.nan)
+    for ids, by_h in losses.split_forecasts(groups, prepared, "va", (1,), cfg):
+        own[ids] = losses.horizon_losses(kind, by_h[1], cfg)
+    return own
+
+
+def cluster_val_means(assignment: Assignment, own: np.ndarray,
+                      pooled: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sizes, mean member VAL loss at h=1 under own prototype / under pooled),
-    given the pooled model's per-series losses from :func:`pooled_val_losses`."""
+    given every series' loss under its own prototype (:func:`own_val_losses`
+    or :meth:`CostMatrix.own_losses`) and under the pooled model
+    (:func:`pooled_val_losses`)."""
     k = assignment.n_clusters
     sizes = assignment.sizes()
     clus_means = np.full(k, np.nan)
@@ -259,9 +291,7 @@ def cluster_val_means(prepared: PreparedData, assignment: Assignment,
         members = assignment.members(j)
         if len(members) == 0:
             continue
-        own = losses.per_series_split_losses(prototypes[j], prepared, "va", 1,
-                                             cfg, kind=kind, series=members)
-        clus_means[j] = float(np.mean(own))
+        clus_means[j] = float(np.mean(own[members]))
         glob_means[j] = float(np.mean(pooled[members]))
     return sizes, clus_means, glob_means
 
@@ -295,19 +325,15 @@ def val_risk_pair(means: tuple, flags: FallbackFlags) -> tuple[float, float]:
     return float(routed_total / n), float(global_total / n)
 
 
-def sweep_run_fallback(prepared: PreparedData, assignment: Assignment,
-                       prototypes: list[ParamSet], pooled: np.ndarray,
-                       cfg: TrainConfig, kind: str | None = None
+def sweep_run_fallback(assignment: Assignment, own: np.ndarray,
+                       pooled: np.ndarray
                        ) -> tuple[FallbackFlags, float, float]:
-    """Fallback flags and (routed, pooled) VAL risk of one (K, seed) run.
-
-    Scores each cluster's members once and reuses ``pooled``, the pooled
-    model's VAL losses from :func:`pooled_val_losses`, which are the same for
-    every run of a sweep.
-    """
-    prepared.audit.set_phase("fallback")
-    means = cluster_val_means(prepared, assignment, prototypes, pooled, cfg,
-                              kind=kind)
+    """Fallback flags and (routed, pooled) VAL risk of one (K, seed) run, from
+    every series' VAL loss at h=1 under its own prototype and under the
+    pooled model (see :func:`cluster_val_means`). Reads no data: the pooled
+    losses are the same for every run of a sweep, and the run's own losses
+    come from its cost matrix or one rollout per cluster."""
+    means = cluster_val_means(assignment, own, pooled)
     flags = compute_fallback(means)
     return (flags,) + val_risk_pair(means, flags)
 
@@ -454,8 +480,8 @@ def select_k(prepared: PreparedData, global_params: ParamSet, cfg: TrainConfig,
         run_cfg = replace(cfg, seed=derive_seed(cfg.seed, "proto", seed))
         loop = outer_loop(prepared, global_params, init, run_cfg, sel_cfg,
                           proto_epochs, cache)
-        return (loop,) + sweep_run_fallback(prepared, loop.assignment,
-                                            loop.prototypes, pooled, run_cfg)
+        return (loop,) + sweep_run_fallback(
+            loop.assignment, loop.cost.own_losses(loop.assignment), pooled)
 
     return run_sweep(prepared, sel_cfg, run)
 
@@ -485,17 +511,16 @@ def val_calibration_streams(prepared: PreparedData, models: list[ParamSet],
                             horizons, cfg: TrainConfig) -> dict:
     """Per horizon, the VAL (median, lower, upper, target) streams of every
     series under its routed model, for :func:`calibration.calibrate`; needs a
-    quantile-mode config."""
-    streams = {}
-    groups = losses.model_groups(models)
-    for h in horizons:
-        parts = [(point.ravel(), fan[:, :, 0].ravel(), fan[:, :, -1].ravel(),
-                  y.ravel())
-                 for _, point, fan, y in losses.split_forecasts(
-                     groups, prepared, "va", h, cfg) if y.shape[1]]
-        if parts:
-            streams[h] = tuple(np.concatenate(c) for c in zip(*parts))
-    return streams
+    quantile-mode config. One rollout per model serves every horizon."""
+    parts = {h: [] for h in horizons}
+    for _, by_h in losses.split_forecasts(losses.model_groups(models), prepared,
+                                          "va", horizons, cfg):
+        for h, (point, fan, y) in by_h.items():
+            if y.shape[1]:
+                parts[h].append((point.ravel(), fan[:, :, 0].ravel(),
+                                 fan[:, :, -1].ravel(), y.ravel()))
+    return {h: tuple(np.concatenate(c) for c in zip(*p))
+            for h, p in parts.items() if p}
 
 
 def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
@@ -569,18 +594,20 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     scored = [("global", [(refit_global, all_series)], 0.0)]
     if method != "global":
         scored.append((method, losses.model_groups(routed), fallback_share))
-    report = []
-    series_mse, trajectories = {}, {}
-    for h in horizons:
-        for name, groups, share in scored:
-            s_mse, s_mae = np.empty(n), np.empty(n)
-            s_pin = np.empty(n) if cfg.mode == "quantile" else None
-            bands = []   # (target, lower, upper) of each group, in group order
-            shown = {}   # series -> (point, target), for the plots
-            for ids, point, fan, y in losses.split_forecasts(
-                    groups, prepared, "te", h, cfg):
+    # (method, h) -> per-series MSE, MAE and pinball, the (target, lower,
+    # upper) bands of each group in group order, and series -> (point,
+    # target) for the plots
+    scores = {(name, h): (np.empty(n), np.empty(n),
+                          np.empty(n) if cfg.mode == "quantile" else None,
+                          [], {})
+              for name, _, _ in scored for h in horizons}
+    for name, groups, _ in scored:
+        for ids, by_h in losses.split_forecasts(groups, prepared, "te",
+                                                horizons, cfg):
+            for h, (point, fan, y) in by_h.items():
                 if y.shape[1] == 0:
                     raise ValueError(f"no TEST windows at h={h}")
+                s_mse, s_mae, s_pin, bands, shown = scores[(name, h)]
                 s_mse[ids] = losses.series_means("mse", point, y, cfg)
                 s_mae[ids] = losses.series_means("mae", point, y, cfg)
                 if fan is not None:
@@ -591,6 +618,12 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
                     bands.append((y.ravel(), lo.ravel(), hi.ravel()))
                 keep = ids < TRAJECTORY_SERIES
                 shown.update(zip(ids[keep], zip(point[keep], y[keep])))
+
+    report = []
+    series_mse, trajectories = {}, {}
+    for h in horizons:
+        for name, _, share in scored:
+            s_mse, s_mae, s_pin, bands, shown = scores[(name, h)]
             coverage = width = None
             if bands:
                 coverage, width = losses.interval_stats(

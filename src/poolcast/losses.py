@@ -84,28 +84,47 @@ def model_groups(models) -> list[tuple]:
     return [(models[ids[0]], np.asarray(ids)) for ids in groups.values()]
 
 
-def split_forecasts(groups, prepared, tag: str, h: int, cfg):
-    """h-step forecasts of one segment, one batch per ``(params, series)`` group.
+def split_forecasts(groups, prepared, tag: str, horizons, cfg):
+    """Forecasts of one segment at every horizon, one rollout per
+    ``(params, series)`` group.
 
-    Yields ``(series, point, fan, target)`` in group order: the point forecasts
-    (S, n, P), the quantile fan (S, n, Q, P) or None in point mode, and the
-    targets (S, n, P), for the S series of the group and the n windows of the
-    segment. A segment without windows yields n = 0 and runs no rollout.
-    Every split forecast runs through here.
+    Yields ``(series, by_horizon)`` in group order. ``by_horizon`` maps each
+    horizon h to ``(point, fan, target)``: the h-step point forecasts
+    (S, n_h, P), the quantile fan (S, n_h, Q, P) or None in point mode, and
+    the targets (S, n_h, P), for the S series of the group and the n_h
+    windows of the segment at h. A segment without windows at h gives
+    n_h = 0. Every split forecast runs through here.
     """
     from . import model  # deferred: model depends on this module for losses
 
+    horizons = tuple(horizons)
+    h_first, h_last = min(horizons), max(horizons)
+    index = prepared.window_index(tag, cfg.w, horizons)
     for params, series in groups:
-        x, y = prepared.per_series_windows(tag, h, cfg.w, series)
+        # Every horizon's end times start at the same first end time, so the
+        # windows of a longer horizon are a prefix of the shortest horizon's,
+        # and the target of window i at h is the shortest horizon's target of
+        # window i + h - h_first. One gather thus serves every horizon, and
+        # one rollout to the longest horizon forecasts them all.
+        x, y = prepared.per_series_windows(tag, h_first, cfg.w, series)
         s, n, w, p = x.shape
-        if n == 0:
-            fan = (np.empty((s, 0, len(cfg.quantiles), p))
+        if n:
+            point, fan = model.rollout(params, x.reshape(s * n, w, p), h_last,
+                                       cfg)
+        else:
+            point = np.empty((0, h_last, p))
+            fan = (np.empty((0, h_last, len(cfg.quantiles), p))
                    if cfg.mode == "quantile" else None)
-            yield series, np.empty((s, 0, p)), fan, y
-            continue
-        point, fan = model.rollout(params, x.reshape(s * n, w, p), h, cfg)
-        yield (series, point.reshape(s, n, p),
-               None if fan is None else fan.reshape(s, n, -1, p), y)
+        point = point.reshape(s, n, h_last, p)
+        if fan is not None:
+            fan = fan.reshape(s, n, h_last, fan.shape[-2], p)
+        by_horizon = {}
+        for h in horizons:
+            n_h, lag = index.count(h), h - h_first
+            by_horizon[h] = (point[:, :n_h, h - 1],
+                             None if fan is None else fan[:, :n_h, h - 1],
+                             y[:, lag:lag + n_h])
+        yield series, by_horizon
 
 
 def series_means(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarray:
@@ -116,24 +135,34 @@ def series_means(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.nda
     return per.mean(axis=tuple(range(2, per.ndim))).mean(axis=1)
 
 
+def horizon_losses(kind: str, forecast: tuple, cfg) -> np.ndarray | None:
+    """Per-series mean ``kind`` loss of one horizon's ``(point, fan,
+    target)`` from :func:`split_forecasts`, or None when the segment has no
+    windows at that horizon. "pinball" scores the fan (and needs a
+    quantile-mode config); the point losses score the point forecast, i.e.
+    the median path in quantile mode."""
+    point, fan, y = forecast
+    if y.shape[1] == 0:
+        return None
+    return series_means(kind, fan if kind == "pinball" else point, y, cfg)
+
+
 def per_series_split_losses(params, prepared, tag: str, h: int, cfg,
                             kind: str | None = None,
                             series=None) -> np.ndarray | None:
     """Per-series mean forecasting loss on one segment at one horizon.
 
     Uses recursive rollout for h > 1. ``kind`` overrides the loss implied by
-    the config mode (any :func:`loss_elem` kind; the point losses score the
-    point forecast, i.e. the median path in quantile mode, and "pinball"
-    needs a quantile-mode config). Returns an array of shape
+    the config mode (any :func:`loss_elem` kind, scored as in
+    :func:`horizon_losses`). Returns an array of shape
     (n_series_selected,), or None when the window index is empty.
     """
     if series is None:
         series = np.arange(prepared.n_series)
     kind = kind or ("pinball" if cfg.mode == "quantile" else "huber")
-    ((_, point, fan, y),) = split_forecasts([(params, series)], prepared, tag, h, cfg)
-    if y.shape[1] == 0:
-        return None
-    return series_means(kind, fan if kind == "pinball" else point, y, cfg)
+    ((_, by_horizon),) = split_forecasts([(params, series)], prepared, tag,
+                                         (h,), cfg)
+    return horizon_losses(kind, by_horizon[h], cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -230,49 +230,74 @@ class TrainConfig:
 
 @dataclass
 class _GruCache:
-    x: np.ndarray
-    z_in: np.ndarray       # encoded inputs (n, w, r)
-    upd: np.ndarray        # gate activations, all (n, w, H)
-    rst: np.ndarray
-    cand: np.ndarray
-    h_states: np.ndarray   # (n, w+1, H), h_states[:, 0] = 0
+    x: np.ndarray          # inputs (n, w, P)
+    z_in: np.ndarray       # encoded inputs, time-major (w, n, r)
+    zr: np.ndarray         # update and reset activations, time-major (w, n, 2H)
+    cand: np.ndarray       # candidate activations, time-major (w, n, H)
+    h_states: np.ndarray   # time-major (w+1, n, H), h_states[0] = 0
     w_all: np.ndarray      # input weights of the three gates, (3H, r)
     u_zr: np.ndarray       # recurrent weights of update and reset, (2H, H)
 
 
 def _gru_forward(params: ParamSet, x: np.ndarray, keep: bool = True
                  ) -> tuple[np.ndarray, _GruCache | None]:
-    """Final hidden state, plus the activations backprop needs when ``keep``."""
+    """Final hidden state of a batch of windows (n, w, P), plus the
+    activations backprop needs when ``keep``.
+
+    The windows are encoded time-major, so every step reads and writes
+    contiguous (n, .) blocks in place; ``x`` may itself be a view of
+    time-major memory, which then encodes without a copy. Without ``keep``
+    two hidden-state buffers take turns.
+    """
     n, w, p = x.shape
     hid = params.hidden
-    z_in = x.reshape(n * w, p) @ params.mix.T
+    z_in = x.transpose(1, 0, 2).reshape(w * n, p) @ params.mix.T
     w_all = np.concatenate([params.w_update, params.w_reset, params.w_cand])
     b_all = np.concatenate([params.b_update, params.b_reset, params.b_cand])
-    gates_in = (z_in @ w_all.T + b_all).reshape(n, w, 3 * hid)
+    gates_in = z_in @ w_all.T
+    gates_in += b_all
+    gates_in = gates_in.reshape(w, n, 3 * hid)
     g_zr, g_c = gates_in[:, :, :2 * hid], gates_in[:, :, 2 * hid:]
     u_zr = np.concatenate([params.u_update, params.u_reset])
+    # transposed views, not copies: at n = 1 a copy would change the BLAS call
     u_zr_t, u_cand_t = u_zr.T, params.u_cand.T
 
     if keep:
-        zr_all = np.empty((n, w, 2 * hid))
-        cand = np.empty((n, w, hid))
-        h_states = np.empty((n, w + 1, hid))
-    h = np.zeros((n, hid))
+        zr_all, cand = np.empty((w, n, 2 * hid)), np.empty((w, n, hid))
+        h_states = np.empty((w + 1, n, hid))
+        h_states[0] = 0.0
+    else:
+        # one step's activations, rewritten every step, and two hidden
+        # states that take turns
+        zr_all, cand = [np.empty((n, 2 * hid))] * w, [np.empty((n, hid))] * w
+        h_states = [np.zeros((n, hid)), np.empty((n, hid))] * (w // 2 + 1)
+    tmp = np.empty((n, hid))
     with np.errstate(over="ignore"):
         for t in range(w):
-            zr = _sigmoid(g_zr[:, t] + h @ u_zr_t)
+            zr, c, h, h_next = zr_all[t], cand[t], h_states[t], h_states[t + 1]
             z = zr[:, :hid]
-            c = np.tanh(g_c[:, t] + (zr[:, hid:] * h) @ u_cand_t)
-            if keep:
-                h_states[:, t] = h
-                zr_all[:, t] = zr
-                cand[:, t] = c
-            h = z * h + (1.0 - z) * c
+            # zr = sigmoid(g_zr + h @ u_zr.T), in place (out arguments are
+            # positional: keyword parsing costs more than the small ops)
+            np.matmul(h, u_zr_t, zr)
+            np.add(zr, g_zr[t], zr)
+            np.negative(zr, zr)
+            np.exp(zr, zr)
+            np.add(zr, 1.0, zr)
+            np.divide(1.0, zr, zr)
+            # c = tanh(g_c + (r * h) @ u_cand.T)
+            np.multiply(zr[:, hid:], h, tmp)
+            np.matmul(tmp, u_cand_t, c)
+            np.add(c, g_c[t], c)
+            np.tanh(c, c)
+            # h_next = z * h + (1 - z) * c
+            np.multiply(z, h, h_next)
+            np.subtract(1.0, z, tmp)
+            np.multiply(tmp, c, tmp)
+            np.add(h_next, tmp, h_next)
     if not keep:
-        return h, None
-    h_states[:, w] = h
-    return h, _GruCache(x, z_in.reshape(n, w, params.latent), zr_all[:, :, :hid],
-                        zr_all[:, :, hid:], cand, h_states, w_all, u_zr)
+        return h_states[w], None
+    return h_states[w], _GruCache(x, z_in.reshape(w, n, params.latent),
+                                  zr_all, cand, h_states, w_all, u_zr)
 
 
 def _gru_backward(params: ParamSet, cache: _GruCache, dh: np.ndarray,
@@ -280,11 +305,13 @@ def _gru_backward(params: ParamSet, cache: _GruCache, dh: np.ndarray,
     n, w, _ = cache.x.shape
     hid = params.hidden
     u_zr, u_cand = cache.u_zr, params.u_cand
+    # series-major, like the activations transposed back below, so the
+    # weight gradients sum over windows in series-major order
     d_acts = np.empty((n, w, 3 * hid))
     dh = dh.copy()
     for t in range(w - 1, -1, -1):
-        h_prev = cache.h_states[:, t]
-        z, r, c = cache.upd[:, t], cache.rst[:, t], cache.cand[:, t]
+        h_prev = cache.h_states[t]
+        z, r, c = cache.zr[t, :, :hid], cache.zr[t, :, hid:], cache.cand[t]
         one_m_z = 1.0 - z
         da_c = (dh * one_m_z) * (1.0 - c * c)
         d_rh = da_c @ u_cand
@@ -293,7 +320,7 @@ def _gru_backward(params: ParamSet, cache: _GruCache, dh: np.ndarray,
         d_acts[:, t, 2 * hid:] = da_c
         dh = dh * z + d_rh * r + d_acts[:, t, :2 * hid] @ u_zr
     flat_acts = d_acts.reshape(n * w, 3 * hid)
-    flat_z = cache.z_in.reshape(n * w, params.latent)
+    flat_z = cache.z_in.transpose(1, 0, 2).reshape(n * w, params.latent)
     dw_all = flat_acts.T @ flat_z
     grads.w_update += dw_all[:hid]
     grads.w_reset += dw_all[hid:2 * hid]
@@ -302,10 +329,11 @@ def _gru_backward(params: ParamSet, cache: _GruCache, dh: np.ndarray,
     grads.b_update += db_all[:hid]
     grads.b_reset += db_all[hid:2 * hid]
     grads.b_cand += db_all[2 * hid:]
-    h_prevs = cache.h_states[:, :w].reshape(n * w, hid)
+    h_prevs = cache.h_states[:w].transpose(1, 0, 2).reshape(n * w, hid)
     grads.u_update += d_acts[:, :, :hid].reshape(n * w, hid).T @ h_prevs
     grads.u_reset += d_acts[:, :, hid:2 * hid].reshape(n * w, hid).T @ h_prevs
-    rh_all = (cache.rst * cache.h_states[:, :w]).reshape(n * w, hid)
+    rh_all = (cache.zr[:, :, hid:] * cache.h_states[:w]).transpose(1, 0, 2)
+    rh_all = rh_all.reshape(n * w, hid)
     grads.u_cand += d_acts[:, :, 2 * hid:].reshape(n * w, hid).T @ rh_all
     dz_in = flat_acts @ cache.w_all
     grads.mix += dz_in.T @ cache.x.reshape(n * w, params.p_dim)
@@ -330,14 +358,16 @@ def _quantiles_from_hidden(params: ParamSet, h: np.ndarray
 
 def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
             ) -> tuple[np.ndarray, np.ndarray | None]:
-    """h-step forecasts of a batch of windows (n, w, P) in the config's mode.
+    """The h-step forecast paths of a batch of windows (n, w, P) in the
+    config's mode.
 
     One-step predictions are fed back, dropping the oldest window row each
     step; in quantile mode the value fed back is the median path. Returns
-    ``(point, fan)``: in point mode the point forecasts (n, P) and None; in
-    quantile mode the median path (n, P) and the fan (n, Q, P) at
-    ``cfg.quantiles``, taken at the final step. Every forecast outside
-    training and :func:`batch_loss` runs through here.
+    ``(point, fan)`` with step j at ``[:, j - 1]``: in point mode the point
+    forecasts (n, h, P) and None; in quantile mode the median path
+    (n, h, P) and the fan (n, h, Q, P) at ``cfg.quantiles``. A rollout to h
+    thus serves every horizon up to h. Every forecast outside training and
+    :func:`batch_loss` runs through here.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
@@ -348,16 +378,23 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
                              f"produces {params.n_levels}")
         med = median_index(cfg.quantiles)
     x = np.asarray(window, dtype=np.float64)
-    fan = None
+    n, w, p = x.shape
+    # the windows and the fed-back forecasts, time-major: step j reads rows
+    # j .. j + w - 1, which the GRU encodes without a copy
+    path = np.empty((w + h - 1, n, p))
+    path[:w] = x.transpose(1, 0, 2)
+    point = np.empty((n, h, p))
+    fan = np.empty((n, h, params.n_levels, p)) if quantile else None
     for step in range(h):
-        hidden, _ = _gru_forward(params, x, keep=False)
+        hidden, _ = _gru_forward(params, path[step:step + w].transpose(1, 0, 2),
+                                 keep=False)
         if quantile:
-            fan = _quantiles_from_hidden(params, hidden)[0]
-            point = fan[:, med]
+            fan[:, step] = _quantiles_from_hidden(params, hidden)[0]
+            point[:, step] = fan[:, step, med]
         else:
-            point = _point_from_hidden(params, hidden)[0]
+            point[:, step] = _point_from_hidden(params, hidden)[0]
         if step < h - 1:
-            x = np.concatenate([x[:, 1:], point[:, None, :]], axis=1)
+            path[w + step] = point[:, step]
     return point, fan
 
 

@@ -170,6 +170,14 @@ class RunConfig:
             raise ConfigError(f"unknown data format {self.data_format!r}")
         if not (0.0 < self.coverage_target < 1.0):
             raise ConfigError("coverage_target must lie in (0, 1)")
+        for key in ("horizons", "assign_horizons"):
+            hs = getattr(self, key)
+            if not hs:
+                raise ConfigError(f"{key} must name at least one horizon")
+            if min(hs) < 1:
+                raise ConfigError(f"{key} must all be >= 1, got {list(hs)}")
+            if len(set(hs)) != len(hs):
+                raise ConfigError(f"{key} repeats a horizon: {list(hs)}")
 
     # resolved values -------------------------------------------------------
 
@@ -603,11 +611,12 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     routed_id = clustering.assign_new_series(segment, refit_global, prototypes,
                                              flags, tc)
     chosen = refit_global if routed_id < 0 else prototypes[routed_id]
-    window = segment[-tc.w:]
+    # one rollout to the longest horizon serves every horizon
+    point, fan = model.rollout(chosen, segment[None, -tc.w:],
+                               max(cfg.horizons), tc)
     forecasts = {}
     for h in cfg.horizons:
-        point, fan = model.rollout(chosen, window[None], h, tc)
-        std_vals = point[0] if fan is None else fan[0]
+        std_vals = point[0, h - 1] if fan is None else fan[0, h - 1]
         forecasts[str(h)] = {"standardized": std_vals.tolist(),
                              "raw": std.inverse(std_vals).tolist()}
         if fan is not None:

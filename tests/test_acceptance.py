@@ -134,6 +134,7 @@ def _gradcheck_instance(mode, seed, step=1e-5):
     # central differences straddle a loss kink when a residual sits within
     # the step of it; redraw deterministically in that rare case
     point, fan = rollout(params, x, 1, cfg)
+    point, fan = point[:, -1], None if fan is None else fan[:, -1]
     if mode == "point":
         margin = np.abs(np.abs(point - y) - cfg.huber_delta)
     else:
@@ -267,13 +268,13 @@ def test_criterion_05_reassignment_properties():
     for trial in range(20):
         c = rng.uniform(size=(10, 4))
         prev = clustering.Assignment(rng.integers(0, 4, size=10), 4)
-        new = clustering.reassign(clustering.CostMatrix(c, (1,)), prev)
+        new = clustering.reassign(clustering.CostMatrix(c, (1,), {1: c}), prev)
         chosen = np.sum(c[np.arange(10), new.labels])
         assert chosen == np.sum(c.min(axis=1))
         assert chosen <= np.sum(c[np.arange(10), prev.labels])
     for trial in range(10):
         c = rng.uniform(size=(6, 2))
-        new = clustering.reassign(clustering.CostMatrix(c, (1,)),
+        new = clustering.reassign(clustering.CostMatrix(c, (1,), {1: c}),
                                   clustering.Assignment(np.zeros(6, dtype=int), 2))
         best = min(sum(c[i, lab[i]] for i in range(6))
                    for lab in itertools.product(range(2), repeat=6))
@@ -312,8 +313,9 @@ def test_criterion_06_fallback_dominance(heterogeneous_runs,
             scale=9.0, size=bad.flat.size - bad.spec_offset)
         corrupted.append(bad)
     flags, _, _ = clustering.sweep_run_fallback(
-        prepared, assignment, corrupted,
-        clustering.pooled_val_losses(prepared, gp, cfg), cfg)
+        assignment,
+        clustering.own_val_losses(prepared, assignment, corrupted, cfg, "huber"),
+        clustering.pooled_val_losses(prepared, gp, cfg))
     assert flags.flagged == (True, True, True)
     art = clustering.final_refit_and_test(
         prepared, assignment, flags, gp, corrupted, cfg, horizons=(1,),

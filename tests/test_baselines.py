@@ -131,8 +131,8 @@ def test_all_flagged_collapses_to_global_bitwise(world):
         p.flat[p.spec_offset:] += rng.normal(scale=9.0,
                                              size=p.flat.size - p.spec_offset)
     pooled = clustering.pooled_val_losses(prepared, gp, CFG, kind="mse")
-    flags, _, _ = clustering.sweep_run_fallback(prepared, a, protos, pooled,
-                                                CFG, kind="mse")
+    flags, _, _ = clustering.sweep_run_fallback(
+        a, clustering.own_val_losses(prepared, a, protos, CFG, "mse"), pooled)
     assert flags.flagged == (True, True, True)
     art = clustering.final_refit_and_test(prepared, a, flags, gp, protos, CFG,
                                           horizons=(1,), method="random_balanced",

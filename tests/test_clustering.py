@@ -1,6 +1,8 @@
 import itertools
 import os
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from poolcast.clustering import (Assignment, CostMatrix, FallbackFlags,
                                  cluster_val_means, compute_cost_matrix,
                                  compute_fallback, fit_prototypes,
                                  init_assignments, outer_loop,
-                                 pooled_val_losses, reassign,
+                                 own_val_losses, pooled_val_losses, reassign,
                                  sweep_run_fallback, val_risk_pair)
 from poolcast.data import SplitSpec, prepare
 from poolcast.model import TrainConfig, init_params, rollout, train
@@ -72,16 +74,16 @@ def test_feature_init_uses_kmeans():
 
 
 def test_reassign_argmin_and_ties():
-    cost = CostMatrix(np.array([[0.3, 0.1, 0.2],
-                                [0.1, 0.1, 0.5],
-                                [np.nan, 0.2, 0.1]]), (1,))
+    c = np.array([[0.3, 0.1, 0.2], [0.1, 0.1, 0.5], [np.nan, 0.2, 0.1]])
+    cost = CostMatrix(c, (1,), {1: c})
     prev = Assignment(np.array([0, 2, 0]), 3)
     new = reassign(cost, prev)
     np.testing.assert_array_equal(new.labels, [1, 0, 2])
 
 
 def test_reassign_keeps_label_for_undefined_rows():
-    cost = CostMatrix(np.array([[np.nan, np.nan], [0.5, 0.1]]), (1,))
+    c = np.array([[np.nan, np.nan], [0.5, 0.1]])
+    cost = CostMatrix(c, (1,), {1: c})
     prev = Assignment(np.array([1, 0]), 2)
     new = reassign(cost, prev)
     assert new.labels[0] == 1 and new.labels[1] == 1
@@ -90,14 +92,14 @@ def test_reassign_keeps_label_for_undefined_rows():
 def test_reassign_attains_row_minimum():
     rng = np.random.default_rng(0)
     c = rng.uniform(size=(12, 4))
-    new = reassign(CostMatrix(c, (1,)), Assignment(np.zeros(12, dtype=int), 4))
+    new = reassign(CostMatrix(c, (1,), {1: c}), Assignment(np.zeros(12, dtype=int), 4))
     assert np.sum(c[np.arange(12), new.labels]) == np.sum(c.min(axis=1))
 
 
 def test_reassign_matches_bruteforce_enumeration():
     rng = np.random.default_rng(3)
     c = rng.uniform(size=(6, 2))
-    new = reassign(CostMatrix(c, (1,)), Assignment(np.zeros(6, dtype=int), 2))
+    new = reassign(CostMatrix(c, (1,), {1: c}), Assignment(np.zeros(6, dtype=int), 2))
     got = np.sum(c[np.arange(6), new.labels])
     best = min(sum(c[i, lab[i]] for i in range(6))
                for lab in itertools.product(range(2), repeat=6))
@@ -108,7 +110,7 @@ def test_reassign_never_increases_cost():
     rng = np.random.default_rng(4)
     c = rng.uniform(size=(15, 3))
     prev_labels = rng.integers(0, 3, size=15)
-    new = reassign(CostMatrix(c, (1,)), Assignment(prev_labels, 3))
+    new = reassign(CostMatrix(c, (1,), {1: c}), Assignment(prev_labels, 3))
     assert (np.sum(c[np.arange(15), new.labels])
             <= np.sum(c[np.arange(15), prev_labels]))
 
@@ -163,12 +165,71 @@ def test_cost_matrix_agrees_with_composition_oracle(small_world):
     for window in x[0]:
         cur = window.copy()
         for step in range(3):
-            p = rollout(gp, cur[None], 1, CFG)[0][0]
+            p = rollout(gp, cur[None], 1, CFG)[0][:, -1][0]
             cur = np.concatenate([cur[1:], p[None, :]], axis=0)
         preds.append(p)
     manual = np.mean([losses.huber(p, t, CFG.huber_delta)
                       for p, t in zip(preds, y[0])])
     assert cost.values[2, 0] == pytest.approx(manual, abs=0, rel=0)
+
+
+def test_cost_matrix_keeps_each_horizon_and_h1(small_world):
+    prepared, gp, _ = small_world
+    other = gp.copy()
+    other.flat[other.spec_offset:] += 0.05
+    cost = compute_cost_matrix(prepared, [gp, other], (3, 6), CFG)
+    assert sorted(cost.by_horizon) == [1, 3, 6]
+    for h in (1, 3, 6):
+        for k, proto in enumerate([gp, other]):
+            np.testing.assert_array_equal(
+                cost.by_horizon[h][:, k],
+                losses.per_series_split_losses(proto, prepared, "va", h, CFG))
+    np.testing.assert_array_equal(
+        cost.values, np.mean([cost.by_horizon[3], cost.by_horizon[6]], axis=0))
+
+
+@pytest.mark.parametrize("mode", ["point", "quantile"])
+def test_own_losses_of_member_batches_equal_the_cost_matrix(small_world, mode):
+    # the fallback reads each series' own-prototype loss from the cost
+    # matrix, scored in one all-series batch; member-only batches agree
+    prepared, gp, _ = small_world
+    cfg = replace(CFG, mode=mode)
+    kind = "pinball" if mode == "quantile" else "huber"
+    for seed in range(3):
+        a = init_assignments(9, 3, seed=seed)
+        protos, _ = fit_prototypes(prepared, a, gp, cfg, proto_epochs=1)
+        cost = compute_cost_matrix(prepared, protos, (1, 3), cfg)
+        own = own_val_losses(prepared, a, protos, cfg, kind)
+        assert own.tobytes() == cost.own_losses(a).tobytes()
+
+
+@pytest.mark.parametrize("tag", ["va", "te"])
+@pytest.mark.parametrize("mode", ["point", "quantile"])
+def test_split_forecasts_over_horizons_equal_single_horizon_calls(
+        small_world, mode, tag):
+    prepared, gp, _ = small_world
+    cfg = replace(CFG, mode=mode)
+    other = gp.copy()
+    other.flat[other.spec_offset:] += 0.05
+    groups = [(gp, np.array([0, 4, 7])), (other, np.array([1, 2, 3, 5, 6, 8]))]
+    horizons = (1, 3, 6, 21)  # a 20-step segment has no windows at h = 21
+    prepared.audit.set_phase("multi")
+    multi = list(losses.split_forecasts(groups, prepared, tag, horizons, cfg))
+    prepared.audit.set_phase("single")
+    for h in horizons:
+        single = list(losses.split_forecasts(groups, prepared, tag, (h,), cfg))
+        for (ids_m, by_m), (ids_s, by_s) in zip(multi, single):
+            np.testing.assert_array_equal(ids_m, ids_s)
+            for got, want in zip(by_m[h], by_s[h]):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+    assert by_m[21][2].shape == (6, 0, 4)
+    assert prepared.audit.counts("multi") == prepared.audit.counts("single")
+    np.testing.assert_array_equal(prepared.audit._touched["multi"],
+                                  prepared.audit._touched["single"])
 
 
 def test_outer_loop_stops_at_fixed_point(small_world):
@@ -194,8 +255,9 @@ def test_outer_loop_stops_at_fixed_point(small_world):
 
 def val_means(prepared, assignment, protos, gp):
     """(sizes, cluster means, pooled means) of the members' VAL losses at h=1."""
-    return cluster_val_means(prepared, assignment, protos,
-                             pooled_val_losses(prepared, gp, CFG), CFG)
+    return cluster_val_means(
+        assignment, own_val_losses(prepared, assignment, protos, CFG, "huber"),
+        pooled_val_losses(prepared, gp, CFG))
 
 
 def test_fallback_equality_is_not_flagged(small_world):
@@ -240,8 +302,8 @@ def test_routed_risk_dominance_exact(small_world):
     for seed in range(4):
         a = init_assignments(9, 3, seed=seed)
         protos, _ = fit_prototypes(prepared, a, gp, CFG, proto_epochs=2)
-        flags, routed, glob = sweep_run_fallback(prepared, a, protos, pooled,
-                                                 CFG)
+        flags, routed, glob = sweep_run_fallback(
+            a, own_val_losses(prepared, a, protos, CFG, "huber"), pooled)
         assert routed <= glob
         means = val_means(prepared, a, protos, gp)
         no_fallback = FallbackFlags(flagged=(False,) * 3)
@@ -254,8 +316,9 @@ def test_fallback_frozen_against_test_perturbation(small_world):
     prepared, gp, _ = small_world
     a = init_assignments(9, 3, seed=0)
     protos, _ = fit_prototypes(prepared, a, gp, CFG, proto_epochs=1)
-    flags, _, _ = sweep_run_fallback(prepared, a, protos,
-                                     pooled_val_losses(prepared, gp, CFG), CFG)
+    flags, _, _ = sweep_run_fallback(
+        a, own_val_losses(prepared, a, protos, CFG, "huber"),
+        pooled_val_losses(prepared, gp, CFG))
     before = tuple(flags.flagged)
     # flags live in a frozen dataclass; mutating TEST data afterwards cannot
     # change them because nothing recomputes after the freeze

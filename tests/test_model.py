@@ -55,17 +55,18 @@ def residuals_near_kink(params, x, y, cfg, margin):
     """True when any residual sits within ``margin`` of a loss kink, where
     central differences would straddle the non-smooth point."""
     pred, fan = rollout(params, x, 1, cfg)
+    pred, fan = pred[:, -1], None if fan is None else fan[:, -1]
     if cfg.mode == "point":
         return bool(np.any(np.abs(np.abs(pred - y) - cfg.huber_delta) < margin))
     return bool(np.any(np.abs(y[:, None, :] - fan) < margin))
 
 
-def draw_instance(mode, seed):
+def draw_instance(mode, seed, n=3):
     rng = np.random.default_rng(seed)
     params = tiny_params(seed)
     cfg = TrainConfig(w=5, mode=mode)
-    x = rng.normal(size=(3, 5, 3))
-    y = rng.normal(size=(3, 3))
+    x = rng.normal(size=(n, 5, 3))
+    y = rng.normal(size=(n, 3))
     return params, x, y, cfg
 
 
@@ -76,15 +77,18 @@ def draw_instance(mode, seed):
 
 @pytest.mark.parametrize("mode", ["point", "quantile"])
 def test_gradients_match_finite_differences(mode):
-    checked = 0
-    seed = 0
-    while checked < 3:
-        params, x, y, cfg = draw_instance(mode, seed)
-        seed += 1
-        if residuals_near_kink(params, x, y, cfg, margin=1e-4):
-            continue
-        assert finite_difference_check(params, None, x, y, cfg) < 1e-4
-        checked += 1
+    # batches of 3 and of 1; at n = 1 the recurrent products are
+    # matrix-vector calls
+    for n in (3, 1):
+        checked = 0
+        seed = 0
+        while checked < 3:
+            params, x, y, cfg = draw_instance(mode, seed, n)
+            seed += 1
+            if residuals_near_kink(params, x, y, cfg, margin=1e-4):
+                continue
+            assert finite_difference_check(params, None, x, y, cfg) < 1e-4
+            checked += 1
 
 
 def test_gradients_with_anchor_include_penalty():
@@ -134,6 +138,7 @@ def test_zero_network_outputs_zero():
     params.flat[:] = 0.0
     out, fan = rollout(params, np.random.default_rng(0).normal(size=(1, 5, 3)),
                        1, TrainConfig(w=5))
+    out = out[:, -1]
     np.testing.assert_array_equal(out, np.zeros((1, 3)))
     assert fan is None
 
@@ -141,8 +146,8 @@ def test_zero_network_outputs_zero():
 def test_output_shape_and_determinism():
     params = tiny_params(1)
     window = np.random.default_rng(1).normal(size=(1, 5, 3))
-    a, _ = rollout(params, window, 1, TrainConfig(w=5))
-    b, _ = rollout(params, window, 1, TrainConfig(w=5))
+    a = rollout(params, window, 1, TrainConfig(w=5))[0][:, -1]
+    b = rollout(params, window, 1, TrainConfig(w=5))[0][:, -1]
     assert a.shape == (1, 3)
     np.testing.assert_array_equal(a, b)
 
@@ -153,7 +158,7 @@ def test_quantile_softplus_ladder():
     params = ParamSet(*[np.zeros(s) for _, s in shapes])
     params.mix[0, 0] = 1.0
     cfg = TrainConfig(w=4, mode="quantile", quantiles=(0.1, 0.5, 0.9))
-    _, fan = rollout(params, np.zeros((1, 4, 1)), 1, cfg)
+    fan = rollout(params, np.zeros((1, 4, 1)), 1, cfg)[1][:, -1]
     np.testing.assert_allclose(
         fan[0, :, 0], [0.0, np.log(2.0), 2.0 * np.log(2.0)], atol=1e-15)
 
@@ -174,6 +179,7 @@ def test_single_level_grid():
     params = ParamSet(*[np.random.default_rng(0).normal(size=s) for _, s in shapes])
     cfg = TrainConfig(w=4, mode="quantile", quantiles=(0.5,))
     point, fan = rollout(params, np.zeros((1, 4, 2)), 1, cfg)
+    point, fan = point[:, -1], fan[:, -1]
     assert fan.shape == (1, 1, 2)
     np.testing.assert_array_equal(point, fan[:, 0])
     # a level grid that does not match the head is refused
@@ -215,12 +221,31 @@ def test_rollout_equals_composition_oracle(mode):
     cfg = TrainConfig(w=5, mode=mode, quantiles=(0.1, 0.5, 0.9))
     for h in (1, 2, 3):
         point, fan = rollout(params, window[None], h, cfg)
+        point, fan = point[:, -1], None if fan is None else fan[:, -1]
         want_point, want_fan = compose_manually(params, window, h, cfg)
         np.testing.assert_array_equal(point[0], want_point)
         if mode == "point":
             assert fan is None
         else:
             np.testing.assert_array_equal(fan[0], want_fan)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37])
+@pytest.mark.parametrize("mode", ["point", "quantile"])
+def test_rollout_path_steps_equal_shorter_rollouts(mode, n):
+    # step j of one rollout to 6 is bitwise a rollout to j on its own
+    params = tiny_params(6)
+    windows = np.random.default_rng(n).normal(size=(n, 5, 3))
+    cfg = TrainConfig(w=5, mode=mode, quantiles=(0.1, 0.5, 0.9))
+    point, fan = rollout(params, windows, 6, cfg)
+    assert point.shape == (n, 6, 3)
+    assert fan is None if mode == "point" else fan.shape == (n, 6, 3, 3)
+    for j in range(1, 7):
+        point_j, fan_j = rollout(params, windows, j, cfg)
+        np.testing.assert_array_equal(point[:, j - 1], point_j[:, -1])
+        np.testing.assert_array_equal(point[:, :j], point_j)
+        if mode == "quantile":
+            np.testing.assert_array_equal(fan[:, j - 1], fan_j[:, -1])
 
 
 def test_rollout_median_path_ignores_upper_increments():
@@ -234,8 +259,8 @@ def test_rollout_median_path_ignores_upper_increments():
     zeroed.w_quant[2 * r:, :] = 0.0   # increment feeding only the 0.9 level
     zeroed.b_quant[2 * r:] = 0.0
     med = median_index(cfg.quantiles)
-    _, a = rollout(params, window[None], 2, cfg)
-    _, b = rollout(zeroed, window[None], 2, cfg)
+    a = rollout(params, window[None], 2, cfg)[1][:, -1]
+    b = rollout(zeroed, window[None], 2, cfg)[1][:, -1]
     np.testing.assert_array_equal(a[0, med], b[0, med])
     assert not np.array_equal(a[0, 2], b[0, 2])
 
@@ -270,7 +295,7 @@ def test_training_fits_constant_target():
     y = np.full((64, 2), 0.7)
     cfg = TrainConfig(w=4, epochs=400, batch=64, lr=3e-3, seed=0)
     fitted = train(params, None, x, y, cfg)
-    final = huber(rollout(fitted, x, 1, cfg)[0], np.broadcast_to(y, (64, 2)), 1.0)
+    final = huber(rollout(fitted, x, 1, cfg)[0][:, -1], np.broadcast_to(y, (64, 2)), 1.0)
     assert final < 1e-3
 
 

@@ -444,19 +444,17 @@ def test_evaluate_forecasts_nothing_after_the_test_evaluation(counted_evaluation
     cfg, manifest, counts, at_return = counted_evaluation
     # the plots format the evaluation's forecasts: no rollout, no gather
     assert counts == at_return
-    n_h = len(cfg.horizons)
-    n_show = min(3, manifest["n_series"])
     g = len(set(manifest["routed_checkpoints"]))  # distinct routed models
     q = int(cfg.mode == "quantile")               # VAL calibration streams
-    # When the plots forecast TEST again, evaluate made
-    #   |H| * (1 + G + q * G) + 2 * |H| * min(3, N)      rollouts and
-    #   1 + |H| * (1 + G + q * G) + |H| * min(3, N)      window gathers:
-    # one rollout and gather per model group and horizon for the pooled
-    # reference, the routed models and calibration, the TRAIN+VAL gather of
-    # the refit, and per plotted series and horizon one gather and two rollouts.
-    scored = n_h * (1 + g + q * g)
-    assert counts["rollout"] == (scored + 2 * n_h * n_show) - 2 * n_h * n_show
-    assert counts["windows"] == (1 + scored + n_h * n_show) - n_h * n_show
+    # One rollout to the longest horizon serves every horizon, so evaluate
+    # makes one rollout and one window gather per model group and split:
+    #   1 + G + q * G      rollouts and
+    #   1 + 1 + G + q * G  window gathers,
+    # for the pooled reference, the routed models and calibration, plus the
+    # TRAIN+VAL gather of the refit.
+    scored = 1 + g + q * g
+    assert counts["rollout"] == scored
+    assert counts["windows"] == 1 + scored
 
 
 def test_trajectories_are_the_evaluation_forecasts(counted_evaluation):
@@ -474,8 +472,8 @@ def test_trajectories_are_the_evaluation_forecasts(counted_evaluation):
             routed = model.load_checkpoint(manifest["routed_checkpoints"][i])[0]
             # the series' TEST windows alone, under each saved checkpoint
             x, y = prepared.per_series_windows("te", h, tc.w, [i])
-            pred_global = model.rollout(pooled, x[0], h, tc)[0]
-            pred_method = model.rollout(routed, x[0], h, tc)[0]
+            pred_global = model.rollout(pooled, x[0], h, tc)[0][:, -1]
+            pred_method = model.rollout(routed, x[0], h, tc)[0][:, -1]
             expected += [{"series": prepared.dataset.names[i],
                           "time": str(t + h), "actual": repr(float(y[0, j, 0])),
                           "pred_global": repr(float(pred_global[j, 0])),
@@ -617,6 +615,19 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     run_dir = str(tmp_path / "cli_run")
     good = write_config(tmp_path, data_dir, run_dir, "k = 2\n")
     assert cli.main(["train", "--config", good]) == 0
+    # horizon lists that are empty, non-positive or repeated are config
+    # errors, raised before anything is written: the run stays evaluable
+    capsys.readouterr()
+    for command, override in (("evaluate", "horizons=0"),
+                              ("evaluate", "horizons=1,1"),
+                              ("evaluate", "horizons="),
+                              ("evaluate", "horizons=3,-1"),
+                              ("select-k", "assign_horizons=0"),
+                              ("select-k", "assign_horizons=1,3,1")):
+        assert cli.main([command, "--config", good, "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not pipeline.load_manifest(run_dir)["test_evaluated"]
     # a missing checkpoint is a data error, and an evaluation that failed
     # before reading TEST leaves the run's one TEST evaluation unused
     proto = os.path.join(run_dir, "checkpoints", "proto_01.pcm")
