@@ -1,11 +1,14 @@
 """Command-line surface for the pipeline.
 
-Exit codes: 0 success; 2 configuration error (also a K above the number of
+Exit codes: 0 success; 2 configuration error (every key is checked when the
+config is read, before anything is written; also a K above the number of
 series and a bad ``synth`` argument: fewer series than regimes, an alpha
 outside [0, 1], a negative or non-finite noise or a size below 1); 3 data
-error (also a missing or unreadable checkpoint or ``forecast-new`` segment,
-and an output path that cannot be written); 4 training divergence;
-5 protocol violation (repeated TEST evaluation). Run directories work from any working directory: the paths
+error (also unreadable ``csv``, ``packed`` or ``pems`` data, a ``run_dir``
+that cannot be created, a missing or unreadable checkpoint or
+``forecast-new`` segment, and an output path that cannot be written);
+4 training divergence; 5 protocol violation (repeated TEST evaluation).
+Run directories work from any working directory: the paths
 the manifest stores are resolved against the run directory given. Set the
 POOLCAST_THREADS environment variable before launching to cap the BLAS
 thread pool (results are thread-count independent either way). The cap
@@ -20,6 +23,7 @@ the serial sweep, and platforms without fork run the sweep serially.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -43,12 +47,11 @@ def _add_config_args(sub: argparse.ArgumentParser) -> None:
 
 def _config_key_help() -> str:
     lines = ["configuration keys (key = value file, '#' comments) and defaults:"]
-    defaults = RunConfig()
-    for key in RunConfig.PARSERS:
-        value = getattr(defaults, key)
+    for field in dataclasses.fields(RunConfig):
+        value = field.default
         if isinstance(value, tuple):
             value = ",".join(str(v) for v in value)
-        lines.append(f"  {key} = {value!r}")
+        lines.append(f"  {field.name} = {value!r}")
     return "\n".join(lines)
 
 

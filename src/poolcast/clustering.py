@@ -86,16 +86,22 @@ class FallbackFlags:
 class SelectionConfig:
     """Sweep configuration for choosing the number of clusters."""
 
-    candidates: tuple = (2, 3, 4, 5)
-    seeds: tuple = (0, 1, 2, 3, 4)
+    candidates: tuple
+    seeds: tuple
+    assign_horizons: tuple
     gamma: float = 0.05
     max_outer_iters: int = 10
-    assign_horizons: tuple = (1, 3, 6)
     init_strategy: str = "random_balanced"
 
     def __post_init__(self):
-        if not self.candidates:
-            raise ValueError("need at least one candidate K")
+        for name, values, low in (("candidate K", self.candidates, 1),
+                                  ("selection seed", self.seeds, 0),
+                                  ("assignment horizon", self.assign_horizons, 1)):
+            if not values or min(values) < low or len(set(values)) != len(values):
+                raise ValueError(f"need one or more distinct {name}s >= {low}, "
+                                 f"got {list(values)}")
+        if self.init_strategy not in ("random_balanced", "feature"):
+            raise ValueError(f"unknown init strategy {self.init_strategy!r}")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
         if self.max_outer_iters < 1:

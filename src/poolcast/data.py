@@ -240,16 +240,22 @@ def load_dataset(path: str, fmt: str = "csv", header: bool = False) -> MtsDatase
     CSV: one file per series (rows = time, columns = components), empty cell
     or NaN means missing; series are ordered by file name. Packed: see
     :func:`save_packed`. The "pems" format accepts the public traffic-archive
-    layout (one day per line, see :func:`load_pems`).
+    layout (one day per line, see :func:`load_pems`). A file that cannot be
+    read is a :class:`DataError`.
     """
-    if fmt == "packed":
-        return load_packed(path)
-    if fmt == "pems":
-        return load_pems(path)
-    if fmt != "csv":
-        raise DataError(f"unknown dataset format {fmt!r}")
-    if not os.path.isdir(path):
-        raise DataError(f"{path} is not a directory")
+    try:
+        if fmt == "packed":
+            return load_packed(path)
+        if fmt == "pems":
+            return load_pems(path)
+        if fmt == "csv":
+            return _load_csv_dir(path, header)
+    except OSError as exc:
+        raise DataError(f"cannot read dataset: {exc}") from None
+    raise DataError(f"unknown dataset format {fmt!r}")
+
+
+def _load_csv_dir(path: str, header: bool) -> MtsDataset:
     files = sorted(f for f in os.listdir(path)
                    if f.endswith(".csv") and os.path.isfile(os.path.join(path, f)))
     if not files:

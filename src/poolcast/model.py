@@ -210,6 +210,11 @@ class TrainConfig:
     clip: float = 5.0
 
     def __post_init__(self):
+        for name, value, low in (("window", self.w, 1),
+                                 ("batch", self.batch, 1),
+                                 ("epochs", self.epochs, 0)):
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.l2sp_weight < 0:
             raise ValueError("l2sp_weight must be >= 0")
         if self.huber_delta <= 0:
@@ -546,7 +551,7 @@ def train(initial: ParamSet, anchor: ParamSet | None, x: np.ndarray,
                skip_mix=skip_mix)
     rng = np.random.default_rng(cfg.seed)
     n = len(x)
-    bs = max(1, min(cfg.batch, n))
+    bs = min(cfg.batch, n)
     n_epochs = cfg.epochs if epochs is None else epochs
     for epoch in range(n_epochs):
         order = rng.permutation(n)

@@ -53,21 +53,20 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_int_list(s) -> tuple:
-    if isinstance(s, (list, tuple)):
-        return tuple(int(v) for v in s)
-    return tuple(int(v) for v in str(s).split(",") if v.strip())
-
-
-def _parse_float_list(s) -> tuple:
-    if isinstance(s, (list, tuple)):
-        return tuple(float(v) for v in s)
-    return tuple(float(v) for v in str(s).split(",") if v.strip())
+def _parser(default):
+    """The parser of a config value, by the type of the key's default."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        item = type(default[0])
+        return lambda s: tuple(item(v) for v in s.split(",") if v.strip())
+    return type(default)
 
 
 @dataclass
 class RunConfig:
-    """Every knob of the pipeline; parsed from a plain key = value file."""
+    """Every knob of the pipeline, parsed from a plain key = value file; the
+    field list is the one declaration of each key, its type and default."""
 
     data_dir: str = ""
     data_format: str = "csv"
@@ -106,78 +105,57 @@ class RunConfig:
     coverage_target: float = 0.8
     run_dir: str = "run"
 
-    PARSERS = {
-        "data_dir": str, "data_format": str, "csv_header": _parse_bool,
-        "impute": str, "eps": float,
-        "t_train": int, "t_val": int, "t_test": int,
-        "window": int, "latent": int, "hidden": int, "mode": str,
-        "quantiles": _parse_float_list, "huber_delta": float,
-        "epochs": int, "proto_epochs": int, "refit_epochs": int,
-        "lr": float, "beta1": float, "beta2": float, "eps_adam": float,
-        "batch": int, "l2sp": float, "clip": float, "seed": int,
-        "method": str, "k": int, "k_candidates": _parse_int_list,
-        "selection_seeds": _parse_int_list, "gamma": float,
-        "max_outer_iters": int, "assign_horizons": _parse_int_list,
-        "horizons": _parse_int_list, "init": str, "coverage_target": float,
-        "run_dir": str,
-    }
-
-    def set_key(self, key: str, raw: str) -> None:
-        if key not in self.PARSERS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        try:
-            setattr(self, key, self.PARSERS[key](raw))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
-
     @classmethod
     def from_file(cls, path: str, overrides=()) -> "RunConfig":
-        cfg = cls()
+        """Read the ``key = value`` lines of ``path``, then the ``key=value``
+        overrides, and check every key."""
         try:
             with open(path) as fh:
                 lines = fh.readlines()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        for lineno, line in enumerate(lines, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            cfg.set_key(key, raw)
-        cfg.apply_overrides(overrides)
+        entries = [(f"{path}:{lineno}", text)
+                   for lineno, line in enumerate(lines, 1)
+                   if (text := line.split("#", 1)[0].strip())]
+        entries += [("override", item) for item in overrides]
+        parsers = {f.name: _parser(f.default) for f in fields(cls)}
+        cfg = cls()
+        for where, text in entries:
+            key, sep, raw = (part.strip() for part in text.partition("="))
+            if not sep:
+                raise ConfigError(f"{where}: expected key = value, got {text!r}")
+            if key not in parsers:
+                raise ConfigError(f"unknown configuration key {key!r}")
+            try:
+                setattr(cfg, key, parsers[key](raw))
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
         cfg.validate()
         return cfg
 
-    def apply_overrides(self, overrides) -> None:
-        for item in overrides:
-            if "=" not in item:
-                raise ConfigError(f"override must be key=value, got {item!r}")
-            key, raw = (part.strip() for part in item.split("=", 1))
-            self.set_key(key, raw)
-
     def validate(self) -> None:
+        """Check every key, those of :meth:`train_config` and
+        :meth:`selection_config` included, before anything is written."""
         if self.method not in baselines.METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.mode not in ("point", "quantile"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
         if self.impute not in ("mean", "median"):
             raise ConfigError(f"unknown imputation {self.impute!r}")
-        if self.init not in ("random_balanced", "feature"):
-            raise ConfigError(f"unknown init strategy {self.init!r}")
         if self.data_format not in ("csv", "packed", "pems"):
             raise ConfigError(f"unknown data format {self.data_format!r}")
         if not (0.0 < self.coverage_target < 1.0):
             raise ConfigError("coverage_target must lie in (0, 1)")
-        for key in ("horizons", "assign_horizons"):
-            hs = getattr(self, key)
-            if not hs:
-                raise ConfigError(f"{key} must name at least one horizon")
-            if min(hs) < 1:
-                raise ConfigError(f"{key} must all be >= 1, got {list(hs)}")
-            if len(set(hs)) != len(hs):
-                raise ConfigError(f"{key} repeats a horizon: {list(hs)}")
+        for key, low in (("hidden", 1), ("latent", 0), ("eps", 0),
+                         ("proto_epochs", 0), ("refit_epochs", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        hs = self.horizons
+        if not hs or min(hs) < 1 or len(set(hs)) != len(hs):
+            raise ConfigError(f"need one or more distinct horizons >= 1, got {list(hs)}")
+        try:
+            self.train_config()
+            self.selection_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     # resolved values -------------------------------------------------------
 
@@ -193,27 +171,19 @@ class RunConfig:
         return self.refit_epochs if self.refit_epochs > 0 else max(1, self.epochs // 2)
 
     def train_config(self) -> TrainConfig:
-        try:
-            return TrainConfig(
-                w=self.window, epochs=self.epochs, lr=self.lr, beta1=self.beta1,
-                beta2=self.beta2, eps_adam=self.eps_adam, batch=self.batch,
-                l2sp_weight=self.l2sp, huber_delta=self.huber_delta,
-                quantiles=tuple(self.quantiles), seed=self.seed, mode=self.mode,
-                clip=self.clip)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return TrainConfig(
+            w=self.window, epochs=self.epochs, lr=self.lr, beta1=self.beta1,
+            beta2=self.beta2, eps_adam=self.eps_adam, batch=self.batch,
+            l2sp_weight=self.l2sp, huber_delta=self.huber_delta,
+            quantiles=self.quantiles, seed=self.seed, mode=self.mode,
+            clip=self.clip)
 
     def selection_config(self, candidates=None) -> clustering.SelectionConfig:
-        try:
-            return clustering.SelectionConfig(
-                candidates=tuple(candidates if candidates is not None
-                                 else self.k_candidates),
-                seeds=tuple(self.selection_seeds), gamma=self.gamma,
-                max_outer_iters=self.max_outer_iters,
-                assign_horizons=tuple(self.assign_horizons),
-                init_strategy=self.init)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return clustering.SelectionConfig(
+            candidates=candidates or self.k_candidates,
+            seeds=self.selection_seeds, gamma=self.gamma,
+            max_outer_iters=self.max_outer_iters,
+            assign_horizons=self.assign_horizons, init_strategy=self.init)
 
     def min_segment(self) -> int:
         return self.window + max(tuple(self.horizons) + tuple(self.assign_horizons))
@@ -250,11 +220,22 @@ def load_manifest(run_dir: str) -> dict:
         return json.load(fh)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failure to write a command's output at ``path`` into a
+    :class:`DataError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
 def save_manifest(run_dir: str, manifest: dict) -> None:
-    os.makedirs(run_dir, exist_ok=True)
-    with atomic_open(_manifest_path(run_dir)) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _writing(run_dir):
+        os.makedirs(run_dir, exist_ok=True)
+        with atomic_open(_manifest_path(run_dir)) as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _record_audit(manifest: dict, prepared: PreparedData, stage: str) -> None:
@@ -303,7 +284,8 @@ def _fit_global(prepared: PreparedData, cfg: RunConfig) -> ParamSet:
 
 def _checkpoint_dir(run_dir: str) -> str:
     path = os.path.join(run_dir, "checkpoints")
-    os.makedirs(path, exist_ok=True)
+    with _writing(path):
+        os.makedirs(path, exist_ok=True)
     return path
 
 
@@ -545,16 +527,6 @@ def _write_plot_data(cfg: RunConfig, prepared: PreparedData, artifacts) -> None:
                   + [(prepared.dataset.names[i], t_end - n + j,
                       target[i, j, 0], glob[i, j, 0], pred[i, j, 0])
                      for i in range(len(target)) for j in range(n)])
-
-
-@contextlib.contextmanager
-def _writing(path: str):
-    """Turn a failure to write a command's output at ``path`` into a
-    :class:`DataError`."""
-    try:
-        yield
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _read_segment(path: str, p_dim: int, w: int, csv_header: bool) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -72,14 +73,59 @@ def test_config_rejects_unknown_key(tmp_path):
         RunConfig.from_file(str(path))
 
 
-def test_config_rejects_bad_values(tmp_path, data_dir):
-    path = write_config(tmp_path, data_dir, tmp_path / "r")
+@pytest.mark.parametrize("override", [
+    "epochs=three", "method=magic", "mode=fuzzy",
+    "gamma=-1", "max_outer_iters=0", "k_candidates=", "huber_delta=0",
+    "l2sp=-1", "quantiles=0.9,0.1", "window=0", "hidden=0", "latent=-1",
+    "selection_seeds=", "selection_seeds=-1", "selection_seeds=0,0",
+    "k_candidates=0", "k_candidates=2,2", "eps=-1", "batch=0", "epochs=-1",
+    "proto_epochs=-1", "refit_epochs=-1", "init=magic"])
+def test_config_rejects_bad_values(tmp_path, data_dir, capsys, override):
+    run_dir = tmp_path / "r"
+    path = write_config(tmp_path, data_dir, run_dir)
     with pytest.raises(ConfigError):
-        RunConfig.from_file(path, overrides=["epochs=three"])
-    with pytest.raises(ConfigError):
-        RunConfig.from_file(path, overrides=["method=magic"])
-    with pytest.raises(ConfigError):
-        RunConfig.from_file(path, overrides=["mode=fuzzy"])
+        RunConfig.from_file(path, overrides=[override])
+    # every key is checked when the config is read, before anything is written
+    assert cli.main(["select-k", "--config", path, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not run_dir.exists()
+
+
+# a non-default value for every RunConfig field
+NON_DEFAULTS = {
+    "data_dir": "elsewhere/series", "data_format": "packed",
+    "csv_header": True, "impute": "median", "eps": 1e-6, "t_train": 50,
+    "t_val": 10, "t_test": 12, "window": 5, "latent": 4, "hidden": 7,
+    "mode": "quantile", "quantiles": (0.05, 0.5, 0.95), "huber_delta": 0.5,
+    "epochs": 3, "proto_epochs": 2, "refit_epochs": 1, "lr": 0.002,
+    "beta1": 0.8, "beta2": 0.99, "eps_adam": 1e-7, "batch": 16,
+    "l2sp": 0.01, "clip": 2.5, "seed": 11, "method": "feat_kmeans", "k": 3,
+    "k_candidates": (3, 4), "selection_seeds": (7, 9), "gamma": 0.25,
+    "max_outer_iters": 4, "assign_horizons": (1, 2), "horizons": (2, 4),
+    "init": "feature", "coverage_target": 0.9, "run_dir": "elsewhere/run",
+}
+
+
+def test_config_round_trips_every_field(tmp_path):
+    defaults = RunConfig()
+    assert set(NON_DEFAULTS) == {f.name for f in dataclasses.fields(RunConfig)}
+    for key, value in NON_DEFAULTS.items():
+        assert value != getattr(defaults, key), key
+    lines = []
+    for key, value in NON_DEFAULTS.items():
+        if isinstance(value, tuple):
+            value = ",".join(map(str, value))
+        lines.append(f"{key} = {value}\n")
+    path = tmp_path / "every.cfg"
+    path.write_text("".join(lines))
+    cfg = RunConfig.from_file(str(path))
+    assert cfg == RunConfig(**NON_DEFAULTS)
+    assert cfg.as_dict() == RunConfig(**NON_DEFAULTS).as_dict()
+    # the --help epilog names every key with its default
+    epilog = cli.build_parser().format_help()
+    for key in NON_DEFAULTS:
+        assert f"\n  {key} = " in epilog, key
 
 
 def test_config_missing_file_is_config_error():
@@ -611,6 +657,21 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     cfg_path = write_config(tmp_path, str(tmp_path / "missing_data"),
                             tmp_path / "rc")
     assert cli.main(["prepare", "--config", cfg_path]) == 3
+    # packed and pems data that cannot be read (a directory, a missing file)
+    # are data errors, as is a run_dir that cannot be created
+    capsys.readouterr()
+    for overrides in (["data_format=packed", f"data_dir={data_dir}"],
+                      ["data_format=packed"],
+                      ["data_format=pems", f"data_dir={data_dir}"],
+                      ["data_format=pems"],
+                      [f"data_dir={data_dir}",
+                       f"run_dir={tmp_path / 'run.cfg' / 'run'}"]):
+        argv = ["prepare", "--config", cfg_path]
+        for override in overrides:
+            argv += ["--set", override]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
 
     run_dir = str(tmp_path / "cli_run")
     good = write_config(tmp_path, data_dir, run_dir, "k = 2\n")
