@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -55,7 +56,10 @@ def _config_key_help() -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and argparse copies the ``--set`` list before appending."""
     parser = argparse.ArgumentParser(
         prog="poolcast",
         description="Validation-driven adaptive pooling for multivariate "

@@ -94,16 +94,17 @@ class SelectionConfig:
     init_strategy: str = "random_balanced"
 
     def __post_init__(self):
-        for name, values, low in (("candidate K", self.candidates, 1),
-                                  ("selection seed", self.seeds, 0),
-                                  ("assignment horizon", self.assign_horizons, 1)):
+        # errors name the config keys (RunConfig), which a user can set
+        for name, values, low in (("k_candidates", self.candidates, 1),
+                                  ("selection_seeds", self.seeds, 0),
+                                  ("assign_horizons", self.assign_horizons, 1)):
             if not values or min(values) < low or len(set(values)) != len(values):
-                raise ValueError(f"need one or more distinct {name}s >= {low}, "
-                                 f"got {list(values)}")
+                raise ValueError(f"{name} needs one or more distinct values "
+                                 f">= {low}, got {list(values)}")
         if self.init_strategy not in ("random_balanced", "feature"):
-            raise ValueError(f"unknown init strategy {self.init_strategy!r}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+            raise ValueError(f"unknown init {self.init_strategy!r}")
+        if not self.gamma >= 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
 
@@ -657,9 +658,9 @@ def assign_new_series(segment: np.ndarray, global_params: ParamSet,
                       cfg: TrainConfig) -> int:
     """Route a new series from an initial observed segment.
 
-    Evaluates the one-step training loss (:func:`model.batch_loss`, without
-    anchor) of the pooled model and every unflagged prototype over all
-    (window, target) pairs in the segment and returns the
+    Evaluates the one-step training loss (:func:`model.batch_losses`, one
+    stacked forward pass) of the pooled model and every unflagged prototype
+    over all (window, target) pairs in the segment and returns the
     winner's id: -1 for the pooled model, otherwise the prototype index. The
     pooled model wins ties and wins whenever no prototype strictly improves.
     The segment must already be standardized and hold at least w + 1 steps.
@@ -676,12 +677,12 @@ def assign_new_series(segment: np.ndarray, global_params: ParamSet,
     x = np.ascontiguousarray(np.swapaxes(sw[ends - (w - 1)], 1, 2))
     y = segment[ends + 1]
 
-    global_loss = model.batch_loss(global_params, None, x, y, cfg)
-    best_id, best_loss = -1, global_loss
-    for k, proto in enumerate(prototypes):
-        if flags.flagged[k]:
-            continue
-        loss_k = model.batch_loss(proto, None, x, y, cfg)
+    ids = [-1] + [k for k in range(len(prototypes)) if not flags.flagged[k]]
+    scores = model.batch_losses([global_params] + [prototypes[k] for k in ids[1:]],
+                                x, y, cfg)
+    best_id, best_loss = -1, scores[0]
+    for k, loss_k in zip(ids[1:], scores[1:]):
+        # strict: the pooled model wins ties, and a NaN loss never wins
         if loss_k < best_loss:
             best_id, best_loss = k, loss_k
     return best_id

@@ -88,10 +88,12 @@ class ParamSet:
     def __init__(self, *tensors):
         """``ParamSet(*tensors)`` copies the 14 tensors, in :attr:`NAMES`
         order, into a new flat buffer; ``ParamSet(layout, flat)`` adopts the
-        float64 buffer ``flat`` of a cached :class:`_Layout` without copying."""
+        float64 buffer ``flat`` of a cached :class:`_Layout` without copying,
+        or the (M, size) buffer of a stack of M models (see :meth:`stack`)."""
         if len(tensors) == 2 and isinstance(tensors[0], _Layout):
             layout, flat = tensors
-            if flat.dtype != np.float64 or flat.shape != (layout.size,):
+            if (flat.dtype != np.float64 or flat.ndim not in (1, 2)
+                    or flat.shape[-1] != layout.size):
                 raise ValueError(f"expected a float64 buffer of {layout.size} values")
         else:
             if len(tensors) != len(self.NAMES):
@@ -108,29 +110,42 @@ class ParamSet:
                 flat[lo:hi].reshape(shape)[...] = t
         self.layout = layout
         self.flat = flat
+        lead = flat.shape[:-1]
         for name, shape, lo, hi in layout.slots:
-            setattr(self, name, flat[lo:hi].reshape(shape))
+            setattr(self, name, flat[..., lo:hi].reshape(lead + shape))
         self.spec_offset = layout.spec_offset  # everything after mix is specialized
 
     def __reduce__(self):
         # rebuild the tensor views over the unpickled buffer
         return ParamSet, (self.layout, self.flat)
 
+    @classmethod
+    def stack(cls, models: list["ParamSet"]) -> "ParamSet":
+        """The M models of one layout as one set whose tensors carry a
+        leading model axis; the forward pass runs all of them at once, each
+        model bitwise as on its own."""
+        if not models:
+            raise ValueError("cannot stack zero models")
+        layout = models[0].layout
+        if any(m.flat.ndim != 1 or m.layout.slots != layout.slots for m in models):
+            raise ValueError("stacked models must share one tensor layout")
+        return cls(layout, np.stack([m.flat for m in models]))
+
     @property
     def latent(self) -> int:
-        return self.mix.shape[0]
+        return self.mix.shape[-2]
 
     @property
     def p_dim(self) -> int:
-        return self.mix.shape[1]
+        return self.mix.shape[-1]
 
     @property
     def hidden(self) -> int:
-        return self.w_update.shape[0]
+        return self.w_update.shape[-2]
 
     @property
     def n_levels(self) -> int:
-        return self.w_quant.shape[0] // self.latent
+        return self.w_quant.shape[-2] // self.latent
 
     def tensors(self) -> list[np.ndarray]:
         return [getattr(self, n) for n in self.NAMES]
@@ -139,7 +154,7 @@ class ParamSet:
         return ParamSet(self.layout, self.flat.copy())
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet(self.layout, np.zeros(self.layout.size))
+        return ParamSet(self.layout, np.zeros_like(self.flat))
 
     @staticmethod
     def shapes(p_dim: int, latent: int, hidden: int, n_levels: int):
@@ -210,22 +225,30 @@ class TrainConfig:
     clip: float = 5.0
 
     def __post_init__(self):
+        # errors name the config keys (RunConfig), which a user can set; the
+        # comparisons are written so that NaN fails them
         for name, value, low in (("window", self.w, 1),
                                  ("batch", self.batch, 1),
                                  ("epochs", self.epochs, 0)):
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if self.l2sp_weight < 0:
-            raise ValueError("l2sp_weight must be >= 0")
-        if self.huber_delta <= 0:
-            raise ValueError("huber_delta must be > 0")
+        for name, value, ok, rule in (
+                ("lr", self.lr, self.lr > 0, "> 0"),
+                ("beta1", self.beta1, 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", self.beta2, 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("eps_adam", self.eps_adam, self.eps_adam > 0, "> 0"),
+                ("l2sp", self.l2sp_weight, self.l2sp_weight >= 0, ">= 0"),
+                ("huber_delta", self.huber_delta, self.huber_delta > 0, "> 0"),
+                ("clip", self.clip, self.clip >= 0, ">= 0 (0: no clipping)")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {value}")
         if self.mode not in ("point", "quantile"):
             raise ValueError(f"unknown mode {self.mode!r}")
         q = tuple(self.quantiles)
         if len(q) < 1 or any(not (0.0 < x < 1.0) for x in q):
-            raise ValueError("quantile levels must lie in (0, 1)")
+            raise ValueError("quantiles must lie in (0, 1)")
         if any(b <= a for a, b in zip(q, q[1:])):
-            raise ValueError("quantile levels must be strictly increasing")
+            raise ValueError("quantiles must be strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -252,35 +275,42 @@ def _gru_forward(params: ParamSet, x: np.ndarray, keep: bool = True
     The windows are encoded time-major, so every step reads and writes
     contiguous (n, .) blocks in place; ``x`` may itself be a view of
     time-major memory, which then encodes without a copy. Without ``keep``
-    two hidden-state buffers take turns.
+    two hidden-state buffers take turns. A stack of M models
+    (:meth:`ParamSet.stack`) runs every model on the same windows without
+    ``keep`` and returns (M, n, H): each step's matmuls make one GEMM call
+    per model, so every model's state is bitwise its own pass's.
     """
     n, w, p = x.shape
     hid = params.hidden
-    z_in = x.transpose(1, 0, 2).reshape(w * n, p) @ params.mix.T
-    w_all = np.concatenate([params.w_update, params.w_reset, params.w_cand])
-    b_all = np.concatenate([params.b_update, params.b_reset, params.b_cand])
-    gates_in = z_in @ w_all.T
-    gates_in += b_all
-    gates_in = gates_in.reshape(w, n, 3 * hid)
-    g_zr, g_c = gates_in[:, :, :2 * hid], gates_in[:, :, 2 * hid:]
-    u_zr = np.concatenate([params.u_update, params.u_reset])
+    lead = params.mix.shape[:-2]  # () for one model, (M,) for a stack
+    z_in = x.transpose(1, 0, 2).reshape(w * n, p) @ params.mix.swapaxes(-1, -2)
+    w_all = np.concatenate([params.w_update, params.w_reset, params.w_cand], -2)
+    b_all = np.concatenate([params.b_update, params.b_reset, params.b_cand], -1)
+    gates_in = z_in @ w_all.swapaxes(-1, -2)
+    gates_in += b_all[..., None, :]
+    # time-major: gates_in[t] holds step t of every model
+    gates_in = gates_in.reshape(lead + (w, n, 3 * hid)).swapaxes(0, -3)
+    g_zr, g_c = gates_in[..., :2 * hid], gates_in[..., 2 * hid:]
+    u_zr = np.concatenate([params.u_update, params.u_reset], -2)
     # transposed views, not copies: at n = 1 a copy would change the BLAS call
-    u_zr_t, u_cand_t = u_zr.T, params.u_cand.T
+    u_zr_t, u_cand_t = u_zr.swapaxes(-1, -2), params.u_cand.swapaxes(-1, -2)
 
+    step = lead + (n, hid)
     if keep:
-        zr_all, cand = np.empty((w, n, 2 * hid)), np.empty((w, n, hid))
-        h_states = np.empty((w + 1, n, hid))
+        zr_all = np.empty((w,) + lead + (n, 2 * hid))
+        cand, h_states = np.empty((w,) + step), np.empty((w + 1,) + step)
         h_states[0] = 0.0
     else:
         # one step's activations, rewritten every step, and two hidden
         # states that take turns
-        zr_all, cand = [np.empty((n, 2 * hid))] * w, [np.empty((n, hid))] * w
-        h_states = [np.zeros((n, hid)), np.empty((n, hid))] * (w // 2 + 1)
-    tmp = np.empty((n, hid))
+        zr_all = [np.empty(lead + (n, 2 * hid))] * w
+        cand = [np.empty(step)] * w
+        h_states = [np.zeros(step), np.empty(step)] * (w // 2 + 1)
+    tmp = np.empty(step)
     with np.errstate(over="ignore"):
         for t in range(w):
             zr, c, h, h_next = zr_all[t], cand[t], h_states[t], h_states[t + 1]
-            z = zr[:, :hid]
+            z = zr[..., :hid]
             # zr = sigmoid(g_zr + h @ u_zr.T), in place (out arguments are
             # positional: keyword parsing costs more than the small ops)
             np.matmul(h, u_zr_t, zr)
@@ -290,7 +320,7 @@ def _gru_forward(params: ParamSet, x: np.ndarray, keep: bool = True
             np.add(zr, 1.0, zr)
             np.divide(1.0, zr, zr)
             # c = tanh(g_c + (r * h) @ u_cand.T)
-            np.multiply(zr[:, hid:], h, tmp)
+            np.multiply(zr[..., hid:], h, tmp)
             np.matmul(tmp, u_cand_t, c)
             np.add(c, g_c[t], c)
             np.tanh(c, c)
@@ -345,20 +375,21 @@ def _gru_backward(params: ParamSet, cache: _GruCache, dh: np.ndarray,
 
 
 def _point_from_hidden(params: ParamSet, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    latent = h @ params.w_out.T + params.b_out
+    latent = h @ params.w_out.swapaxes(-1, -2) + params.b_out[..., None, :]
     return latent @ params.mix, latent
 
 
 def _quantiles_from_hidden(params: ParamSet, h: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = h.shape[0]
     q, r = params.n_levels, params.latent
-    raw = (h @ params.w_quant.T + params.b_quant).reshape(n, q, r)
+    raw = h @ params.w_quant.swapaxes(-1, -2) + params.b_quant[..., None, :]
+    raw = raw.reshape(h.shape[:-1] + (q, r))
     latents = np.empty_like(raw)
-    latents[:, 0] = raw[:, 0]
+    latents[..., 0, :] = raw[..., 0, :]
     if q > 1:
-        latents[:, 1:] = raw[:, :1] + np.cumsum(softplus(raw[:, 1:]), axis=1)
-    return latents @ params.mix, latents, raw
+        latents[..., 1:, :] = raw[..., :1, :] + np.cumsum(
+            softplus(raw[..., 1:, :]), axis=-2)
+    return latents @ params.mix[..., None, :, :], latents, raw
 
 
 def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
@@ -371,8 +402,8 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
     ``(point, fan)`` with step j at ``[:, j - 1]``: in point mode the point
     forecasts (n, h, P) and None; in quantile mode the median path
     (n, h, P) and the fan (n, h, Q, P) at ``cfg.quantiles``. A rollout to h
-    thus serves every horizon up to h. Every forecast outside training and
-    :func:`batch_loss` runs through here.
+    thus serves every horizon up to h. Every forecast outside training,
+    :func:`batch_loss` and :func:`batch_losses` runs through here.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
@@ -419,19 +450,31 @@ def _anchor_penalty(params: ParamSet, anchor: ParamSet, eta: float,
     return eta * float(d @ d)
 
 
-def batch_loss(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
-               y: np.ndarray, cfg: TrainConfig) -> float:
-    """Forward-only objective value on one batch (data term + anchor pull)."""
+def _loss_elems(params: ParamSet, x: np.ndarray, y: np.ndarray,
+                cfg: TrainConfig) -> np.ndarray:
+    """Elementwise one-step data loss of one model or a stack on one batch."""
     if len(x) == 0:
         raise ValueError("empty batch")
     h, _ = _gru_forward(params, x, keep=False)
     if cfg.mode == "point":
-        pred, _ = _point_from_hidden(params, h)
-        data = float(np.mean(loss_elem("huber", pred, y, cfg)))
-    else:
-        preds, _, _ = _quantiles_from_hidden(params, h)
-        data = float(np.mean(loss_elem("pinball", preds, y, cfg)))
+        return loss_elem("huber", _point_from_hidden(params, h)[0], y, cfg)
+    return loss_elem("pinball", _quantiles_from_hidden(params, h)[0], y, cfg)
+
+
+def batch_loss(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
+               y: np.ndarray, cfg: TrainConfig) -> float:
+    """Forward-only objective value on one batch (data term + anchor pull)."""
+    data = float(np.mean(_loss_elems(params, x, y, cfg)))
     return data + _anchor_penalty(params, anchor, cfg.l2sp_weight, None)
+
+
+def batch_losses(models: list[ParamSet], x: np.ndarray, y: np.ndarray,
+                 cfg: TrainConfig) -> list[float]:
+    """:func:`batch_loss` without anchor of every model, in one stacked
+    forward pass; each value is bitwise that model's own ``batch_loss``."""
+    # each model's losses are a contiguous block, reduced as on its own
+    return [float(np.mean(e))
+            for e in _loss_elems(ParamSet.stack(models), x, y, cfg)]
 
 
 def loss_and_gradients(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,

@@ -14,12 +14,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import baselines, clustering, losses, model
+from .calibration import CalibrationTable
 from .data import (DataError, PreparedData, SplitSpec, Standardizer,
                    atomic_open, load_dataset, prepare, save_csv, save_packed,
                    write_csv)
@@ -136,6 +138,10 @@ class RunConfig:
     def validate(self) -> None:
         """Check every key, those of :meth:`train_config` and
         :meth:`selection_config` included, before anything is written."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.method not in baselines.METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.impute not in ("mean", "median"):
@@ -554,7 +560,8 @@ def _read_segment(path: str, p_dim: int, w: int, csv_header: bool) -> np.ndarray
 
 def cmd_forecast_new(cfg: RunConfig, segment_path: str,
                      out_path: str | None = None) -> dict:
-    """Route a new series through the frozen models and forecast ahead."""
+    """Route a new series through the frozen models and forecast ahead; a
+    quantile fan is served with its outer levels calibrated as on TEST."""
     manifest = load_manifest(cfg.run_dir)
     _check_identity(cfg, manifest)
     if "checkpoint_refit_global" not in manifest:
@@ -586,6 +593,14 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     # one rollout to the longest horizon serves every horizon
     point, fan = model.rollout(chosen, segment[None, -tc.w:],
                                max(cfg.horizons), tc)
+    if fan is not None:
+        calib = CalibrationTable.from_dict(manifest["calibration"])
+        for h in cfg.horizons:
+            if h not in calib.factors:
+                raise ConfigError(f"horizon {h} was not calibrated by evaluate "
+                                  f"(calibrated: {sorted(calib.factors)})")
+            fan[:, h - 1, 0], fan[:, h - 1, -1] = calib.apply(
+                h, point[:, h - 1], fan[:, h - 1, 0], fan[:, h - 1, -1])
     forecasts = {}
     for h in cfg.horizons:
         std_vals = point[0, h - 1] if fan is None else fan[0, h - 1]

@@ -380,6 +380,20 @@ def test_flagged_prototypes_excluded_from_routing(small_world):
     assert assign_new_series(segment, gp, [better], flags, CFG) == -1
 
 
+def test_nan_loss_never_wins_routing(small_world):
+    prepared, gp, _ = small_world
+    worse = gp.copy()
+    worse.flat += np.random.default_rng(2).normal(scale=0.5, size=worse.flat.shape)
+    broken = gp.copy()
+    broken.w_out[...] = np.nan
+    segment = prepared.dataset.values[0, :40]
+    flags = FallbackFlags(flagged=(False, False))
+    # a NaN loss, before or after the best candidate, is passed over
+    assert assign_new_series(segment, worse, [broken, gp], flags, CFG) == 1
+    assert assign_new_series(segment, worse, [gp, broken], flags, CFG) == 0
+    assert assign_new_series(segment, gp, [broken, broken], flags, CFG) == -1
+
+
 # ---------------------------------------------------------------------------
 # the (K, seed) sweep driver
 # ---------------------------------------------------------------------------

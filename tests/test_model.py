@@ -8,7 +8,7 @@ import pytest
 from poolcast.losses import huber
 from poolcast.model import (Adam, ParamSet, TrainConfig, TrainingDiverged,
                             _gru_forward, _point_from_hidden,
-                            _quantiles_from_hidden, batch_loss,
+                            _quantiles_from_hidden, batch_loss, batch_losses,
                             clip_gradients_, init_params, load_checkpoint,
                             loss_and_gradients, median_index, rollout,
                             save_checkpoint, train)
@@ -425,6 +425,41 @@ def test_gru_forward_saturates_without_overflow_warning():
         h, _ = _gru_forward(params, x)
         loss_and_gradients(params, None, x, y, TrainConfig(w=5, mode="quantile"))
     assert np.isfinite(h).all()
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("n", [1, 31])
+@pytest.mark.parametrize("mode", ["point", "quantile"])
+def test_stacked_pass_is_bitwise_each_models_own(mode, n, m):
+    # the serving size of the models; each has its own jittered mix
+    models = [init_params(8, 6, 16, 3, seed) for seed in range(m)]
+    for seed, params in enumerate(models):
+        params.flat += np.random.default_rng(seed).normal(
+            scale=0.3, size=params.flat.shape)
+    assert len({params.mix.tobytes() for params in models}) == m
+    rng = np.random.default_rng([n, m])
+    x, y = rng.normal(size=(n, 7, 8)), rng.normal(size=(n, 8))
+    cfg = TrainConfig(w=7, mode=mode)
+    head = _point_from_hidden if mode == "point" else _quantiles_from_hidden
+    stack = ParamSet.stack(models)
+    hs, cache = _gru_forward(stack, x, keep=False)
+    assert cache is None and hs.shape == (m, n, 16)
+    preds = head(stack, hs)[0]
+    losses = batch_losses(models, x, y, cfg)
+    for i, params in enumerate(models):
+        h, _ = _gru_forward(params, x, keep=False)
+        assert hs[i].tobytes() == h.tobytes()
+        assert preds[i].tobytes() == head(params, h)[0].tobytes()
+        assert losses[i] == batch_loss(params, None, x, y, cfg)
+
+
+def test_stack_needs_models_of_one_layout():
+    with pytest.raises(ValueError, match="one tensor layout"):
+        ParamSet.stack([tiny_params(0), init_params(3, 2, 5, 3, 0)])
+    with pytest.raises(ValueError, match="one tensor layout"):
+        ParamSet.stack([ParamSet.stack([tiny_params(0)])])
+    with pytest.raises(ValueError, match="zero models"):
+        ParamSet.stack([])
 
 
 # ---------------------------------------------------------------------------

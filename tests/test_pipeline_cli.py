@@ -3,6 +3,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 
 import poolcast
 from poolcast import cli, clustering, model, pipeline
+from poolcast.calibration import apply_factor
 from poolcast.data import PreparedData
 from poolcast.model import TrainingDiverged, derive_seed
 from poolcast.pipeline import ConfigError, ProtocolError, RunConfig
@@ -79,16 +81,21 @@ def test_config_rejects_unknown_key(tmp_path):
     "l2sp=-1", "quantiles=0.9,0.1", "window=0", "hidden=0", "latent=-1",
     "selection_seeds=", "selection_seeds=-1", "selection_seeds=0,0",
     "k_candidates=0", "k_candidates=2,2", "eps=-1", "batch=0", "epochs=-1",
-    "proto_epochs=-1", "refit_epochs=-1", "init=magic"])
+    "proto_epochs=-1", "refit_epochs=-1", "init=magic",
+    "lr=-1", "lr=0", "lr=nan", "clip=-1", "beta1=1.5", "beta1=-0.1",
+    "beta2=-1", "beta2=1", "eps_adam=0", "gamma=nan", "huber_delta=nan",
+    "eps=nan", "l2sp=inf"])
 def test_config_rejects_bad_values(tmp_path, data_dir, capsys, override):
     run_dir = tmp_path / "r"
     path = write_config(tmp_path, data_dir, run_dir)
-    with pytest.raises(ConfigError):
+    key = override.partition("=")[0]
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
         RunConfig.from_file(path, overrides=[override])
     # every key is checked when the config is read, before anything is written
     assert cli.main(["select-k", "--config", path, "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert re.search(rf"\b{key}\b", err), err  # the key a user can set
     assert not run_dir.exists()
 
 
@@ -393,6 +400,25 @@ def test_forecast_new_routing_flow(tmp_path, data_dir):
     assert "1" in result["forecasts"]
     assert len(result["forecasts"]["1"]["raw"]) == 4
     assert os.path.exists(out)
+    # a point-mode reply is the routed model's rollout, as it is
+    manifest = pipeline.load_manifest(run_dir)
+    std = manifest["standardizer"]
+    seg = ((np.loadtxt(os.path.join(data_dir, "s0000_r0.csv"), delimiter=",")
+            - np.asarray(std["mu"])) / np.asarray(std["sigma"]))
+    point, fan = model.rollout(_routed_params(manifest, result["routed_id"]),
+                               seg[None, -cfg.window:], max(cfg.horizons),
+                               cfg.train_config())
+    assert fan is None
+    for h in cfg.horizons:
+        assert result["forecasts"][str(h)]["standardized"] == point[0, h - 1].tolist()
+
+
+def _routed_params(manifest, routed_id):
+    """The refit checkpoint that serves ``routed_id``."""
+    if routed_id < 0:
+        return model.load_checkpoint(manifest["checkpoint_refit_global"])[0]
+    member = manifest["assignment"].index(routed_id)
+    return model.load_checkpoint(manifest["routed_checkpoints"][member])[0]
 
 
 def test_quantile_mode_flow(tmp_path, data_dir):
@@ -429,18 +455,27 @@ def test_forecast_new_quantile_routing(tmp_path, data_dir):
         if not manifest["flags"][label]:
             protos[label] = model.load_checkpoint(ckpt)[0]
 
+    factors = manifest["calibration"]["factors"]
     routed = set()
     for name in sorted(os.listdir(data_dir)):
         result = pipeline.cmd_forecast_new(cfg, os.path.join(data_dir, name))
+        raw = np.loadtxt(os.path.join(data_dir, name), delimiter=",")
+        seg = (raw - mu) / sigma
+        w = tc.w
+        # the served fan: the raw rollout's outer levels calibrated around
+        # its median path with the manifest's factors, the rest as they are
+        point, fan = model.rollout(_routed_params(manifest, result["routed_id"]),
+                                   seg[None, -w:], max(cfg.horizons), tc)
         for h in cfg.horizons:
             reply = result["forecasts"][str(h)]
             assert reply["levels"] == list(cfg.quantiles)
             assert np.asarray(reply["standardized"]).shape == (3, 4)
             assert np.asarray(reply["raw"]).shape == (3, 4)
+            lo, hi = apply_factor(point[0, h - 1], fan[0, h - 1, 0],
+                                  fan[0, h - 1, -1], factors[str(h)])
+            assert reply["standardized"] == [lo.tolist(), fan[0, h - 1, 1].tolist(),
+                                             hi.tolist()]
 
-        raw = np.loadtxt(os.path.join(data_dir, name), delimiter=",")
-        seg = (raw - mu) / sigma
-        w = tc.w
         x = np.stack([seg[t - w + 1:t + 1] for t in range(w - 1, len(seg) - 1)])
         y = seg[w:]
         cost = {-1: model.batch_loss(pooled, None, x, y, tc)}
@@ -450,6 +485,10 @@ def test_forecast_new_quantile_routing(tmp_path, data_dir):
         assert result["routed_id"] == min(cost, key=lambda k: (cost[k], k))
         routed.add(result["routed_id"])
     assert len(routed) > 1
+    # a horizon that evaluate did not calibrate has no factor to serve with
+    with pytest.raises(ConfigError, match="horizon 2 was not calibrated"):
+        pipeline.cmd_forecast_new(dataclasses.replace(cfg, horizons=(1, 2)),
+                                  os.path.join(data_dir, name))
 
 
 @pytest.fixture(scope="module", params=["point", "quantile"])
@@ -769,3 +808,35 @@ def test_cli_synth_and_report(tmp_path, capsys):
     assert labels[0] == "series,regime"
     assert len(labels) == 7
     capsys.readouterr()
+
+
+def test_cli_parser_keeps_no_state_between_calls(tmp_path, data_dir, capsys,
+                                                 monkeypatch):
+    """One parser serves every call in a process; no call sees the
+    arguments of an earlier one."""
+    path = write_config(tmp_path, data_dir, str(tmp_path / "r"))
+    segment = os.path.join(data_dir, "s0000_r0.csv")
+    seen = []
+
+    def record(cfg, segment_path, out_path=None):
+        seen.append((out_path, cfg.gamma, cfg.seed))
+        return {"routed_model": "global"}
+
+    def help_text(argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv + ["--help"])
+        assert exit_info.value.code == 0
+        return capsys.readouterr().out
+
+    monkeypatch.setattr(pipeline, "cmd_forecast_new", record)
+    helps = [help_text(argv) for argv in ([], ["forecast-new"], ["synth"])]
+    base = ["forecast-new", "--config", path, "--segment", segment]
+    assert cli.main(base + ["--out", "A"]) == 0
+    assert cli.main(base) == 0
+    assert cli.main(base + ["--set", "gamma=0.2", "--set", "seed=4"]) == 0
+    assert cli.main(base) == 0
+    assert seen == [("A", 0.05, 0), (None, 0.05, 0), (None, 0.2, 4),
+                    (None, 0.05, 0)]
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+    assert [help_text(argv) for argv in ([], ["forecast-new"], ["synth"])] == helps
