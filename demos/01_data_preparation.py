@@ -9,7 +9,7 @@ bit of the fitted preprocessing.
 
 import numpy as np
 
-from poolcast.data import SplitSpec, enumerate_windows, fit_impute_standardize, prepare, split
+from poolcast.data import SplitSpec, fit_impute_standardize, prepare
 from poolcast.synthetic import SyntheticSpec, generate
 
 spec = SyntheticSpec(n_series=6, n_times=288, n_components=3, n_regimes=2, seed=0)
@@ -22,8 +22,7 @@ ds.mask[0, 10, 1] = False
 ds.mask[3, 250, 0] = False
 
 split_spec = SplitSpec(t_train=200, t_val=40, t_test=48)
-views = split(ds, split_spec)
-print("segments:", {tag: (v.t0, v.t1) for tag, v in views.items()})
+print("segments:", {tag: split_spec.bounds(tag) for tag in ("tr", "va", "te")})
 
 standardizer, transformed = fit_impute_standardize(ds, split_spec)
 print(f"per-component TRAIN mean: {np.round(standardizer.mu, 3)}")
@@ -35,8 +34,9 @@ print(f"imputed TEST cell (standardized units): {transformed.values[3, 250, 0]:+
 # window indices per segment: TRAIN windows stay inside TRAIN, while scored
 # segments let the input window reach backward but keep the whole forecast
 # path t+1 .. t+h inside the segment
+prepared = prepare(ds, split_spec)
 for tag in ("tr", "va", "te"):
-    idx = enumerate_windows(views[tag], w=12, horizons=[1, 6])
+    idx = prepared.window_index(tag, w=12, horizons=[1, 6])
     ends = {h: (int(e[0]) + 1, int(e[-1]) + 1, len(e)) for h, e in idx.end_times.items() if len(e)}
     print(f"{tag}: end-times (1-based first, last, count) per horizon: {ends}")
 
@@ -50,7 +50,6 @@ same = (np.array_equal(standardizer.mu, standardizer_b.mu)
 print(f"\nstandardizer bitwise identical after VAL+TEST tampering: {same}")
 
 # the prepared bundle also records which segments each phase reads
-prepared = prepare(ds, split_spec)
 prepared.audit.set_phase("fit-global")
 prepared.windows("tr", 1, 12)
 prepared.audit.set_phase("reassign")

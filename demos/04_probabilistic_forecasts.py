@@ -10,8 +10,8 @@ per-horizon scalar chosen on VAL to hit the 80% coverage target.
 import numpy as np
 
 from poolcast import clustering
-from poolcast.losses import format_rows
-from poolcast.calibration import coverage_at
+from poolcast.losses import format_rows, interval_stats
+from poolcast.calibration import apply_factor
 from poolcast.data import SplitSpec, prepare
 from poolcast.model import TrainConfig, derive_seed, init_params, rollout, train
 from poolcast.synthetic import SyntheticSpec, generate
@@ -52,8 +52,8 @@ print("\ncalibration factors per horizon:",
 streams = clustering.val_calibration_streams(prepared, art.routed_models,
                                              (1, 3, 6), cfg)
 for h, (med, lo, hi, tv) in sorted(streams.items()):
-    raw = coverage_at(med, lo, hi, tv, 1.0)
-    cal = coverage_at(med, lo, hi, tv, art.calibration.factor(h))
+    raw, cal = (interval_stats(tv, *apply_factor(med, lo, hi, s))[0]
+                for s in (1.0, art.calibration.factors[h]))
     print(f"  h={h}: VAL coverage raw {raw:.3f} -> calibrated {cal:.3f}")
 
 print("\nTEST report:")

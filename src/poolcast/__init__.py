@@ -17,12 +17,11 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 
 from .data import (AccessAudit, DataError, MtsDataset, PreparedData,
-                   SplitSpec, Standardizer, enumerate_windows,
-                   fit_impute_standardize, load_dataset, load_pems, prepare,
-                   save_csv, save_packed, split, write_csv)
-from .losses import (REPORT_COLUMNS, empirical_quantile, format_rows, huber,
-                     interval_stats, loss_elem, paper_scale, pinball,
-                     summarize_method, write_report_csv)
+                   SplitSpec, Standardizer, fit_impute_standardize,
+                   load_dataset, load_pems, prepare, save_csv, save_packed,
+                   write_csv)
+from .losses import (REPORT_COLUMNS, format_rows, interval_stats, loss_elem,
+                     paper_scale, summarize_method, write_report_csv)
 from .model import (ParamSet, TrainConfig, TrainingDiverged, init_params,
                     load_checkpoint, loss_and_gradients, rollout,
                     save_checkpoint, train)
@@ -31,12 +30,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccessAudit", "DataError", "MtsDataset", "PreparedData", "SplitSpec",
-    "Standardizer", "enumerate_windows", "fit_impute_standardize",
-    "load_dataset", "load_pems", "prepare", "save_csv", "save_packed", "split",
-    "write_csv",
-    "REPORT_COLUMNS", "empirical_quantile", "format_rows", "huber",
-    "interval_stats", "loss_elem", "paper_scale", "pinball",
-    "summarize_method", "write_report_csv",
+    "Standardizer", "fit_impute_standardize", "load_dataset", "load_pems",
+    "prepare", "save_csv", "save_packed", "write_csv",
+    "REPORT_COLUMNS", "format_rows", "interval_stats", "loss_elem",
+    "paper_scale", "summarize_method", "write_report_csv",
     "ParamSet", "TrainConfig", "TrainingDiverged", "init_params",
     "load_checkpoint", "loss_and_gradients", "rollout", "save_checkpoint",
     "train",

@@ -22,11 +22,6 @@ def apply_factor(median: np.ndarray, lower: np.ndarray, upper: np.ndarray,
     return median - s * (median - lower), median + s * (upper - median)
 
 
-def coverage_at(median, lower, upper, target_values, s: float) -> float:
-    lo, hi = apply_factor(median, lower, upper, s)
-    return float(np.mean((target_values >= lo) & (target_values <= hi)))
-
-
 def calibrate_factor(median, lower, upper, target_values,
                      target_coverage: float) -> float:
     """Smallest grid factor whose coverage reaches the target.
@@ -58,9 +53,6 @@ class CalibrationTable:
 
     target: float
     factors: dict[int, float] = field(default_factory=dict)
-
-    def factor(self, h: int) -> float:
-        return self.factors[h]
 
     def apply(self, h: int, median, lower, upper):
         return apply_factor(median, lower, upper, self.factors[h])

@@ -116,6 +116,21 @@ class SplitSpec:
             raise ValueError(f"unknown split tag {tag!r}")
         return ranges[tag]
 
+    def validate(self, n_times: int, min_segment: int | None = None) -> None:
+        """Reject a spec whose lengths do not sum to the dataset length
+        ``n_times``, or, given ``min_segment`` (typically window length +
+        max horizon), one with a segment too short to yield any forecasting
+        windows."""
+        if self.total != n_times:
+            raise DataError(
+                f"split lengths sum to {self.total} but dataset has T={n_times}")
+        if min_segment is not None:
+            for name in ("t_train", "t_val", "t_test"):
+                length = getattr(self, name)
+                if length < min_segment:
+                    raise DataError(f"{name}={length} is shorter than "
+                                    f"window + max horizon = {min_segment}")
+
 
 @dataclass(frozen=True)
 class Standardizer:
@@ -130,55 +145,6 @@ class Standardizer:
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         return values * self.sigma + self.mu
-
-
-@dataclass(frozen=True)
-class SplitView:
-    """Immutable window onto one time segment of a dataset.
-
-    ``self_contained`` marks segments whose forecasting windows must lie
-    entirely inside the segment (training segments). Scored segments instead
-    allow the input window to reach backward into strictly earlier data.
-    """
-
-    tag: str
-    t0: int
-    t1: int
-    dataset: MtsDataset
-    self_contained: bool
-
-    @property
-    def length(self) -> int:
-        return self.t1 - self.t0
-
-    @property
-    def values(self) -> np.ndarray:
-        v = self.dataset.values[:, self.t0:self.t1, :]
-        out = v.view()
-        out.flags.writeable = False
-        return out
-
-
-def split(ds: MtsDataset, spec: SplitSpec, min_segment: int | None = None) -> dict[str, SplitView]:
-    """Cut the dataset into contiguous TRAIN / VAL / TEST views.
-
-    ``min_segment`` (typically window length + max horizon) rejects splits too
-    short to yield any forecasting windows.
-    """
-    if spec.total != ds.n_times:
-        raise DataError(
-            f"split lengths sum to {spec.total} but dataset has T={ds.n_times}")
-    if min_segment is not None:
-        for name, length in (("t_train", spec.t_train), ("t_val", spec.t_val),
-                             ("t_test", spec.t_test)):
-            if length < min_segment:
-                raise DataError(
-                    f"{name}={length} is shorter than window + max horizon = {min_segment}")
-    views = {}
-    for tag in ("tr", "va", "te"):
-        t0, t1 = spec.bounds(tag)
-        views[tag] = SplitView(tag, t0, t1, ds, self_contained=(tag == "tr"))
-    return views
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +354,7 @@ def fit_impute_standardize(ds: MtsDataset, spec: SplitSpec, eps: float = 1e-8,
     """
     if impute not in ("mean", "median"):
         raise DataError(f"unknown imputation method {impute!r}")
-    if spec.total != ds.n_times:
-        raise DataError("split spec does not match dataset length")
+    spec.validate(ds.n_times)
     p = ds.n_components
     train_vals = ds.values[:, :spec.t_train, :]
     train_mask = ds.mask[:, :spec.t_train, :]
@@ -440,27 +405,6 @@ class WindowIndex:
 
     def count(self, h: int) -> int:
         return len(self.end_times[h])
-
-
-def enumerate_windows(view: SplitView, w: int, horizons) -> WindowIndex:
-    if w < 1:
-        raise ValueError("window length must be >= 1")
-    end_times = {}
-    for h in horizons:
-        if h < 1:
-            raise ValueError("horizons must be >= 1")
-        if view.self_contained:
-            lo = max(w - 1, view.t0 + w - 1)
-            hi = view.t1 - 1 - h
-        else:
-            # forecast path inside the segment, context may cross backward
-            lo = max(w - 1, view.t0 - 1)
-            hi = view.t1 - 1 - h
-        if hi < lo:
-            end_times[h] = np.empty(0, dtype=np.int64)
-        else:
-            end_times[h] = np.arange(lo, hi + 1, dtype=np.int64)
-    return WindowIndex(tag=view.tag, w=w, end_times=end_times)
 
 
 # ---------------------------------------------------------------------------
@@ -544,13 +488,22 @@ class PreparedData:
     def n_series(self) -> int:
         return self.dataset.n_series
 
-    def view(self, tag: str) -> SplitView:
-        t0, t1 = self.spec.bounds(tag)
-        return SplitView(tag, t0, t1, self.dataset,
-                         self_contained=tag in ("tr", "trval"))
-
     def window_index(self, tag: str, w: int, horizons) -> WindowIndex:
-        return enumerate_windows(self.view(tag), w, horizons)
+        """Window end times of segment ``tag`` at each of ``horizons``: the
+        one place the window rule of :class:`WindowIndex` is stated."""
+        if w < 1:
+            raise ValueError("window length must be >= 1")
+        t0, t1 = self.spec.bounds(tag)
+        if tag in ("tr", "trval"):  # training: the window stays inside
+            lo = t0 + w - 1
+        else:  # scored: the context may reach back into earlier data
+            lo = max(w - 1, t0 - 1)
+        end_times = {}
+        for h in horizons:
+            if h < 1:
+                raise ValueError("horizons must be >= 1")
+            end_times[h] = np.arange(lo, t1 - h, dtype=np.int64)
+        return WindowIndex(tag=tag, w=w, end_times=end_times)
 
     def _windows_all_ends(self, w: int) -> np.ndarray:
         # (N, T-w+1, w, P), row j = window ending at time j+w-1
@@ -601,6 +554,6 @@ class PreparedData:
 def prepare(ds: MtsDataset, spec: SplitSpec, eps: float = 1e-8,
             impute: str = "mean", min_segment: int | None = None) -> PreparedData:
     """Split, impute, standardize, and return the frozen prepared bundle."""
-    split(ds, spec, min_segment=min_segment)  # validates lengths
+    spec.validate(ds.n_times, min_segment)
     standardizer, transformed = fit_impute_standardize(ds, spec, eps=eps, impute=impute)
     return PreparedData(transformed, spec, standardizer)

@@ -1,4 +1,4 @@
-"""Scalar losses and evaluation metrics.
+"""Losses, split forecasts and evaluation metrics.
 
 Huber and pinball are the two training/selection losses; MSE and MAE are the
 reporting metrics. Components are always averaged with equal weight, and in
@@ -14,12 +14,6 @@ import numpy as np
 from .data import write_csv
 
 
-def huber(pred, target, delta: float = 1.0) -> float:
-    """Component-mean Huber loss: quadratic within delta, linear outside."""
-    e = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    return float(np.mean(huber_elem(e, delta)))
-
-
 def huber_elem(e: np.ndarray, delta: float) -> np.ndarray:
     a = np.abs(e)
     return np.where(a <= delta, 0.5 * e * e, delta * a - 0.5 * delta * delta)
@@ -30,17 +24,6 @@ def huber_deriv(e: np.ndarray, delta: float) -> np.ndarray:
     return np.clip(e, -delta, delta)
 
 
-def pinball(pred: float, target: float, q: float) -> float:
-    """Pinball loss rho_q(u) = u * (q - 1{u < 0}) with u = target - pred."""
-    u = target - pred
-    return float(u * (q - (1.0 if u < 0 else 0.0)))
-
-
-def pinball_elem(pred: np.ndarray, target: np.ndarray, q) -> np.ndarray:
-    u = target - pred
-    return u * (q - (u < 0))
-
-
 def loss_elem(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarray:
     """Elementwise loss of forecasts against targets, unreduced.
 
@@ -49,8 +32,9 @@ def loss_elem(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarra
     (..., P) at the levels ``cfg.quantiles``. Huber uses ``cfg.huber_delta``.
     """
     if kind == "pinball":
-        q = np.asarray(cfg.quantiles).reshape((-1, 1))
-        return pinball_elem(pred, target[..., None, :], q)
+        # rho_q(u) = u * (q - 1{u < 0}) with u = target - pred
+        u = target[..., None, :] - pred
+        return u * (np.asarray(cfg.quantiles).reshape((-1, 1)) - (u < 0))
     e = pred - target
     if kind == "huber":
         return huber_elem(e, cfg.huber_delta)
@@ -59,14 +43,6 @@ def loss_elem(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarra
     if kind == "mae":
         return np.abs(e)
     raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def empirical_quantile(sample, q: float) -> float:
-    """Smallest sample value y with F_n(y) >= q (the sort oracle)."""
-    ys = np.sort(np.asarray(sample, dtype=np.float64))
-    n = len(ys)
-    k = int(np.ceil(q * n))
-    return float(ys[max(k, 1) - 1])
 
 
 # ---------------------------------------------------------------------------

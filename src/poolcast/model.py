@@ -17,6 +17,8 @@ order so results are bitwise reproducible for a given seed.
 from __future__ import annotations
 
 import functools
+import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -85,29 +87,13 @@ class ParamSet:
              "b_reset", "w_cand", "u_cand", "b_cand", "w_out", "b_out",
              "w_quant", "b_quant")
 
-    def __init__(self, *tensors):
-        """``ParamSet(*tensors)`` copies the 14 tensors, in :attr:`NAMES`
-        order, into a new flat buffer; ``ParamSet(layout, flat)`` adopts the
-        float64 buffer ``flat`` of a cached :class:`_Layout` without copying,
-        or the (M, size) buffer of a stack of M models (see :meth:`stack`)."""
-        if len(tensors) == 2 and isinstance(tensors[0], _Layout):
-            layout, flat = tensors
-            if (flat.dtype != np.float64 or flat.ndim not in (1, 2)
-                    or flat.shape[-1] != layout.size):
-                raise ValueError(f"expected a float64 buffer of {layout.size} values")
-        else:
-            if len(tensors) != len(self.NAMES):
-                raise ValueError(f"expected {len(self.NAMES)} tensors")
-            latent, p_dim = tensors[0].shape
-            hidden = tensors[1].shape[0]
-            n_levels = tensors[12].shape[0] // latent
-            layout = _layout(p_dim, latent, hidden, n_levels)
-            flat = np.empty(layout.size)
-            for (name, shape, lo, hi), t in zip(layout.slots, tensors):
-                t = np.asarray(t, dtype=np.float64)
-                if t.shape != shape:
-                    raise ValueError(f"{name}: expected shape {shape}, got {t.shape}")
-                flat[lo:hi].reshape(shape)[...] = t
+    def __init__(self, layout: "_Layout", flat: np.ndarray):
+        """Adopt the float64 buffer ``flat`` of a cached :class:`_Layout`
+        without copying, or the (M, size) buffer of a stack of M models (see
+        :meth:`stack`)."""
+        if (flat.dtype != np.float64 or flat.ndim not in (1, 2)
+                or flat.shape[-1] != layout.size):
+            raise ValueError(f"expected a float64 buffer of {layout.size} values")
         self.layout = layout
         self.flat = flat
         lead = flat.shape[:-1]
@@ -147,9 +133,6 @@ class ParamSet:
     def n_levels(self) -> int:
         return self.w_quant.shape[-2] // self.latent
 
-    def tensors(self) -> list[np.ndarray]:
-        return [getattr(self, n) for n in self.NAMES]
-
     def copy(self) -> "ParamSet":
         return ParamSet(self.layout, self.flat.copy())
 
@@ -178,7 +161,7 @@ class _Layout:
         slots = []
         offset = 0
         for name, shape in ParamSet.shapes(p_dim, latent, hidden, n_levels):
-            size = int(np.prod(shape))
+            size = math.prod(shape)  # exact for any header's sizes
             slots.append((name, shape, offset, offset + size))
             offset += size
         self.slots = tuple(slots)
@@ -195,15 +178,13 @@ def init_params(p_dim: int, latent: int, hidden: int, n_levels: int,
                 seed: int) -> ParamSet:
     """Fresh parameters: weights ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero."""
     rng = np.random.default_rng(seed)
-    tensors = []
-    for name, shape in ParamSet.shapes(p_dim, latent, hidden, n_levels):
-        if name.startswith("b_"):
-            tensors.append(np.zeros(shape))
-        else:
-            fan_in = shape[1]
-            bound = 1.0 / np.sqrt(fan_in)
-            tensors.append(rng.uniform(-bound, bound, size=shape))
-    return ParamSet(*tensors)
+    layout = _layout(p_dim, latent, hidden, n_levels)
+    flat = np.zeros(layout.size)
+    for name, shape, lo, hi in layout.slots:
+        if not name.startswith("b_"):
+            bound = 1.0 / np.sqrt(shape[1])  # fan-in
+            flat[lo:hi] = rng.uniform(-bound, bound, size=hi - lo)
+    return ParamSet(layout, flat)
 
 
 @dataclass(frozen=True)
@@ -607,8 +588,6 @@ def train(initial: ParamSet, anchor: ParamSet | None, x: np.ndarray,
                 raise TrainingDiverged(
                     f"non-finite training loss in epoch {epoch}; "
                     f"last finite epoch was {epoch - 1}", epoch - 1)
-            if skip_mix:
-                grads.mix[:] = 0.0
             clip_gradients_(grads, cfg.clip, skip_mix=skip_mix)
             opt.step(params, grads)
     return params
@@ -641,11 +620,16 @@ def load_checkpoint(path: str) -> tuple[ParamSet, int, str]:
         latent, p_dim, hidden, w, n_levels, mode_flag = struct.unpack("<QQQQQQ", head)
         if mode_flag not in _FLAG_MODES:
             raise ValueError(f"{path}: unknown mode flag {mode_flag}")
+        if min(latent, p_dim, hidden, w, n_levels) < 1:
+            raise ValueError(f"{path}: checkpoint dimensions must be >= 1")
         layout = _layout(p_dim, latent, hidden, n_levels)
-        buf = fh.read(layout.size * 8)
-        if len(buf) != layout.size * 8:
+        # the payload size the header implies, checked against the file
+        # before anything is allocated for it
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload < layout.size * 8:
             raise ValueError(f"{path}: truncated checkpoint payload")
-        if fh.read(1):
+        if payload > layout.size * 8:
             raise ValueError(f"{path}: trailing bytes in checkpoint")
+        buf = fh.read(layout.size * 8)
     flat = np.frombuffer(buf, dtype="<f8").astype(np.float64)
     return ParamSet(layout, flat), int(w), _FLAG_MODES[mode_flag]

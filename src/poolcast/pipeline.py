@@ -223,7 +223,10 @@ def load_manifest(run_dir: str) -> dict:
     if not os.path.exists(path):
         raise DataError(f"no manifest in {run_dir}; run prepare/train first")
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"unreadable manifest {path}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -660,7 +663,10 @@ def cmd_report(run_dirs, out_path: str | None = None,
         if not report_path or not os.path.exists(report_path):
             raise DataError(f"{run_dir}: no evaluation report; run evaluate")
         with open(report_path) as fh:
-            rows = json.load(fh)["rows"]
+            try:
+                rows = json.load(fh)["rows"]
+            except ValueError as exc:
+                raise DataError(f"unreadable report {report_path}: {exc}") from None
         if paper_scale:
             rows = losses.paper_scale(rows)
         merged += [dict(row, run=run_dir) for row in rows]

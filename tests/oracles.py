@@ -1,0 +1,19 @@
+"""Independent reference implementations that tests compare the library with."""
+
+import numpy as np
+
+
+def huber(pred, target, delta: float) -> float:
+    """Component-mean Huber loss of one forecast: quadratic within delta,
+    linear outside."""
+    e = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
+    a = np.abs(e)
+    return float(np.mean(np.where(a <= delta, 0.5 * e * e,
+                                  delta * a - 0.5 * delta * delta)))
+
+
+def empirical_quantile(sample, q: float) -> float:
+    """Smallest sample value y with F_n(y) >= q (the sort oracle)."""
+    ys = np.sort(np.asarray(sample, dtype=np.float64))
+    k = int(np.ceil(q * len(ys)))
+    return float(ys[max(k, 1) - 1])

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from poolcast import baselines, clustering, losses, model
-from poolcast.calibration import GRID, apply_factor, coverage_at
+from poolcast.calibration import GRID, apply_factor
 from poolcast.data import SplitSpec, load_pems, prepare
-from poolcast.losses import empirical_quantile, huber, pinball
+from poolcast.losses import interval_stats, loss_elem
 from poolcast.model import (ParamSet, TrainConfig, batch_loss, derive_seed,
                             init_params, loss_and_gradients, rollout, train)
 from poolcast.synthetic import SyntheticSpec, generate, adjusted_rand_index
+
+from oracles import empirical_quantile
 
 LATENT, HIDDEN = 6, 16
 SPLIT = SplitSpec(200, 50, 50)
@@ -185,20 +187,34 @@ def test_criterion_01_gradient_correctness():
 
 
 def test_criterion_02_loss_unit_oracles():
-    assert abs(huber([0.5], [0.0], 1.0) - 0.125) <= 1e-12
-    assert abs(huber([2.0], [0.0], 1.0) - 1.5) <= 1e-12
-    assert abs(pinball(0.0, 1.0, 0.9) - 0.9) <= 1e-12
-    assert abs(pinball(0.0, -1.0, 0.9) - 0.1) <= 1e-12
+    # the program's losses: Huber (delta 1) of a one-component forecast and
+    # pinball (q 0.9) of a one-level, one-component fan
+    cfg = TrainConfig(huber_delta=1.0, quantiles=(0.9,))
+
+    def huber(e):
+        return loss_elem("huber", np.array([e]), np.array([0.0]), cfg).mean()
+
+    def pinball(pred, target):
+        return loss_elem("pinball", np.array([[pred]]), np.array([target]),
+                         cfg).mean()
+
+    assert abs(huber(0.5) - 0.125) <= 1e-12
+    assert abs(huber(2.0) - 1.5) <= 1e-12
+    assert abs(pinball(0.0, 1.0) - 0.9) <= 1e-12
+    assert abs(pinball(0.0, -1.0) - 0.1) <= 1e-12
     rng = np.random.default_rng(202)
     for trial in range(100):
         q = rng.uniform(0.05, 0.95)
         sample = rng.normal(size=int(rng.integers(5, 60)))
         candidates = np.unique(sample)
-        cand_losses = np.mean(
-            (sample[None, :] - candidates[:, None])
-            * (q - (sample[None, :] < candidates[:, None])), axis=1)
+        level = TrainConfig(quantiles=(q,))
+        # pinball loss of each candidate forecast (one level, one component)
+        # against each sample value, averaged over the sample
+        cand_losses = loss_elem("pinball", candidates[:, None, None, None],
+                                sample[:, None], level)[..., 0, 0].mean(axis=1)
         oracle = empirical_quantile(sample, q)
-        oracle_loss = np.mean((sample - oracle) * (q - (sample < oracle)))
+        oracle_loss = loss_elem("pinball", np.array([[[oracle]]]),
+                                sample[:, None], level)[:, 0, 0].mean()
         gap = oracle_loss - cand_losses.min()
         assert 0.0 <= gap <= 1e-12, f"trial {trial}: loss gap {gap:.3e}"
 
@@ -383,8 +399,9 @@ def test_criterion_09_calibration(quantile_run):
     streams = clustering.val_calibration_streams(
         prepared, art.routed_models, (1, 3), cfg)
     for h, (med, lo, hi, tv) in streams.items():
-        best_cov = coverage_at(med, lo, hi, tv, GRID[-1])
-        got_cov = coverage_at(med, lo, hi, tv, table.factor(h))
+        best_cov, _ = interval_stats(tv, *apply_factor(med, lo, hi, GRID[-1]))
+        got_cov, _ = interval_stats(tv, *apply_factor(med, lo, hi,
+                                                      table.factors[h]))
         if best_cov >= 0.8:
             assert got_cov >= 0.8, f"h={h}: calibrated VAL coverage {got_cov:.3f}"
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from poolcast.calibration import (GRID, CalibrationTable, apply_factor,
-                                  calibrate, calibrate_factor, coverage_at)
+                                  calibrate, calibrate_factor)
+from poolcast.losses import interval_stats
+
+
+def coverage_at(med, lo, hi, target, s):
+    """Coverage of the intervals rescaled by s, as the program reports it."""
+    return interval_stats(target, *apply_factor(med, lo, hi, s))[0]
 
 
 def make_stream(seed=0, n=400, spread=1.0):

@@ -19,6 +19,8 @@ from poolcast.data import SplitSpec, prepare
 from poolcast.model import TrainConfig, init_params, rollout, train
 from poolcast.synthetic import SyntheticSpec, generate
 
+from oracles import huber
+
 CFG = TrainConfig(w=6, epochs=4, batch=64, mode="point", seed=0)
 
 
@@ -168,7 +170,7 @@ def test_cost_matrix_agrees_with_composition_oracle(small_world):
             p = rollout(gp, cur[None], 1, CFG)[0][:, -1][0]
             cur = np.concatenate([cur[1:], p[None, :]], axis=0)
         preds.append(p)
-    manual = np.mean([losses.huber(p, t, CFG.huber_delta)
+    manual = np.mean([huber(p, t, CFG.huber_delta)
                       for p, t in zip(preds, y[0])])
     assert cost.values[2, 0] == pytest.approx(manual, abs=0, rel=0)
 

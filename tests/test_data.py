@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from poolcast.data import (DataError, MtsDataset, SplitSpec, _check_csv_records,
-                           _load_csv_file, enumerate_windows,
-                           fit_impute_standardize, load_dataset, prepare,
-                           save_csv, save_packed, split)
+                           _load_csv_file, fit_impute_standardize,
+                           load_dataset, prepare, save_csv, save_packed)
 
 
 def make_ds(n=2, t=10, p=3, seed=0, missing=()):
@@ -151,25 +150,27 @@ def test_csv_ragged_rows_and_header(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_split_views_cover_time_axis():
-    ds = make_ds(t=288)
-    views = split(ds, SplitSpec(200, 40, 48))
-    assert (views["tr"].t0, views["tr"].t1) == (0, 200)
-    assert (views["va"].t0, views["va"].t1) == (200, 240)
-    assert (views["te"].t0, views["te"].t1) == (240, 288)
-    covered = sorted((v.t0, v.t1) for v in views.values())
-    flat = [t for t0, t1 in covered for t in range(t0, t1)]
+def test_split_bounds_cover_time_axis():
+    spec = prepare(make_ds(t=288), SplitSpec(200, 40, 48)).spec
+    bounds = {tag: spec.bounds(tag) for tag in ("tr", "va", "te")}
+    assert bounds == {"tr": (0, 200), "va": (200, 240), "te": (240, 288)}
+    flat = [t for t0, t1 in sorted(bounds.values()) for t in range(t0, t1)]
     assert flat == list(range(288))
+    assert spec.bounds("trval") == (0, 240)
 
 
 def test_split_sum_mismatch_and_short_segment():
     ds = make_ds(t=144)
-    with pytest.raises(DataError, match="sum"):
-        split(ds, SplitSpec(100, 22, 23))
-    views = split(ds, SplitSpec(100, 22, 22))
-    assert (views["va"].t0, views["va"].t1) == (100, 122)
-    with pytest.raises(DataError, match="shorter"):
-        split(ds, SplitSpec(100, 22, 22), min_segment=23)
+    for bad in (lambda: prepare(ds, SplitSpec(100, 22, 23)),
+                lambda: fit_impute_standardize(ds, SplitSpec(100, 22, 23))):
+        with pytest.raises(DataError,
+                           match=r"split lengths sum to 145 but dataset has T=144"):
+            bad()
+    prepared = prepare(ds, SplitSpec(100, 22, 22), min_segment=22)
+    assert prepared.spec.bounds("va") == (100, 122)
+    with pytest.raises(DataError, match=r"t_val=22 is shorter than "
+                                        r"window \+ max horizon = 23"):
+        prepare(ds, SplitSpec(100, 22, 22), min_segment=23)
 
 
 def test_split_spec_rejects_zero_segment():
@@ -177,11 +178,12 @@ def test_split_spec_rejects_zero_segment():
         SplitSpec(288, 0, 0)
 
 
-def test_views_are_read_only():
-    ds = make_ds()
-    views = split(ds, SplitSpec(4, 3, 3))
+def test_prepared_values_are_read_only():
+    dataset = prepare(make_ds(), SplitSpec(4, 3, 3)).dataset
     with pytest.raises(ValueError):
-        views["tr"].values[0, 0, 0] = 1.0
+        dataset.values[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        dataset.mask[0, 0, 0] = False
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +252,24 @@ def test_standardized_train_moments():
 # ---------------------------------------------------------------------------
 
 
-def windows_for(t_train=200, t_val=40, t_test=48, tag="tr", w=12, h=1):
+def window_index(t_train=200, t_val=40, t_test=48, tag="tr", w=12,
+                 horizons=(1,)):
     ds = make_ds(n=1, t=t_train + t_val + t_test, p=1)
-    views = split(ds, SplitSpec(t_train, t_val, t_test))
-    return enumerate_windows(views[tag], w, [h]).end_times[h]
+    return prepare(ds, SplitSpec(t_train, t_val, t_test)).window_index(
+        tag, w, horizons)
+
+
+def windows_for(tag="tr", w=12, h=1):
+    return window_index(tag=tag, w=w, horizons=[h]).end_times[h]
 
 
 def test_train_window_count_and_range():
     ends = windows_for(tag="tr", w=12, h=1)
     # 1-based {12..199}: both window and target inside TRAIN
     assert ends[0] == 11 and ends[-1] == 198 and len(ends) == 188
+    # the refit segment is self-contained too, over TRAIN + VAL = [0, 240)
+    ends = windows_for(tag="trval", w=12, h=1)
+    assert ends[0] == 11 and ends[-1] == 238 and len(ends) == 228
 
 
 def test_val_windows_cross_boundary_backward():
@@ -269,19 +279,20 @@ def test_val_windows_cross_boundary_backward():
 
 
 def test_val_too_short_for_horizon_gives_empty_index():
-    ds = make_ds(n=1, t=200 + 5 + 40, p=1)
-    views = split(ds, SplitSpec(200, 5, 40))
-    idx = enumerate_windows(views["va"], 12, [6, 1])
-    assert len(idx.end_times[6]) == 0
-    assert len(idx.end_times[1]) == 5
+    idx = window_index(200, 5, 40, tag="va", w=12, horizons=[6, 1])
+    assert idx.end_times[6].dtype == np.int64 and idx.count(6) == 0
+    assert idx.count(1) == 5
 
 
 def test_window_index_shared_across_series():
-    ds = make_ds(n=3, t=60, p=1)
-    views = split(ds, SplitSpec(40, 10, 10))
-    idx = enumerate_windows(views["te"], 5, [2])
+    prepared = prepare(make_ds(n=3, t=60, p=1), SplitSpec(40, 10, 10))
+    idx = prepared.window_index("te", 5, [2])
     # one grid for every series: TEST targets t + 2 for t in 49..57
     np.testing.assert_array_equal(idx.end_times[2], np.arange(49, 58))
+    with pytest.raises(ValueError, match="window length"):
+        prepared.window_index("te", 0, [2])
+    with pytest.raises(ValueError, match="horizons"):
+        prepared.window_index("te", 5, [0])
 
 
 # ---------------------------------------------------------------------------

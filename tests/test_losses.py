@@ -3,10 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poolcast.losses import (REPORT_COLUMNS, empirical_quantile, huber,
-                             interval_stats, loss_elem, paper_scale, pinball,
-                             summarize_method, write_report_csv)
+from poolcast.losses import (REPORT_COLUMNS, interval_stats, loss_elem,
+                             paper_scale, summarize_method, write_report_csv)
 from poolcast.model import TrainConfig
+
+from oracles import empirical_quantile, huber
+
+
+def huber_mean(pred, target, delta):
+    """Mean of :func:`loss_elem` "huber" over the components of one forecast."""
+    return float(loss_elem("huber", np.asarray(pred, dtype=np.float64),
+                           np.asarray(target, dtype=np.float64),
+                           TrainConfig(huber_delta=delta)).mean())
+
+
+def pinball_mean(pred, targets, q):
+    """Mean of :func:`loss_elem` "pinball" of the one-level, one-component
+    forecast ``pred`` against each of ``targets``."""
+    targets = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
+    fan = np.full((len(targets), 1, 1), float(pred))
+    return float(loss_elem("pinball", fan, targets,
+                           TrainConfig(quantiles=(q,))).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -21,24 +38,26 @@ from poolcast.model import TrainConfig
     (1.0, 1.0, 0.5),
 ])
 def test_huber_scalar_values(e, delta, expected):
-    assert huber([e], [0.0], delta) == pytest.approx(expected, abs=1e-12)
+    assert huber_mean([e], [0.0], delta) == pytest.approx(expected, abs=1e-12)
 
 
 def test_huber_component_mean():
-    assert huber([0.5, 2.0], [0.0, 0.0], 1.0) == pytest.approx(0.8125, abs=1e-12)
+    assert huber_mean([0.5, 2.0], [0.0, 0.0], 1.0) == pytest.approx(0.8125, abs=1e-12)
 
 
 def test_huber_smooth_at_transition():
     delta, eps = 1.0, 1e-7
-    left = (huber([delta], [0.0], delta) - huber([delta - eps], [0.0], delta)) / eps
-    right = (huber([delta + eps], [0.0], delta) - huber([delta], [0.0], delta)) / eps
+    left = (huber_mean([delta], [0.0], delta)
+            - huber_mean([delta - eps], [0.0], delta)) / eps
+    right = (huber_mean([delta + eps], [0.0], delta)
+             - huber_mean([delta], [0.0], delta)) / eps
     assert abs(left - right) < 1e-6
 
 
 @given(st.floats(-50, 50), st.floats(0.1, 5.0))
 @settings(max_examples=200, deadline=None)
 def test_huber_upper_bounds(e, delta):
-    v = huber([e], [0.0], delta)
+    v = huber_mean([e], [0.0], delta)
     assert v <= 0.5 * e * e + 1e-12
     assert v <= delta * abs(e) + 1e-12
 
@@ -50,16 +69,16 @@ def test_huber_upper_bounds(e, delta):
 
 def test_pinball_asymmetry():
     # u = target - pred
-    assert pinball(0.0, 1.0, 0.9) == pytest.approx(0.9, abs=1e-12)
-    assert pinball(0.0, -1.0, 0.9) == pytest.approx(0.1, abs=1e-12)
-    assert pinball(5.0, 5.0, 0.3) == 0.0
+    assert pinball_mean(0.0, [1.0], 0.9) == pytest.approx(0.9, abs=1e-12)
+    assert pinball_mean(0.0, [-1.0], 0.9) == pytest.approx(0.1, abs=1e-12)
+    assert pinball_mean(5.0, [5.0], 0.3) == 0.0
 
 
 def test_multi_pinball_averages_levels_and_components():
     preds = np.array([[0.0, 0.0], [1.0, 1.0]])  # levels 0.2 and 0.8
     target = np.array([1.0, 1.0])
-    expected = (pinball(0, 1, 0.2) + pinball(0, 1, 0.2)
-                + pinball(1, 1, 0.8) + pinball(1, 1, 0.8)) / 4
+    # u = 1 at level 0.2 on both components (0.2 each), u = 0 at level 0.8
+    expected = (0.2 + 0.2 + 0.0 + 0.0) / 4
     cfg = TrainConfig(quantiles=(0.2, 0.8))
     elems = loss_elem("pinball", preds, target, cfg)
     assert elems.shape == (2, 2)
@@ -69,9 +88,9 @@ def test_multi_pinball_averages_levels_and_components():
 def test_empirical_minimizer_matches_sort_oracle_fixed():
     sample = np.arange(1.0, 11.0)
     assert empirical_quantile(sample, 0.3) == 3.0
-    losses = [np.mean([pinball(a, x, 0.3) for x in sample]) for a in sample]
+    losses = [pinball_mean(a, sample, 0.3) for a in sample]
     best = sample[int(np.argmin(losses))]
-    oracle_loss = np.mean([pinball(3.0, x, 0.3) for x in sample])
+    oracle_loss = pinball_mean(3.0, sample, 0.3)
     assert min(losses) <= oracle_loss + 1e-12
     assert best == 3.0
 
@@ -82,9 +101,9 @@ def test_empirical_minimizer_property(seed, q):
     rng = np.random.default_rng(seed)
     sample = rng.normal(size=rng.integers(3, 40))
     candidates = np.unique(sample)
-    losses = [np.mean([pinball(a, x, q) for x in sample]) for a in candidates]
+    losses = [pinball_mean(a, sample, q) for a in candidates]
     oracle = empirical_quantile(sample, q)
-    oracle_loss = np.mean([pinball(oracle, x, q) for x in sample])
+    oracle_loss = pinball_mean(oracle, sample, q)
     assert min(losses) <= oracle_loss + 1e-12
     # the sort-oracle quantile is itself a minimizer
     assert oracle_loss <= min(losses) + 1e-12

@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from poolcast.losses import huber
 from poolcast.model import (Adam, ParamSet, TrainConfig, TrainingDiverged,
                             _gru_forward, _point_from_hidden,
                             _quantiles_from_hidden, batch_loss, batch_losses,
                             clip_gradients_, init_params, load_checkpoint,
                             loss_and_gradients, median_index, rollout,
                             save_checkpoint, train)
+
+from oracles import huber
 
 TINY = dict(p_dim=3, latent=2, hidden=4, n_levels=3)
 
@@ -154,8 +155,8 @@ def test_output_shape_and_determinism():
 
 def test_quantile_softplus_ladder():
     # 1x1 identity mixer, zero head: levels are (0, ln 2, 2 ln 2)
-    shapes = ParamSet.shapes(1, 1, 2, 3)
-    params = ParamSet(*[np.zeros(s) for _, s in shapes])
+    params = init_params(1, 1, 2, 3, seed=0)
+    params.flat[:] = 0.0
     params.mix[0, 0] = 1.0
     cfg = TrainConfig(w=4, mode="quantile", quantiles=(0.1, 0.5, 0.9))
     fan = rollout(params, np.zeros((1, 4, 1)), 1, cfg)[1][:, -1]
@@ -175,8 +176,8 @@ def test_latent_quantiles_never_cross():
 
 
 def test_single_level_grid():
-    shapes = ParamSet.shapes(2, 2, 3, 1)
-    params = ParamSet(*[np.random.default_rng(0).normal(size=s) for _, s in shapes])
+    params = init_params(2, 2, 3, 1, seed=0)
+    params.flat[:] = np.random.default_rng(0).normal(size=params.flat.size)
     cfg = TrainConfig(w=4, mode="quantile", quantiles=(0.5,))
     point, fan = rollout(params, np.zeros((1, 4, 2)), 1, cfg)
     point, fan = point[:, -1], fan[:, -1]
@@ -350,11 +351,11 @@ def test_empty_training_set_rejected():
               TrainConfig(w=5))
 
 
-def reference_train(initial, anchor, x, y, cfg):
+def reference_train(initial, anchor, x, y, cfg, freeze_mix=False):
     """train() spelled out from the public step functions, with a fresh
     gradient ParamSet on every step."""
     params = initial.copy()
-    skip_mix = anchor is not None
+    skip_mix = anchor is not None or freeze_mix
     opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_adam,
                skip_mix=skip_mix)
     rng = np.random.default_rng(cfg.seed)
@@ -370,19 +371,27 @@ def reference_train(initial, anchor, x, y, cfg):
     return params
 
 
-@pytest.mark.parametrize("mode,anchored", [("point", False), ("quantile", False),
-                                           ("point", True), ("quantile", True)])
-def test_train_with_reused_gradient_buffer_is_bitwise_reference(mode, anchored):
+@pytest.mark.parametrize(
+    "mode,anchored,freeze_mix",
+    [("point", False, False), ("quantile", False, False),
+     ("point", True, False), ("quantile", True, False),
+     ("point", False, True), ("quantile", False, True)],
+    ids=["point-False", "quantile-False", "point-True", "quantile-True",
+         "point-freeze_mix", "quantile-freeze_mix"])
+def test_train_with_reused_gradient_buffer_is_bitwise_reference(
+        mode, anchored, freeze_mix):
     rng = np.random.default_rng(11)
     x = rng.normal(size=(70, 5, 3))  # 70 = 4 batches of 16 and one of 6
     y = rng.normal(size=(70, 3))
     init = tiny_params(6)
     anchor = tiny_params(7) if anchored else None
     cfg = TrainConfig(w=5, epochs=3, batch=16, mode=mode, clip=0.5, seed=2)
-    fitted = train(init, anchor, x, y, cfg)
-    expected = reference_train(init, anchor, x, y, cfg)
+    fitted = train(init, anchor, x, y, cfg, freeze_mix=freeze_mix)
+    expected = reference_train(init, anchor, x, y, cfg, freeze_mix)
     assert fitted.flat.tobytes() == expected.flat.tobytes()
     assert not np.array_equal(fitted.flat, init.flat)
+    if anchored or freeze_mix:  # the shared encoder stays as it was
+        assert fitted.mix.tobytes() == init.mix.tobytes()
 
 
 def test_paramset_copies_are_views_of_their_own_buffer(tmp_path):
@@ -395,7 +404,8 @@ def test_paramset_copies_are_views_of_their_own_buffer(tmp_path):
     for other in copies:
         assert not np.shares_memory(other.flat, params.flat)
         other.flat[:] = np.arange(other.flat.size)
-        tiled = np.concatenate([t.ravel() for t in other.tensors()])
+        tiled = np.concatenate([getattr(other, n).ravel()
+                                for n in ParamSet.NAMES])
         np.testing.assert_array_equal(tiled, np.arange(other.flat.size))
         assert other.spec_offset == params.spec_offset
 
@@ -405,10 +415,11 @@ def test_unpickled_paramset_tensors_are_views_of_its_buffer():
     clone = pickle.loads(pickle.dumps(params))
     assert clone.flat.tobytes() == params.flat.tobytes()
     assert not np.shares_memory(clone.flat, params.flat)
-    for name, t in zip(ParamSet.NAMES, clone.tensors()):
+    tensors = [getattr(clone, name) for name in ParamSet.NAMES]
+    for name, t in zip(ParamSet.NAMES, tensors):
         assert np.shares_memory(t, clone.flat), name
     clone.flat[:] = np.arange(clone.flat.size)
-    tiled = np.concatenate([t.ravel() for t in clone.tensors()])
+    tiled = np.concatenate([t.ravel() for t in tensors])
     np.testing.assert_array_equal(tiled, np.arange(clone.flat.size))
 
 
@@ -483,3 +494,15 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 64)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(str(path))
+    # headers checked against the file before the payload is read: a zero
+    # dimension, sizes no file holds, and a payload one value short or long
+    save_checkpoint(tiny_params(9), w=5, mode="point", path=str(path))
+    good = path.read_bytes()
+    for latent, tail, match in ((0, good[52:], ">= 1"),
+                                (2 ** 62, good[52:], "truncated"),
+                                (2, good[52:-8], "truncated"),
+                                (2, good[52:] + bytes(8), "trailing")):
+        path.write_bytes(good[:4] + latent.to_bytes(8, "little") + good[12:52]
+                         + tail)
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(str(path))

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -762,6 +763,38 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
     assert not os.path.exists(missing_dir)
+
+    # run files that cannot be read are data errors: a report or manifest
+    # that is not JSON, and a checkpoint header with a zero dimension (here
+    # with the payload it implies) or one that implies a payload far larger
+    # than the file
+    forecast = ["forecast-new", "--config", good, "--segment", segment]
+    ckpt = os.path.join(run_dir, "checkpoints", "refit_global.pcm")
+    with open(ckpt, "rb") as fh:
+        stored = fh.read()
+    _, p_dim, hidden, w, n_levels, mode_flag = struct.unpack("<6Q", stored[4:52])
+
+    def header(latent):
+        return b"PCM1" + struct.pack("<6Q", latent, p_dim, hidden, w,
+                                     n_levels, mode_flag)
+
+    for path, content, argv in (
+            (os.path.join(run_dir, "report.json"), b'{"rows": [',
+             ["report", "--runs", run_dir]),
+            (os.path.join(run_dir, "manifest.json"), b"{not json", forecast),
+            (ckpt, header(2 ** 40) + stored[52:], forecast),
+            (ckpt, header(2 ** 62) + stored[52:], forecast),
+            (ckpt, header(0) + bytes(8 * (3 * hidden * hidden + 3 * hidden)),
+             forecast)):
+        with open(path, "rb") as fh:
+            original = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(content)
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+        with open(path, "wb") as fh:
+            fh.write(original)
 
     # synth into a path that is an existing file is a data error
     assert cli.main(["synth", "--out", str(short), "--n-series", "3",
