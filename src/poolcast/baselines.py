@@ -109,7 +109,6 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
     n = prepared.n_series
     strategy = "feature" if kind == "feat_kmeans" else "random_balanced"
     features = training_feature_vectors(prepared) if kind == "feat_kmeans" else None
-    cache = clustering._TrainCache(prepared, cfg)
     prepared.audit.set_phase("fallback")
     pooled = clustering.pooled_val_losses(prepared, global_params, cfg,
                                           kind="mse")
@@ -118,11 +117,10 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
         assignment = init_assignments(n, k, seed, strategy, features)
         run_cfg = replace(cfg, seed=derive_seed(cfg.seed, kind, seed))
         prepared.audit.set_phase("fit-prototypes")
-        protos, inert = fit_prototypes(prepared, assignment, global_params,
-                                       run_cfg, proto_epochs, cache)
-        loop = clustering.LoopResult(assignment, protos, inert,
-                                     [assignment.labels], converged=True,
-                                     cost=None)
+        protos, _ = fit_prototypes(prepared, assignment, global_params,
+                                   run_cfg, proto_epochs)
+        loop = clustering.LoopResult(assignment, protos, [assignment.labels],
+                                     converged=True, cost=None)
         prepared.audit.set_phase("fallback")
         own = clustering.own_val_losses(prepared, assignment, protos, run_cfg,
                                         "mse")
@@ -135,11 +133,10 @@ def fit_individual(prepared: PreparedData, global_params: ParamSet,
                    cfg: TrainConfig) -> list[ParamSet]:
     """One model per series, each trained from a fresh seeded initialization
     of the pooled model's shape on that series' TRAIN windows alone."""
-    cache = clustering._TrainCache(prepared, cfg)
     prepared.audit.set_phase("fit-individual")
     models = []
     for i in range(prepared.n_series):
-        x, y = cache.pooled(np.asarray([i]))
+        x, y = prepared.windows("tr", 1, cfg.w, [i])
         models.append(model.train(
             model.init_params(global_params.p_dim, global_params.latent,
                               global_params.hidden, global_params.n_levels,

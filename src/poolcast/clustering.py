@@ -24,7 +24,7 @@ import numpy as np
 
 from . import losses, model
 from .calibration import CalibrationTable, calibrate
-from .data import PreparedData
+from .data import PreparedData, gather_windows
 from .losses import summarize_method
 from .model import ParamSet, TrainConfig, derive_seed
 
@@ -53,7 +53,7 @@ class Assignment:
 class CostMatrix:
     """VAL losses, one row per series and one column per prototype.
 
-    ``values`` holds the means over the assignment ``horizons``;
+    ``values`` holds the means over the assignment horizons;
     ``by_horizon`` maps every horizon scored, the assignment horizons and
     always h = 1 (the fallback's horizon), to its own (N, K) losses. NaN
     marks an undefined entry (no valid windows). Rows of ``values`` that are
@@ -62,7 +62,6 @@ class CostMatrix:
     """
 
     values: np.ndarray
-    horizons: tuple
     by_horizon: dict
 
     def own_losses(self, assignment: "Assignment") -> np.ndarray:
@@ -133,28 +132,15 @@ def init_assignments(n_series: int, k: int, seed: int,
     raise ValueError(f"unknown initialization strategy {strategy!r}")
 
 
-class _TrainCache:
-    """Per-series TRAIN (and later TRAIN+VAL) windows, gathered once."""
-
-    def __init__(self, prepared: PreparedData, cfg: TrainConfig, tag: str = "tr"):
-        x, y = prepared.per_series_windows(tag, 1, cfg.w)
-        self.x, self.y = x, y
-
-    def pooled(self, series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s, n, w, p = self.x.shape
-        return (self.x[series].reshape(-1, w, p), self.y[series].reshape(-1, p))
-
-
 def fit_prototypes(prepared: PreparedData, assignment: Assignment,
                    global_params: ParamSet, cfg: TrainConfig,
-                   proto_epochs: int, cache: _TrainCache | None = None
-                   ) -> tuple[list[ParamSet], np.ndarray]:
-    """One prototype per cluster, warm-started at and anchored to the pooled model.
+                   proto_epochs: int) -> tuple[list[ParamSet], np.ndarray]:
+    """One prototype per cluster, warm-started at and anchored to the pooled
+    model, each trained on its members' TRAIN windows.
 
     Empty clusters get an untrained copy of the pooled parameters and are
     reported inert for this iteration.
     """
-    cache = cache or _TrainCache(prepared, cfg)
     protos: list[ParamSet] = []
     inert = np.zeros(assignment.n_clusters, dtype=bool)
     for k in range(assignment.n_clusters):
@@ -163,7 +149,7 @@ def fit_prototypes(prepared: PreparedData, assignment: Assignment,
             protos.append(global_params.copy())
             inert[k] = True
             continue
-        x, y = cache.pooled(members)
+        x, y = prepared.windows("tr", 1, cfg.w, members)
         protos.append(model.train(global_params, global_params, x, y, cfg,
                                   epochs=proto_epochs))
     return protos, inert
@@ -193,7 +179,7 @@ def compute_cost_matrix(prepared: PreparedData, prototypes: list[ParamSet],
         present = [per_h[h] for h in horizons if per_h[h] is not None]
         means.append(np.mean(present, axis=0) if present
                      else np.full(n, np.nan))
-    return CostMatrix(np.stack(means, axis=1), tuple(horizons),
+    return CostMatrix(np.stack(means, axis=1),
                       {h: np.stack(c, axis=1) for h, c in cols.items()})
 
 
@@ -217,7 +203,6 @@ def reassign(cost: CostMatrix, prev: Assignment) -> Assignment:
 class LoopResult:
     assignment: Assignment
     prototypes: list[ParamSet]
-    inert: np.ndarray
     label_trace: list[np.ndarray]
     converged: bool
     cost: CostMatrix | None   # the last reassignment's; None without a loop
@@ -225,22 +210,21 @@ class LoopResult:
 
 def outer_loop(prepared: PreparedData, global_params: ParamSet,
                init: Assignment, cfg: TrainConfig, sel_cfg: SelectionConfig,
-               proto_epochs: int, cache: _TrainCache | None = None) -> LoopResult:
+               proto_epochs: int) -> LoopResult:
     """Alternate TRAIN prototype fitting and VAL reassignment to a fixed point.
 
     Stops as soon as a reassignment leaves the labels unchanged, or after
     ``max_outer_iters`` alternations.
     """
-    cache = cache or _TrainCache(prepared, cfg)
     assignment = init
     trace = [init.labels.copy()]
-    prototypes, inert = [], np.zeros(init.n_clusters, dtype=bool)
+    prototypes = []
     cost = None
     converged = False
     for it in range(1, sel_cfg.max_outer_iters + 1):
         prepared.audit.set_phase("fit-prototypes")
-        prototypes, inert = fit_prototypes(prepared, assignment, global_params,
-                                           cfg, proto_epochs, cache)
+        prototypes, _ = fit_prototypes(prepared, assignment, global_params,
+                                       cfg, proto_epochs)
         prepared.audit.set_phase("reassign")
         cost = compute_cost_matrix(prepared, prototypes, sel_cfg.assign_horizons, cfg)
         new = reassign(cost, assignment)
@@ -250,7 +234,7 @@ def outer_loop(prepared: PreparedData, global_params: ParamSet,
         if unchanged:
             converged = True
             break
-    return LoopResult(assignment, prototypes, inert, trace, converged, cost)
+    return LoopResult(assignment, prototypes, trace, converged, cost)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +461,6 @@ def select_k(prepared: PreparedData, global_params: ParamSet, cfg: TrainConfig,
              features: np.ndarray | None = None) -> SelectionResult:
     """Sweep (K, seed), running the full TRAIN/VAL loop plus fallback for each,
     and keep the run minimizing routed risk + gamma * K / N (:func:`run_sweep`)."""
-    cache = _TrainCache(prepared, cfg)
     prepared.audit.set_phase("fallback")
     pooled = pooled_val_losses(prepared, global_params, cfg)
 
@@ -486,7 +469,7 @@ def select_k(prepared: PreparedData, global_params: ParamSet, cfg: TrainConfig,
                                 strategy=sel_cfg.init_strategy, features=features)
         run_cfg = replace(cfg, seed=derive_seed(cfg.seed, "proto", seed))
         loop = outer_loop(prepared, global_params, init, run_cfg, sel_cfg,
-                          proto_epochs, cache)
+                          proto_epochs)
         return (loop,) + sweep_run_fallback(
             loop.assignment, loop.cost.own_losses(loop.assignment), pooled)
 
@@ -547,9 +530,8 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     to one-model-per-series evaluation (no clustering, no fallback).
     """
     prepared.audit.set_phase("refit")
-    cache = _TrainCache(prepared, cfg, tag="trval")
     all_series = np.arange(prepared.n_series)
-    x_all, y_all = cache.pooled(all_series)
+    x_all, y_all = prepared.windows("trval", 1, cfg.w)
     # the shared encoder/decoder stays at its TRAIN fit through the refit, so
     # pooled model and prototypes keep operating in the same latent space
     refit_global = model.train(global_params, None, x_all, y_all,
@@ -561,7 +543,7 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     if individual_models is not None:
         routed = []
         for i in all_series:
-            x_i, y_i = cache.pooled(np.asarray([i]))
+            x_i, y_i = prepared.windows("trval", 1, cfg.w, [i])
             routed.append(model.train(
                 individual_models[i], None, x_i, y_i,
                 replace(cfg, seed=derive_seed(cfg.seed, "refit-individual", int(i))),
@@ -576,7 +558,7 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
             if flags.flagged[k] or len(assignment.members(k)) == 0:
                 continue
             members = assignment.members(k)
-            x_k, y_k = cache.pooled(members)
+            x_k, y_k = prepared.windows("trval", 1, cfg.w, members)
             # the mixing matrix is shared: prototypes adopt the refit pooled
             # mix and warm-start only their specialized tensors
             warm = prototypes[k].copy()
@@ -672,14 +654,12 @@ def assign_new_series(segment: np.ndarray, global_params: ParamSet,
     if segment.shape[0] < w + 1:
         raise ValueError(
             f"segment has {segment.shape[0]} steps; need at least w + 1 = {w + 1}")
-    ends = np.arange(w - 1, segment.shape[0] - 1)
-    sw = np.lib.stride_tricks.sliding_window_view(segment, w, axis=0)
-    x = np.ascontiguousarray(np.swapaxes(sw[ends - (w - 1)], 1, 2))
-    y = segment[ends + 1]
+    x, y = gather_windows(segment[None], [0],
+                          np.arange(w - 1, segment.shape[0] - 1), w, 1)
 
     ids = [-1] + [k for k in range(len(prototypes)) if not flags.flagged[k]]
     scores = model.batch_losses([global_params] + [prototypes[k] for k in ids[1:]],
-                                x, y, cfg)
+                                x[0], y[0], cfg)
     best_id, best_loss = -1, scores[0]
     for k, loss_k in zip(ids[1:], scores[1:]):
         # strict: the pooled model wins ties, and a NaN loss never wins

@@ -407,6 +407,19 @@ class WindowIndex:
         return len(self.end_times[h])
 
 
+def gather_windows(values: np.ndarray, series: np.ndarray, ends: np.ndarray,
+                   w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input windows and h-step targets of the panel ``values`` (N, T, P):
+    for each of the S ``series`` and n window ``ends``, X (S, n, w, P) holds
+    times end - w + 1 .. end and Y (S, n, P) the value at end + h. Both are
+    fresh C-contiguous arrays indexed out of one strided view of ``values``,
+    with no copy of the panel. Every (window, target) gather runs through here."""
+    view = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
+    rows = np.asarray(series, dtype=np.int64)[:, None]
+    return (np.swapaxes(view, 2, 3)[rows, ends - (w - 1)],
+            values[rows, ends + h])
+
+
 # ---------------------------------------------------------------------------
 # access audit
 # ---------------------------------------------------------------------------
@@ -445,6 +458,10 @@ class AccessAudit:
         grid = self._grid()
         grid[np.asarray(series, dtype=np.int64), t_lo:t_hi + 1] = True
 
+    def phases(self) -> list[str]:
+        """The phases that recorded a read, in the order of their first."""
+        return list(self._touched)
+
     def merge(self, other: "AccessAudit") -> None:
         """Add the reads ``other`` recorded (a sweep worker's copy of this
         audit) to this one, phase by phase."""
@@ -482,7 +499,6 @@ class PreparedData:
         self.spec = spec
         self.standardizer = standardizer
         self.audit = AccessAudit(dataset.n_series, spec)
-        self._sliding: dict[int, np.ndarray] = {}
 
     @property
     def n_series(self) -> int:
@@ -505,14 +521,6 @@ class PreparedData:
             end_times[h] = np.arange(lo, t1 - h, dtype=np.int64)
         return WindowIndex(tag=tag, w=w, end_times=end_times)
 
-    def _windows_all_ends(self, w: int) -> np.ndarray:
-        # (N, T-w+1, w, P), row j = window ending at time j+w-1
-        if w not in self._sliding:
-            sw = np.lib.stride_tricks.sliding_window_view(
-                self.dataset.values, w, axis=1)
-            self._sliding[w] = np.ascontiguousarray(np.swapaxes(sw, 2, 3))
-        return self._sliding[w]
-
     def windows(self, tag: str, h: int, w: int,
                 series: np.ndarray | list[int] | None = None
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -527,28 +535,12 @@ class PreparedData:
             series = np.arange(self.n_series)
         series = np.asarray(series, dtype=np.int64)
         ends = self.window_index(tag, w, [h]).end_times[h]
+        if len(ends):
+            self.audit.mark(series, ends[0] - w + 1, ends[-1])
+            self.audit.mark(series, ends[0] + h, ends[-1] + h)
+        x, y = gather_windows(self.dataset.values, series, ends, w, h)
         p = self.dataset.n_components
-        if len(ends) == 0:
-            return (np.empty((0, w, p)), np.empty((0, p)))
-        self.audit.mark(series, ends[0] - w + 1, ends[-1])
-        self.audit.mark(series, ends[0] + h, ends[-1] + h)
-        sw = self._windows_all_ends(w)
-        x = sw[series][:, ends - (w - 1)]                 # (S, n, w, P)
-        y = self.dataset.values[series][:, ends + h]      # (S, n, P)
-        return (np.ascontiguousarray(x.reshape(-1, w, p)),
-                np.ascontiguousarray(y.reshape(-1, p)))
-
-    def per_series_windows(self, tag: str, h: int, w: int,
-                           series: np.ndarray | list[int] | None = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`windows` but keeps the series axis: (S, n, w, P), (S, n, P)."""
-        if series is None:
-            series = np.arange(self.n_series)
-        series = np.asarray(series, dtype=np.int64)
-        x, y = self.windows(tag, h, w, series)
-        n = len(x) // max(len(series), 1)
-        p = self.dataset.n_components
-        return x.reshape(len(series), n, w, p), y.reshape(len(series), n, p)
+        return x.reshape(-1, w, p), y.reshape(-1, p)
 
 
 def prepare(ds: MtsDataset, spec: SplitSpec, eps: float = 1e-8,

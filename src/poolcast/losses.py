@@ -82,15 +82,10 @@ def split_forecasts(groups, prepared, tag: str, horizons, cfg):
         # and the target of window i at h is the shortest horizon's target of
         # window i + h - h_first. One gather thus serves every horizon, and
         # one rollout to the longest horizon forecasts them all.
-        x, y = prepared.per_series_windows(tag, h_first, cfg.w, series)
-        s, n, w, p = x.shape
-        if n:
-            point, fan = model.rollout(params, x.reshape(s * n, w, p), h_last,
-                                       cfg)
-        else:
-            point = np.empty((0, h_last, p))
-            fan = (np.empty((0, h_last, len(cfg.quantiles), p))
-                   if cfg.mode == "quantile" else None)
+        x, y = prepared.windows(tag, h_first, cfg.w, series)
+        s, n, p = len(series), index.count(h_first), y.shape[-1]
+        y = y.reshape(s, n, p)
+        point, fan = model.rollout(params, x, h_last, cfg)
         point = point.reshape(s, n, h_last, p)
         if fan is not None:
             fan = fan.reshape(s, n, h_last, fan.shape[-2], p)

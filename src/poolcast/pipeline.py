@@ -224,9 +224,12 @@ def load_manifest(run_dir: str) -> dict:
         raise DataError(f"no manifest in {run_dir}; run prepare/train first")
     with open(path) as fh:
         try:
-            return json.load(fh)
+            manifest = json.load(fh)
         except ValueError as exc:
             raise DataError(f"unreadable manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"unreadable manifest {path}: not a JSON object")
+    return manifest
 
 
 @contextlib.contextmanager
@@ -250,7 +253,7 @@ def save_manifest(run_dir: str, manifest: dict) -> None:
 def _record_audit(manifest: dict, prepared: PreparedData, stage: str) -> None:
     log = manifest.setdefault("audit", {})
     stage_log = log.setdefault(stage, {})
-    for phase in prepared.audit._touched:
+    for phase in prepared.audit.phases():
         counts = prepared.audit.counts(phase)
         stage_log[phase] = {"train": counts["tr"], "val": counts["va"],
                             "test": counts["te"]}
@@ -664,9 +667,12 @@ def cmd_report(run_dirs, out_path: str | None = None,
             raise DataError(f"{run_dir}: no evaluation report; run evaluate")
         with open(report_path) as fh:
             try:
-                rows = json.load(fh)["rows"]
+                report = json.load(fh)
             except ValueError as exc:
                 raise DataError(f"unreadable report {report_path}: {exc}") from None
+        rows = report.get("rows") if isinstance(report, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+            raise DataError(f"unreadable report {report_path}: no list of rows")
         if paper_scale:
             rows = losses.paper_scale(rows)
         merged += [dict(row, run=run_dir) for row in rows]

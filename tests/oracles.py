@@ -17,3 +17,16 @@ def empirical_quantile(sample, q: float) -> float:
     ys = np.sort(np.asarray(sample, dtype=np.float64))
     k = int(np.ceil(q * len(ys)))
     return float(ys[max(k, 1) - 1])
+
+
+def cached_windows(values, series, ends, w: int, h: int):
+    """Flat (inputs, targets) of the given series at the given window end
+    times, gathered from a contiguous copy of every window of the panel, the
+    way an all-ends window cache serves them: X (S * n, w, P) and Y
+    (S * n, P), series-major."""
+    p = values.shape[-1]
+    every = np.ascontiguousarray(np.swapaxes(
+        np.lib.stride_tricks.sliding_window_view(values, w, axis=1), 2, 3))
+    x = every[series][:, ends - (w - 1)]
+    y = values[series][:, ends + h]
+    return x.reshape(-1, w, p), y.reshape(-1, p)

@@ -284,13 +284,13 @@ def test_criterion_05_reassignment_properties():
     for trial in range(20):
         c = rng.uniform(size=(10, 4))
         prev = clustering.Assignment(rng.integers(0, 4, size=10), 4)
-        new = clustering.reassign(clustering.CostMatrix(c, (1,), {1: c}), prev)
+        new = clustering.reassign(clustering.CostMatrix(c, {1: c}), prev)
         chosen = np.sum(c[np.arange(10), new.labels])
         assert chosen == np.sum(c.min(axis=1))
         assert chosen <= np.sum(c[np.arange(10), prev.labels])
     for trial in range(10):
         c = rng.uniform(size=(6, 2))
-        new = clustering.reassign(clustering.CostMatrix(c, (1,), {1: c}),
+        new = clustering.reassign(clustering.CostMatrix(c, {1: c}),
                                   clustering.Assignment(np.zeros(6, dtype=int), 2))
         best = min(sum(c[i, lab[i]] for i in range(6))
                    for lab in itertools.product(range(2), repeat=6))

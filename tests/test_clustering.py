@@ -77,7 +77,7 @@ def test_feature_init_uses_kmeans():
 
 def test_reassign_argmin_and_ties():
     c = np.array([[0.3, 0.1, 0.2], [0.1, 0.1, 0.5], [np.nan, 0.2, 0.1]])
-    cost = CostMatrix(c, (1,), {1: c})
+    cost = CostMatrix(c, {1: c})
     prev = Assignment(np.array([0, 2, 0]), 3)
     new = reassign(cost, prev)
     np.testing.assert_array_equal(new.labels, [1, 0, 2])
@@ -85,7 +85,7 @@ def test_reassign_argmin_and_ties():
 
 def test_reassign_keeps_label_for_undefined_rows():
     c = np.array([[np.nan, np.nan], [0.5, 0.1]])
-    cost = CostMatrix(c, (1,), {1: c})
+    cost = CostMatrix(c, {1: c})
     prev = Assignment(np.array([1, 0]), 2)
     new = reassign(cost, prev)
     assert new.labels[0] == 1 and new.labels[1] == 1
@@ -94,14 +94,14 @@ def test_reassign_keeps_label_for_undefined_rows():
 def test_reassign_attains_row_minimum():
     rng = np.random.default_rng(0)
     c = rng.uniform(size=(12, 4))
-    new = reassign(CostMatrix(c, (1,), {1: c}), Assignment(np.zeros(12, dtype=int), 4))
+    new = reassign(CostMatrix(c, {1: c}), Assignment(np.zeros(12, dtype=int), 4))
     assert np.sum(c[np.arange(12), new.labels]) == np.sum(c.min(axis=1))
 
 
 def test_reassign_matches_bruteforce_enumeration():
     rng = np.random.default_rng(3)
     c = rng.uniform(size=(6, 2))
-    new = reassign(CostMatrix(c, (1,), {1: c}), Assignment(np.zeros(6, dtype=int), 2))
+    new = reassign(CostMatrix(c, {1: c}), Assignment(np.zeros(6, dtype=int), 2))
     got = np.sum(c[np.arange(6), new.labels])
     best = min(sum(c[i, lab[i]] for i in range(6))
                for lab in itertools.product(range(2), repeat=6))
@@ -112,7 +112,7 @@ def test_reassign_never_increases_cost():
     rng = np.random.default_rng(4)
     c = rng.uniform(size=(15, 3))
     prev_labels = rng.integers(0, 3, size=15)
-    new = reassign(CostMatrix(c, (1,), {1: c}), Assignment(prev_labels, 3))
+    new = reassign(CostMatrix(c, {1: c}), Assignment(prev_labels, 3))
     assert (np.sum(c[np.arange(15), new.labels])
             <= np.sum(c[np.arange(15), prev_labels]))
 
@@ -162,16 +162,16 @@ def test_cost_matrix_agrees_with_composition_oracle(small_world):
     # rollout-based entries equal the manual one-step composition exactly
     prepared, gp, _ = small_world
     cost = compute_cost_matrix(prepared, [gp], (3,), CFG)
-    x, y = prepared.per_series_windows("va", 3, CFG.w, [2])
+    x, y = prepared.windows("va", 3, CFG.w, [2])
     preds = []
-    for window in x[0]:
+    for window in x:
         cur = window.copy()
         for step in range(3):
             p = rollout(gp, cur[None], 1, CFG)[0][:, -1][0]
             cur = np.concatenate([cur[1:], p[None, :]], axis=0)
         preds.append(p)
     manual = np.mean([huber(p, t, CFG.huber_delta)
-                      for p, t in zip(preds, y[0])])
+                      for p, t in zip(preds, y)])
     assert cost.values[2, 0] == pytest.approx(manual, abs=0, rel=0)
 
 
@@ -426,7 +426,7 @@ def _sweep_outputs(method, global_params):
     else:
         res = fit_baseline(method, prepared, global_params, CFG, sel,
                            proto_epochs=2)
-    audit = {ph: prepared.audit.counts(ph) for ph in prepared.audit._touched}
+    audit = {ph: prepared.audit.counts(ph) for ph in prepared.audit.phases()}
     return (res.k_star, res.seed_star, res.table, res.assignment.labels.tolist(),
             [t.tolist() for t in res.label_trace], res.flags.flagged,
             [p.flat.tobytes() for p in res.prototypes], audit)
@@ -446,4 +446,8 @@ def test_parallel_sweep_is_bitwise_serial(small_world, monkeypatch, method):
     assert len(serial[2]) == 4
     if method == "cluster":  # reassign reads happen only inside the runs
         assert serial[7]["reassign"]["va"] > 0
+    # so do the prototype fits, and they read TRAIN alone
+    assert serial[7]["fit-prototypes"]["tr"] > 0
+    assert serial[7]["fit-prototypes"]["va"] == 0
+    assert serial[7]["fit-prototypes"]["te"] == 0
     assert parallel == serial

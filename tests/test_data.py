@@ -6,6 +6,7 @@ import pytest
 from poolcast.data import (DataError, MtsDataset, SplitSpec, _check_csv_records,
                            _load_csv_file, fit_impute_standardize,
                            load_dataset, prepare, save_csv, save_packed)
+from oracles import cached_windows
 
 
 def make_ds(n=2, t=10, p=3, seed=0, missing=()):
@@ -310,6 +311,25 @@ def test_gather_shapes_and_alignment():
     np.testing.assert_array_equal(y[0], prepared.dataset.values[0, 4])
 
 
+@pytest.mark.parametrize("tag", ["tr", "va", "te", "trval"])
+def test_windows_equal_the_cached_gather(tag):
+    # a 2-step VAL segment has no windows at h = 3: the empty index
+    prepared = prepare(make_ds(n=5, t=40, p=3, seed=6, missing=[(1, 7, 2)]),
+                       SplitSpec(24, 2, 14))
+    values = prepared.dataset.values
+    for w in (1, 2, 5):
+        for h in (1, 3):
+            ends = prepared.window_index(tag, w, [h]).end_times[h]
+            for series in (None, [3], [4, 0, 2]):
+                rows = np.arange(5) if series is None else np.asarray(series)
+                got = prepared.windows(tag, h, w, series)
+                want = cached_windows(values, rows, ends, w, h)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes()
+    assert prepared.window_index("va", 5, [3]).count(3) == 0
+
+
 def test_audit_records_phases_and_splits():
     ds = make_ds(n=2, t=30, p=2, seed=4)
     prepared = prepare(ds, SplitSpec(20, 5, 5))
@@ -329,6 +349,7 @@ def test_audit_records_phases_and_splits():
     assert prepared.audit.test_reads_outside(allowed=("evaluate",)) == 0
     assert [ph for ph in ("fit-global", "reassign", "evaluate")
             if prepared.audit.counts(ph)["te"] > 0] == ["evaluate"]
+    assert prepared.audit.phases() == ["fit-global", "reassign", "evaluate"]
 
 
 def test_trval_segment_for_refit():

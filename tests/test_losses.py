@@ -158,17 +158,17 @@ def test_split_mean_loss_sentinel_and_mean():
 
     # mean over windows equals the mean of manually computed per-window losses
     got = series_0(1)
-    x, y = prepared.per_series_windows("va", 1, cfg.w, [0])
+    x, y = prepared.windows("va", 1, cfg.w, [0])
     per_window = [huber(rollout(params, w_[None], 1, cfg)[0][:, -1][0], t,
                         cfg.huber_delta)
-                  for w_, t in zip(x[0], y[0])]
+                  for w_, t in zip(x, y)]
     assert got == pytest.approx(np.mean(per_window), rel=0, abs=1e-15)
 
     # h=7 leaves exactly one valid window: the mean of one is that loss
     single = series_0(7)
-    x7, y7 = prepared.per_series_windows("va", 7, cfg.w, [0])
-    assert x7.shape[1] == 1
-    only = huber(rollout(params, x7[0, :1], 7, cfg)[0][:, -1][0], y7[0, 0],
+    x7, y7 = prepared.windows("va", 7, cfg.w, [0])
+    assert len(x7) == 1
+    only = huber(rollout(params, x7[:1], 7, cfg)[0][:, -1][0], y7[0],
                  cfg.huber_delta)
     assert single == pytest.approx(only, rel=0, abs=1e-15)
     # h=8 exceeds the segment: undefined sentinel

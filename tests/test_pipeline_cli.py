@@ -327,6 +327,19 @@ def test_full_flow_train_evaluate_report(tmp_path, data_dir):
     assert scl_mse == pytest.approx([m * 100 for m in raw_mse])
 
 
+def test_manifest_records_the_train_reads_of_every_fit(tmp_path, data_dir):
+    # prototype and per-series fits read TRAIN under their own audit phase
+    path = write_config(tmp_path, data_dir, tmp_path / "fits",
+                        "k_candidates = 2\nselection_seeds = 0\n")
+    for argv, phase in ((["select-k"], "fit-prototypes"),
+                        (["train", "--set", "method=individual"],
+                         "fit-individual")):
+        assert cli.main(argv + ["--config", path]) == 0
+        reads = pipeline.load_manifest(str(tmp_path / "fits"))["audit"]["train"]
+        assert reads[phase]["train"] > 0
+        assert reads[phase]["val"] == reads[phase]["test"] == 0
+
+
 def test_single_use_test_protocol(tmp_path, data_dir):
     run_dir = str(tmp_path / "once")
     path = write_config(tmp_path, data_dir, run_dir, "k = 2\n")
@@ -530,17 +543,20 @@ def test_evaluate_forecasts_nothing_after_the_test_evaluation(counted_evaluation
     cfg, manifest, counts, at_return = counted_evaluation
     # the plots format the evaluation's forecasts: no rollout, no gather
     assert counts == at_return
-    g = len(set(manifest["routed_checkpoints"]))  # distinct routed models
+    routed = set(manifest["routed_checkpoints"])
+    g = len(routed)                               # distinct routed models
+    # refit prototypes: the routed models other than the refit pooled model
+    r = len(routed - {manifest["checkpoint_refit_global"]})
     q = int(cfg.mode == "quantile")               # VAL calibration streams
     # One rollout to the longest horizon serves every horizon, so evaluate
     # makes one rollout and one window gather per model group and split:
-    #   1 + G + q * G      rollouts and
-    #   1 + 1 + G + q * G  window gathers,
-    # for the pooled reference, the routed models and calibration, plus the
-    # TRAIN+VAL gather of the refit.
+    #   1 + G + q * G          rollouts and
+    #   1 + R + 1 + G + q * G  window gathers,
+    # for the pooled reference, the routed models and calibration, plus one
+    # TRAIN+VAL gather for the refit pooled model and one per refit prototype.
     scored = 1 + g + q * g
     assert counts["rollout"] == scored
-    assert counts["windows"] == 1 + scored
+    assert counts["windows"] == 1 + r + scored
 
 
 def test_trajectories_are_the_evaluation_forecasts(counted_evaluation):
@@ -557,11 +573,11 @@ def test_trajectories_are_the_evaluation_forecasts(counted_evaluation):
         for i in range(min(3, prepared.n_series)):
             routed = model.load_checkpoint(manifest["routed_checkpoints"][i])[0]
             # the series' TEST windows alone, under each saved checkpoint
-            x, y = prepared.per_series_windows("te", h, tc.w, [i])
-            pred_global = model.rollout(pooled, x[0], h, tc)[0][:, -1]
-            pred_method = model.rollout(routed, x[0], h, tc)[0][:, -1]
+            x, y = prepared.windows("te", h, tc.w, [i])
+            pred_global = model.rollout(pooled, x, h, tc)[0][:, -1]
+            pred_method = model.rollout(routed, x, h, tc)[0][:, -1]
             expected += [{"series": prepared.dataset.names[i],
-                          "time": str(t + h), "actual": repr(float(y[0, j, 0])),
+                          "time": str(t + h), "actual": repr(float(y[j, 0])),
                           "pred_global": repr(float(pred_global[j, 0])),
                           "pred_method": repr(float(pred_method[j, 0]))}
                          for j, t in enumerate(ends)]
@@ -765,9 +781,9 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     assert not os.path.exists(missing_dir)
 
     # run files that cannot be read are data errors: a report or manifest
-    # that is not JSON, and a checkpoint header with a zero dimension (here
-    # with the payload it implies) or one that implies a payload far larger
-    # than the file
+    # that is not JSON or is JSON of the wrong shape, and a checkpoint header
+    # with a zero dimension (here with the payload it implies) or one that
+    # implies a payload far larger than the file
     forecast = ["forecast-new", "--config", good, "--segment", segment]
     ckpt = os.path.join(run_dir, "checkpoints", "refit_global.pcm")
     with open(ckpt, "rb") as fh:
@@ -778,10 +794,14 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
         return b"PCM1" + struct.pack("<6Q", latent, p_dim, hidden, w,
                                      n_levels, mode_flag)
 
+    report = ["report", "--runs", run_dir]
     for path, content, argv in (
-            (os.path.join(run_dir, "report.json"), b'{"rows": [',
-             ["report", "--runs", run_dir]),
+            (os.path.join(run_dir, "report.json"), b'{"rows": [', report),
+            (os.path.join(run_dir, "report.json"), b"{}", report),
+            (os.path.join(run_dir, "report.json"), b'{"rows": 5}', report),
             (os.path.join(run_dir, "manifest.json"), b"{not json", forecast),
+            (os.path.join(run_dir, "manifest.json"), b"[]", report),
+            (os.path.join(run_dir, "manifest.json"), b"[]", forecast),
             (ckpt, header(2 ** 40) + stored[52:], forecast),
             (ckpt, header(2 ** 62) + stored[52:], forecast),
             (ckpt, header(0) + bytes(8 * (3 * hidden * hidden + 3 * hidden)),
