@@ -36,9 +36,12 @@ print(f"agreement with true regimes: ARI = {ari:.2f}")
 
 # each series' VAL loss under its own prototype comes from the loop's last
 # cost matrix; the pooled model's is scored once
-flags, routed, pooled_risk = clustering.sweep_run_fallback(
+means = clustering.cluster_val_means(
     loop.assignment, loop.cost.own_losses(loop.assignment),
-    clustering.pooled_val_losses(prepared, pooled, cfg))
+    clustering.group_val_losses(
+        prepared, [(pooled, np.arange(prepared.n_series))], cfg))
+flags = clustering.compute_fallback(means)
+routed, pooled_risk = clustering.val_risk_pair(means, flags)
 print(f"fallback flags: {flags.flagged}")
 print(f"routed VAL risk {routed:.4f} <= pooled VAL risk {pooled_risk:.4f}")
 

@@ -29,9 +29,13 @@ pooled = train(init_params(6, 5, 16, 3, seed=derive_seed(0, "init")), None, x, y
 truth = clustering.Assignment(labels.copy(), 3)
 prototypes, _ = clustering.fit_prototypes(prepared, truth, pooled, cfg,
                                           proto_epochs=10)
-flags, _, _ = clustering.sweep_run_fallback(
-    truth, clustering.own_val_losses(prepared, truth, prototypes, cfg, "huber"),
-    clustering.pooled_val_losses(prepared, pooled, cfg))
+# each cluster keeps its prototype only if it lowers its members' VAL loss
+own = clustering.group_val_losses(
+    prepared, [(prototypes[k], truth.members(k)) for k in range(3)], cfg)
+pooled_losses = clustering.group_val_losses(
+    prepared, [(pooled, np.arange(prepared.n_series))], cfg)
+flags = clustering.compute_fallback(
+    clustering.cluster_val_means(truth, own, pooled_losses))
 print("fallback flags:", flags.flagged)
 
 hits = 0

@@ -7,15 +7,6 @@ validation criterion, and produces robust point and calibrated probabilistic
 forecasts.
 """
 
-import os as _os
-
-# honor the thread-count override before numpy spins up its BLAS pool
-_threads = _os.environ.get("POOLCAST_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 from .data import (AccessAudit, DataError, MtsDataset, PreparedData,
                    SplitSpec, Standardizer, fit_impute_standardize,
                    load_dataset, load_pems, prepare, save_csv, save_packed,

@@ -110,8 +110,8 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
     strategy = "feature" if kind == "feat_kmeans" else "random_balanced"
     features = training_feature_vectors(prepared) if kind == "feat_kmeans" else None
     prepared.audit.set_phase("fallback")
-    pooled = clustering.pooled_val_losses(prepared, global_params, cfg,
-                                          kind="mse")
+    pooled = clustering.group_val_losses(prepared, [(global_params, np.arange(n))],
+                                         cfg, kind="mse")
 
     def run(k, seed):
         assignment = init_assignments(n, k, seed, strategy, features)
@@ -122,11 +122,12 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
         loop = clustering.LoopResult(assignment, protos, [assignment.labels],
                                      converged=True, cost=None)
         prepared.audit.set_phase("fallback")
-        own = clustering.own_val_losses(prepared, assignment, protos, run_cfg,
-                                        "mse")
-        return (loop,) + clustering.sweep_run_fallback(assignment, own, pooled)
+        own = clustering.group_val_losses(
+            prepared, [(protos[j], assignment.members(j)) for j in range(k)],
+            run_cfg, kind="mse")
+        return loop, own
 
-    return clustering.run_sweep(prepared, sel_cfg, run)
+    return clustering.run_sweep(prepared, sel_cfg, run, pooled)
 
 
 def fit_individual(prepared: PreparedData, global_params: ParamSet,

@@ -6,14 +6,11 @@ series and a bad ``synth`` argument: fewer series than regimes, an alpha
 outside [0, 1], a negative or non-finite noise or a size below 1); 3 data
 error (also unreadable ``csv``, ``packed`` or ``pems`` data, a ``run_dir``
 that cannot be created, a missing or unreadable checkpoint or
-``forecast-new`` segment, and an output path that cannot be written);
+``forecast-new`` segment, a manifest or report not of the shape the run
+writes, and an output path that cannot be written);
 4 training divergence; 5 protocol violation (repeated TEST evaluation).
 Run directories work from any working directory: the paths
-the manifest stores are resolved against the run directory given. Set the
-POOLCAST_THREADS environment variable before launching to cap the BLAS
-thread pool (results are thread-count independent either way). The cap
-takes effect only if the variable is set before numpy is first imported in
-the process, and it does not override BLAS thread variables already set.
+the manifest stores are resolved against the run directory given.
 
 The (K, seed) selection sweeps run on min(runs, usable CPUs) forked worker
 processes, each with a one-thread BLAS; their outputs are bitwise those of
@@ -137,10 +134,11 @@ def main(argv=None) -> int:
                 print(f"trained method={cfg.method}")
         elif args.command == "select-k":
             manifest = pipeline.cmd_select_k(cfg)
-            best = min(manifest["selection_table"],
-                       key=lambda r: (r["sel_pen"], r["k"], r["seed"]))
+            (kept,) = [r for r in manifest["selection_table"]
+                       if (r["k"], r["seed"]) == (manifest["k"],
+                                                  manifest["selection_seed"])]
             print(f"selected k={manifest['k']} (seed {manifest['selection_seed']}, "
-                  f"sel_pen={best['sel_pen']:.6f}); table: "
+                  f"sel_pen={kept['sel_pen']:.6f}); table: "
                   f"{cfg.run_dir}/selection.csv")
         elif args.command == "evaluate":
             manifest = pipeline.cmd_evaluate(cfg)

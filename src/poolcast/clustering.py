@@ -242,38 +242,27 @@ def outer_loop(prepared: PreparedData, global_params: ParamSet,
 # ---------------------------------------------------------------------------
 
 
-def pooled_val_losses(prepared: PreparedData, global_params: ParamSet,
-                      cfg: TrainConfig, kind: str | None = None) -> np.ndarray:
-    """Per-series VAL loss at h=1 of the pooled model, the fallback's reference."""
-    glob = losses.per_series_split_losses(global_params, prepared, "va", 1, cfg,
-                                          kind=kind)
-    if glob is None:
-        raise ValueError("no VAL windows at h=1; cannot compute fallback")
-    return glob
-
-
-def own_val_losses(prepared: PreparedData, assignment: Assignment,
-                   prototypes: list[ParamSet], cfg: TrainConfig,
-                   kind: str) -> np.ndarray:
-    """Per-series VAL ``kind`` loss at h=1 of every series under its own
-    cluster's prototype, one rollout per non-empty cluster; for runs without
-    a :class:`CostMatrix` to read it from (:meth:`CostMatrix.own_losses`)."""
-    groups = [(prototypes[j], assignment.members(j))
-              for j in range(assignment.n_clusters)
-              if len(assignment.members(j))]
-    own = np.full(prepared.n_series, np.nan)
-    for ids, by_h in losses.split_forecasts(groups, prepared, "va", (1,), cfg):
-        own[ids] = losses.horizon_losses(kind, by_h[1], cfg)
-    return own
+def group_val_losses(prepared: PreparedData, groups, cfg: TrainConfig,
+                     kind: str | None = None) -> np.ndarray:
+    """Every series' VAL loss at h=1 under the model of its ``(params,
+    series)`` group, NaN for a series in no group: the scores behind the
+    fallback. ``kind`` is as in :func:`losses.per_series_split_losses`."""
+    out = np.full(prepared.n_series, np.nan)
+    for params, ids in groups:
+        scored = losses.per_series_split_losses(params, prepared, "va", 1, cfg,
+                                                kind=kind, series=ids)
+        if scored is None:
+            raise ValueError("no VAL windows at h=1; cannot compute fallback")
+        out[ids] = scored
+    return out
 
 
 def cluster_val_means(assignment: Assignment, own: np.ndarray,
                       pooled: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sizes, mean member VAL loss at h=1 under own prototype / under pooled),
-    given every series' loss under its own prototype (:func:`own_val_losses`
-    or :meth:`CostMatrix.own_losses`) and under the pooled model
-    (:func:`pooled_val_losses`)."""
+    given every series' loss under its own prototype and under the pooled
+    model (:func:`group_val_losses` or :meth:`CostMatrix.own_losses`)."""
     k = assignment.n_clusters
     sizes = assignment.sizes()
     clus_means = np.full(k, np.nan)
@@ -314,19 +303,6 @@ def val_risk_pair(means: tuple, flags: FallbackFlags) -> tuple[float, float]:
         global_total += sizes[j] * glob[j]
     # plain floats: selection.csv writes their repr
     return float(routed_total / n), float(global_total / n)
-
-
-def sweep_run_fallback(assignment: Assignment, own: np.ndarray,
-                       pooled: np.ndarray
-                       ) -> tuple[FallbackFlags, float, float]:
-    """Fallback flags and (routed, pooled) VAL risk of one (K, seed) run, from
-    every series' VAL loss at h=1 under its own prototype and under the
-    pooled model (see :func:`cluster_val_means`). Reads no data: the pooled
-    losses are the same for every run of a sweep, and the run's own losses
-    come from its cost matrix or one rollout per cluster."""
-    means = cluster_val_means(assignment, own, pooled)
-    flags = compute_fallback(means)
-    return (flags,) + val_risk_pair(means, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -425,23 +401,29 @@ def _sweep_outcomes(prepared: PreparedData, run, keys):
         _SWEEP = None
 
 
-def run_sweep(prepared: PreparedData, sel_cfg: SelectionConfig,
-              run) -> SelectionResult:
-    """The (K, seed) sweep shared by the method and the clustered baselines.
+def run_sweep(prepared: PreparedData, sel_cfg: SelectionConfig, run,
+              pooled: np.ndarray) -> SelectionResult:
+    """The (K, seed) sweep shared by the method and the clustered baselines,
+    and the one place a run's fallback is decided.
 
-    ``run(k, seed)`` returns ``(loop, flags, routed risk, pooled risk)`` for
-    one candidate; it must read data only through ``prepared``. The kept run
-    minimizes routed risk + gamma * K / N; ties prefer the smaller K, then the
-    smaller seed. Runs execute on :func:`sweep_workers` forked processes, each
-    with a one-thread BLAS, and give bitwise the results of a serial sweep.
+    ``run(k, seed)`` returns ``(loop, own)``: its :class:`LoopResult` and
+    every series' VAL loss at h=1 under its own prototype; it must read data
+    only through ``prepared``. Flags and (routed, pooled) VAL risk follow
+    from ``own`` and the pooled losses ``pooled``, in this process and in key
+    order. The kept run minimizes routed risk + gamma * K / N; ties prefer
+    the smaller K, then the smaller seed. Runs execute on
+    :func:`sweep_workers` forked processes, each with a one-thread BLAS, and
+    give bitwise the results of a serial sweep.
     """
     n = prepared.n_series
     keys = [(k, seed) for k in sorted(sel_cfg.candidates) for seed in sel_cfg.seeds]
     table: list[SelectionRun] = []
     best = None
     best_key = None
-    for (k, seed), (loop, flags, sel_abs, glob_risk) in _sweep_outcomes(
-            prepared, run, keys):
+    for (k, seed), (loop, own) in _sweep_outcomes(prepared, run, keys):
+        means = cluster_val_means(loop.assignment, own, pooled)
+        flags = compute_fallback(means)
+        sel_abs, glob_risk = val_risk_pair(means, flags)
         sel_pen = sel_abs + sel_cfg.gamma * k / n
         table.append(SelectionRun(k, seed, sel_abs, sel_pen,
                                   loop.assignment.iterations, loop.converged,
@@ -459,10 +441,11 @@ def run_sweep(prepared: PreparedData, sel_cfg: SelectionConfig,
 def select_k(prepared: PreparedData, global_params: ParamSet, cfg: TrainConfig,
              sel_cfg: SelectionConfig, proto_epochs: int,
              features: np.ndarray | None = None) -> SelectionResult:
-    """Sweep (K, seed), running the full TRAIN/VAL loop plus fallback for each,
-    and keep the run minimizing routed risk + gamma * K / N (:func:`run_sweep`)."""
+    """Sweep (K, seed), running the full TRAIN/VAL loop for each, and keep
+    the run minimizing routed risk + gamma * K / N (:func:`run_sweep`)."""
     prepared.audit.set_phase("fallback")
-    pooled = pooled_val_losses(prepared, global_params, cfg)
+    pooled = group_val_losses(
+        prepared, [(global_params, np.arange(prepared.n_series))], cfg)
 
     def run(k, seed):
         init = init_assignments(prepared.n_series, k, seed,
@@ -470,10 +453,9 @@ def select_k(prepared: PreparedData, global_params: ParamSet, cfg: TrainConfig,
         run_cfg = replace(cfg, seed=derive_seed(cfg.seed, "proto", seed))
         loop = outer_loop(prepared, global_params, init, run_cfg, sel_cfg,
                           proto_epochs)
-        return (loop,) + sweep_run_fallback(
-            loop.assignment, loop.cost.own_losses(loop.assignment), pooled)
+        return loop, loop.cost.own_losses(loop.assignment)
 
-    return run_sweep(prepared, sel_cfg, run)
+    return run_sweep(prepared, sel_cfg, run, pooled)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,32 @@ def _manifest_path(run_dir: str) -> str:
     return os.path.join(run_dir, "manifest.json")
 
 
+_NUMBER = (int, float)
+# the type of each manifest field that evaluate, forecast-new and report
+# read: a type or tuple of types, [type] for a list of it, or {key: type}
+# for an object with those keys
+MANIFEST_TYPES = {
+    "config": dict, "k": int, "assignment": [int], "flags": [bool],
+    "checkpoint_global": str, "checkpoint_refit_global": str,
+    "prototype_checkpoints": [str], "individual_checkpoints": [str],
+    "routed_checkpoints": [str], "calibration": (dict, type(None)),
+    "standardizer": {"mu": [_NUMBER], "sigma": [_NUMBER], "eps": _NUMBER},
+    "report": {"json": str},
+}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
+    if isinstance(kind, dict):
+        return isinstance(value, dict) and all(
+            k in value and _has_type(value[k], t) for k, t in kind.items())
+    return isinstance(value, kind)
+
+
 def load_manifest(run_dir: str) -> dict:
+    """The run's manifest; one that is not a JSON object, or has a field of
+    another type than :data:`MANIFEST_TYPES` gives, is a :class:`DataError`."""
     path = _manifest_path(run_dir)
     if not os.path.exists(path):
         raise DataError(f"no manifest in {run_dir}; run prepare/train first")
@@ -229,6 +254,10 @@ def load_manifest(run_dir: str) -> dict:
             raise DataError(f"unreadable manifest {path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise DataError(f"unreadable manifest {path}: not a JSON object")
+    for key, kind in MANIFEST_TYPES.items():
+        if key in manifest and not _has_type(manifest[key], kind):
+            raise DataError(f"unreadable manifest {path}: field {key!r} "
+                            f"has the wrong type")
     return manifest
 
 
@@ -446,8 +475,7 @@ def _load_trained(cfg: RunConfig, manifest: dict):
     global_params = _load_params(cfg.run_dir, manifest["checkpoint_global"])
     assignment = flags = prototypes = individual = None
     if cfg.method in CLUSTERED_METHODS:
-        labels = np.asarray(manifest["assignment"], dtype=np.int64)
-        assignment = clustering.Assignment(labels, int(manifest["k"]))
+        assignment = clustering.Assignment(manifest["assignment"], manifest["k"])
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
         prototypes = [_load_params(cfg.run_dir, p)
                       for p in manifest["prototype_checkpoints"]]
@@ -581,7 +609,7 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     segment = std.transform(filled)
 
     refit_global = _load_params(cfg.run_dir, manifest["checkpoint_refit_global"])
-    prototypes, flags = [], None
+    prototypes, flags = [], clustering.FallbackFlags(flagged=())
     if cfg.method in CLUSTERED_METHODS:
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
         # flagged clusters route to the pooled model, which assign_new_series
@@ -589,9 +617,7 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
         labels, paths = manifest["assignment"], manifest["routed_checkpoints"]
         prototypes = [refit_global if flags.flagged[k]
                       else _load_params(cfg.run_dir, paths[labels.index(k)])
-                      for k in range(int(manifest["k"]))]
-    else:
-        flags = clustering.FallbackFlags(flagged=())
+                      for k in range(manifest["k"])]
 
     routed_id = clustering.assign_new_series(segment, refit_global, prototypes,
                                              flags, tc)
@@ -670,9 +696,9 @@ def cmd_report(run_dirs, out_path: str | None = None,
                 report = json.load(fh)
             except ValueError as exc:
                 raise DataError(f"unreadable report {report_path}: {exc}") from None
-        rows = report.get("rows") if isinstance(report, dict) else None
-        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-            raise DataError(f"unreadable report {report_path}: no list of rows")
+        if not _has_type(report, {"rows": [dict.fromkeys(losses.REPORT_COLUMNS, object)]}):
+            raise DataError(f"unreadable report {report_path}: not a list of report rows")
+        rows = report["rows"]
         if paper_scale:
             rows = losses.paper_scale(rows)
         merged += [dict(row, run=run_dir) for row in rows]

@@ -328,10 +328,13 @@ def test_criterion_06_fallback_dominance(heterogeneous_runs,
         bad.flat[bad.spec_offset:] += rng.normal(
             scale=9.0, size=bad.flat.size - bad.spec_offset)
         corrupted.append(bad)
-    flags, _, _ = clustering.sweep_run_fallback(
+    flags = clustering.compute_fallback(clustering.cluster_val_means(
         assignment,
-        clustering.own_val_losses(prepared, assignment, corrupted, cfg, "huber"),
-        clustering.pooled_val_losses(prepared, gp, cfg))
+        clustering.group_val_losses(
+            prepared, [(corrupted[j], assignment.members(j)) for j in range(3)],
+            cfg),
+        clustering.group_val_losses(
+            prepared, [(gp, np.arange(prepared.n_series))], cfg)))
     assert flags.flagged == (True, True, True)
     art = clustering.final_refit_and_test(
         prepared, assignment, flags, gp, corrupted, cfg, horizons=(1,),

@@ -130,9 +130,11 @@ def test_all_flagged_collapses_to_global_bitwise(world):
     for p in protos:
         p.flat[p.spec_offset:] += rng.normal(scale=9.0,
                                              size=p.flat.size - p.spec_offset)
-    pooled = clustering.pooled_val_losses(prepared, gp, CFG, kind="mse")
-    flags, _, _ = clustering.sweep_run_fallback(
-        a, clustering.own_val_losses(prepared, a, protos, CFG, "mse"), pooled)
+    own = clustering.group_val_losses(
+        prepared, [(protos[j], a.members(j)) for j in range(3)], CFG, kind="mse")
+    pooled = clustering.group_val_losses(prepared, [(gp, np.arange(9))], CFG,
+                                         kind="mse")
+    flags = clustering.compute_fallback(clustering.cluster_val_means(a, own, pooled))
     assert flags.flagged == (True, True, True)
     art = clustering.final_refit_and_test(prepared, a, flags, gp, protos, CFG,
                                           horizons=(1,), method="random_balanced",

@@ -12,8 +12,11 @@ _spec.loader.exec_module(bench_record)
 
 
 def result(seed, protocol_s, route_p50_ms, digest, failed_share=0.0,
-           src_sha="abc"):
-    """A results file of perfbench/run.py, cut to the keys the tool reads."""
+           src_sha=None):
+    """A results file of perfbench/run.py, cut to the keys the tool reads;
+    by default of this checkout's src/ tree."""
+    if src_sha is None:
+        src_sha = bench_record.src_sha256()
     return {
         "meta": {"workload": "sweep-point", "seed": seed, "commit": None,
                  "src_sha256": src_sha, "src_lines": 3311, "nproc": 2,
@@ -45,7 +48,8 @@ def test_two_runs_fold_into_medians_iqrs_digests_and_line_counts(tmp_path):
         {"seed": 3, "digest": "d3", "failed_share": 0.0},
         {"seed": 4, "digest": "d4", "failed_share": 0.25}]
     # the tree and host once, without per-run keys or install locations
-    assert bench["meta"] == {"commit": None, "src_sha256": "abc",
+    assert bench["meta"] == {"commit": None,
+                             "src_sha256": bench_record.src_sha256(),
                              "src_lines": 3311, "nproc": 2,
                              "blas": {"name": "openblas", "version": "0.3"}}
     lines = bench["src_lines"]
@@ -64,3 +68,13 @@ def test_results_of_different_trees_are_refused(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(ValueError, match="no results"):
         bench_record.fold([])
+
+
+def test_results_of_another_tree_than_this_checkout_are_refused(tmp_path,
+                                                                capsys):
+    paths = [write(tmp_path, name, result(seed, 2.0, 5.0, "d", src_sha="abc"))
+             for seed, name in ((3, "a.json"), (4, "b.json"))]
+    out = tmp_path / "BENCH_1.json"
+    assert bench_record.main(["--out", str(out)] + paths) == 2
+    assert "another src/ tree than this checkout's" in capsys.readouterr().err
+    assert not out.exists()

@@ -10,11 +10,11 @@ from poolcast import clustering, losses
 from poolcast.baselines import fit_baseline
 from poolcast.clustering import (Assignment, CostMatrix, FallbackFlags,
                                  SelectionConfig, assign_new_series,
-                                 cluster_val_means, compute_cost_matrix,
-                                 compute_fallback, fit_prototypes,
-                                 init_assignments, outer_loop,
-                                 own_val_losses, pooled_val_losses, reassign,
-                                 sweep_run_fallback, val_risk_pair)
+                                 LoopResult, cluster_val_means,
+                                 compute_cost_matrix, compute_fallback,
+                                 fit_prototypes, group_val_losses,
+                                 init_assignments, outer_loop, reassign,
+                                 run_sweep, val_risk_pair)
 from poolcast.data import SplitSpec, prepare
 from poolcast.model import TrainConfig, init_params, rollout, train
 from poolcast.synthetic import SyntheticSpec, generate
@@ -22,6 +22,9 @@ from poolcast.synthetic import SyntheticSpec, generate
 from oracles import huber
 
 CFG = TrainConfig(w=6, epochs=4, batch=64, mode="point", seed=0)
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="sweep workers are forked")
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +204,7 @@ def test_own_losses_of_member_batches_equal_the_cost_matrix(small_world, mode):
         a = init_assignments(9, 3, seed=seed)
         protos, _ = fit_prototypes(prepared, a, gp, cfg, proto_epochs=1)
         cost = compute_cost_matrix(prepared, protos, (1, 3), cfg)
-        own = own_val_losses(prepared, a, protos, cfg, kind)
+        own = group_val_losses(prepared, member_groups(a, protos), cfg, kind)
         assert own.tobytes() == cost.own_losses(a).tobytes()
 
 
@@ -255,11 +258,18 @@ def test_outer_loop_stops_at_fixed_point(small_world):
 # ---------------------------------------------------------------------------
 
 
+def member_groups(assignment, protos):
+    """(prototype, members) of every cluster."""
+    return [(protos[j], assignment.members(j))
+            for j in range(assignment.n_clusters)]
+
+
 def val_means(prepared, assignment, protos, gp):
     """(sizes, cluster means, pooled means) of the members' VAL losses at h=1."""
     return cluster_val_means(
-        assignment, own_val_losses(prepared, assignment, protos, CFG, "huber"),
-        pooled_val_losses(prepared, gp, CFG))
+        assignment,
+        group_val_losses(prepared, member_groups(assignment, protos), CFG),
+        group_val_losses(prepared, [(gp, np.arange(prepared.n_series))], CFG))
 
 
 def test_fallback_equality_is_not_flagged(small_world):
@@ -300,27 +310,22 @@ def test_routed_risk_full_fallback_equals_global(small_world):
 
 def test_routed_risk_dominance_exact(small_world):
     prepared, gp, _ = small_world
-    pooled = pooled_val_losses(prepared, gp, CFG)
     for seed in range(4):
         a = init_assignments(9, 3, seed=seed)
         protos, _ = fit_prototypes(prepared, a, gp, CFG, proto_epochs=2)
-        flags, routed, glob = sweep_run_fallback(
-            a, own_val_losses(prepared, a, protos, CFG, "huber"), pooled)
-        assert routed <= glob
         means = val_means(prepared, a, protos, gp)
+        routed, glob = val_risk_pair(means, compute_fallback(means))
+        assert routed <= glob
         no_fallback = FallbackFlags(flagged=(False,) * 3)
         fully, _ = val_risk_pair(means, no_fallback)
         assert routed <= fully
-        assert routed == val_risk_pair(means, flags)[0]
 
 
 def test_fallback_frozen_against_test_perturbation(small_world):
     prepared, gp, _ = small_world
     a = init_assignments(9, 3, seed=0)
     protos, _ = fit_prototypes(prepared, a, gp, CFG, proto_epochs=1)
-    flags, _, _ = sweep_run_fallback(
-        a, own_val_losses(prepared, a, protos, CFG, "huber"),
-        pooled_val_losses(prepared, gp, CFG))
+    flags = compute_fallback(val_means(prepared, a, protos, gp))
     before = tuple(flags.flagged)
     # flags live in a frozen dataclass; mutating TEST data afterwards cannot
     # change them because nothing recomputes after the freeze
@@ -329,6 +334,30 @@ def test_fallback_frozen_against_test_perturbation(small_world):
     assert tuple(flags.flagged) == before
     prepared.dataset.values[:, 100:, :] -= 99.0
     prepared.dataset.values.flags.writeable = False
+
+
+def test_group_val_losses_leave_ungrouped_series_nan(small_world):
+    prepared, gp, _ = small_world
+    other = gp.copy()
+    other.flat[other.spec_offset:] += 0.05
+    groups = [(gp, np.array([4, 0])), (other, np.array([7]))]
+    for kind in (None, "mse"):
+        got = group_val_losses(prepared, groups, CFG, kind=kind)
+        for params, ids in groups:
+            want = losses.per_series_split_losses(params, prepared, "va", 1, CFG,
+                                                  kind=kind, series=ids)
+            assert got[ids].tobytes() == want.tobytes()
+        assert np.isnan(np.delete(got, [0, 4, 7])).all()
+
+
+def test_group_val_losses_need_a_val_window_at_h1(small_world):
+    _, gp, _ = small_world
+    ds, _ = generate(SyntheticSpec(n_series=3, n_times=120, n_components=4,
+                                   n_regimes=3, seed=5))
+    # t_train + t_val <= w: every VAL target lies before a full window
+    prepared = prepare(ds, SplitSpec(4, 2, 114), min_segment=None)
+    with pytest.raises(ValueError, match="no VAL windows at h=1"):
+        group_val_losses(prepared, [(gp, np.arange(3))], CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +461,45 @@ def _sweep_outputs(method, global_params):
             [p.flat.tobytes() for p in res.prototypes], audit)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_run_sweep_decides_each_runs_fallback(small_world, monkeypatch,
+                                              workers):
+    # runs hand back (loop, own); each run's flags and risks are decided
+    # from them in run_sweep, serially or with forked workers alike
+    prepared, _, _ = small_world
+    monkeypatch.setattr(clustering, "sweep_workers", lambda n: workers)
+    rng = np.random.default_rng(0)
+    pooled = rng.uniform(1.0, 2.0, size=9)
+    runs = {}
+    for k in (2, 3):
+        for seed in (0, 1):
+            a = init_assignments(9, k, seed=seed)
+            own = pooled + rng.normal(scale=0.5, size=9)
+            runs[(k, seed)] = (LoopResult(a, [], [a.labels], True, None), own)
+    sel = SelectionConfig(candidates=(3, 2), seeds=(1, 0), assign_horizons=(1,),
+                          gamma=0.1)
+    res = run_sweep(prepared, sel, lambda k, seed: runs[(k, seed)], pooled)
+    assert [(r.k, r.seed) for r in res.table] == [(2, 1), (2, 0), (3, 1), (3, 0)]
+    decided = {}
+    for row in res.table:
+        loop, own = runs[(row.k, row.seed)]
+        means = cluster_val_means(loop.assignment, own, pooled)
+        decided[(row.k, row.seed)] = compute_fallback(means)
+        assert (row.sel_abs, row.global_risk) == val_risk_pair(
+            means, decided[(row.k, row.seed)])
+        assert row.sel_pen == row.sel_abs + 0.1 * row.k / 9
+        assert (row.iterations, row.converged) == (0, True)
+    # the hand-made losses flag some clusters and keep others
+    assert {f for flags in decided.values() for f in flags.flagged} == {True,
+                                                                        False}
+    best = min(res.table, key=lambda r: (r.sel_pen, r.k, r.seed))
+    assert (res.k_star, res.seed_star) == (best.k, best.seed)
+    assert res.flags == decided[(best.k, best.seed)]
+    np.testing.assert_array_equal(res.assignment.labels,
+                                  runs[(best.k, best.seed)][0].assignment.labels)
+
+
+@needs_fork
 @pytest.mark.parametrize("method", ["cluster", "feat_kmeans",
                                     "random_balanced"])
 def test_parallel_sweep_is_bitwise_serial(small_world, monkeypatch, method):

@@ -219,7 +219,7 @@ def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path, data_dir):
     for threads in ("1", "2"):
         env = {k: v for k, v in os.environ.items()
                if not k.endswith("_NUM_THREADS")}
-        env["POOLCAST_THREADS"] = threads
+        env["OMP_NUM_THREADS"] = env["OPENBLAS_NUM_THREADS"] = threads
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         work = tmp_path / f"t{threads}"
@@ -338,6 +338,27 @@ def test_manifest_records_the_train_reads_of_every_fit(tmp_path, data_dir):
         reads = pipeline.load_manifest(str(tmp_path / "fits"))["audit"]["train"]
         assert reads[phase]["train"] > 0
         assert reads[phase]["val"] == reads[phase]["test"] == 0
+
+
+def test_select_k_prints_the_kept_run(tmp_path, data_dir, capsys, monkeypatch):
+    run_dir = str(tmp_path / "kept")
+    path = write_config(tmp_path, data_dir, run_dir)
+    capsys.readouterr()
+    assert cli.main(["select-k", "--config", path]) == 0
+    manifest = pipeline.load_manifest(run_dir)
+    kept = (manifest["k"], manifest["selection_seed"])
+    (row,) = [r for r in read_csv(os.path.join(run_dir, "selection.csv"))
+              if (int(r["k"]), int(r["seed"])) == kept]
+    assert capsys.readouterr().out == (
+        f"selected k={kept[0]} (seed {kept[1]}, "
+        f"sel_pen={float(row['sel_pen']):.6f}); table: {run_dir}/selection.csv\n")
+    # the printed row is the one the manifest keeps; the CLI does not select
+    other = next(r for r in manifest["selection_table"]
+                 if (r["k"], r["seed"]) != kept)
+    monkeypatch.setattr(pipeline, "cmd_select_k", lambda cfg: dict(
+        manifest, k=other["k"], selection_seed=other["seed"]))
+    assert cli.main(["select-k", "--config", path]) == 0
+    assert f"sel_pen={other['sel_pen']:.6f})" in capsys.readouterr().out
 
 
 def test_single_use_test_protocol(tmp_path, data_dir):
@@ -781,9 +802,10 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     assert not os.path.exists(missing_dir)
 
     # run files that cannot be read are data errors: a report or manifest
-    # that is not JSON or is JSON of the wrong shape, and a checkpoint header
-    # with a zero dimension (here with the payload it implies) or one that
-    # implies a payload far larger than the file
+    # that is not JSON or is JSON of the wrong shape (also a report row
+    # without the report columns and a manifest field of the wrong type),
+    # and a checkpoint header with a zero dimension (here with the payload
+    # it implies) or one that implies a payload far larger than the file
     forecast = ["forecast-new", "--config", good, "--segment", segment]
     ckpt = os.path.join(run_dir, "checkpoints", "refit_global.pcm")
     with open(ckpt, "rb") as fh:
@@ -795,13 +817,23 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
                                      n_levels, mode_flag)
 
     report = ["report", "--runs", run_dir]
+    manifest_path = os.path.join(run_dir, "manifest.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+
+    def manifest_with(**fields):
+        return json.dumps(dict(manifest, **fields)).encode()
+
     for path, content, argv in (
             (os.path.join(run_dir, "report.json"), b'{"rows": [', report),
             (os.path.join(run_dir, "report.json"), b"{}", report),
             (os.path.join(run_dir, "report.json"), b'{"rows": 5}', report),
-            (os.path.join(run_dir, "manifest.json"), b"{not json", forecast),
-            (os.path.join(run_dir, "manifest.json"), b"[]", report),
-            (os.path.join(run_dir, "manifest.json"), b"[]", forecast),
+            (os.path.join(run_dir, "report.json"), b'{"rows": [{}]}', report),
+            (manifest_path, b"{not json", forecast),
+            (manifest_path, b"[]", report),
+            (manifest_path, b"[]", forecast),
+            (manifest_path, manifest_with(report=5), report),
+            (manifest_path, manifest_with(flags=5), forecast),
             (ckpt, header(2 ** 40) + stored[52:], forecast),
             (ckpt, header(2 ** 62) + stored[52:], forecast),
             (ckpt, header(0) + bytes(8 * (3 * hidden * hidden + 3 * hidden)),

@@ -8,15 +8,16 @@ aside before running the same workload and seed again, which overwrites it.
 Runs are grouped by workload. Per workload and end-to-end metric the record
 holds the median over the runs and the IQR (75th minus 25th percentile, with
 linear interpolation), and per run its seed, artifact digest and failed
-share. All runs must come from the same ``src/`` tree, whose run metadata is
-stored once, with the line count of every ``src/poolcast/*.py`` file of the
-checkout this tool lies in.
+share. All runs must come from the ``src/`` tree of the checkout this tool
+lies in (the results' ``src_sha256``); their run metadata is stored once,
+with the line count of every ``src/poolcast/*.py`` file.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
+import hashlib
 import json
 import os
 import sys
@@ -29,6 +30,23 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PER_RUN_META = ("workload", "seed")
 # where the BLAS build is installed, not what it is
 BLAS_LOCATIONS = ("include directory", "lib directory", "pc file directory")
+
+
+def src_sha256() -> str:
+    """The SHA-256 of every ``.py`` file under ``src/``, in sorted walk order,
+    each as its path relative to ``src/``, a NUL byte and its bytes: the
+    ``src_sha256`` a benchmark run records."""
+    src = os.path.join(ROOT, "src")
+    h = hashlib.sha256()
+    for base, dirs, files in os.walk(src):
+        dirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(base, name)
+                with open(path, "rb") as fh:
+                    h.update(os.path.relpath(path, src).encode() + b"\0"
+                             + fh.read())
+    return h.hexdigest()
 
 
 def src_lines() -> dict:
@@ -48,6 +66,9 @@ def fold(records: list[dict]) -> dict:
              for r in records]
     if any(m["src_sha256"] != metas[0]["src_sha256"] for m in metas):
         raise ValueError("results come from different src/ trees")
+    if metas[0]["src_sha256"] != src_sha256():
+        raise ValueError("results come from another src/ tree than this "
+                         "checkout's")
     meta = dict(metas[0])
     if isinstance(meta.get("blas"), dict):
         meta["blas"] = {k: v for k, v in meta["blas"].items()
