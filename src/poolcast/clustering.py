@@ -500,8 +500,8 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
                          prototypes: list[ParamSet] | None, cfg: TrainConfig,
                          horizons=(1, 3, 6), method: str = "cluster",
                          refit_epochs: int = 15, coverage_target: float = 0.8,
-                         individual_models: list[ParamSet] | None = None
-                         ) -> EvalArtifacts:
+                         individual_models: list[ParamSet] | None = None,
+                         before_test=None) -> EvalArtifacts:
     """Refit on TRAIN+VAL with frozen routing, then evaluate TEST once.
 
     The pooled model is refit warm-started from its TRAIN fit; unflagged
@@ -510,48 +510,42 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     their members to the refit pooled model, making their TEST predictions
     bitwise identical to the reference rows. ``individual_models`` switches
     to one-model-per-series evaluation (no clustering, no fallback).
+
+    ``before_test(refit_global, routed, calibration)``, if given, runs
+    immediately before the first TEST read; a failure before it, a diverged
+    refit or a calibration error included, has read no TEST value.
     """
     prepared.audit.set_phase("refit")
-    all_series = np.arange(prepared.n_series)
-    x_all, y_all = prepared.windows("trval", 1, cfg.w)
+
+    def refit(initial, anchor, series, *seed_tag, freeze_mix=False):
+        x, y = prepared.windows("trval", 1, cfg.w, series)
+        return model.train(initial, anchor, x, y,
+                           replace(cfg, seed=derive_seed(cfg.seed, *seed_tag)),
+                           epochs=refit_epochs, freeze_mix=freeze_mix)
+
+    n = prepared.n_series
     # the shared encoder/decoder stays at its TRAIN fit through the refit, so
     # pooled model and prototypes keep operating in the same latent space
-    refit_global = model.train(global_params, None, x_all, y_all,
-                               replace(cfg, seed=derive_seed(cfg.seed, "refit-global")),
-                               epochs=refit_epochs, freeze_mix=True)
+    refit_global = refit(global_params, None, None, "refit-global", freeze_mix=True)
 
     frozen_before = None if flags is None else tuple(flags.flagged)
-    routed: list[ParamSet]
+    routed = [refit_global] * n
+    fallback_share = 0.0
     if individual_models is not None:
-        routed = []
-        for i in all_series:
-            x_i, y_i = prepared.windows("trval", 1, cfg.w, [i])
-            routed.append(model.train(
-                individual_models[i], None, x_i, y_i,
-                replace(cfg, seed=derive_seed(cfg.seed, "refit-individual", int(i))),
-                epochs=refit_epochs))
-        fallback_share = 0.0
-    elif assignment is None:
-        routed = [refit_global] * prepared.n_series
-        fallback_share = 0.0
-    else:
+        routed = [refit(individual_models[i], None, [i], "refit-individual", i)
+                  for i in range(n)]
+    elif assignment is not None:
         refit_protos: dict[int, ParamSet] = {}
         for k in range(assignment.n_clusters):
-            if flags.flagged[k] or len(assignment.members(k)) == 0:
-                continue
             members = assignment.members(k)
-            x_k, y_k = prepared.windows("trval", 1, cfg.w, members)
+            if flags.flagged[k] or len(members) == 0:
+                continue
             # the mixing matrix is shared: prototypes adopt the refit pooled
             # mix and warm-start only their specialized tensors
             warm = prototypes[k].copy()
             warm.mix[...] = refit_global.mix
-            refit_protos[k] = model.train(
-                warm, refit_global, x_k, y_k,
-                replace(cfg, seed=derive_seed(cfg.seed, "refit-proto", k)),
-                epochs=refit_epochs)
-        routed = [refit_global if flags.flagged[assignment.labels[i]]
-                  else refit_protos[assignment.labels[i]]
-                  for i in all_series]
+            refit_protos[k] = refit(warm, refit_global, members, "refit-proto", k)
+        routed = [refit_protos.get(k, refit_global) for k in assignment.labels]
         fallback_share = flags.fallback_share(assignment)
 
     calib = None
@@ -561,8 +555,9 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
         calib = calibrate(streams, coverage_target)
 
     prepared.audit.set_phase("evaluate")
-    n = prepared.n_series
-    scored = [("global", [(refit_global, all_series)], 0.0)]
+    if before_test is not None:
+        before_test(refit_global, routed, calib)
+    scored = [("global", [(refit_global, np.arange(n))], 0.0)]
     if method != "global":
         scored.append((method, losses.model_groups(routed), fallback_share))
     # (method, h) -> per-series MSE, MAE and pinball, the (target, lower,

@@ -134,11 +134,13 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-component affine transform fitted on observed TRAIN entries only."""
+    """Per-component affine transform fitted on observed TRAIN entries only,
+    and ``fill``, the TRAIN value that replaces a missing entry before it."""
 
     mu: np.ndarray
     sigma: np.ndarray
     eps: float
+    fill: np.ndarray
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mu) / self.sigma
@@ -370,7 +372,7 @@ def fit_impute_standardize(ds: MtsDataset, spec: SplitSpec, eps: float = 1e-8,
         var[j] = ((obs - mu[j]) ** 2).mean()
         fill[j] = mu[j] if impute == "mean" else np.median(obs)
     sigma = np.sqrt(var + eps)
-    standardizer = Standardizer(mu=mu, sigma=sigma, eps=eps)
+    standardizer = Standardizer(mu=mu, sigma=sigma, eps=eps, fill=fill)
 
     values = ds.values.copy()
     missing = ~ds.mask

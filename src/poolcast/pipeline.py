@@ -223,13 +223,20 @@ _NUMBER = (int, float)
 # read: a type or tuple of types, [type] for a list of it, or {key: type}
 # for an object with those keys
 MANIFEST_TYPES = {
-    "config": dict, "k": int, "assignment": [int], "flags": [bool],
+    "config": dict, "n_series": int, "k": int, "assignment": [int], "flags": [bool],
     "checkpoint_global": str, "checkpoint_refit_global": str,
     "prototype_checkpoints": [str], "individual_checkpoints": [str],
     "routed_checkpoints": [str], "calibration": (dict, type(None)),
-    "standardizer": {"mu": [_NUMBER], "sigma": [_NUMBER], "eps": _NUMBER},
+    "standardizer": {"mu": [_NUMBER], "sigma": [_NUMBER], "eps": _NUMBER,
+                     "fill": [_NUMBER]},
     "report": {"json": str},
 }
+
+
+# a report.json row: every report column, the losses, percentages, coverage
+# and width numbers or null (None)
+REPORT_ROW_TYPES = dict(dict.fromkeys(losses.REPORT_COLUMNS, _NUMBER + (type(None),)),
+                        method=str, horizon=int)
 
 
 def _has_type(value, kind) -> bool:
@@ -258,6 +265,17 @@ def load_manifest(run_dir: str) -> dict:
         if key in manifest and not _has_type(manifest[key], kind):
             raise DataError(f"unreadable manifest {path}: field {key!r} "
                             f"has the wrong type")
+    # one label and one routed checkpoint per series, one flag and one
+    # prototype per cluster, and every label one of the k clusters
+    n, k = manifest.get("n_series"), manifest.get("k")
+    for key, size in (("assignment", n), ("routed_checkpoints", n),
+                      ("flags", k), ("prototype_checkpoints", k)):
+        if key in manifest and len(manifest[key]) != size:
+            raise DataError(f"unreadable manifest {path}: field {key!r} "
+                            f"does not have {size} entries")
+    if not all(0 <= label < (k or 0) for label in manifest.get("assignment", ())):
+        raise DataError(f"unreadable manifest {path}: a label of 'assignment' "
+                        f"is not one of its k = {k} clusters")
     return manifest
 
 
@@ -346,6 +364,7 @@ def cmd_prepare(cfg: RunConfig, prepared: PreparedData | None = None) -> dict:
             "mu": prepared.standardizer.mu.tolist(),
             "sigma": prepared.standardizer.sigma.tolist(),
             "eps": prepared.standardizer.eps,
+            "fill": prepared.standardizer.fill.tolist(),
         },
         "n_series": prepared.n_series,
         "n_components": prepared.dataset.n_components,
@@ -486,7 +505,12 @@ def _load_trained(cfg: RunConfig, manifest: dict):
 
 
 def cmd_evaluate(cfg: RunConfig) -> dict:
-    """Final refit on TRAIN+VAL and the one permitted TEST evaluation."""
+    """Final refit on TRAIN+VAL and the one permitted TEST evaluation.
+
+    Right before the first TEST read (``before_test``) one manifest save
+    records the refit checkpoints, the calibration and the spent TEST marker;
+    the reports and plots follow the TEST pass, and the manifest that names
+    them is saved last."""
     manifest = load_manifest(cfg.run_dir)
     _check_identity(cfg, manifest)
     if manifest.get("test_evaluated"):
@@ -495,49 +519,48 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
     if "checkpoint_global" not in manifest:
         raise DataError("no trained checkpoints in this run; run train/select-k")
     prepared = load_prepared(cfg)
-    tc = cfg.train_config()
     global_params, assignment, flags, prototypes, individual = _load_trained(cfg, manifest)
-    # flip the marker before any TEST value is touched: a crash from here on
-    # must not leave a second evaluation possible (a run whose data or
-    # checkpoints failed to load above has read no TEST value)
-    manifest["test_evaluated"] = True
-    save_manifest(cfg.run_dir, manifest)
+    run_dir = cfg.run_dir
+
+    def before_test(refit_global, routed, calibration):
+        ckpt = _checkpoint_dir(run_dir)
+        refit_global_path = os.path.join(ckpt, "refit_global.pcm")
+        routed_paths = [None] * len(routed)
+        with _writing(ckpt):
+            model.save_checkpoint(refit_global, cfg.window, cfg.mode, refit_global_path)
+            for g, (params, ids) in enumerate(losses.model_groups(routed)):
+                path = refit_global_path
+                if params is not refit_global:
+                    path = os.path.join(ckpt, f"refit_routed_{g:02d}.pcm")
+                    model.save_checkpoint(params, cfg.window, cfg.mode, path)
+                for i in ids:
+                    routed_paths[i] = path
+        manifest.update({
+            "checkpoint_refit_global": refit_global_path,
+            "routed_checkpoints": routed_paths,
+            "calibration": calibration.as_dict() if calibration else None,
+            "test_evaluated": True,
+        })
+        save_manifest(run_dir, manifest)
 
     artifacts = clustering.final_refit_and_test(
-        prepared, assignment, flags, global_params, prototypes, tc,
-        horizons=tuple(cfg.horizons), method=cfg.method,
+        prepared, assignment, flags, global_params, prototypes,
+        cfg.train_config(), horizons=tuple(cfg.horizons), method=cfg.method,
         refit_epochs=cfg.resolved_refit_epochs(),
         coverage_target=cfg.coverage_target,
-        individual_models=individual)
+        individual_models=individual, before_test=before_test)
 
-    run_dir = cfg.run_dir
     report_json = os.path.join(run_dir, "report.json")
-    with atomic_open(report_json) as fh:
-        json.dump({"method": cfg.method, "rows": artifacts.report}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
-    losses.write_report_csv(os.path.join(run_dir, "report.csv"),
-                            artifacts.report, losses.REPORT_COLUMNS)
-    _write_plot_data(cfg, prepared, artifacts)
-
-    ckpt = _checkpoint_dir(run_dir)
-    refit_global_path = os.path.join(ckpt, "refit_global.pcm")
-    model.save_checkpoint(artifacts.refit_global, cfg.window, cfg.mode,
-                          refit_global_path)
-    manifest["checkpoint_refit_global"] = refit_global_path
-    routed_paths = [None] * len(artifacts.routed_models)
-    for g, (params, ids) in enumerate(losses.model_groups(artifacts.routed_models)):
-        path = refit_global_path
-        if params is not artifacts.refit_global:
-            path = os.path.join(ckpt, f"refit_routed_{g:02d}.pcm")
-            model.save_checkpoint(params, cfg.window, cfg.mode, path)
-        for i in ids:
-            routed_paths[i] = path
-    manifest["routed_checkpoints"] = routed_paths
-    manifest["calibration"] = (artifacts.calibration.as_dict()
-                               if artifacts.calibration else None)
-    manifest["report"] = {"json": report_json,
-                          "csv": os.path.join(run_dir, "report.csv")}
+    report_csv = os.path.join(run_dir, "report.csv")
+    with _writing(run_dir):
+        with atomic_open(report_json) as fh:
+            json.dump({"method": cfg.method, "rows": artifacts.report}, fh,
+                      indent=2, sort_keys=True)
+            fh.write("\n")
+        losses.write_report_csv(report_csv, artifacts.report,
+                                losses.REPORT_COLUMNS)
+        _write_plot_data(cfg, prepared, artifacts)
+    manifest["report"] = {"json": report_json, "csv": report_csv}
     _record_audit(manifest, prepared, "evaluate")
     save_manifest(run_dir, manifest)
     return manifest
@@ -600,12 +623,12 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     _check_identity(cfg, manifest)
     if "checkpoint_refit_global" not in manifest:
         raise DataError("run evaluate first: routing uses the final refit models")
-    std = Standardizer(mu=np.asarray(manifest["standardizer"]["mu"]),
-                       sigma=np.asarray(manifest["standardizer"]["sigma"]),
-                       eps=float(manifest["standardizer"]["eps"]))
+    stored = manifest["standardizer"]
+    std = Standardizer(mu=np.asarray(stored["mu"]), sigma=np.asarray(stored["sigma"]),
+                       eps=float(stored["eps"]), fill=np.asarray(stored["fill"]))
     tc = cfg.train_config()
     raw = _read_segment(segment_path, len(std.mu), tc.w, cfg.csv_header)
-    filled = np.where(np.isfinite(raw), raw, std.mu)
+    filled = np.where(np.isfinite(raw), raw, std.fill)
     segment = std.transform(filled)
 
     refit_global = _load_params(cfg.run_dir, manifest["checkpoint_refit_global"])
@@ -613,11 +636,14 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     if cfg.method in CLUSTERED_METHODS:
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
         # flagged clusters route to the pooled model, which assign_new_series
-        # tries first; an unflagged cluster is never empty
-        labels, paths = manifest["assignment"], manifest["routed_checkpoints"]
-        prototypes = [refit_global if flags.flagged[k]
-                      else _load_params(cfg.run_dir, paths[labels.index(k)])
-                      for k in range(manifest["k"])]
+        # tries first; an unflagged cluster is served by its members' model
+        paths = dict(zip(manifest["assignment"], manifest["routed_checkpoints"]))
+        for k, flagged in enumerate(flags.flagged):
+            if not flagged and k not in paths:
+                raise DataError(f"unreadable manifest {_manifest_path(cfg.run_dir)}: "
+                                f"unflagged cluster {k} has no members")
+            prototypes.append(refit_global if flagged
+                              else _load_params(cfg.run_dir, paths[k]))
 
     routed_id = clustering.assign_new_series(segment, refit_global, prototypes,
                                              flags, tc)
@@ -696,7 +722,7 @@ def cmd_report(run_dirs, out_path: str | None = None,
                 report = json.load(fh)
             except ValueError as exc:
                 raise DataError(f"unreadable report {report_path}: {exc}") from None
-        if not _has_type(report, {"rows": [dict.fromkeys(losses.REPORT_COLUMNS, object)]}):
+        if not _has_type(report, {"rows": [REPORT_ROW_TYPES]}):
             raise DataError(f"unreadable report {report_path}: not a list of report rows")
         rows = report["rows"]
         if paper_scale:

@@ -371,6 +371,125 @@ def test_single_use_test_protocol(tmp_path, data_dir):
         pipeline.cmd_evaluate(cfg)
 
 
+def _diverge(*args, **kwargs):
+    raise TrainingDiverged("non-finite training loss in epoch 1; "
+                           "last finite epoch was 0", 0)
+
+
+def _fail_calibration(*args, **kwargs):
+    raise ValueError("no calibration streams")
+
+
+@pytest.mark.parametrize("stage", ["refit", "calibrate"])
+def test_failure_before_the_test_read_leaves_test_unused(tmp_path, data_dir,
+                                                         monkeypatch, stage):
+    run_dir = str(tmp_path / "r")
+    cfg = write_config(tmp_path, data_dir, run_dir, "k = 2\nmode = quantile\n")
+    assert cli.main(["train", "--config", cfg]) == 0
+    if stage == "refit":
+        monkeypatch.setattr(model, "train", _diverge)
+        assert cli.main(["evaluate", "--config", cfg]) == 4
+    else:
+        monkeypatch.setattr(clustering, "calibrate", _fail_calibration)
+        with pytest.raises(ValueError, match="no calibration streams"):
+            cli.main(["evaluate", "--config", cfg])
+    monkeypatch.undo()
+    manifest = pipeline.load_manifest(run_dir)
+    assert not manifest["test_evaluated"]
+    assert "checkpoint_refit_global" not in manifest
+    assert cli.main(["evaluate", "--config", cfg]) == 0
+    assert cli.main(["evaluate", "--config", cfg]) == 5
+
+
+@pytest.mark.parametrize("obstacle", ["report.json", "plots"])
+def test_failure_after_the_test_read_leaves_a_spent_servable_run(
+        tmp_path, data_dir, capsys, obstacle):
+    run_dir = tmp_path / "r"
+    cfg = write_config(tmp_path, data_dir, str(run_dir), "k = 2\nmode = quantile\n")
+    assert cli.main(["train", "--config", cfg]) == 0
+    # a directory where report.json goes, or a file where plots/ goes
+    if obstacle == "plots":
+        (run_dir / obstacle).write_text("")
+    else:
+        (run_dir / obstacle).mkdir()
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    manifest = pipeline.load_manifest(str(run_dir))
+    assert manifest["test_evaluated"] and "report" not in manifest
+    assert set(manifest["calibration"]["factors"]) == {"1", "3"}
+    for path in [manifest["checkpoint_refit_global"]] + manifest["routed_checkpoints"]:
+        assert os.path.exists(path)
+    segment = os.path.join(data_dir, sorted(os.listdir(data_dir))[0])
+    assert cli.main(["forecast-new", "--config", cfg, "--segment", segment]) == 0
+    assert cli.main(["report", "--runs", str(run_dir)]) == 3
+    assert cli.main(["evaluate", "--config", cfg]) == 5
+    capsys.readouterr()
+
+
+def test_evaluate_writes_in_protocol_order(tmp_path, data_dir, monkeypatch):
+    """The refit checkpoints, then the manifest with the calibration and the
+    spent TEST marker, then the reports and plots, and the manifest last."""
+    run_dir = str(tmp_path / "r")
+    cfg = write_config(tmp_path, data_dir, run_dir, "k = 3\nmode = quantile\n")
+    assert cli.main(["train", "--config", cfg]) == 0
+    writes = []
+    replace = os.replace
+
+    def recording(src, dst):  # every run file is moved into place by os.replace
+        replace(src, dst)
+        name = os.path.relpath(dst, run_dir)
+        if name == "manifest.json":
+            with open(dst) as fh:
+                stored = json.load(fh)
+            name = (name, stored["test_evaluated"],
+                    stored.get("calibration") is not None, "report" in stored)
+        writes.append(name)
+
+    monkeypatch.setattr(os, "replace", recording)
+    assert cli.main(["evaluate", "--config", cfg]) == 0
+    monkeypatch.undo()
+    manifest = pipeline.load_manifest(run_dir)
+    refits = {os.path.relpath(p, run_dir) for p in
+              [manifest["checkpoint_refit_global"]] + manifest["routed_checkpoints"]}
+    plots = {os.path.join("plots", f"{kind}_h{h}.csv")
+             for kind in ("improvement", "trajectory") for h in (1, 3)}
+    marker = len(refits)
+    assert set(writes[:marker]) == refits and len(writes) == len(set(writes))
+    assert writes[marker] == ("manifest.json", True, True, False)
+    assert set(writes[marker + 1:-1]) == {"report.json", "report.csv"} | plots
+    assert writes[-1] == ("manifest.json", True, True, True)
+
+
+def test_forecast_new_fills_a_missing_cell_with_the_train_fill(tmp_path, data_dir):
+    run_dir = str(tmp_path / "med")
+    cfg = write_config(tmp_path, data_dir, run_dir,
+                       "method = global\nimpute = median\n")
+    for command in ("train", "evaluate"):
+        assert cli.main([command, "--config", cfg]) == 0
+    names = sorted(os.listdir(data_dir))
+    train = np.concatenate([np.loadtxt(os.path.join(data_dir, name),
+                                       delimiter=",")[:80] for name in names])
+    median = np.median(train, axis=0)
+    stored = pipeline.load_manifest(run_dir)["standardizer"]
+    assert stored["fill"] == median.tolist()
+    assert stored["fill"][0] != stored["mu"][0]
+    # the segment's last step with its first cell blank, or set to the median
+    rows = [[repr(float(v)) for v in row]
+            for row in np.loadtxt(os.path.join(data_dir, names[0]), delimiter=",")]
+    replies = []
+    for cell in ("", repr(float(median[0]))):
+        rows[-1][0] = cell
+        segment = tmp_path / "segment.csv"
+        segment.write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / f"reply_{len(replies)}.json"
+        assert cli.main(["forecast-new", "--config", cfg,
+                         "--segment", str(segment), "--out", str(out)]) == 0
+        replies.append(out.read_bytes())
+    assert replies[0] == replies[1]
+
+
 def test_evaluate_checks_config_identity(tmp_path, data_dir):
     run_dir = str(tmp_path / "ident")
     path = write_config(tmp_path, data_dir, run_dir, "k = 2\n")
@@ -803,9 +922,11 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
 
     # run files that cannot be read are data errors: a report or manifest
     # that is not JSON or is JSON of the wrong shape (also a report row
-    # without the report columns and a manifest field of the wrong type),
-    # and a checkpoint header with a zero dimension (here with the payload
-    # it implies) or one that implies a payload far larger than the file
+    # without the report columns or with a loss that is not a number, a
+    # manifest field of the wrong type, labels beyond k and an unflagged
+    # cluster without members), and a checkpoint header with a zero
+    # dimension (here with the payload it implies) or one that implies a
+    # payload far larger than the file
     forecast = ["forecast-new", "--config", good, "--segment", segment]
     ckpt = os.path.join(run_dir, "checkpoints", "refit_global.pcm")
     with open(ckpt, "rb") as fh:
@@ -817,9 +938,15 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
                                      n_levels, mode_flag)
 
     report = ["report", "--runs", run_dir]
+    evaluate = ["evaluate", "--config", good]
     manifest_path = os.path.join(run_dir, "manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    assert manifest["k"] == 2 and len(manifest["assignment"]) == 9
+    report_path = os.path.join(run_dir, "report.json")
+    with open(report_path) as fh:
+        text_loss = json.dumps({"rows": [dict(json.load(fh)["rows"][0],
+                                              mse="x")]}).encode()
 
     def manifest_with(**fields):
         return json.dumps(dict(manifest, **fields)).encode()
@@ -834,6 +961,11 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
             (manifest_path, b"[]", forecast),
             (manifest_path, manifest_with(report=5), report),
             (manifest_path, manifest_with(flags=5), forecast),
+            (report_path, text_loss, report),
+            (report_path, text_loss, report + ["--paper-scale"]),
+            (manifest_path, manifest_with(assignment=[2] * 9), evaluate),
+            (manifest_path, manifest_with(assignment=[0] * 9,
+                                          flags=[False, False]), forecast),
             (ckpt, header(2 ** 40) + stored[52:], forecast),
             (ckpt, header(2 ** 62) + stored[52:], forecast),
             (ckpt, header(0) + bytes(8 * (3 * hidden * hidden + 3 * hidden)),
