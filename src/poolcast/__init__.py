@@ -15,7 +15,7 @@ from .losses import (REPORT_COLUMNS, format_rows, interval_stats, loss_elem,
                      paper_scale, summarize_method, write_report_csv)
 from .model import (ParamSet, TrainConfig, TrainingDiverged, init_params,
                     load_checkpoint, loss_and_gradients, rollout,
-                    save_checkpoint, train)
+                    save_checkpoint, train, train_stacked)
 
 __version__ = "0.1.0"
 
@@ -27,5 +27,5 @@ __all__ = [
     "paper_scale", "summarize_method", "write_report_csv",
     "ParamSet", "TrainConfig", "TrainingDiverged", "init_params",
     "load_checkpoint", "loss_and_gradients", "rollout", "save_checkpoint",
-    "train",
+    "train", "train_stacked",
 ]

@@ -136,22 +136,22 @@ def fit_prototypes(prepared: PreparedData, assignment: Assignment,
                    global_params: ParamSet, cfg: TrainConfig,
                    proto_epochs: int) -> tuple[list[ParamSet], np.ndarray]:
     """One prototype per cluster, warm-started at and anchored to the pooled
-    model, each trained on its members' TRAIN windows.
+    model, each trained on its members' TRAIN windows; the prototypes train
+    in lock-step (:func:`model.train_stacked`).
 
     Empty clusters get an untrained copy of the pooled parameters and are
     reported inert for this iteration.
     """
-    protos: list[ParamSet] = []
-    inert = np.zeros(assignment.n_clusters, dtype=bool)
-    for k in range(assignment.n_clusters):
-        members = assignment.members(k)
-        if len(members) == 0:
-            protos.append(global_params.copy())
-            inert[k] = True
-            continue
-        x, y = prepared.windows("tr", 1, cfg.w, members)
-        protos.append(model.train(global_params, global_params, x, y, cfg,
-                                  epochs=proto_epochs))
+    inert = assignment.sizes() == 0
+    fitted = np.flatnonzero(~inert)
+    data = [prepared.windows("tr", 1, cfg.w, assignment.members(k))
+            for k in fitted]
+    trained = iter(model.train_stacked([global_params] * len(fitted),
+                                       global_params, data, cfg,
+                                       [cfg.seed] * len(fitted),
+                                       epochs=proto_epochs))
+    protos = [global_params.copy() if inert[k] else next(trained)
+              for k in range(assignment.n_clusters)]
     return protos, inert
 
 
@@ -517,34 +517,41 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     """
     prepared.audit.set_phase("refit")
 
-    def refit(initial, anchor, series, *seed_tag, freeze_mix=False):
-        x, y = prepared.windows("trval", 1, cfg.w, series)
-        return model.train(initial, anchor, x, y,
-                           replace(cfg, seed=derive_seed(cfg.seed, *seed_tag)),
-                           epochs=refit_epochs, freeze_mix=freeze_mix)
+    def refit(initials, anchor, series, seed_tags, freeze_mix=False):
+        # models i train in lock-step on the windows of series[i], each
+        # shuffled by the seed its tag derives
+        data = [prepared.windows("trval", 1, cfg.w, s) for s in series]
+        return model.train_stacked(
+            initials, anchor, data, cfg,
+            [derive_seed(cfg.seed, *tag) for tag in seed_tags],
+            epochs=refit_epochs, freeze_mix=freeze_mix)
 
     n = prepared.n_series
     # the shared encoder/decoder stays at its TRAIN fit through the refit, so
     # pooled model and prototypes keep operating in the same latent space
-    refit_global = refit(global_params, None, None, "refit-global", freeze_mix=True)
+    (refit_global,) = refit([global_params], None, [None], [("refit-global",)],
+                            freeze_mix=True)
 
     frozen_before = None if flags is None else tuple(flags.flagged)
     routed = [refit_global] * n
     fallback_share = 0.0
     if individual_models is not None:
-        routed = [refit(individual_models[i], None, [i], "refit-individual", i)
-                  for i in range(n)]
+        # one at a time: a stack of N models would need a workspace N deep
+        routed = [refit([individual_models[i]], None, [[i]],
+                        [("refit-individual", i)])[0] for i in range(n)]
     elif assignment is not None:
-        refit_protos: dict[int, ParamSet] = {}
-        for k in range(assignment.n_clusters):
-            members = assignment.members(k)
-            if flags.flagged[k] or len(members) == 0:
-                continue
+        kept = [k for k in range(assignment.n_clusters)
+                if not flags.flagged[k] and len(assignment.members(k))]
+        warms = []
+        for k in kept:
             # the mixing matrix is shared: prototypes adopt the refit pooled
             # mix and warm-start only their specialized tensors
             warm = prototypes[k].copy()
             warm.mix[...] = refit_global.mix
-            refit_protos[k] = refit(warm, refit_global, members, "refit-proto", k)
+            warms.append(warm)
+        refit_protos = dict(zip(kept, refit(
+            warms, refit_global, [assignment.members(k) for k in kept],
+            [("refit-proto", k) for k in kept])))
         routed = [refit_protos.get(k, refit_global) for k in assignment.labels]
         fallback_share = flags.fallback_share(assignment)
 

@@ -14,14 +14,25 @@ import numpy as np
 from .data import write_csv
 
 
-def huber_elem(e: np.ndarray, delta: float) -> np.ndarray:
-    a = np.abs(e)
-    return np.where(a <= delta, 0.5 * e * e, delta * a - 0.5 * delta * delta)
+def huber_elem(e: np.ndarray, delta: float, out: np.ndarray | None = None,
+               quad: np.ndarray | None = None,
+               small: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise Huber loss; written into ``out``, with ``quad`` (float)
+    and ``small`` (bool) of e's shape as scratch, when given."""
+    a = np.abs(e, out)
+    small = np.less_equal(a, delta, small)
+    quad = np.multiply(e, 0.5, quad)
+    quad *= e
+    a *= delta
+    a -= 0.5 * delta * delta
+    np.copyto(a, quad, where=small)
+    return a
 
 
-def huber_deriv(e: np.ndarray, delta: float) -> np.ndarray:
+def huber_deriv(e: np.ndarray, delta: float,
+                out: np.ndarray | None = None) -> np.ndarray:
     """d huber_elem / d e (the prediction side carries the same sign)."""
-    return np.clip(e, -delta, delta)
+    return np.clip(e, -delta, delta, out=out)
 
 
 def loss_elem(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarray:

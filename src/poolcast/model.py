@@ -53,14 +53,17 @@ def derive_seed(base: int, *keys) -> int:
     return int(np.random.SeedSequence(ints).generate_state(1)[0])
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
+def softplus(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.logaddexp(0.0, x, out)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # exp(-x) overflows to inf for very negative x, which correctly yields 0;
-    # callers silence that overflow with one np.errstate around their loop
-    return 1.0 / (1.0 + np.exp(-x))
+    # callers silence that overflow with np.errstate
+    s = np.negative(x, out)
+    np.exp(s, s)
+    np.add(s, 1.0, s)
+    return np.divide(1.0, s, s)
 
 
 def median_index(levels) -> int:
@@ -237,57 +240,116 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _GruCache:
-    x: np.ndarray          # inputs (n, w, P)
-    z_in: np.ndarray       # encoded inputs, time-major (w, n, r)
-    zr: np.ndarray         # update and reset activations, time-major (w, n, 2H)
-    cand: np.ndarray       # candidate activations, time-major (w, n, H)
-    h_states: np.ndarray   # time-major (w+1, n, H), h_states[0] = 0
-    w_all: np.ndarray      # input weights of the three gates, (3H, r)
-    u_zr: np.ndarray       # recurrent weights of update and reset, (2H, H)
+class _Workspace:
+    """Every buffer of one training step of a stack of M models on batches
+    of n windows: the gathered batch, the activations backprop reads, the
+    temporaries and the gradients.
+
+    The buffers are views into one float64 arena. A fit allocates the arena
+    of its largest step and carves every smaller step's workspace out of the
+    same arena, so no step allocates: the large buffers, allocated anew on
+    every step, are mapped and unmapped by the allocator each time, which
+    costs more than stacking the models saves.
+    """
+
+    def __init__(self, params: ParamSet, m: int, n: int, w: int,
+                 quantile: bool, arena: np.ndarray | None = None):
+        p, r, hid, nq = (params.p_dim, params.latent, params.hidden,
+                         params.n_levels)
+        layout = params.layout
+        # the output head's shapes: quantile levels carry their own axis
+        lat, out = ((m, n, nq, r), (m, n, nq, p)) if quantile else ((m, n, r), (m, n, p))
+        head = math.prod(lat[2:])
+        specs = [
+            ("x", (m, n, w, p)), ("y", (m, n, p)),
+            ("xt", (m, w * n, p)), ("z_in", (m, w * n, r)),
+            ("w_all", (m, 3 * hid, r)), ("b_all", (m, 3 * hid)),
+            ("u_zr", (m, 2 * hid, hid)),
+            # the gate inputs are dead once the forward pass ends; the
+            # backward pass writes the gate gradients (d_acts) over them
+            ("gates", (m, w * n, 3 * hid)),
+            ("zr", (w, m, n, 2 * hid)), ("cand", (w, m, n, hid)),
+            ("hs", (w + 1, m, n, hid)),
+            ("tmp", (m, n, hid)), ("tmp2", (m, n, hid)), ("tmp3", (m, n, hid)),
+            ("d_rh", (m, n, hid)), ("dh", (m, n, hid)),
+            ("z_sm", (m, n, w, r)), ("dz_in", (m, n * w, r)),
+            ("dw_all", (m, 3 * hid, r)), ("db_all", (m, 3 * hid)),
+            ("du", (m, hid, hid)), ("dmix", (m, r, p)),
+            ("raw", (m, n, head)), ("lat", lat), ("sp", (m, n, nq - 1, r)),
+            ("pred", out), ("err", out), ("elem", out), ("quad", out),
+            ("dpred", out), ("dlat", lat), ("suffix", lat),
+            ("draw", (m, n, head)), ("dwo", (m, head, hid)), ("dbo", (m, head)),
+            ("dpen", (m, layout.size - layout.spec_offset)),
+            ("grads", (m, layout.size)),
+        ]
+        if arena is None:
+            # the bool mask of the loss elements takes the tail
+            arena = np.empty(sum(math.prod(s) for _, s in specs)
+                             + -(-math.prod(out) // 8))
+        self.arena = arena
+        offset = 0
+        for name, shape in specs:
+            size = math.prod(shape)
+            setattr(self, name, arena[offset:offset + size].reshape(shape))
+            offset += size
+        self.mask = arena[offset:].view(np.bool_)[:math.prod(out)].reshape(out)
+        self.d_acts = self.gates.reshape(m, n, w, 3 * hid)  # series-major
+        # likewise the candidate activations are dead once the backward
+        # loop ends; the hidden states, then the reset-gated ones, are
+        # written series-major over them
+        self.h_seq = self.cand.reshape(m, n, w, hid)
+        self.grads = ParamSet(layout, self.grads)
 
 
-def _gru_forward(params: ParamSet, x: np.ndarray, keep: bool = True
-                 ) -> tuple[np.ndarray, _GruCache | None]:
-    """Final hidden state of a batch of windows (n, w, P), plus the
-    activations backprop needs when ``keep``.
+def _gru_forward(params: ParamSet, x: np.ndarray,
+                 work: _Workspace | None = None) -> np.ndarray:
+    """Final hidden state of a batch of windows.
+
+    Without ``work`` (inference), ``x`` is (n, w, P), run by one model or
+    by every model of a stack (:meth:`ParamSet.stack`, which returns (M, n,
+    H)); two hidden-state buffers take turns, and ``x`` may be a view of
+    time-major memory, which then encodes without a copy. With ``work``
+    (training), ``params`` is a stack, ``x`` holds one batch per model (M,
+    n, w, P), and the workspace keeps every activation backprop reads.
 
     The windows are encoded time-major, so every step reads and writes
-    contiguous (n, .) blocks in place; ``x`` may itself be a view of
-    time-major memory, which then encodes without a copy. Without ``keep``
-    two hidden-state buffers take turns. A stack of M models
-    (:meth:`ParamSet.stack`) runs every model on the same windows without
-    ``keep`` and returns (M, n, H): each step's matmuls make one GEMM call
-    per model, so every model's state is bitwise its own pass's.
+    contiguous (n, .) blocks in place. Each step's matmuls make one GEMM
+    call per model, so every model's state is bitwise its own pass's.
     """
-    n, w, p = x.shape
+    n, w, p = x.shape[-3:]
     hid = params.hidden
     lead = params.mix.shape[:-2]  # () for one model, (M,) for a stack
-    z_in = x.transpose(1, 0, 2).reshape(w * n, p) @ params.mix.swapaxes(-1, -2)
-    w_all = np.concatenate([params.w_update, params.w_reset, params.w_cand], -2)
-    b_all = np.concatenate([params.b_update, params.b_reset, params.b_cand], -1)
-    gates_in = z_in @ w_all.swapaxes(-1, -2)
-    gates_in += b_all[..., None, :]
-    # time-major: gates_in[t] holds step t of every model
-    gates_in = gates_in.reshape(lead + (w, n, 3 * hid)).swapaxes(0, -3)
-    g_zr, g_c = gates_in[..., :2 * hid], gates_in[..., 2 * hid:]
-    u_zr = np.concatenate([params.u_update, params.u_reset], -2)
-    # transposed views, not copies: at n = 1 a copy would change the BLAS call
-    u_zr_t, u_cand_t = u_zr.swapaxes(-1, -2), params.u_cand.swapaxes(-1, -2)
-
+    w_parts = [params.w_update, params.w_reset, params.w_cand]
+    b_parts = [params.b_update, params.b_reset, params.b_cand]
+    u_parts = [params.u_update, params.u_reset]
+    mix_t = params.mix.swapaxes(-1, -2)
     step = lead + (n, hid)
-    if keep:
-        zr_all = np.empty((w,) + lead + (n, 2 * hid))
-        cand, h_states = np.empty((w,) + step), np.empty((w + 1,) + step)
-        h_states[0] = 0.0
-    else:
+    if work is None:
+        z_in = x.transpose(1, 0, 2).reshape(w * n, p) @ mix_t
+        w_all, b_all = np.concatenate(w_parts, -2), np.concatenate(b_parts, -1)
+        u_zr = np.concatenate(u_parts, -2)
+        gates_in = z_in @ w_all.swapaxes(-1, -2)
         # one step's activations, rewritten every step, and two hidden
         # states that take turns
         zr_all = [np.empty(lead + (n, 2 * hid))] * w
         cand = [np.empty(step)] * w
         h_states = [np.zeros(step), np.empty(step)] * (w // 2 + 1)
-    tmp = np.empty(step)
+        tmp = np.empty(step)
+    else:
+        np.copyto(work.xt.reshape(lead + (w, n, p)), x.swapaxes(-3, -2))
+        z_in = np.matmul(work.xt, mix_t, work.z_in)
+        w_all = np.concatenate(w_parts, -2, out=work.w_all)
+        b_all = np.concatenate(b_parts, -1, out=work.b_all)
+        u_zr = np.concatenate(u_parts, -2, out=work.u_zr)
+        gates_in = np.matmul(z_in, w_all.swapaxes(-1, -2), work.gates)
+        zr_all, cand, h_states, tmp = work.zr, work.cand, work.hs, work.tmp
+        h_states[0] = 0.0
+    gates_in += b_all[..., None, :]
+    # time-major: gates_in[t] holds step t of every model
+    gates_in = gates_in.reshape(lead + (w, n, 3 * hid)).swapaxes(0, -3)
+    g_zr, g_c = gates_in[..., :2 * hid], gates_in[..., 2 * hid:]
+    # transposed views, not copies: at n = 1 a copy would change the BLAS call
+    u_zr_t, u_cand_t = u_zr.swapaxes(-1, -2), params.u_cand.swapaxes(-1, -2)
     with np.errstate(over="ignore"):
         for t in range(w):
             zr, c, h, h_next = zr_all[t], cand[t], h_states[t], h_states[t + 1]
@@ -310,67 +372,110 @@ def _gru_forward(params: ParamSet, x: np.ndarray, keep: bool = True
             np.subtract(1.0, z, tmp)
             np.multiply(tmp, c, tmp)
             np.add(h_next, tmp, h_next)
-    if not keep:
-        return h_states[w], None
-    return h_states[w], _GruCache(x, z_in.reshape(w, n, params.latent),
-                                  zr_all, cand, h_states, w_all, u_zr)
+    return h_states[w]
 
 
-def _gru_backward(params: ParamSet, cache: _GruCache, dh: np.ndarray,
-                  grads: ParamSet) -> None:
-    n, w, _ = cache.x.shape
-    hid = params.hidden
-    u_zr, u_cand = cache.u_zr, params.u_cand
-    # series-major, like the activations transposed back below, so the
-    # weight gradients sum over windows in series-major order
-    d_acts = np.empty((n, w, 3 * hid))
-    dh = dh.copy()
+def _gru_backward(params: ParamSet, work: _Workspace, x: np.ndarray,
+                  dh: np.ndarray, grads: ParamSet, frozen_mix: bool) -> None:
+    """Add the GRU's gradients of a stack into ``grads``, from the
+    activations :func:`_gru_forward` kept in ``work`` and the gradient
+    ``dh`` of the final hidden state, which is overwritten. Without
+    ``frozen_mix`` the encoder's share of the mixing gradient is added too."""
+    m, n, w, p = x.shape
+    hid, r = params.hidden, params.latent
+    u_zr, u_cand = work.u_zr, params.u_cand
+    omz, tmp, da_c, d_rh = work.tmp, work.tmp2, work.tmp3, work.d_rh
+    # series-major, like the activations copied below, so the weight
+    # gradients sum over windows in series-major order
+    d_acts = work.d_acts
     for t in range(w - 1, -1, -1):
-        h_prev = cache.h_states[t]
-        z, r, c = cache.zr[t, :, :hid], cache.zr[t, :, hid:], cache.cand[t]
-        one_m_z = 1.0 - z
-        da_c = (dh * one_m_z) * (1.0 - c * c)
-        d_rh = da_c @ u_cand
-        d_acts[:, t, :hid] = (dh * (h_prev - c)) * z * one_m_z
-        d_acts[:, t, hid:2 * hid] = (d_rh * h_prev) * r * (1.0 - r)
-        d_acts[:, t, 2 * hid:] = da_c
-        dh = dh * z + d_rh * r + d_acts[:, t, :2 * hid] @ u_zr
-    flat_acts = d_acts.reshape(n * w, 3 * hid)
-    flat_z = cache.z_in.transpose(1, 0, 2).reshape(n * w, params.latent)
-    dw_all = flat_acts.T @ flat_z
-    grads.w_update += dw_all[:hid]
-    grads.w_reset += dw_all[hid:2 * hid]
-    grads.w_cand += dw_all[2 * hid:]
-    db_all = flat_acts.sum(axis=0)
-    grads.b_update += db_all[:hid]
-    grads.b_reset += db_all[hid:2 * hid]
-    grads.b_cand += db_all[2 * hid:]
-    h_prevs = cache.h_states[:w].transpose(1, 0, 2).reshape(n * w, hid)
-    grads.u_update += d_acts[:, :, :hid].reshape(n * w, hid).T @ h_prevs
-    grads.u_reset += d_acts[:, :, hid:2 * hid].reshape(n * w, hid).T @ h_prevs
-    rh_all = (cache.zr[:, :, hid:] * cache.h_states[:w]).transpose(1, 0, 2)
-    rh_all = rh_all.reshape(n * w, hid)
-    grads.u_cand += d_acts[:, :, 2 * hid:].reshape(n * w, hid).T @ rh_all
-    dz_in = flat_acts @ cache.w_all
-    grads.mix += dz_in.T @ cache.x.reshape(n * w, params.p_dim)
+        h_prev, c = work.hs[t], work.cand[t]
+        z, r_gate = work.zr[t][..., :hid], work.zr[t][..., hid:]
+        acts = d_acts[:, :, t]
+        # the gradients are formed in contiguous buffers, each copied once
+        # into its strided slot
+        np.subtract(1.0, z, omz)
+        # da_c = (dh * (1 - z)) * (1 - c * c)
+        np.multiply(dh, omz, da_c)
+        np.multiply(c, c, tmp)
+        np.subtract(1.0, tmp, tmp)
+        np.multiply(da_c, tmp, da_c)
+        acts[..., 2 * hid:] = da_c
+        np.matmul(da_c, u_cand, d_rh)
+        # d_z = (dh * (h_prev - c)) * z * (1 - z)
+        np.subtract(h_prev, c, tmp)
+        np.multiply(dh, tmp, tmp)
+        np.multiply(tmp, z, tmp)
+        np.multiply(tmp, omz, tmp)
+        acts[..., :hid] = tmp
+        # d_r = (d_rh * h_prev) * r * (1 - r)
+        np.multiply(d_rh, h_prev, tmp)
+        np.multiply(tmp, r_gate, tmp)
+        np.subtract(1.0, r_gate, omz)
+        np.multiply(tmp, omz, tmp)
+        acts[..., hid:2 * hid] = tmp
+        # dh = dh * z + d_rh * r + [d_z, d_r] @ u_zr
+        np.multiply(dh, z, dh)
+        np.multiply(d_rh, r_gate, tmp)
+        np.add(dh, tmp, dh)
+        np.matmul(acts[..., :2 * hid], u_zr, tmp)
+        np.add(dh, tmp, dh)
+    flat_acts = d_acts.reshape(m, n * w, 3 * hid)
+    np.copyto(work.z_sm, work.z_in.reshape(m, w, n, r).swapaxes(1, 2))
+    dw_all = np.matmul(flat_acts.swapaxes(-1, -2),
+                       work.z_sm.reshape(m, n * w, r), work.dw_all)
+    grads.w_update += dw_all[:, :hid]
+    grads.w_reset += dw_all[:, hid:2 * hid]
+    grads.w_cand += dw_all[:, 2 * hid:]
+    db_all = np.add.reduce(flat_acts, 1, None, work.db_all)
+    grads.b_update += db_all[:, :hid]
+    grads.b_reset += db_all[:, hid:2 * hid]
+    grads.b_cand += db_all[:, 2 * hid:]
+    h_prevs = work.hs[:w].transpose(1, 2, 0, 3)
+    states = work.h_seq.reshape(m, n * w, hid)
+    np.copyto(work.h_seq, h_prevs)
+    for tensor, lo in ((grads.u_update, 0), (grads.u_reset, hid)):
+        tensor += np.matmul(flat_acts[..., lo:lo + hid].swapaxes(-1, -2),
+                            states, work.du)
+    np.multiply(work.zr[..., hid:].transpose(1, 2, 0, 3), h_prevs, work.h_seq)
+    grads.u_cand += np.matmul(flat_acts[..., 2 * hid:].swapaxes(-1, -2),
+                              states, work.du)
+    if not frozen_mix:
+        dz_in = np.matmul(flat_acts, work.w_all, work.dz_in)
+        grads.mix += np.matmul(dz_in.swapaxes(-1, -2), x.reshape(m, n * w, p),
+                               work.dmix)
 
 
-def _point_from_hidden(params: ParamSet, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    latent = h @ params.w_out.swapaxes(-1, -2) + params.b_out[..., None, :]
-    return latent @ params.mix, latent
+def _point_from_hidden(params: ParamSet, h: np.ndarray,
+                       work: _Workspace | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(forecast, latent) of hidden states, in ``work`` when given."""
+    latent = np.matmul(h, params.w_out.swapaxes(-1, -2),
+                       None if work is None else work.lat)
+    latent += params.b_out[..., None, :]
+    return np.matmul(latent, params.mix, None if work is None else work.pred), latent
 
 
-def _quantiles_from_hidden(params: ParamSet, h: np.ndarray
+def _quantiles_from_hidden(params: ParamSet, h: np.ndarray,
+                           work: _Workspace | None = None
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fan, latent levels, raw head output) of hidden states, in ``work``
+    when given."""
     q, r = params.n_levels, params.latent
-    raw = h @ params.w_quant.swapaxes(-1, -2) + params.b_quant[..., None, :]
+    raw = np.matmul(h, params.w_quant.swapaxes(-1, -2),
+                    None if work is None else work.raw)
+    raw += params.b_quant[..., None, :]
     raw = raw.reshape(h.shape[:-1] + (q, r))
-    latents = np.empty_like(raw)
+    latents = np.empty_like(raw) if work is None else work.lat
     latents[..., 0, :] = raw[..., 0, :]
     if q > 1:
-        latents[..., 1:, :] = raw[..., :1, :] + np.cumsum(
-            softplus(raw[..., 1:, :]), axis=-2)
-    return latents @ params.mix[..., None, :, :], latents, raw
+        # the base plus the cumulative softplus increments
+        rest = latents[..., 1:, :]
+        np.cumsum(softplus(raw[..., 1:, :], None if work is None else work.sp),
+                  axis=-2, out=rest)
+        np.add(raw[..., :1, :], rest, rest)
+    return (np.matmul(latents, params.mix[..., None, :, :],
+                      None if work is None else work.pred), latents, raw)
 
 
 def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
@@ -403,8 +508,7 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
     point = np.empty((n, h, p))
     fan = np.empty((n, h, params.n_levels, p)) if quantile else None
     for step in range(h):
-        hidden, _ = _gru_forward(params, path[step:step + w].transpose(1, 0, 2),
-                                 keep=False)
+        hidden = _gru_forward(params, path[step:step + w].transpose(1, 0, 2))
         if quantile:
             fan[:, step] = _quantiles_from_hidden(params, hidden)[0]
             point[:, step] = fan[:, step, med]
@@ -420,15 +524,21 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
 # ---------------------------------------------------------------------------
 
 
-def _anchor_penalty(params: ParamSet, anchor: ParamSet, eta: float,
-                    grads: ParamSet | None) -> float:
+def _anchor_penalty(params: ParamSet, anchor: ParamSet | None, eta: float,
+                    grads: ParamSet | None, diff: np.ndarray | None = None):
+    """The anchor pull eta * |d|^2, d the distance of the specialized
+    tensors to the anchor's: a float for one model, one value per model of a
+    stack. Its gradient 2 * eta * d is added into ``grads`` when given;
+    ``diff`` holds d when given."""
     if anchor is None or eta == 0.0:
         return 0.0
     off = params.spec_offset  # mix is shared and frozen under an anchor
-    d = params.flat[off:] - anchor.flat[off:]
+    d = np.subtract(params.flat[..., off:], anchor.flat[off:], diff)
+    pulls = [eta * float(row @ row) for row in d.reshape(-1, d.shape[-1])]
     if grads is not None:
-        grads.flat[off:] += 2.0 * eta * d
-    return eta * float(d @ d)
+        d *= 2.0 * eta
+        grads.flat[..., off:] += d
+    return pulls[0] if d.ndim == 1 else np.array(pulls)
 
 
 def _loss_elems(params: ParamSet, x: np.ndarray, y: np.ndarray,
@@ -436,7 +546,7 @@ def _loss_elems(params: ParamSet, x: np.ndarray, y: np.ndarray,
     """Elementwise one-step data loss of one model or a stack on one batch."""
     if len(x) == 0:
         raise ValueError("empty batch")
-    h, _ = _gru_forward(params, x, keep=False)
+    h = _gru_forward(params, x)
     if cfg.mode == "point":
         return loss_elem("huber", _point_from_hidden(params, h)[0], y, cfg)
     return loss_elem("pinball", _quantiles_from_hidden(params, h)[0], y, cfg)
@@ -460,8 +570,9 @@ def batch_losses(models: list[ParamSet], x: np.ndarray, y: np.ndarray,
 
 def loss_and_gradients(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
                        y: np.ndarray, cfg: TrainConfig,
-                       grads: ParamSet | None = None) -> tuple[float, ParamSet]:
-    """Batch objective and its exact gradient.
+                       grads: ParamSet | None = None,
+                       work: _Workspace | None = None) -> tuple:
+    """Batch objective and its exact gradient, of one model or of a stack.
 
     The data term is the batch mean of the Huber loss (point mode) or of the
     multi-quantile pinball loss (quantile mode). With an anchor, the squared
@@ -469,51 +580,76 @@ def loss_and_gradients(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
     ``l2sp_weight``, and the shared mixing matrix is frozen (zero gradient).
     The gradient is accumulated into ``grads`` when given, which must then be
     all zero, and into a new :class:`ParamSet` otherwise; it is returned.
+
+    A stack of M models (:meth:`ParamSet.stack`) takes one batch per model,
+    ``x`` (M, n, w, P) and ``y`` (M, n, P), and returns an array of M
+    losses; each model's loss and gradient are bitwise those of its own
+    call. Every buffer of the step is taken from ``work``, a
+    :class:`_Workspace` of the stack and batch size, made for the call when
+    not given.
     """
-    if len(x) == 0:
+    if x.shape[-3] == 0:
         raise ValueError("empty batch")
-    n = x.shape[0]
-    p = params.p_dim
     if grads is None:
         grads = params.zeros_like()
-    h, cache = _gru_forward(params, x)
-
-    if cfg.mode == "point":
-        pred, latent = _point_from_hidden(params, h)
-        err = pred - y
-        loss = float(np.mean(huber_elem(err, cfg.huber_delta)))
-        dpred = huber_deriv(err, cfg.huber_delta) / (n * p)
-        grads.mix += latent.T @ dpred
-        dlatent = dpred @ params.mix.T
-        grads.w_out += dlatent.T @ h
-        grads.b_out += dlatent.sum(axis=0)
-        dh = dlatent @ params.w_out
+    single = params.flat.ndim == 1
+    stack, g = params, grads
+    if single:  # a stack of one model computes bitwise the same
+        stack, g = (ParamSet(s.layout, s.flat[None]) for s in (params, grads))
+        x, y = x[None], y[None]
+    m, n, w, p = x.shape
+    quantile = cfg.mode == "quantile"
+    if work is None:
+        work = _Workspace(stack, m, n, w, quantile)
+    frozen = anchor is not None
+    h = _gru_forward(stack, x, work)
+    dh = work.dh
+    if not quantile:
+        pred, latent = _point_from_hidden(stack, h, work)
+        err = np.subtract(pred, y, work.err)
+        # each model's mean, as np.mean reduces it
+        loss = np.add.reduce(huber_elem(err, cfg.huber_delta, work.elem,
+                                        work.quad, work.mask), (1, 2)) / (n * p)
+        dpred = huber_deriv(err, cfg.huber_delta, work.dpred)
+        dpred /= n * p
+        if not frozen:
+            g.mix += np.matmul(latent.swapaxes(-1, -2), dpred, work.dmix)
+        dlatent = np.matmul(dpred, stack.mix.swapaxes(-1, -2), work.dlat)
+        g.w_out += np.matmul(dlatent.swapaxes(-1, -2), h, work.dwo)
+        g.b_out += np.add.reduce(dlatent, 1, None, work.dbo)
+        np.matmul(dlatent, stack.w_out, dh)
     else:
-        preds, latents, raw = _quantiles_from_hidden(params, h)
-        nq = params.n_levels
-        q = np.asarray(cfg.quantiles).reshape(1, -1, 1)
-        u = y[:, None, :] - preds
-        loss = float(np.mean(u * (q - (u < 0))))
-        dpreds = ((u < 0) - q) / (n * nq * p)
-        grads.mix += np.einsum("nqr,nqp->rp", latents, dpreds)
-        dlatents = dpreds @ params.mix.T
-        # suffix sums: increment m feeds every level j >= m
-        suffix = np.cumsum(dlatents[:, ::-1], axis=1)[:, ::-1]
-        draw = np.empty_like(dlatents)
-        draw[:, 0] = suffix[:, 0]     # base feeds all levels
+        preds, latents, raw = _quantiles_from_hidden(stack, h, work)
+        nq = stack.n_levels
+        q = np.asarray(cfg.quantiles).reshape(-1, 1)
+        u = np.subtract(y[:, :, None, :], preds, work.err)
+        below = np.less(u, 0.0, work.mask)
+        elem = np.subtract(q, below, work.elem)
+        elem *= u
+        loss = np.add.reduce(elem, (1, 2, 3)) / (n * nq * p)
+        dpreds = np.subtract(below, q, work.dpred)
+        dpreds /= n * nq * p
+        if not frozen:
+            for g_mix, lat_i, dp_i in zip(g.mix, latents, dpreds):
+                g_mix += np.einsum("nqr,nqp->rp", lat_i, dp_i)
+        dlatents = np.matmul(dpreds, stack.mix.swapaxes(-1, -2)[:, None],
+                             work.dlat)
+        # suffix sums: increment j feeds every level from j on
+        suffix = work.suffix
+        np.cumsum(dlatents[:, :, ::-1], axis=2, out=suffix[:, :, ::-1])
+        draw = work.draw.reshape(m, n, nq, -1)
+        draw[:, :, 0] = suffix[:, :, 0]     # base feeds all levels
         if nq > 1:
             with np.errstate(over="ignore"):
-                draw[:, 1:] = suffix[:, 1:] * _sigmoid(raw[:, 1:])
-        draw = draw.reshape(n, nq * params.latent)
-        grads.w_quant += draw.T @ h
-        grads.b_quant += draw.sum(axis=0)
-        dh = draw @ params.w_quant
+                sig = _sigmoid(raw[:, :, 1:], work.sp)
+            np.multiply(suffix[:, :, 1:], sig, draw[:, :, 1:])
+        g.w_quant += np.matmul(work.draw.swapaxes(-1, -2), h, work.dwo)
+        g.b_quant += np.add.reduce(work.draw, 1, None, work.dbo)
+        np.matmul(work.draw, stack.w_quant, dh)
 
-    _gru_backward(params, cache, dh, grads)
-    loss += _anchor_penalty(params, anchor, cfg.l2sp_weight, grads)
-    if anchor is not None:
-        grads.mix[:] = 0.0
-    return loss, grads
+    _gru_backward(stack, work, x, dh, g, frozen)
+    loss += _anchor_penalty(stack, anchor, cfg.l2sp_weight, g, work.dpen)
+    return (float(loss[0]) if single else loss), grads
 
 
 # ---------------------------------------------------------------------------
@@ -522,36 +658,156 @@ def loss_and_gradients(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
 
 
 class Adam:
-    """Standard Adam with bias correction over the flat parameter buffer."""
+    """Standard Adam with bias correction over the flat parameter buffer of
+    one model, or of each model of a stack with its own moments and step
+    count."""
 
     def __init__(self, params: ParamSet, lr: float, beta1: float, beta2: float,
                  eps: float, skip_mix: bool = False):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.start = params.spec_offset if skip_mix else 0
-        size = params.flat.size - self.start
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
+        shape = params.flat[..., self.start:].shape
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.t = np.zeros(shape[:-1], dtype=np.int64)
+        self._scratch = np.empty((2,) + shape)
 
-    def step(self, params: ParamSet, grads: ParamSet) -> None:
-        self.t += 1
-        g = grads.flat[self.start:]
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * g
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * (g * g)
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        params.flat[self.start:] -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+    def step(self, params: ParamSet, grads: ParamSet, rows=...) -> None:
+        """One update of the models ``rows`` of the stack ``params`` (all of
+        them by default, and for one model) from ``grads``, which holds their
+        gradients in order. Rows given as a list are gathered and written
+        back; a slice works in place."""
+        steps = self.t[rows] + 1
+        k = int(steps.flat[0])
+        if (steps != k).any():
+            raise ValueError("models that step together must have taken "
+                             "equal steps")
+        self.t[rows] = steps
+        c1 = 1.0 - self.beta1 ** k
+        c2 = 1.0 - self.beta2 ** k
+        m, v, flat = self.m[rows], self.v[rows], params.flat[rows]
+        a, b = self._scratch[:, rows]
+        g = grads.flat[..., self.start:]
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, a)
+        v *= self.beta2
+        np.multiply(g, g, a)
+        a *= 1.0 - self.beta2
+        v += a
+        # lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, a)
+        a *= self.lr
+        np.divide(v, c2, b)
+        np.sqrt(b, b)
+        b += self.eps
+        a /= b
+        flat[..., self.start:] -= a
+        # writing a view back onto itself copies nothing
+        self.m[rows], self.v[rows], params.flat[rows] = m, v, flat
 
 
-def clip_gradients_(grads: ParamSet, max_norm: float, skip_mix: bool = False) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    g = grads.flat[grads.spec_offset if skip_mix else 0:]
-    norm = float(np.sqrt(g @ g))
-    if max_norm > 0 and norm > max_norm:
-        g *= max_norm / norm
-    return norm
+def clip_gradients_(grads: ParamSet, max_norm: float, skip_mix: bool = False):
+    """Scale each model's gradients so their global L2 norm is at most
+    ``max_norm``; returns the norm before scaling, one per model of a
+    stack."""
+    g = grads.flat[..., grads.spec_offset if skip_mix else 0:]
+    norms = []
+    for row in g.reshape(-1, g.shape[-1]):
+        norm = float(np.sqrt(row @ row))
+        if max_norm > 0 and norm > max_norm:
+            row *= max_norm / norm
+        norms.append(norm)
+    return norms[0] if g.ndim == 1 else norms
+
+
+def train_stacked(initials: list[ParamSet], anchor: ParamSet | None,
+                  data: list[tuple[np.ndarray, np.ndarray]], cfg: TrainConfig,
+                  seeds: list[int], epochs: int | None = None,
+                  freeze_mix: bool = False) -> list[ParamSet]:
+    """Train M models in lock-step, each bitwise as :func:`train` trains it
+    on its own.
+
+    Model i starts at ``initials[i]`` and trains on the (window, target)
+    pairs ``data[i]``, shuffled by the seed ``seeds[i]``; the anchor,
+    ``freeze_mix``, the epochs and the rest of ``cfg`` are shared. Each
+    model keeps its own permutations, Adam moments and step count. At every
+    tick each unfinished model takes its next step, and the models whose
+    batches have the same size take it in one stacked call. Every buffer of
+    a step lives in one workspace, allocated once for the fit. If models
+    diverge, the :class:`TrainingDiverged` of the lowest-index one is
+    raised, as training them one after another would raise it.
+    """
+    if not data:
+        return []
+    if any(len(x) == 0 for x, _ in data):
+        raise ValueError("empty training window set")
+    params = ParamSet.stack(initials)
+    skip_mix = anchor is not None or freeze_mix
+    opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_adam,
+               skip_mix=skip_mix)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    sizes = [len(x) for x, _ in data]
+    batch = [min(cfg.batch, n) for n in sizes]
+    per_epoch = [-(-n // bs) for n, bs in zip(sizes, batch)]
+    n_epochs = cfg.epochs if epochs is None else epochs
+    w = data[0][0].shape[1]
+    quantile = cfg.mode == "quantile"
+    largest = _Workspace(params, len(data), max(batch), w, quantile)
+    spaces = {(len(data), max(batch)): largest}
+    orders = [None] * len(data)
+    diverged = {}
+    live = len(data)  # models from here on are dropped: a lower one diverged
+    for tick in range(n_epochs * max(per_epoch)):
+        # this tick's batch of every unfinished model, by batch size
+        groups = {}
+        for i in range(live):
+            epoch, pos = divmod(tick, per_epoch[i])
+            if epoch >= n_epochs:
+                continue
+            if pos == 0:
+                orders[i] = rngs[i].permutation(sizes[i])
+            idx = orders[i][pos * batch[i]:(pos + 1) * batch[i]]
+            groups.setdefault(len(idx), []).append((i, idx))
+        for n, members in groups.items():
+            members = [(i, idx) for i, idx in members if i < live]
+            while members:
+                rows = [i for i, _ in members]
+                key = (len(rows), n)
+                if key not in spaces:
+                    spaces[key] = _Workspace(params, *key, w, quantile,
+                                             largest.arena)
+                work = spaces[key]
+                # (the indices are valid; "clip" writes straight into out,
+                # where "raise" would gather into a temporary first)
+                for j, (i, idx) in enumerate(members):
+                    np.take(data[i][0], idx, axis=0, out=work.x[j], mode="clip")
+                    np.take(data[i][1], idx, axis=0, out=work.y[j], mode="clip")
+                # all models step on the stack itself, a contiguous run of
+                # them on a view, any other set on a gathered copy
+                sel = (slice(rows[0], rows[-1] + 1)
+                       if rows[-1] - rows[0] == len(rows) - 1 else rows)
+                group = (params if len(rows) == len(data)
+                         else ParamSet(params.layout, params.flat[sel]))
+                work.grads.flat.fill(0.0)
+                losses, _ = loss_and_gradients(group, anchor, work.x, work.y,
+                                               cfg, work.grads, work)
+                bad = [i for i, loss in zip(rows, losses) if not np.isfinite(loss)]
+                if not bad:
+                    clip_gradients_(work.grads, cfg.clip, skip_mix=skip_mix)
+                    opt.step(params, work.grads, sel)
+                    break
+                for i in bad:
+                    epoch = tick // per_epoch[i]
+                    diverged[i] = TrainingDiverged(
+                        f"non-finite training loss in epoch {epoch}; "
+                        f"last finite epoch was {epoch - 1}", epoch - 1)
+                live = min(diverged)
+                # the others' step again without the diverged ones: every
+                # model computes bitwise the same in any stack
+                members = [(i, idx) for i, idx in members if i < live]
+    if diverged:
+        raise diverged[live]
+    return [ParamSet(params.layout, row.copy()) for row in params.flat]
 
 
 def train(initial: ParamSet, anchor: ParamSet | None, x: np.ndarray,
@@ -564,33 +820,10 @@ def train(initial: ParamSet, anchor: ParamSet | None, x: np.ndarray,
     anchor is present (prototype training) or when ``freeze_mix`` is set
     explicitly (the TRAIN+VAL refit, which must keep the encoder shared with
     already-specialized prototypes). A non-finite loss aborts with the last
-    finite epoch in the exception.
+    finite epoch in the exception. One model of :func:`train_stacked`.
     """
-    if len(x) == 0:
-        raise ValueError("empty training window set")
-    params = initial.copy()
-    grads = params.zeros_like()  # one buffer, zeroed before every step
-    skip_mix = anchor is not None or freeze_mix
-    opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_adam,
-               skip_mix=skip_mix)
-    rng = np.random.default_rng(cfg.seed)
-    n = len(x)
-    bs = min(cfg.batch, n)
-    n_epochs = cfg.epochs if epochs is None else epochs
-    for epoch in range(n_epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, bs):
-            idx = order[lo:lo + bs]
-            grads.flat.fill(0.0)
-            loss, _ = loss_and_gradients(params, anchor, x[idx], y[idx], cfg,
-                                         grads)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite training loss in epoch {epoch}; "
-                    f"last finite epoch was {epoch - 1}", epoch - 1)
-            clip_gradients_(grads, cfg.clip, skip_mix=skip_mix)
-            opt.step(params, grads)
-    return params
+    return train_stacked([initial], anchor, [(x, y)], cfg, [cfg.seed],
+                         epochs, freeze_mix)[0]
 
 
 # ---------------------------------------------------------------------------

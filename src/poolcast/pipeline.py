@@ -223,7 +223,8 @@ _NUMBER = (int, float)
 # read: a type or tuple of types, [type] for a list of it, or {key: type}
 # for an object with those keys
 MANIFEST_TYPES = {
-    "config": dict, "n_series": int, "k": int, "assignment": [int], "flags": [bool],
+    "config": dict, "n_series": int, "n_components": int, "k": int,
+    "assignment": [int], "flags": [bool],
     "checkpoint_global": str, "checkpoint_refit_global": str,
     "prototype_checkpoints": [str], "individual_checkpoints": [str],
     "routed_checkpoints": [str], "calibration": (dict, type(None)),
@@ -266,17 +267,38 @@ def load_manifest(run_dir: str) -> dict:
             raise DataError(f"unreadable manifest {path}: field {key!r} "
                             f"has the wrong type")
     # one label and one routed checkpoint per series, one flag and one
-    # prototype per cluster, and every label one of the k clusters
-    n, k = manifest.get("n_series"), manifest.get("k")
-    for key, size in (("assignment", n), ("routed_checkpoints", n),
-                      ("flags", k), ("prototype_checkpoints", k)):
-        if key in manifest and len(manifest[key]) != size:
-            raise DataError(f"unreadable manifest {path}: field {key!r} "
+    # prototype per cluster, one standardizer entry per component, and every
+    # label one of the k clusters; a missing field is left to the command
+    # that needs it (:func:`_require`)
+    n, k, p = (manifest.get(key) for key in ("n_series", "k", "n_components"))
+    std = manifest.get("standardizer", {})
+    for name, value, size in (
+            ("assignment", manifest.get("assignment"), n),
+            ("routed_checkpoints", manifest.get("routed_checkpoints"), n),
+            ("flags", manifest.get("flags"), k),
+            ("prototype_checkpoints", manifest.get("prototype_checkpoints"), k),
+            *((f"standardizer.{key}", std.get(key), p)
+              for key in ("mu", "sigma", "fill"))):
+        if value is not None and size is not None and len(value) != size:
+            raise DataError(f"unreadable manifest {path}: field {name!r} "
                             f"does not have {size} entries")
-    if not all(0 <= label < (k or 0) for label in manifest.get("assignment", ())):
+    if k is not None and not all(0 <= label < k
+                                 for label in manifest.get("assignment", ())):
         raise DataError(f"unreadable manifest {path}: a label of 'assignment' "
                         f"is not one of its k = {k} clusters")
     return manifest
+
+
+# the manifest fields a clustered run's evaluate and forecast-new read
+CLUSTER_FIELDS = ("assignment", "k", "flags", "prototype_checkpoints")
+
+
+def _require(manifest: dict, run_dir: str, keys) -> None:
+    """A :class:`DataError` naming the first of ``keys`` the manifest lacks."""
+    for key in keys:
+        if key not in manifest:
+            raise DataError(f"unreadable manifest {_manifest_path(run_dir)}: "
+                            f"no field {key!r}")
 
 
 @contextlib.contextmanager
@@ -494,11 +516,13 @@ def _load_trained(cfg: RunConfig, manifest: dict):
     global_params = _load_params(cfg.run_dir, manifest["checkpoint_global"])
     assignment = flags = prototypes = individual = None
     if cfg.method in CLUSTERED_METHODS:
+        _require(manifest, cfg.run_dir, CLUSTER_FIELDS)
         assignment = clustering.Assignment(manifest["assignment"], manifest["k"])
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
         prototypes = [_load_params(cfg.run_dir, p)
                       for p in manifest["prototype_checkpoints"]]
     elif cfg.method == "individual":
+        _require(manifest, cfg.run_dir, ("individual_checkpoints",))
         individual = [_load_params(cfg.run_dir, p)
                       for p in manifest["individual_checkpoints"]]
     return global_params, assignment, flags, prototypes, individual
@@ -623,6 +647,9 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     _check_identity(cfg, manifest)
     if "checkpoint_refit_global" not in manifest:
         raise DataError("run evaluate first: routing uses the final refit models")
+    _require(manifest, cfg.run_dir, ("standardizer", "n_components")
+             + ((CLUSTER_FIELDS + ("routed_checkpoints",))
+                if cfg.method in CLUSTERED_METHODS else ()))
     stored = manifest["standardizer"]
     std = Standardizer(mu=np.asarray(stored["mu"]), sigma=np.asarray(stored["sigma"]),
                        eps=float(stored["eps"]), fill=np.asarray(stored["fill"]))

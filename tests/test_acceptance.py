@@ -232,7 +232,7 @@ def test_criterion_03_non_crossing():
                              seed=derive_seed(303, trial))
         params.flat += rng.normal(scale=1.5, size=params.flat.shape)
         window = rng.normal(scale=2.0, size=(1, 6, 3))
-        h, _ = model._gru_forward(params, window)
+        h = model._gru_forward(params, window)
         _, latents, _ = model._quantiles_from_hidden(params, h)
         if np.any(np.diff(latents, axis=1) < 0.0):
             crossings += 1

@@ -16,7 +16,8 @@ from poolcast.clustering import (Assignment, CostMatrix, FallbackFlags,
                                  init_assignments, outer_loop, reassign,
                                  run_sweep, val_risk_pair)
 from poolcast.data import SplitSpec, prepare
-from poolcast.model import TrainConfig, init_params, rollout, train
+from poolcast.model import (TrainConfig, derive_seed, init_params, rollout,
+                            train)
 from poolcast.synthetic import SyntheticSpec, generate
 
 from oracles import huber
@@ -132,6 +133,47 @@ def test_fit_prototypes_empty_cluster_is_inert_global_copy(small_world):
     assert inert[1] and not inert[0]
     assert np.array_equal(protos[1].flat, gp.flat)
     assert not np.array_equal(protos[0].flat, gp.flat)
+
+
+def test_fit_prototypes_train_each_cluster_as_on_its_own(small_world):
+    # unequal member counts (74 windows a series), an empty cluster, and with
+    # batches of 100 partial last batches and a one-series cluster below one
+    # batch
+    prepared, gp, _ = small_world
+    a = Assignment(np.array([0, 0, 0, 0, 1, 1, 3, 4, 4]), 5)
+    cfg = replace(CFG, batch=100)
+    protos, inert = fit_prototypes(prepared, a, gp, cfg, proto_epochs=2)
+    assert inert.tolist() == [False, False, True, False, False]
+    for k in range(5):
+        if inert[k]:
+            assert protos[k].flat.tobytes() == gp.flat.tobytes()
+            continue
+        x, y = prepared.windows("tr", 1, cfg.w, a.members(k))
+        alone = train(gp, gp, x, y, cfg, epochs=2)
+        assert protos[k].flat.tobytes() == alone.flat.tobytes()
+
+
+def test_refit_prototypes_train_each_cluster_as_on_its_own(small_world):
+    prepared, gp, _ = small_world
+    a = Assignment(np.array([0, 0, 0, 0, 1, 1, 3, 2, 2]), 4)
+    flags = FallbackFlags((False, True, False, False))
+    protos, _ = fit_prototypes(prepared, a, gp, CFG, proto_epochs=1)
+    art = clustering.final_refit_and_test(prepared, a, flags, gp, protos, CFG,
+                                          horizons=(1,), refit_epochs=2)
+    refit_global = art.refit_global
+    for k in range(4):
+        members = a.members(k)
+        routed = art.routed_models[members[0]]
+        if flags.flagged[k]:
+            assert routed is refit_global
+            continue
+        warm = protos[k].copy()
+        warm.mix[...] = refit_global.mix
+        x, y = prepared.windows("trval", 1, CFG.w, members)
+        alone = train(warm, refit_global, x, y,
+                      replace(CFG, seed=derive_seed(CFG.seed, "refit-proto", k)),
+                      epochs=2)
+        assert routed.flat.tobytes() == alone.flat.tobytes()
 
 
 def test_prototypes_share_frozen_mix(small_world):

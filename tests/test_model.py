@@ -10,7 +10,7 @@ from poolcast.model import (Adam, ParamSet, TrainConfig, TrainingDiverged,
                             _quantiles_from_hidden, batch_loss, batch_losses,
                             clip_gradients_, init_params, load_checkpoint,
                             loss_and_gradients, median_index, rollout,
-                            save_checkpoint, train)
+                            save_checkpoint, train, train_stacked)
 
 from oracles import huber
 
@@ -169,7 +169,7 @@ def test_latent_quantiles_never_cross():
     for trial in range(50):
         params = tiny_params(trial, jitter=1.0)
         window = rng.normal(scale=3.0, size=(5, 3))
-        h, _ = _gru_forward(params, window[None])
+        h = _gru_forward(params, window[None])
         _, latents, _ = _quantiles_from_hidden(params, h)
         diffs = np.diff(latents, axis=1)
         assert np.all(diffs >= 0.0)
@@ -203,7 +203,7 @@ def compose_manually(params, window, h, cfg):
     shifting in each step's point forecast (the median in quantile mode)."""
     x = window.copy()
     for step in range(h):
-        hidden, _ = _gru_forward(params, x[None], keep=False)
+        hidden = _gru_forward(params, x[None])
         if cfg.mode == "point":
             pred = _point_from_hidden(params, hidden)[0][0]
             fan = None
@@ -394,6 +394,83 @@ def test_train_with_reused_gradient_buffer_is_bitwise_reference(
         assert fitted.mix.tobytes() == init.mix.tobytes()
 
 
+def stacked_instance(sizes, seed=0):
+    """One start and one (x, y) training set of each size per model."""
+    rng = np.random.default_rng(seed)
+    data = [(rng.normal(size=(n, 5, 3)), rng.normal(size=(n, 3))) for n in sizes]
+    return [tiny_params(10 + i) for i in range(len(sizes))], data
+
+
+def assert_trained_as_alone(fitted, initials, anchor, data, cfg, seeds,
+                            freeze_mix=False):
+    assert len(fitted) == len(initials)
+    for params, init, (x, y), seed in zip(fitted, initials, data, seeds):
+        alone = train(init, anchor, x, y, replace(cfg, seed=seed),
+                      freeze_mix=freeze_mix)
+        assert params.flat.tobytes() == alone.flat.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["point", "quantile"])
+@pytest.mark.parametrize("anchored,freeze_mix", [(False, False), (True, False),
+                                                 (False, True)],
+                         ids=["free", "anchored", "freeze_mix"])
+def test_stacked_training_is_bitwise_each_models_own(mode, anchored, freeze_mix):
+    # batches of 16: unequal sizes with partial last batches (70 = 4 x 16 + 6,
+    # 40 = 2 x 16 + 8), a model with fewer windows than one batch (5), one
+    # of exactly one batch, and two of equal size that stack throughout
+    sizes = [70, 5, 40, 70, 16]
+    initials, data = stacked_instance(sizes)
+    anchor = tiny_params(7) if anchored else None
+    cfg = TrainConfig(w=5, epochs=3, batch=16, mode=mode, clip=0.5)
+    seeds = [3, 4, 5, 3, 6]
+    fitted = train_stacked(initials, anchor, data, cfg, seeds,
+                           freeze_mix=freeze_mix)
+    assert_trained_as_alone(fitted, initials, anchor, data, cfg, seeds,
+                            freeze_mix)
+    if anchored or freeze_mix:  # the shared encoder stays as it was
+        for params, init in zip(fitted, initials):
+            assert params.mix.tobytes() == init.mix.tobytes()
+
+
+def test_back_to_back_stacked_fits_are_each_bitwise_alone():
+    # fits of other model counts and batch sizes in turn: none sees
+    # another's buffers
+    cfg = TrainConfig(w=5, epochs=2, mode="point", clip=0.5)
+    for sizes, batch in (([70, 40, 33], 16), ([9, 20], 8), ([70, 40, 33], 16),
+                         ([50], 32)):
+        initials, data = stacked_instance(sizes, seed=batch)
+        seeds = list(range(len(sizes)))
+        cfg = replace(cfg, batch=batch)
+        fitted = train_stacked(initials, None, data, cfg, seeds)
+        assert_trained_as_alone(fitted, initials, None, data, cfg, seeds)
+    assert train_stacked([], None, [], cfg, []) == []
+
+
+def test_stacked_divergence_raises_the_serial_orders_first():
+    # model 0 sits at a zero-loss fixed point, model 1 takes one step per
+    # epoch and overflows in its second epoch (lr = 1e308), model 2 starts
+    # at infinity and fails in its first: trained one after another, model
+    # 1 raises first, although model 2 fails first in lock-step
+    initials, data = stacked_instance([8, 8, 40])
+    initials[0] = init_params(**TINY, seed=0)  # biases zero
+    data[0] = (np.zeros((8, 5, 3)), np.zeros((8, 3)))
+    initials[2].flat[:] = np.inf
+    cfg = TrainConfig(w=5, epochs=3, batch=16, lr=1e308)
+    with np.errstate(all="ignore"):
+        expected = None
+        for init, (x, y) in zip(initials, data):
+            try:
+                train(init, None, x, y, cfg)
+            except TrainingDiverged as exc:
+                expected = exc
+                break
+        assert expected is not None and expected.last_finite_epoch == 0
+        with pytest.raises(TrainingDiverged) as err:
+            train_stacked(initials, None, data, cfg, [cfg.seed] * 3)
+    assert str(err.value) == str(expected)
+    assert err.value.last_finite_epoch == expected.last_finite_epoch
+
+
 def test_paramset_copies_are_views_of_their_own_buffer(tmp_path):
     params = tiny_params(1)
     path = str(tmp_path / "m.pcm")
@@ -433,7 +510,7 @@ def test_gru_forward_saturates_without_overflow_warning():
     assert np.abs(pre).max() > 1000.0  # exp(-pre) overflows float64
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h, _ = _gru_forward(params, x)
+        h = _gru_forward(params, x)
         loss_and_gradients(params, None, x, y, TrainConfig(w=5, mode="quantile"))
     assert np.isfinite(h).all()
 
@@ -453,12 +530,12 @@ def test_stacked_pass_is_bitwise_each_models_own(mode, n, m):
     cfg = TrainConfig(w=7, mode=mode)
     head = _point_from_hidden if mode == "point" else _quantiles_from_hidden
     stack = ParamSet.stack(models)
-    hs, cache = _gru_forward(stack, x, keep=False)
-    assert cache is None and hs.shape == (m, n, 16)
+    hs = _gru_forward(stack, x)
+    assert hs.shape == (m, n, 16)
     preds = head(stack, hs)[0]
     losses = batch_losses(models, x, y, cfg)
     for i, params in enumerate(models):
-        h, _ = _gru_forward(params, x, keep=False)
+        h = _gru_forward(params, x)
         assert hs[i].tobytes() == h.tobytes()
         assert preds[i].tobytes() == head(params, h)[0].tobytes()
         assert losses[i] == batch_loss(params, None, x, y, cfg)

@@ -238,15 +238,16 @@ def test_diverging_sweep_worker_exits_with_code_4(tmp_path, data_dir,
                                                   monkeypatch):
     monkeypatch.setattr(clustering, "sweep_workers", lambda n: 2)
     diverging_seed = derive_seed(0, "proto", 1)
-    train = model.train
+    train_stacked = model.train_stacked
 
-    def train_or_diverge(initial, anchor, x, y, cfg, **kwargs):
-        if anchor is not None and cfg.seed == diverging_seed:
+    def train_or_diverge(initials, anchor, data, cfg, seeds, *args, **kwargs):
+        if anchor is not None and diverging_seed in seeds:
             raise TrainingDiverged("non-finite training loss in epoch 1; "
                                    "last finite epoch was 0", 0)
-        return train(initial, anchor, x, y, cfg, **kwargs)
+        return train_stacked(initials, anchor, data, cfg, seeds, *args,
+                             **kwargs)
 
-    monkeypatch.setattr(model, "train", train_or_diverge)
+    monkeypatch.setattr(model, "train_stacked", train_or_diverge)
     cfg = write_config(tmp_path, data_dir, tmp_path / "rdiv")
     argv = ["select-k", "--config", cfg, "--set", "k_candidates=2"]
     # run in a child so that a parent stuck on a lost worker error times out
@@ -387,7 +388,7 @@ def test_failure_before_the_test_read_leaves_test_unused(tmp_path, data_dir,
     cfg = write_config(tmp_path, data_dir, run_dir, "k = 2\nmode = quantile\n")
     assert cli.main(["train", "--config", cfg]) == 0
     if stage == "refit":
-        monkeypatch.setattr(model, "train", _diverge)
+        monkeypatch.setattr(model, "train_stacked", _diverge)
         assert cli.main(["evaluate", "--config", cfg]) == 4
     else:
         monkeypatch.setattr(clustering, "calibrate", _fail_calibration)
@@ -1013,6 +1014,69 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
         assert err.startswith("config error:") and "Traceback" not in err
         assert "12" in err and "N=9" in err
     assert not os.path.exists(too_many)
+
+
+@pytest.fixture(scope="module")
+def served_run(tmp_path_factory):
+    """An evaluated clustered run on eight-component data: its config, its
+    run directory and a segment to route."""
+    root = tmp_path_factory.mktemp("served")
+    pipeline.cmd_synth(str(root / "data"), n_series=9, n_times=120,
+                       n_components=8, n_regimes=3, seed=5)
+    data = str(root / "data" / "series")
+    cfg = write_config(root, data, root / "run", "k = 2\n")
+    assert cli.main(["train", "--config", cfg]) == 0
+    assert cli.main(["evaluate", "--config", cfg]) == 0
+    return cfg, str(root / "run"), os.path.join(data, sorted(os.listdir(data))[0])
+
+
+def exit_code_with_manifest(run_dir, manifest, argv):
+    """The exit code of ``argv`` run against ``manifest``; the run's own
+    manifest is restored afterwards."""
+    path = os.path.join(run_dir, "manifest.json")
+    with open(path, "rb") as fh:
+        original = fh.read()
+    try:
+        pipeline.save_manifest(run_dir, manifest)
+        return cli.main(argv)
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(original)
+
+
+def test_short_standardizer_list_is_a_data_error(served_run, capsys):
+    cfg, run_dir, segment = served_run
+    manifest = pipeline.load_manifest(run_dir)
+    assert manifest["n_components"] == 8
+    manifest["standardizer"]["fill"] = manifest["standardizer"]["fill"][:3]
+    capsys.readouterr()
+    assert exit_code_with_manifest(run_dir, manifest, [
+        "forecast-new", "--config", cfg, "--segment", segment]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert "'standardizer.fill' does not have 8 entries" in err
+
+
+@pytest.mark.parametrize(
+    "command,field",
+    [("evaluate", f) for f in pipeline.CLUSTER_FIELDS]
+    + [("forecast-new", f)
+       for f in pipeline.CLUSTER_FIELDS + ("routed_checkpoints",)])
+def test_missing_cluster_field_is_a_data_error(served_run, capsys, command,
+                                               field):
+    cfg, run_dir, segment = served_run
+    manifest = pipeline.load_manifest(run_dir)
+    del manifest[field]
+    argv = [command, "--config", cfg]
+    if command == "evaluate":
+        manifest["test_evaluated"] = False  # as before the TEST evaluation
+    else:
+        argv += ["--segment", segment]
+    capsys.readouterr()
+    assert exit_code_with_manifest(run_dir, manifest, argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert f"no field {field!r}" in err
 
 
 def test_cli_synth_and_report(tmp_path, capsys):
