@@ -9,7 +9,7 @@ bit of the fitted preprocessing.
 
 import numpy as np
 
-from poolcast.data import SplitSpec, fit_impute_standardize, prepare
+from poolcast.data import MtsDataset, SplitSpec, fit_impute_standardize, prepare
 from poolcast.synthetic import SyntheticSpec, generate
 
 spec = SyntheticSpec(n_series=6, n_times=288, n_components=3, n_regimes=2, seed=0)
@@ -41,7 +41,7 @@ for tag in ("tr", "va", "te"):
     print(f"{tag}: end-times (1-based first, last, count) per horizon: {ends}")
 
 # leakage check: arbitrary finite garbage in VAL and TEST, same TRAIN
-tampered = ds.copy()
+tampered = MtsDataset(ds.values.copy(), ds.mask.copy(), ds.names)
 tampered.values[:, 200:, :] = 1234.5
 tampered.mask[:, 200:, :] = True
 standardizer_b, _ = fit_impute_standardize(tampered, split_spec)

@@ -27,13 +27,14 @@ result = clustering.select_k(prepared, pooled, cfg, sel, proto_epochs=8)
 
 print(" K  seed   SelAbs    SelPen   iters  converged")
 for row in result.table:
-    marker = " <-- selected" if (row.k, row.seed) == (result.k_star, result.seed_star) else ""
-    print(f"{row.k:>2}  {row.seed:>4}  {row.sel_abs:.5f}  {row.sel_pen:.5f}  "
-          f"{row.iterations:>5}  {str(row.converged):>9}{marker}")
+    kept = (row["k"], row["seed"]) == (result.k_star, result.seed_star)
+    print(f"{row['k']:>2}  {row['seed']:>4}  {row['sel_abs']:.5f}  "
+          f"{row['sel_pen']:.5f}  {row['iterations']:>5}  "
+          f"{str(row['converged']):>9}{' <-- selected' if kept else ''}")
 
 best_per_k = {}
 for row in result.table:
-    best_per_k.setdefault(row.k, []).append(row.sel_pen)
+    best_per_k.setdefault(row["k"], []).append(row["sel_pen"])
 print("\nbest penalized score per K:",
       {k: float(round(min(v), 5)) for k, v in sorted(best_per_k.items())})
 print(f"selected K* = {result.k_star} (true number of regimes: 3)")

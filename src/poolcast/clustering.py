@@ -310,22 +310,19 @@ def val_risk_pair(means: tuple, flags: FallbackFlags) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SelectionRun:
-    k: int
-    seed: int
-    sel_abs: float          # routed VAL risk at h=1 after fallback
-    sel_pen: float
-    iterations: int
-    converged: bool
-    global_risk: float = float("nan")  # pooled VAL risk, same aggregation
+# the keys of one (K, seed) run's selection record, in ``selection.csv``
+# column order: sel_abs and global_risk are the routed (after fallback) and
+# pooled VAL risk at h=1 under one aggregation, sel_pen is sel_abs plus the
+# K penalty
+SELECTION_COLUMNS = ("k", "seed", "sel_abs", "sel_pen", "global_risk",
+                     "iterations", "converged")
 
 
 @dataclass
 class SelectionResult:
     k_star: int
     seed_star: int
-    table: list[SelectionRun]
+    table: list[dict]       # one selection record per run, in sweep order
     assignment: Assignment
     flags: FallbackFlags
     prototypes: list[ParamSet]
@@ -417,7 +414,7 @@ def run_sweep(prepared: PreparedData, sel_cfg: SelectionConfig, run,
     """
     n = prepared.n_series
     keys = [(k, seed) for k in sorted(sel_cfg.candidates) for seed in sel_cfg.seeds]
-    table: list[SelectionRun] = []
+    table = []
     best = None
     best_key = None
     for (k, seed), (loop, own) in _sweep_outcomes(prepared, run, keys):
@@ -425,9 +422,9 @@ def run_sweep(prepared: PreparedData, sel_cfg: SelectionConfig, run,
         flags = compute_fallback(means)
         sel_abs, glob_risk = val_risk_pair(means, flags)
         sel_pen = sel_abs + sel_cfg.gamma * k / n
-        table.append(SelectionRun(k, seed, sel_abs, sel_pen,
-                                  loop.assignment.iterations, loop.converged,
-                                  global_risk=glob_risk))
+        table.append(dict(zip(SELECTION_COLUMNS, (
+            k, seed, sel_abs, sel_pen, glob_risk,
+            loop.assignment.iterations, loop.converged))))
         key = (sel_pen, k, seed)
         if best_key is None or key < best_key:
             best_key = key

@@ -82,9 +82,6 @@ class MtsDataset:
         self.mask.flags.writeable = False
         return self
 
-    def copy(self) -> "MtsDataset":
-        return MtsDataset(self.values.copy(), self.mask.copy(), list(self.names))
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -401,8 +398,6 @@ class WindowIndex:
     inside the segment.
     """
 
-    tag: str
-    w: int
     end_times: dict[int, np.ndarray] = field(repr=False)
 
     def count(self, h: int) -> int:
@@ -521,7 +516,7 @@ class PreparedData:
             if h < 1:
                 raise ValueError("horizons must be >= 1")
             end_times[h] = np.arange(lo, t1 - h, dtype=np.int64)
-        return WindowIndex(tag=tag, w=w, end_times=end_times)
+        return WindowIndex(end_times)
 
     def windows(self, tag: str, h: int, w: int,
                 series: np.ndarray | list[int] | None = None

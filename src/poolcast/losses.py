@@ -200,7 +200,8 @@ def paper_scale(rows: list[dict]) -> list[dict]:
 
 
 def write_report_csv(path: str, rows: list[dict], columns) -> None:
-    """Report rows as a CSV table of ``columns``, through the one CSV writer."""
+    """Report or selection rows as a CSV table of ``columns``, through the
+    one CSV writer."""
     write_csv(path, [columns] + [[row.get(c) for c in columns] for row in rows])
 
 

@@ -86,10 +86,6 @@ class ParamSet:
     first, which makes the specialized part the contiguous tail.
     """
 
-    NAMES = ("mix", "w_update", "u_update", "b_update", "w_reset", "u_reset",
-             "b_reset", "w_cand", "u_cand", "b_cand", "w_out", "b_out",
-             "w_quant", "b_quant")
-
     def __init__(self, layout: "_Layout", flat: np.ndarray):
         """Adopt the float64 buffer ``flat`` of a cached :class:`_Layout`
         without copying, or the (M, size) buffer of a stack of M models (see

@@ -220,14 +220,16 @@ def _manifest_path(run_dir: str) -> str:
 
 _NUMBER = (int, float)
 # the type of each manifest field that evaluate, forecast-new and report
-# read: a type or tuple of types, [type] for a list of it, or {key: type}
-# for an object with those keys
+# read: a type or tuple of types, [type] for a list of it, {key: type} for
+# an object with those keys, {int: type} for an object whose keys are
+# integers, and (kind, kind) for either of two kinds
 MANIFEST_TYPES = {
     "config": dict, "n_series": int, "n_components": int, "k": int,
     "assignment": [int], "flags": [bool],
     "checkpoint_global": str, "checkpoint_refit_global": str,
     "prototype_checkpoints": [str], "individual_checkpoints": [str],
-    "routed_checkpoints": [str], "calibration": (dict, type(None)),
+    "routed_checkpoints": [str],
+    "calibration": (type(None), {"target": _NUMBER, "factors": {int: _NUMBER}}),
     "standardizer": {"mu": [_NUMBER], "sigma": [_NUMBER], "eps": _NUMBER,
                      "fill": [_NUMBER]},
     "report": {"json": str},
@@ -243,9 +245,14 @@ REPORT_ROW_TYPES = dict(dict.fromkeys(losses.REPORT_COLUMNS, _NUMBER + (type(Non
 def _has_type(value, kind) -> bool:
     if isinstance(kind, list):
         return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
+    if isinstance(kind, dict) and int in kind:  # JSON keys are strings
+        return isinstance(value, dict) and all(
+            k.isdecimal() and _has_type(v, kind[int]) for k, v in value.items())
     if isinstance(kind, dict):
         return isinstance(value, dict) and all(
             k in value and _has_type(value[k], t) for k, t in kind.items())
+    if isinstance(kind, tuple):
+        return any(_has_type(value, k) for k in kind)
     return isinstance(value, kind)
 
 
@@ -255,11 +262,11 @@ def load_manifest(run_dir: str) -> dict:
     path = _manifest_path(run_dir)
     if not os.path.exists(path):
         raise DataError(f"no manifest in {run_dir}; run prepare/train first")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             manifest = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"unreadable manifest {path}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        raise DataError(f"unreadable manifest {path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise DataError(f"unreadable manifest {path}: not a JSON object")
     for key, kind in MANIFEST_TYPES.items():
@@ -294,9 +301,10 @@ CLUSTER_FIELDS = ("assignment", "k", "flags", "prototype_checkpoints")
 
 
 def _require(manifest: dict, run_dir: str, keys) -> None:
-    """A :class:`DataError` naming the first of ``keys`` the manifest lacks."""
+    """A :class:`DataError` naming the first of ``keys`` the manifest lacks
+    or holds as null."""
     for key in keys:
-        if key not in manifest:
+        if manifest.get(key) is None:
             raise DataError(f"unreadable manifest {_manifest_path(run_dir)}: "
                             f"no field {key!r}")
 
@@ -363,10 +371,14 @@ def _fit_global(prepared: PreparedData, cfg: RunConfig) -> ParamSet:
     return model.train(fresh, None, x, y, fit_cfg)
 
 
-def _checkpoint_dir(run_dir: str) -> str:
-    path = os.path.join(run_dir, "checkpoints")
+def _save_params(cfg: RunConfig, params: ParamSet, name: str) -> str:
+    """Write ``params`` to ``checkpoints/<name>`` of the run and return the
+    path the manifest stores; every checkpoint a run writes goes through
+    here, and a failure to write it is a :class:`DataError`."""
+    path = os.path.join(cfg.run_dir, "checkpoints", name)
     with _writing(path):
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        model.save_checkpoint(params, cfg.window, cfg.mode, path)
     return path
 
 
@@ -377,7 +389,12 @@ def _checkpoint_dir(run_dir: str) -> str:
 
 def cmd_prepare(cfg: RunConfig, prepared: PreparedData | None = None) -> dict:
     """Start the run's manifest from the config and the TRAIN standardizer;
-    ``prepared`` saves loading the dataset when the caller already has it."""
+    ``prepared`` saves loading the dataset when the caller already has it.
+    A run that evaluated TEST is not restarted, which would reset its marker."""
+    if (os.path.exists(_manifest_path(cfg.run_dir))
+            and load_manifest(cfg.run_dir).get("test_evaluated")):
+        raise ProtocolError(f"run {cfg.run_dir!r} already evaluated TEST; "
+                            f"refusing to train it again")
     if prepared is None:
         prepared = load_prepared(cfg)
     manifest = {
@@ -396,14 +413,7 @@ def cmd_prepare(cfg: RunConfig, prepared: PreparedData | None = None) -> dict:
     return manifest
 
 
-def _store_cluster_artifacts(cfg: RunConfig, manifest: dict, run_dir: str,
-                             result) -> None:
-    ckpt = _checkpoint_dir(run_dir)
-    proto_paths = []
-    for k, proto in enumerate(result.prototypes):
-        path = os.path.join(ckpt, f"proto_{k:02d}.pcm")
-        model.save_checkpoint(proto, cfg.window, cfg.mode, path)
-        proto_paths.append(path)
+def _store_cluster_artifacts(cfg: RunConfig, manifest: dict, result) -> None:
     manifest.update({
         "k": result.k_star,
         "selection_seed": result.seed_star,
@@ -411,16 +421,14 @@ def _store_cluster_artifacts(cfg: RunConfig, manifest: dict, run_dir: str,
         "iterations": result.assignment.iterations,
         "flags": list(result.flags.flagged),
         "label_trace": [t.tolist() for t in result.label_trace],
-        "selection_table": [
-            {"k": r.k, "seed": r.seed, "sel_abs": r.sel_abs, "sel_pen": r.sel_pen,
-             "iterations": r.iterations, "converged": r.converged,
-             "global_risk": r.global_risk}
-            for r in result.table],
-        "prototype_checkpoints": proto_paths,
+        "selection_table": result.table,
+        "prototype_checkpoints": [
+            _save_params(cfg, proto, f"proto_{k:02d}.pcm")
+            for k, proto in enumerate(result.prototypes)],
     })
 
 
-def _train_core(cfg: RunConfig, candidates) -> tuple[dict, PreparedData]:
+def _train_core(cfg: RunConfig, candidates) -> dict:
     """Shared body of the train and select-k commands."""
     prepared = load_prepared(cfg)
     if cfg.method in CLUSTERED_METHODS:
@@ -432,10 +440,7 @@ def _train_core(cfg: RunConfig, candidates) -> tuple[dict, PreparedData]:
     tc = cfg.train_config()
 
     global_params = _fit_global(prepared, cfg)
-    ckpt = _checkpoint_dir(cfg.run_dir)
-    global_path = os.path.join(ckpt, "global.pcm")
-    model.save_checkpoint(global_params, cfg.window, cfg.mode, global_path)
-    manifest["checkpoint_global"] = global_path
+    manifest["checkpoint_global"] = _save_params(cfg, global_params, "global.pcm")
     manifest["method"] = cfg.method
 
     if cfg.method in CLUSTERED_METHODS:
@@ -448,20 +453,17 @@ def _train_core(cfg: RunConfig, candidates) -> tuple[dict, PreparedData]:
         else:
             result = baselines.fit_baseline(cfg.method, prepared, global_params,
                                             tc, sel_cfg, cfg.proto_epochs)
-        _store_cluster_artifacts(cfg, manifest, cfg.run_dir, result)
+        _store_cluster_artifacts(cfg, manifest, result)
     elif cfg.method == "individual":
-        paths = []
-        for i, params in enumerate(baselines.fit_individual(prepared,
-                                                            global_params, tc)):
-            path = os.path.join(ckpt, f"individual_{i:04d}.pcm")
-            model.save_checkpoint(params, cfg.window, cfg.mode, path)
-            paths.append(path)
-        manifest["individual_checkpoints"] = paths
+        manifest["individual_checkpoints"] = [
+            _save_params(cfg, params, f"individual_{i:04d}.pcm")
+            for i, params in enumerate(baselines.fit_individual(
+                prepared, global_params, tc))]
     # method == "global": nothing beyond the pooled checkpoint
 
     _record_audit(manifest, prepared, "train")
     save_manifest(cfg.run_dir, manifest)
-    return manifest, prepared
+    return manifest
 
 
 def cmd_train(cfg: RunConfig) -> dict:
@@ -473,20 +475,18 @@ def cmd_train(cfg: RunConfig) -> dict:
         candidates = (cfg.k,)
     else:
         candidates = None
-    manifest, _ = _train_core(cfg, candidates)
-    return manifest
+    return _train_core(cfg, candidates)
 
 
 def cmd_select_k(cfg: RunConfig) -> dict:
     """Sweep all candidate K values and seeds; keep the penalized best."""
     if cfg.method not in CLUSTERED_METHODS:
         raise ConfigError(f"select-k does not apply to method {cfg.method!r}")
-    manifest, _ = _train_core(cfg, None)
-    cols = ("k", "seed", "sel_abs", "sel_pen", "global_risk", "iterations",
-            "converged")
-    write_csv(os.path.join(cfg.run_dir, "selection.csv"),
-              [cols] + [[row[c] for c in cols]
-                        for row in manifest["selection_table"]])
+    manifest = _train_core(cfg, None)
+    path = os.path.join(cfg.run_dir, "selection.csv")
+    with _writing(path):
+        losses.write_report_csv(path, manifest["selection_table"],
+                                clustering.SELECTION_COLUMNS)
     return manifest
 
 
@@ -502,28 +502,35 @@ def _run_file(run_dir: str, stored: str) -> str:
                         name)
 
 
-def _load_params(run_dir: str, stored: str) -> ParamSet:
-    """The parameters of a checkpoint the manifest names; one that is missing
-    or unreadable is a :class:`DataError`."""
-    path = _run_file(run_dir, stored)
+def _load_params(cfg: RunConfig, p_dim: int, stored: str) -> ParamSet:
+    """The parameters of a checkpoint the manifest names; one that is missing,
+    unreadable or not the run's model (by its header) is a :class:`DataError`."""
+    path = _run_file(cfg.run_dir, stored)
     try:
-        return model.load_checkpoint(path)[0]
+        params, w, mode = model.load_checkpoint(path)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
+    found = (params.p_dim, params.latent, params.hidden, params.n_levels, w, mode)
+    expected = (p_dim, cfg.resolved_latent(p_dim), cfg.hidden,
+                len(cfg.quantiles), cfg.window, cfg.mode)
+    if found != expected:
+        raise DataError(f"checkpoint {path} is not the run's model: (P, latent, "
+                        f"hidden, levels, window, mode) {found}, not {expected}")
+    return params
 
 
-def _load_trained(cfg: RunConfig, manifest: dict):
-    global_params = _load_params(cfg.run_dir, manifest["checkpoint_global"])
+def _load_trained(cfg: RunConfig, manifest: dict, p_dim: int):
+    global_params = _load_params(cfg, p_dim, manifest["checkpoint_global"])
     assignment = flags = prototypes = individual = None
     if cfg.method in CLUSTERED_METHODS:
         _require(manifest, cfg.run_dir, CLUSTER_FIELDS)
         assignment = clustering.Assignment(manifest["assignment"], manifest["k"])
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
-        prototypes = [_load_params(cfg.run_dir, p)
+        prototypes = [_load_params(cfg, p_dim, p)
                       for p in manifest["prototype_checkpoints"]]
     elif cfg.method == "individual":
         _require(manifest, cfg.run_dir, ("individual_checkpoints",))
-        individual = [_load_params(cfg.run_dir, p)
+        individual = [_load_params(cfg, p_dim, p)
                       for p in manifest["individual_checkpoints"]]
     return global_params, assignment, flags, prototypes, individual
 
@@ -543,22 +550,19 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
     if "checkpoint_global" not in manifest:
         raise DataError("no trained checkpoints in this run; run train/select-k")
     prepared = load_prepared(cfg)
-    global_params, assignment, flags, prototypes, individual = _load_trained(cfg, manifest)
+    global_params, assignment, flags, prototypes, individual = _load_trained(
+        cfg, manifest, prepared.dataset.n_components)
     run_dir = cfg.run_dir
 
     def before_test(refit_global, routed, calibration):
-        ckpt = _checkpoint_dir(run_dir)
-        refit_global_path = os.path.join(ckpt, "refit_global.pcm")
+        refit_global_path = _save_params(cfg, refit_global, "refit_global.pcm")
         routed_paths = [None] * len(routed)
-        with _writing(ckpt):
-            model.save_checkpoint(refit_global, cfg.window, cfg.mode, refit_global_path)
-            for g, (params, ids) in enumerate(losses.model_groups(routed)):
-                path = refit_global_path
-                if params is not refit_global:
-                    path = os.path.join(ckpt, f"refit_routed_{g:02d}.pcm")
-                    model.save_checkpoint(params, cfg.window, cfg.mode, path)
-                for i in ids:
-                    routed_paths[i] = path
+        for g, (params, ids) in enumerate(losses.model_groups(routed)):
+            path = refit_global_path
+            if params is not refit_global:
+                path = _save_params(cfg, params, f"refit_routed_{g:02d}.pcm")
+            for i in ids:
+                routed_paths[i] = path
         manifest.update({
             "checkpoint_refit_global": refit_global_path,
             "routed_checkpoints": routed_paths,
@@ -648,17 +652,19 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     if "checkpoint_refit_global" not in manifest:
         raise DataError("run evaluate first: routing uses the final refit models")
     _require(manifest, cfg.run_dir, ("standardizer", "n_components")
+             + (("calibration",) if cfg.mode == "quantile" else ())
              + ((CLUSTER_FIELDS + ("routed_checkpoints",))
                 if cfg.method in CLUSTERED_METHODS else ()))
     stored = manifest["standardizer"]
     std = Standardizer(mu=np.asarray(stored["mu"]), sigma=np.asarray(stored["sigma"]),
                        eps=float(stored["eps"]), fill=np.asarray(stored["fill"]))
     tc = cfg.train_config()
-    raw = _read_segment(segment_path, len(std.mu), tc.w, cfg.csv_header)
+    p_dim = len(std.mu)
+    raw = _read_segment(segment_path, p_dim, tc.w, cfg.csv_header)
     filled = np.where(np.isfinite(raw), raw, std.fill)
     segment = std.transform(filled)
 
-    refit_global = _load_params(cfg.run_dir, manifest["checkpoint_refit_global"])
+    refit_global = _load_params(cfg, p_dim, manifest["checkpoint_refit_global"])
     prototypes, flags = [], clustering.FallbackFlags(flagged=())
     if cfg.method in CLUSTERED_METHODS:
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
@@ -670,7 +676,7 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
                 raise DataError(f"unreadable manifest {_manifest_path(cfg.run_dir)}: "
                                 f"unflagged cluster {k} has no members")
             prototypes.append(refit_global if flagged
-                              else _load_params(cfg.run_dir, paths[k]))
+                              else _load_params(cfg, p_dim, paths[k]))
 
     routed_id = clustering.assign_new_series(segment, refit_global, prototypes,
                                              flags, tc)

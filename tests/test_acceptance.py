@@ -17,8 +17,8 @@ from poolcast import baselines, clustering, losses, model
 from poolcast.calibration import GRID, apply_factor
 from poolcast.data import SplitSpec, load_pems, prepare
 from poolcast.losses import interval_stats, loss_elem
-from poolcast.model import (ParamSet, TrainConfig, batch_loss, derive_seed,
-                            init_params, loss_and_gradients, rollout, train)
+from poolcast.model import (TrainConfig, batch_loss, derive_seed, init_params,
+                            loss_and_gradients, rollout, train)
 from poolcast.synthetic import SyntheticSpec, generate, adjusted_rand_index
 
 from oracles import empirical_quantile
@@ -145,7 +145,7 @@ def _gradcheck_instance(mode, seed, step=1e-5):
         return None
     _, grads = loss_and_gradients(params, None, x, y, cfg)
     worst = 0.0
-    for name in ParamSet.NAMES:
+    for name, *_ in params.layout.slots:
         tensor = getattr(params, name)
         grad = getattr(grads, name)
         it = np.nditer(tensor, flags=["multi_index"])
@@ -245,10 +245,9 @@ def test_criterion_03_non_crossing():
 
 
 def test_criterion_04_leakage_audit(weak_heterogeneity_run):
-    ds, _ = generate(SyntheticSpec(n_series=12, n_times=160, n_components=4,
-                                   seed=4))
+    spec = SyntheticSpec(n_series=12, n_times=160, n_components=4, seed=4)
+    (ds, _), (tampered, _) = generate(spec), generate(spec)
     split = SplitSpec(100, 30, 30)
-    tampered = ds.copy()
     rng = np.random.default_rng(0)
     tampered.values[:, 100:, :] = rng.normal(scale=7.0, size=(12, 60, 4)) + 3.0
 
@@ -310,9 +309,9 @@ def test_criterion_06_fallback_dominance(heterogeneous_runs,
     n_runs = 0
     for table in tables:
         for row in table:
-            assert row.sel_abs <= row.global_risk, (
-                f"K={row.k} seed={row.seed}: routed {row.sel_abs} above "
-                f"pooled {row.global_risk}")
+            assert row["sel_abs"] <= row["global_risk"], (
+                f"K={row['k']} seed={row['seed']}: routed {row['sel_abs']} "
+                f"above pooled {row['global_risk']}")
             n_runs += 1
     assert n_runs >= 120  # 6 sweeps x 4 K x 5 seeds
 

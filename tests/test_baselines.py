@@ -107,8 +107,8 @@ def test_fit_baseline_selects_k_and_seed(world):
     fit = fit_baseline("random_balanced", prepared, gp, CFG, sel, proto_epochs=1)
     assert fit.k_star in (2, 3) and fit.seed_star in (0, 1)
     assert len(fit.table) == 4
-    best = min(fit.table, key=lambda r: (r.sel_pen, r.k, r.seed))
-    assert (fit.k_star, fit.seed_star) == (best.k, best.seed)
+    best = min(fit.table, key=lambda r: (r["sel_pen"], r["k"], r["seed"]))
+    assert (fit.k_star, fit.seed_star) == (best["k"], best["seed"])
     # labels stay at their initial deal: no reassignment iterations
     assert fit.assignment.iterations == 0
     assert [t.tolist() for t in fit.label_trace] == [fit.assignment.labels.tolist()]

@@ -521,24 +521,28 @@ def test_run_sweep_decides_each_runs_fallback(small_world, monkeypatch,
     sel = SelectionConfig(candidates=(3, 2), seeds=(1, 0), assign_horizons=(1,),
                           gamma=0.1)
     res = run_sweep(prepared, sel, lambda k, seed: runs[(k, seed)], pooled)
-    assert [(r.k, r.seed) for r in res.table] == [(2, 1), (2, 0), (3, 1), (3, 0)]
+    assert [(r["k"], r["seed"]) for r in res.table] == [(2, 1), (2, 0),
+                                                        (3, 1), (3, 0)]
     decided = {}
     for row in res.table:
-        loop, own = runs[(row.k, row.seed)]
+        assert tuple(row) == clustering.SELECTION_COLUMNS
+        key = (row["k"], row["seed"])
+        loop, own = runs[key]
         means = cluster_val_means(loop.assignment, own, pooled)
-        decided[(row.k, row.seed)] = compute_fallback(means)
-        assert (row.sel_abs, row.global_risk) == val_risk_pair(
-            means, decided[(row.k, row.seed)])
-        assert row.sel_pen == row.sel_abs + 0.1 * row.k / 9
-        assert (row.iterations, row.converged) == (0, True)
+        decided[key] = compute_fallback(means)
+        assert (row["sel_abs"], row["global_risk"]) == val_risk_pair(
+            means, decided[key])
+        assert row["sel_pen"] == row["sel_abs"] + 0.1 * row["k"] / 9
+        assert (row["iterations"], row["converged"]) == (0, True)
     # the hand-made losses flag some clusters and keep others
     assert {f for flags in decided.values() for f in flags.flagged} == {True,
                                                                         False}
-    best = min(res.table, key=lambda r: (r.sel_pen, r.k, r.seed))
-    assert (res.k_star, res.seed_star) == (best.k, best.seed)
-    assert res.flags == decided[(best.k, best.seed)]
+    best = min(res.table, key=lambda r: (r["sel_pen"], r["k"], r["seed"]))
+    best_key = (best["k"], best["seed"])
+    assert (res.k_star, res.seed_star) == best_key
+    assert res.flags == decided[best_key]
     np.testing.assert_array_equal(res.assignment.labels,
-                                  runs[(best.k, best.seed)][0].assignment.labels)
+                                  runs[best_key][0].assignment.labels)
 
 
 @needs_fork

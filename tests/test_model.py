@@ -34,7 +34,7 @@ def finite_difference_check(params, anchor, x, y, cfg, step=1e-5,
     _, grads = loss_and_gradients(params, anchor, x, y, cfg)
     start = 1 if anchor is not None else 0  # mix is frozen under an anchor
     worst = 0.0
-    for name in ParamSet.NAMES[start:]:
+    for name, *_ in params.layout.slots[start:]:
         tensor = getattr(params, name)
         grad = getattr(grads, name)
         it = np.nditer(tensor, flags=["multi_index"])
@@ -482,7 +482,7 @@ def test_paramset_copies_are_views_of_their_own_buffer(tmp_path):
         assert not np.shares_memory(other.flat, params.flat)
         other.flat[:] = np.arange(other.flat.size)
         tiled = np.concatenate([getattr(other, n).ravel()
-                                for n in ParamSet.NAMES])
+                                for n, *_ in other.layout.slots])
         np.testing.assert_array_equal(tiled, np.arange(other.flat.size))
         assert other.spec_offset == params.spec_offset
 
@@ -492,8 +492,9 @@ def test_unpickled_paramset_tensors_are_views_of_its_buffer():
     clone = pickle.loads(pickle.dumps(params))
     assert clone.flat.tobytes() == params.flat.tobytes()
     assert not np.shares_memory(clone.flat, params.flat)
-    tensors = [getattr(clone, name) for name in ParamSet.NAMES]
-    for name, t in zip(ParamSet.NAMES, tensors):
+    names = [name for name, *_ in clone.layout.slots]
+    tensors = [getattr(clone, name) for name in names]
+    for name, t in zip(names, tensors):
         assert np.shares_memory(t, clone.flat), name
     clone.flat[:] = np.arange(clone.flat.size)
     tiled = np.concatenate([t.ravel() for t in tensors])

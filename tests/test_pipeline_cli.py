@@ -1016,18 +1016,26 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     assert not os.path.exists(too_many)
 
 
-@pytest.fixture(scope="module")
-def served_run(tmp_path_factory):
+def serve(root, extra=""):
     """An evaluated clustered run on eight-component data: its config, its
     run directory and a segment to route."""
-    root = tmp_path_factory.mktemp("served")
     pipeline.cmd_synth(str(root / "data"), n_series=9, n_times=120,
                        n_components=8, n_regimes=3, seed=5)
     data = str(root / "data" / "series")
-    cfg = write_config(root, data, root / "run", "k = 2\n")
+    cfg = write_config(root, data, root / "run", "k = 2\n" + extra)
     assert cli.main(["train", "--config", cfg]) == 0
     assert cli.main(["evaluate", "--config", cfg]) == 0
     return cfg, str(root / "run"), os.path.join(data, sorted(os.listdir(data))[0])
+
+
+@pytest.fixture(scope="module")
+def served_run(tmp_path_factory):
+    return serve(tmp_path_factory.mktemp("served"))
+
+
+@pytest.fixture(scope="module")
+def served_quantile_run(tmp_path_factory):
+    return serve(tmp_path_factory.mktemp("served_quantile"), "mode = quantile\n")
 
 
 def exit_code_with_manifest(run_dir, manifest, argv):
@@ -1077,6 +1085,102 @@ def test_missing_cluster_field_is_a_data_error(served_run, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
     assert f"no field {field!r}" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forecast-new"])
+@pytest.mark.parametrize("swap", ["hidden", "window", "mode"])
+def test_checkpoint_of_another_model_is_a_data_error(served_run, capsys,
+                                                     command, swap):
+    """A checkpoint whose header differs from the run's model in its hidden
+    size, window or mode flag: a prototype read by evaluate, the refit
+    pooled model read by forecast-new."""
+    cfg, run_dir, segment = served_run
+    manifest = pipeline.load_manifest(run_dir)
+    argv = [command, "--config", cfg]
+    if command == "evaluate":
+        manifest["test_evaluated"] = False  # as before the TEST evaluation
+        name = "proto_00.pcm"
+    else:
+        argv += ["--segment", segment]
+        name = "refit_global.pcm"
+    path = os.path.join(run_dir, "checkpoints", name)
+    with open(path, "rb") as fh:
+        original = fh.read()
+    params, w, mode = model.load_checkpoint(path)
+    assert (params.hidden, w, mode) == (8, 6, "point")
+    if swap == "hidden":
+        params = model.init_params(params.p_dim, params.latent, 5,
+                                   params.n_levels, 0)
+    model.save_checkpoint(params, 5 if swap == "window" else w,
+                          "quantile" if swap == "mode" else mode, path)
+    capsys.readouterr()
+    try:
+        assert exit_code_with_manifest(run_dir, manifest, argv) == 3
+    finally:
+        with open(path, "wb") as fh:
+            fh.write(original)
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert f"checkpoint {path} is not the run's model" in err
+
+
+@pytest.mark.parametrize("calibration", [
+    {"target": 0.8}, {"target": 0.8, "factors": {"1": "x", "3": 1.0}},
+    {"target": 0.8, "factors": {"h1": 1.0, "3": 1.0}}, None])
+def test_malformed_calibration_is_a_data_error(served_quantile_run, capsys,
+                                               calibration):
+    cfg, run_dir, segment = served_quantile_run
+    manifest = pipeline.load_manifest(run_dir)
+    assert set(manifest["calibration"]["factors"]) == {"1", "3"}
+    manifest["calibration"] = calibration
+    capsys.readouterr()
+    assert exit_code_with_manifest(run_dir, manifest, [
+        "forecast-new", "--config", cfg, "--segment", segment]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert "'calibration'" in err
+
+
+def test_retraining_an_evaluated_run_is_a_protocol_error(tmp_path, data_dir,
+                                                         capsys):
+    """A second prepare, train or select-k would write a fresh manifest and
+    so reset the spent TEST marker; each exits 5 and writes nothing."""
+    run_dir = str(tmp_path / "r")
+    cfg = write_config(tmp_path, data_dir, run_dir,
+                       "k = 2\nk_candidates = 2\nselection_seeds = 0\n")
+    assert cli.main(["select-k", "--config", cfg]) == 0
+    assert cli.main(["evaluate", "--config", cfg]) == 0
+    spent = run_bytes(run_dir)
+    capsys.readouterr()
+    for command in ("prepare", "train", "select-k", "evaluate"):
+        assert cli.main([command, "--config", cfg]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("protocol violation:") and "Traceback" not in err
+        assert run_bytes(run_dir) == spent
+    # a manifest that cannot be read is not overwritten either
+    with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
+        fh.write("{not json")
+    assert cli.main(["prepare", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    with open(os.path.join(run_dir, "manifest.json")) as fh:
+        assert fh.read() == "{not json"
+
+
+@pytest.mark.parametrize("command,target", [
+    ("train", os.path.join("checkpoints", "global.pcm")),
+    ("select-k", "selection.csv")])
+def test_unwritable_train_output_is_a_data_error(tmp_path, data_dir, capsys,
+                                                 command, target):
+    run_dir = tmp_path / "r"
+    (run_dir / target).mkdir(parents=True)  # a directory where a file goes
+    cfg = write_config(tmp_path, data_dir, str(run_dir),
+                       "k = 2\nk_candidates = 2\nselection_seeds = 0\n")
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert f"cannot write {run_dir / target}" in err
 
 
 def test_cli_synth_and_report(tmp_path, capsys):
