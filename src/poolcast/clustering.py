@@ -621,11 +621,12 @@ def assign_new_series(segment: np.ndarray, global_params: ParamSet,
                       cfg: TrainConfig) -> int:
     """Route a new series from an initial observed segment.
 
-    Evaluates the one-step training loss (:func:`model.batch_losses`, one
-    stacked forward pass) of the pooled model and every unflagged prototype
-    over all (window, target) pairs in the segment and returns the
-    winner's id: -1 for the pooled model, otherwise the prototype index. The
-    pooled model wins ties and wins whenever no prototype strictly improves.
+    Evaluates the one-step training loss (Huber, or pinball in quantile
+    mode) of the pooled model and every unflagged prototype over all
+    (window, target) pairs in the segment, in one stacked one-step
+    :func:`model.rollout`, and returns the winner's id: -1 for the pooled
+    model, otherwise the prototype index. The pooled model wins ties and
+    wins whenever no prototype strictly improves.
     The segment must already be standardized and hold at least w + 1 steps.
     """
     segment = np.asarray(segment, dtype=np.float64)
@@ -639,8 +640,13 @@ def assign_new_series(segment: np.ndarray, global_params: ParamSet,
                           np.arange(w - 1, segment.shape[0] - 1), w, 1)
 
     ids = [-1] + [k for k in range(len(prototypes)) if not flags.flagged[k]]
-    scores = model.batch_losses([global_params] + [prototypes[k] for k in ids[1:]],
-                                x[0], y[0], cfg)
+    point, fan = model.rollout(
+        ParamSet.stack([global_params] + [prototypes[k] for k in ids[1:]]),
+        x[0], 1, cfg)
+    kind, pred = ("huber", point) if fan is None else ("pinball", fan)
+    # each model's losses are a contiguous block, reduced as on its own
+    scores = [float(np.mean(e))
+              for e in losses.loss_elem(kind, pred[:, :, 0], y[0], cfg)]
     best_id, best_loss = -1, scores[0]
     for k, loss_k in zip(ids[1:], scores[1:]):
         # strict: the pooled model wins ties, and a NaN loss never wins

@@ -477,18 +477,24 @@ def _quantiles_from_hidden(params: ParamSet, h: np.ndarray,
 def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
             ) -> tuple[np.ndarray, np.ndarray | None]:
     """The h-step forecast paths of a batch of windows (n, w, P) in the
-    config's mode.
+    config's mode: the one forward pass outside training.
 
     One-step predictions are fed back, dropping the oldest window row each
     step; in quantile mode the value fed back is the median path. Returns
     ``(point, fan)`` with step j at ``[:, j - 1]``: in point mode the point
     forecasts (n, h, P) and None; in quantile mode the median path
     (n, h, P) and the fan (n, h, Q, P) at ``cfg.quantiles``. A rollout to h
-    thus serves every horizon up to h. Every forecast outside training,
-    :func:`batch_loss` and :func:`batch_losses` runs through here.
+    thus serves every horizon up to h.
+
+    A stack of M models (:meth:`ParamSet.stack`) forecasts one step of the
+    same windows, (M, n, 1, P) and (M, n, 1, Q, P), each model bitwise as
+    on its own; it raises ``ValueError`` for h > 1.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
+    lead = params.flat.shape[:-1]  # () for one model, (M,) for a stack
+    if lead and h > 1:
+        raise ValueError("a stack of models forecasts one step only")
     quantile = cfg.mode == "quantile"
     if quantile:
         if len(cfg.quantiles) != params.n_levels:
@@ -501,15 +507,15 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
     # j .. j + w - 1, which the GRU encodes without a copy
     path = np.empty((w + h - 1, n, p))
     path[:w] = x.transpose(1, 0, 2)
-    point = np.empty((n, h, p))
-    fan = np.empty((n, h, params.n_levels, p)) if quantile else None
+    point = np.empty(lead + (n, h, p))
+    fan = np.empty(lead + (n, h, params.n_levels, p)) if quantile else None
     for step in range(h):
         hidden = _gru_forward(params, path[step:step + w].transpose(1, 0, 2))
         if quantile:
-            fan[:, step] = _quantiles_from_hidden(params, hidden)[0]
-            point[:, step] = fan[:, step, med]
+            fan[..., step, :, :] = _quantiles_from_hidden(params, hidden)[0]
+            point[..., step, :] = fan[..., step, med, :]
         else:
-            point[:, step] = _point_from_hidden(params, hidden)[0]
+            point[..., step, :] = _point_from_hidden(params, hidden)[0]
         if step < h - 1:
             path[w + step] = point[:, step]
     return point, fan
@@ -537,31 +543,16 @@ def _anchor_penalty(params: ParamSet, anchor: ParamSet | None, eta: float,
     return pulls[0] if d.ndim == 1 else np.array(pulls)
 
 
-def _loss_elems(params: ParamSet, x: np.ndarray, y: np.ndarray,
-                cfg: TrainConfig) -> np.ndarray:
-    """Elementwise one-step data loss of one model or a stack on one batch."""
-    if len(x) == 0:
-        raise ValueError("empty batch")
-    h = _gru_forward(params, x)
-    if cfg.mode == "point":
-        return loss_elem("huber", _point_from_hidden(params, h)[0], y, cfg)
-    return loss_elem("pinball", _quantiles_from_hidden(params, h)[0], y, cfg)
-
-
 def batch_loss(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
                y: np.ndarray, cfg: TrainConfig) -> float:
-    """Forward-only objective value on one batch (data term + anchor pull)."""
-    data = float(np.mean(_loss_elems(params, x, y, cfg)))
+    """Forward-only objective value of one model on one batch: the mean
+    loss of its one-step :func:`rollout` plus the anchor pull."""
+    if len(x) == 0:
+        raise ValueError("empty batch")
+    point, fan = rollout(params, x, 1, cfg)
+    kind, pred = ("huber", point) if fan is None else ("pinball", fan)
+    data = float(np.mean(loss_elem(kind, pred[:, 0], y, cfg)))
     return data + _anchor_penalty(params, anchor, cfg.l2sp_weight, None)
-
-
-def batch_losses(models: list[ParamSet], x: np.ndarray, y: np.ndarray,
-                 cfg: TrainConfig) -> list[float]:
-    """:func:`batch_loss` without anchor of every model, in one stacked
-    forward pass; each value is bitwise that model's own ``batch_loss``."""
-    # each model's losses are a contiguous block, reduced as on its own
-    return [float(np.mean(e))
-            for e in _loss_elems(ParamSet.stack(models), x, y, cfg)]
 
 
 def loss_and_gradients(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,

@@ -201,12 +201,11 @@ class RunConfig:
             out[f.name] = list(v) if isinstance(v, tuple) else v
         return out
 
-    # fields that must not silently differ between train-time and evaluate-time
-    IDENTITY_KEYS = ("data_dir", "data_format", "csv_header", "impute", "eps",
-                     "t_train", "t_val", "t_test", "window", "latent", "hidden",
-                     "mode", "quantiles", "huber_delta", "epochs",
-                     "proto_epochs", "lr", "beta1", "beta2", "eps_adam",
-                     "batch", "l2sp", "clip", "seed", "method")
+    # the fields that may differ between training and evaluate or
+    # forecast-new; every other field must match the trained run's
+    FREE_KEYS = ("refit_epochs", "k", "k_candidates", "selection_seeds", "gamma",
+                 "max_outer_iters", "assign_horizons", "horizons", "init",
+                 "coverage_target", "run_dir")
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +337,12 @@ def _record_audit(manifest: dict, prepared: PreparedData, stage: str) -> None:
 
 def _check_identity(cfg: RunConfig, manifest: dict) -> None:
     stored = manifest.get("config", {})
-    current = cfg.as_dict()
-    for key in RunConfig.IDENTITY_KEYS:
-        if key in stored and stored[key] != current[key]:
+    for key, value in cfg.as_dict().items():
+        if (key not in RunConfig.FREE_KEYS and key in stored
+                and stored[key] != value):
             raise ConfigError(
                 f"config key {key!r} differs from the trained run "
-                f"({stored[key]!r} there, {current[key]!r} now)")
+                f"({stored[key]!r} there, {value!r} now)")
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +408,10 @@ def cmd_prepare(cfg: RunConfig, prepared: PreparedData | None = None) -> dict:
         "n_components": prepared.dataset.n_components,
         "test_evaluated": False,
     }
+    # a fresh manifest has no selection table, so the last training's goes
+    path = os.path.join(cfg.run_dir, "selection.csv")
+    with _writing(path), contextlib.suppress(FileNotFoundError):
+        os.remove(path)
     save_manifest(cfg.run_dir, manifest)
     return manifest
 
@@ -426,6 +429,9 @@ def _store_cluster_artifacts(cfg: RunConfig, manifest: dict, result) -> None:
             _save_params(cfg, proto, f"proto_{k:02d}.pcm")
             for k, proto in enumerate(result.prototypes)],
     })
+    path = os.path.join(cfg.run_dir, "selection.csv")
+    with _writing(path):
+        losses.write_report_csv(path, result.table, clustering.SELECTION_COLUMNS)
 
 
 def _train_core(cfg: RunConfig, candidates) -> dict:
@@ -482,12 +488,7 @@ def cmd_select_k(cfg: RunConfig) -> dict:
     """Sweep all candidate K values and seeds; keep the penalized best."""
     if cfg.method not in CLUSTERED_METHODS:
         raise ConfigError(f"select-k does not apply to method {cfg.method!r}")
-    manifest = _train_core(cfg, None)
-    path = os.path.join(cfg.run_dir, "selection.csv")
-    with _writing(path):
-        losses.write_report_csv(path, manifest["selection_table"],
-                                clustering.SELECTION_COLUMNS)
-    return manifest
+    return _train_core(cfg, None)
 
 
 def _run_file(run_dir: str, stored: str) -> str:
@@ -750,11 +751,11 @@ def cmd_report(run_dirs, out_path: str | None = None,
         report_path = stored and _run_file(run_dir, stored)
         if not report_path or not os.path.exists(report_path):
             raise DataError(f"{run_dir}: no evaluation report; run evaluate")
-        with open(report_path) as fh:
-            try:
+        try:
+            with open(report_path) as fh:
                 report = json.load(fh)
-            except ValueError as exc:
-                raise DataError(f"unreadable report {report_path}: {exc}") from None
+        except (OSError, ValueError) as exc:
+            raise DataError(f"unreadable report {report_path}: {exc}") from None
         if not _has_type(report, {"rows": [REPORT_ROW_TYPES]}):
             raise DataError(f"unreadable report {report_path}: not a list of report rows")
         rows = report["rows"]

@@ -93,3 +93,14 @@ def test_benchmark_hooks_bind_and_run(hooks, tmp_path, monkeypatch):
         if runs[r["run"]][1] == "quantile":
             fields += ["pinball", "coverage", "width"]
         assert all(r[f] != "" and math.isfinite(float(r[f])) for f in fields)
+
+
+@pytest.mark.parametrize("name", ["sweep-point", "fan-quantile"])
+def test_benchmark_model_probe_runs(hooks, name):
+    """The benchmark's model probe calls ``model.batch_loss`` and
+    ``model.loss_and_gradients`` directly, in point and in quantile mode."""
+    import harness
+    metrics = harness.Bench(harness.WORKLOADS[name], 0).probe()
+    assert sorted(metrics) == ["model.probe_fwd_bwd_us_per_window",
+                               "model.probe_fwd_us_per_window"]
+    assert all(math.isfinite(v) and v > 0 for v in metrics.values())

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from poolcast.losses import loss_elem
 from poolcast.model import (Adam, ParamSet, TrainConfig, TrainingDiverged,
                             _gru_forward, _point_from_hidden,
-                            _quantiles_from_hidden, batch_loss, batch_losses,
+                            _quantiles_from_hidden, batch_loss,
                             clip_gradients_, init_params, load_checkpoint,
                             loss_and_gradients, median_index, rollout,
                             save_checkpoint, train, train_stacked)
@@ -534,12 +535,23 @@ def test_stacked_pass_is_bitwise_each_models_own(mode, n, m):
     hs = _gru_forward(stack, x)
     assert hs.shape == (m, n, 16)
     preds = head(stack, hs)[0]
-    losses = batch_losses(models, x, y, cfg)
+    # the one-step rollout of the stack, and the loss routing scores it by
+    point, fan = rollout(stack, x, 1, cfg)
+    assert point.shape == (m, n, 1, 8)
+    assert fan is None if mode == "point" else fan.shape == (m, n, 1, 3, 8)
+    kind, pred = ("huber", point) if fan is None else ("pinball", fan)
+    losses = loss_elem(kind, pred[:, :, 0], y, cfg)
     for i, params in enumerate(models):
         h = _gru_forward(params, x)
         assert hs[i].tobytes() == h.tobytes()
         assert preds[i].tobytes() == head(params, h)[0].tobytes()
-        assert losses[i] == batch_loss(params, None, x, y, cfg)
+        own_point, own_fan = rollout(params, x, 1, cfg)
+        assert point[i].tobytes() == own_point.tobytes()
+        if fan is not None:
+            assert fan[i].tobytes() == own_fan.tobytes()
+        assert float(np.mean(losses[i])) == batch_loss(params, None, x, y, cfg)
+    with pytest.raises(ValueError, match="one step"):
+        rollout(stack, x, 2, cfg)
 
 
 def test_stack_needs_models_of_one_layout():

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -153,19 +154,26 @@ def test_selection_table_size_rule(tmp_path, data_dir):
 
 @pytest.mark.parametrize("method", ["cluster", "feat_kmeans"])
 def test_selection_csv_matches_manifest_table(tmp_path, data_dir, method):
-    path = write_config(tmp_path, data_dir, tmp_path / "rcsv",
-                        f"method = {method}\n")
-    cfg = RunConfig.from_file(path)
-    pipeline.cmd_select_k(cfg)
-    with open(os.path.join(cfg.run_dir, "selection.csv"), newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    table = pipeline.load_manifest(cfg.run_dir)["selection_table"]
-    assert len(rows) == len(table) == 4
-    for row, ref in zip(rows, table):
-        for key in ("k", "seed", "sel_abs", "sel_pen", "global_risk",
-                    "iterations"):
-            assert float(row[key]) == ref[key]
-        assert row["converged"] == str(ref["converged"])
+    """After select-k, a train at one K on the same run, and a switch to a
+    method without a sweep, selection.csv is the manifest's table."""
+    run_dir = str(tmp_path / "rcsv")
+    path = write_config(tmp_path, data_dir, run_dir, f"method = {method}\n")
+    csv_path = os.path.join(run_dir, "selection.csv")
+    for command, overrides, n_rows in ((pipeline.cmd_select_k, [], 4),
+                                       (pipeline.cmd_train, ["k=2"], 2)):
+        command(RunConfig.from_file(path, overrides))
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        table = pipeline.load_manifest(run_dir)["selection_table"]
+        assert len(rows) == len(table) == n_rows
+        for row, ref in zip(rows, table):
+            for key in ("k", "seed", "sel_abs", "sel_pen", "global_risk",
+                        "iterations"):
+                assert float(row[key]) == ref[key]
+            assert row["converged"] == str(ref["converged"])
+    pipeline.cmd_train(RunConfig.from_file(path, ["method=global"]))
+    assert "selection_table" not in pipeline.load_manifest(run_dir)
+    assert not os.path.exists(csv_path)
 
 
 def test_select_k_loads_dataset_once(tmp_path, data_dir, monkeypatch):
@@ -499,6 +507,50 @@ def test_evaluate_checks_config_identity(tmp_path, data_dir):
     changed = RunConfig.from_file(path, overrides=["hidden=16"])
     with pytest.raises(ConfigError, match="hidden"):
         pipeline.cmd_evaluate(changed)
+
+
+# a changed value of every config key evaluate and forecast-new check
+CHANGED_KEYS = {
+    "data_dir": "elsewhere", "data_format": "packed", "csv_header": "true",
+    "impute": "median", "eps": "1e-6", "t_train": "81", "t_val": "21",
+    "t_test": "21", "window": "7", "latent": "2", "hidden": "9",
+    "mode": "quantile", "quantiles": "0.2,0.5,0.8", "huber_delta": "0.5",
+    "epochs": "5", "proto_epochs": "3", "lr": "0.002", "beta1": "0.8",
+    "beta2": "0.99", "eps_adam": "1e-7", "batch": "32", "l2sp": "0.01",
+    "clip": "1.0", "seed": "1", "method": "feat_kmeans"}
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory, data_dir):
+    """The config and directory of a clustered run trained, not evaluated."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = write_config(root, data_dir, root / "run", "k = 2\n")
+    assert cli.main(["train", "--config", cfg]) == 0
+    return cfg, str(root / "run")
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                 if f.name not in RunConfig.FREE_KEYS])
+def test_every_checked_key_must_keep_its_trained_value(
+        trained_run, served_run, capsys, key):
+    """A change to any config key but the free ones, between train and
+    evaluate or between evaluate and forecast-new, exits 2 naming it."""
+    override = ["--set", f"{key}={CHANGED_KEYS[key]}"]
+    served_cfg, _, segment = served_run
+    capsys.readouterr()
+    for argv in (["evaluate", "--config", trained_run[0]],
+                 ["forecast-new", "--config", served_cfg, "--segment", segment]):
+        assert cli.main(argv + override) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key!r}" in err
+
+
+def test_coverage_target_may_change_after_training(trained_run, tmp_path):
+    cfg, run_dir = trained_run
+    copy = str(tmp_path / "copy")
+    shutil.copytree(run_dir, copy)
+    assert cli.main(["evaluate", "--config", cfg, "--set", f"run_dir={copy}",
+                     "--set", "coverage_target=0.7"]) == 0
 
 
 def test_train_artifacts_reproducible_bitwise(tmp_path, data_dir):
@@ -1050,6 +1102,22 @@ def exit_code_with_manifest(run_dir, manifest, argv):
     finally:
         with open(path, "wb") as fh:
             fh.write(original)
+
+
+def test_unreadable_report_is_a_data_error(served_run, capsys):
+    _, run_dir, _ = served_run
+    path = os.path.join(run_dir, "report.json")
+    os.rename(path, path + ".kept")
+    os.mkdir(path)  # a directory where the report goes
+    capsys.readouterr()
+    try:
+        assert cli.main(["report", "--runs", run_dir]) == 3
+    finally:
+        os.rmdir(path)
+        os.rename(path + ".kept", path)
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert f"unreadable report {path}" in err
 
 
 def test_short_standardizer_list_is_a_data_error(served_run, capsys):
