@@ -8,8 +8,10 @@ error (also unreadable ``csv``, ``packed`` or ``pems`` data, a ``run_dir``
 that cannot be created, a missing or unreadable checkpoint or
 ``forecast-new`` segment, a checkpoint whose header is not the run's
 model, an unreadable manifest or report or one not of the shape the run
-writes, a quantile run's malformed or null ``calibration`` included, and
-an output path, checkpoint or ``selection.csv`` that cannot be written);
+writes, a quantile run's malformed or null ``calibration`` included, an
+``evaluate`` dataset whose series count or TRAIN standardizer is not the
+trained run's, and an output path, checkpoint or ``selection.csv`` that
+cannot be written);
 4 training divergence; 5 protocol violation (repeated TEST evaluation, or
 ``prepare``, ``train`` or ``select-k`` of a run that has evaluated TEST).
 Run directories work from any working directory: the paths

@@ -165,22 +165,19 @@ def compute_cost_matrix(prepared: PreparedData, prototypes: list[ParamSet],
     none remain, the whole matrix is NaN. The h = 1 losses are kept as well,
     for the fallback.
     """
-    n = prepared.n_series
+    n, k = prepared.n_series, len(prototypes)
     kind = "pinball" if cfg.mode == "quantile" else "huber"
     scored = tuple(sorted(set(horizons) | {1}))
-    cols = {h: [] for h in scored}
-    means = []
-    for proto in prototypes:
-        ((_, by_h),) = losses.split_forecasts([(proto, np.arange(n))], prepared,
-                                              "va", scored, cfg)
-        per_h = {h: losses.horizon_losses(kind, by_h[h], cfg) for h in scored}
-        for h in scored:
-            cols[h].append(np.full(n, np.nan) if per_h[h] is None else per_h[h])
-        present = [per_h[h] for h in horizons if per_h[h] is not None]
-        means.append(np.mean(present, axis=0) if present
-                     else np.full(n, np.nan))
-    return CostMatrix(np.stack(means, axis=1),
-                      {h: np.stack(c, axis=1) for h, c in cols.items()})
+    _, by_h = losses.split_forecasts([(proto, np.arange(n)) for proto in prototypes],
+                                     prepared, "va", scored, cfg)
+    # the panel's rows are prototype-major: row j * n + i is series i under
+    # prototype j
+    scores = {h: losses.horizon_losses(kind, by_h[h], cfg) for h in scored}
+    per_h = {h: np.full((n, k), np.nan) if c is None else c.reshape(k, n).T
+             for h, c in scores.items()}
+    present = [per_h[h] for h in horizons if scores[h] is not None]
+    return CostMatrix(np.mean(present, axis=0) if present
+                      else np.full((n, k), np.nan), per_h)
 
 
 def reassign(cost: CostMatrix, prev: Assignment) -> Assignment:
@@ -471,25 +468,23 @@ class EvalArtifacts:
     calibration: CalibrationTable | None
     report: list[dict]                 # summarize_method rows, as report.json
     series_mse: dict = None            # (method, horizon) -> per-series TEST MSE
-    # (method, horizon) -> TEST (point, target), each (S, n, P), of the first
-    # S = min(TRAJECTORY_SERIES, N) series
+    # (method, horizon) -> TEST (point, target), each (S, n, P), of series
+    # 0 .. S - 1, S = min(TRAJECTORY_SERIES, N), taken from the TEST panel
     trajectories: dict = None
 
 
 def val_calibration_streams(prepared: PreparedData, models: list[ParamSet],
                             horizons, cfg: TrainConfig) -> dict:
     """Per horizon, the VAL (median, lower, upper, target) streams of every
-    series under its routed model, for :func:`calibration.calibrate`; needs a
-    quantile-mode config. One rollout per model serves every horizon."""
-    parts = {h: [] for h in horizons}
-    for _, by_h in losses.split_forecasts(losses.model_groups(models), prepared,
-                                          "va", horizons, cfg):
-        for h, (point, fan, y) in by_h.items():
-            if y.shape[1]:
-                parts[h].append((point.ravel(), fan[:, :, 0].ravel(),
-                                 fan[:, :, -1].ravel(), y.ravel()))
-    return {h: tuple(np.concatenate(c) for c in zip(*p))
-            for h, p in parts.items() if p}
+    series under its routed model, for :func:`calibration.calibrate`: the
+    raveled :func:`losses.split_forecasts` panel, series in model-group
+    order. Needs a quantile-mode config; horizons without VAL windows are
+    left out. One rollout per model serves every horizon."""
+    _, by_h = losses.split_forecasts(losses.model_groups(models), prepared,
+                                     "va", horizons, cfg)
+    return {h: (point.ravel(), fan[:, :, 0].ravel(), fan[:, :, -1].ravel(),
+                y.ravel())
+            for h, (point, fan, y) in by_h.items() if y.shape[1]}
 
 
 def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
@@ -564,46 +559,30 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     scored = [("global", [(refit_global, np.arange(n))], 0.0)]
     if method != "global":
         scored.append((method, losses.model_groups(routed), fallback_share))
-    # (method, h) -> per-series MSE, MAE and pinball, the (target, lower,
-    # upper) bands of each group in group order, and series -> (point,
-    # target) for the plots
-    scores = {(name, h): (np.empty(n), np.empty(n),
-                          np.empty(n) if cfg.mode == "quantile" else None,
-                          [], {})
-              for name, _, _ in scored for h in horizons}
-    for name, groups, _ in scored:
-        for ids, by_h in losses.split_forecasts(groups, prepared, "te",
-                                                horizons, cfg):
-            for h, (point, fan, y) in by_h.items():
-                if y.shape[1] == 0:
-                    raise ValueError(f"no TEST windows at h={h}")
-                s_mse, s_mae, s_pin, bands, shown = scores[(name, h)]
-                s_mse[ids] = losses.series_means("mse", point, y, cfg)
-                s_mae[ids] = losses.series_means("mae", point, y, cfg)
-                if fan is not None:
-                    s_pin[ids] = losses.series_means("pinball", fan, y, cfg)
-                    lo, hi = fan[:, :, 0], fan[:, :, -1]
-                    if calib is not None:
-                        lo, hi = calib.apply(h, point, lo, hi)
-                    bands.append((y.ravel(), lo.ravel(), hi.ravel()))
-                keep = ids < TRAJECTORY_SERIES
-                shown.update(zip(ids[keep], zip(point[keep], y[keep])))
-
-    report = []
-    series_mse, trajectories = {}, {}
-    for h in horizons:
-        for name, _, share in scored:
-            s_mse, s_mae, s_pin, bands, shown = scores[(name, h)]
-            coverage = width = None
-            if bands:
-                coverage, width = losses.interval_stats(
-                    *(np.concatenate(b) for b in zip(*bands)))
+    rows, series_mse, trajectories = {}, {}, {}
+    for name, groups, share in scored:
+        order, by_h = losses.split_forecasts(groups, prepared, "te", horizons, cfg)
+        # the panel's rows are in group order; series i is row rank[i]
+        rank = np.argsort(order)
+        for h, (point, fan, y) in by_h.items():
+            if y.shape[1] == 0:
+                raise ValueError(f"no TEST windows at h={h}")
+            s_mse, s_mae = (losses.series_means(kind, point, y, cfg)[rank]
+                            for kind in ("mse", "mae"))
+            s_pin = coverage = width = None
+            if fan is not None:
+                s_pin = losses.series_means("pinball", fan, y, cfg)[rank]
+                lo, hi = fan[:, :, 0], fan[:, :, -1]
+                if calib is not None:
+                    lo, hi = calib.apply(h, point, lo, hi)
+                coverage, width = losses.interval_stats(y, lo, hi)
             reference = s_mse if name == "global" else series_mse[("global", h)]
-            report.append(summarize_method(name, h, s_mse, s_mae, reference,
-                                           share, s_pin, coverage, width))
+            rows[(name, h)] = summarize_method(name, h, s_mse, s_mae, reference,
+                                               share, s_pin, coverage, width)
             series_mse[(name, h)] = s_mse
-            trajectories[(name, h)] = tuple(
-                np.stack(a) for a in zip(*(shown[i] for i in sorted(shown))))
+            shown = rank[:TRAJECTORY_SERIES]
+            trajectories[(name, h)] = (point[shown], y[shown])
+    report = [rows[(name, h)] for h in horizons for name, _, _ in scored]
 
     if flags is not None and tuple(flags.flagged) != frozen_before:
         raise RuntimeError("fallback flags changed between freeze and TEST")

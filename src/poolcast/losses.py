@@ -71,22 +71,30 @@ def model_groups(models) -> list[tuple]:
     return [(models[ids[0]], np.asarray(ids)) for ids in groups.values()]
 
 
+def _join(parts: list):
+    """Group arrays concatenated in group order; one group's array, or point
+    mode's None fan, is returned as it is."""
+    return parts[0] if len(parts) == 1 or parts[0] is None else np.concatenate(parts)
+
+
 def split_forecasts(groups, prepared, tag: str, horizons, cfg):
     """Forecasts of one segment at every horizon, one rollout per
-    ``(params, series)`` group.
+    ``(params, series)`` group, as one panel.
 
-    Yields ``(series, by_horizon)`` in group order. ``by_horizon`` maps each
-    horizon h to ``(point, fan, target)``: the h-step point forecasts
-    (S, n_h, P), the quantile fan (S, n_h, Q, P) or None in point mode, and
-    the targets (S, n_h, P), for the S series of the group and the n_h
-    windows of the segment at h. A segment without windows at h gives
-    n_h = 0. Every split forecast runs through here.
+    Returns ``(series, by_horizon)``: the groups' series ids concatenated in
+    group order, and per horizon h the ``(point, fan, target)`` of those S
+    rows: the h-step point forecasts (S, n_h, P), the quantile fan
+    (S, n_h, Q, P) or None in point mode, and the targets (S, n_h, P), over
+    the n_h windows of the segment at h (n_h = 0 when it has none). Each
+    group's rows are exactly its own forecasts; a single group's arrays are
+    not copied. Every split forecast runs through here.
     """
     from . import model  # deferred: model depends on this module for losses
 
     horizons = tuple(horizons)
     h_first, h_last = min(horizons), max(horizons)
     index = prepared.window_index(tag, cfg.w, horizons)
+    paths = []
     for params, series in groups:
         # Every horizon's end times start at the same first end time, so the
         # windows of a longer horizon are a prefix of the shortest horizon's,
@@ -95,18 +103,19 @@ def split_forecasts(groups, prepared, tag: str, horizons, cfg):
         # one rollout to the longest horizon forecasts them all.
         x, y = prepared.windows(tag, h_first, cfg.w, series)
         s, n, p = len(series), index.count(h_first), y.shape[-1]
-        y = y.reshape(s, n, p)
         point, fan = model.rollout(params, x, h_last, cfg)
-        point = point.reshape(s, n, h_last, p)
-        if fan is not None:
-            fan = fan.reshape(s, n, h_last, fan.shape[-2], p)
-        by_horizon = {}
-        for h in horizons:
-            n_h, lag = index.count(h), h - h_first
-            by_horizon[h] = (point[:, :n_h, h - 1],
-                             None if fan is None else fan[:, :n_h, h - 1],
-                             y[:, lag:lag + n_h])
-        yield series, by_horizon
+        paths.append((point.reshape(s, n, h_last, p),
+                      None if fan is None
+                      else fan.reshape(s, n, h_last, fan.shape[-2], p),
+                      y.reshape(s, n, p)))
+    by_horizon = {}
+    for h in horizons:
+        n_h, lag = index.count(h), h - h_first
+        by_horizon[h] = tuple(_join(parts) for parts in zip(*(
+            (point[:, :n_h, h - 1],
+             None if fan is None else fan[:, :n_h, h - 1],
+             y[:, lag:lag + n_h]) for point, fan, y in paths)))
+    return _join([series for _, series in groups]), by_horizon
 
 
 def series_means(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarray:
@@ -142,8 +151,8 @@ def per_series_split_losses(params, prepared, tag: str, h: int, cfg,
     if series is None:
         series = np.arange(prepared.n_series)
     kind = kind or ("pinball" if cfg.mode == "quantile" else "huber")
-    ((_, by_horizon),) = split_forecasts([(params, series)], prepared, tag,
-                                         (h,), cfg)
+    _, by_horizon = split_forecasts([(params, series)], prepared, tag, (h,),
+                                    cfg)
     return horizon_losses(kind, by_horizon[h], cfg)
 
 

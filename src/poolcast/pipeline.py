@@ -358,6 +358,13 @@ def load_prepared(cfg: RunConfig) -> PreparedData:
                    min_segment=cfg.min_segment())
 
 
+def _standardizer_record(prepared: PreparedData) -> dict:
+    """The TRAIN standardizer as the manifest stores it."""
+    std = prepared.standardizer
+    return {"mu": std.mu.tolist(), "sigma": std.sigma.tolist(),
+            "eps": std.eps, "fill": std.fill.tolist()}
+
+
 def _fit_global(prepared: PreparedData, cfg: RunConfig) -> ParamSet:
     tc = cfg.train_config()
     prepared.audit.set_phase("fit-global")
@@ -398,12 +405,7 @@ def cmd_prepare(cfg: RunConfig, prepared: PreparedData | None = None) -> dict:
         prepared = load_prepared(cfg)
     manifest = {
         "config": cfg.as_dict(),
-        "standardizer": {
-            "mu": prepared.standardizer.mu.tolist(),
-            "sigma": prepared.standardizer.sigma.tolist(),
-            "eps": prepared.standardizer.eps,
-            "fill": prepared.standardizer.fill.tolist(),
-        },
+        "standardizer": _standardizer_record(prepared),
         "n_series": prepared.n_series,
         "n_components": prepared.dataset.n_components,
         "test_evaluated": False,
@@ -551,6 +553,11 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
     if "checkpoint_global" not in manifest:
         raise DataError("no trained checkpoints in this run; run train/select-k")
     prepared = load_prepared(cfg)
+    # another dataset shows in the series count or the TRAIN statistics
+    if (manifest.get("n_series") != prepared.n_series
+            or manifest.get("standardizer") != _standardizer_record(prepared)):
+        raise DataError(f"{cfg.data_dir!r} is not the dataset run {cfg.run_dir!r} "
+                        f"was trained on: its series count or TRAIN standardizer differs")
     global_params, assignment, flags, prototypes, individual = _load_trained(
         cfg, manifest, prepared.dataset.n_components)
     run_dir = cfg.run_dir

@@ -260,23 +260,39 @@ def test_split_forecasts_over_horizons_equal_single_horizon_calls(
     other.flat[other.spec_offset:] += 0.05
     groups = [(gp, np.array([0, 4, 7])), (other, np.array([1, 2, 3, 5, 6, 8]))]
     horizons = (1, 3, 6, 21)  # a 20-step segment has no windows at h = 21
+
+    def assert_bitwise(got, want):
+        for g, w in zip(got, want, strict=True):
+            if w is None:
+                assert g is None
+            else:
+                assert g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
     prepared.audit.set_phase("multi")
-    multi = list(losses.split_forecasts(groups, prepared, tag, horizons, cfg))
+    series, multi = losses.split_forecasts(groups, prepared, tag, horizons, cfg)
     prepared.audit.set_phase("single")
     for h in horizons:
-        single = list(losses.split_forecasts(groups, prepared, tag, (h,), cfg))
-        for (ids_m, by_m), (ids_s, by_s) in zip(multi, single):
-            np.testing.assert_array_equal(ids_m, ids_s)
-            for got, want in zip(by_m[h], by_s[h]):
-                if want is None:
-                    assert got is None
-                else:
-                    assert got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
-    assert by_m[21][2].shape == (6, 0, 4)
+        ids_s, single = losses.split_forecasts(groups, prepared, tag, (h,), cfg)
+        np.testing.assert_array_equal(series, ids_s)
+        assert_bitwise(multi[h], single[h])
+    assert multi[21][2].shape == (9, 0, 4)
     assert prepared.audit.counts("multi") == prepared.audit.counts("single")
     np.testing.assert_array_equal(prepared.audit._touched["multi"],
                                   prepared.audit._touched["single"])
+    # the panel: the groups' ids in group order, and each group's rows
+    # exactly its own call's forecasts
+    np.testing.assert_array_equal(series, [0, 4, 7, 1, 2, 3, 5, 6, 8])
+    start = 0
+    for params, ids in groups:
+        own_ids, own = losses.split_forecasts([(params, ids)], prepared, tag,
+                                              horizons, cfg)
+        assert own_ids is ids
+        rows = slice(start, start + len(ids))
+        for h in horizons:
+            assert_bitwise([None if a is None else a[rows] for a in multi[h]],
+                           own[h])
+        start += len(ids)
 
 
 def test_outer_loop_stops_at_fixed_point(small_world):

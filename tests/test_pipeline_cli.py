@@ -3,6 +3,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pathlib
 import re
 import shutil
 import struct
@@ -509,6 +510,42 @@ def test_evaluate_checks_config_identity(tmp_path, data_dir):
         pipeline.cmd_evaluate(changed)
 
 
+@pytest.mark.parametrize("change", ["missing_series", "train_cell"])
+def test_evaluate_refuses_another_dataset(tmp_path, data_dir, capsys, change):
+    """evaluate on data other than the trained run's (one series fewer, or
+    one TRAIN cell changed) exits 3, writes nothing and leaves TEST unused."""
+    data = str(tmp_path / "data")
+    shutil.copytree(data_dir, data)
+    run_dir = str(tmp_path / "run")
+    cfg = write_config(tmp_path, data, run_dir, "k = 2\n")
+    assert cli.main(["train", "--config", cfg]) == 0
+    files = sorted(os.listdir(data))
+    if change == "missing_series":
+        os.remove(os.path.join(data, files[-1]))
+    else:
+        path = os.path.join(data, files[0])
+        with open(path) as fh:
+            rows = fh.read().splitlines()
+        cells = rows[0].split(",")
+        cells[0] = repr(float(cells[0]) + 1.0)  # time 0 lies in TRAIN
+        rows[0] = ",".join(cells)
+        with open(path, "w") as fh:
+            fh.write("\n".join(rows) + "\n")
+
+    def tree():
+        return {os.path.join(base, name): pathlib.Path(base, name).read_bytes()
+                for base, _, names in os.walk(run_dir) for name in names}
+
+    before = tree()
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert "is not the dataset run" in err
+    assert tree() == before
+    assert pipeline.load_manifest(run_dir)["test_evaluated"] is False
+
+
 # a changed value of every config key evaluate and forecast-new check
 CHANGED_KEYS = {
     "data_dir": "elsewhere", "data_format": "packed", "csv_header": "true",
@@ -775,6 +812,61 @@ def test_trajectories_are_the_evaluation_forecasts(counted_evaluation):
                           "pred_method": repr(float(pred_method[j, 0]))}
                          for j, t in enumerate(ends)]
         assert rows == expected
+
+
+def test_report_rows_equal_a_series_by_series_oracle(counted_evaluation):
+    """Each report row rebuilt one series at a time from the saved refit
+    checkpoints and, in quantile mode, the manifest's calibration factors."""
+    cfg, manifest, _, _ = counted_evaluation
+    tc = cfg.train_config()
+    prepared = pipeline.load_prepared(cfg)
+    n = prepared.n_series
+    pooled = manifest["checkpoint_refit_global"]
+    routed = manifest["routed_checkpoints"]
+    assert len(set(routed)) >= 2  # more than one routed model serves series
+    params = {path: model.load_checkpoint(path)[0] for path in {pooled, *routed}}
+    levels = np.asarray(tc.quantiles).reshape(-1, 1)
+    with open(manifest["report"]["json"]) as fh:
+        rows = json.load(fh)["rows"]
+    assert [(r["method"], r["horizon"]) for r in rows] == [
+        (m, h) for h in cfg.horizons for m in ("global", cfg.method)]
+    for row in rows:
+        h = row["horizon"]
+        paths = [pooled] * n if row["method"] == "global" else routed
+        mse, mae, pinball, widths = [], [], [], []
+        inside = cells = 0
+        for i, path in enumerate(paths):
+            x, y = prepared.windows("te", h, tc.w, [i])
+            point, fan = model.rollout(params[path], x, h, tc)
+            med = point[:, -1]
+            e = med - y
+            mse.append((e * e).mean(axis=1).mean())
+            mae.append(np.abs(e).mean(axis=1).mean())
+            if fan is None:
+                continue
+            u = y[:, None, :] - fan[:, -1]
+            pinball.append((u * (levels - (u < 0))).mean(axis=(1, 2)).mean())
+            s = manifest["calibration"]["factors"][str(h)]
+            lo = med - s * (med - fan[:, -1, 0])
+            hi = med + s * (fan[:, -1, -1] - med)
+            inside += int(((y >= lo) & (y <= hi)).sum())
+            cells += y.size
+            widths.append((hi - lo).ravel())
+        # the per-series MSE behind the row, as the plots store it
+        column = "mse_global" if row["method"] == "global" else "mse_method"
+        plot = read_csv(os.path.join(cfg.run_dir, "plots",
+                                     f"improvement_h{h}.csv"))
+        assert all(same_bits(r[column], v)
+                   for r, v in zip(plot, mse, strict=True))
+        assert row["mse"] == float(np.mean(mse))
+        assert row["mae"] == float(np.mean(mae))
+        if cfg.mode == "point":
+            assert row["pinball"] is row["coverage"] is row["width"] is None
+            continue
+        assert row["pinball"] == float(np.mean(pinball))
+        assert row["coverage"] == inside / cells
+        assert row["width"] == pytest.approx(np.mean(np.concatenate(widths)),
+                                             rel=1e-12, abs=0)
 
 
 def same_bits(cell: str, value) -> bool:

@@ -2,12 +2,16 @@
 
     python3 tools/run_diff.py A B
 
-A and B are directories, such as the ``.perfbench/work/<workload>`` trees
-that two checkouts' benchmark runs leave behind. The tool prints every file
-present in only one tree, every file whose bytes differ and, for a ``.json``
-file that differs, each key path whose value differs (``a.b[2].c``; a key
-present on one side only counts as differing). It exits 0 when the trees
-hold the same files with the same bytes and 1 otherwise.
+A and B are directories, such as the run directories
+``.perfbench/work/<workload>/r_<method>`` that two checkouts' benchmark runs
+leave behind. Compare those, not the whole work trees: a work tree's
+``route.json`` is the reply to the last ``forecast-new`` request, so it
+differs whenever the two runs served a different number of requests. The
+tool prints every file present in only one tree, every file whose bytes
+differ and, for a ``.json`` file that differs, each key path whose value
+differs (``a.b[2].c``; a key present on one side only counts as differing).
+It exits 0 when the trees hold the same files with the same bytes and 1
+otherwise.
 """
 
 from __future__ import annotations
