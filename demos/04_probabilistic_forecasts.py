@@ -49,7 +49,7 @@ art = clustering.final_refit_and_test(prepared, result.assignment, result.flags,
 
 print("\ncalibration factors per horizon:",
       {h: round(s, 3) for h, s in art.calibration.factors.items()})
-streams = clustering.val_calibration_streams(prepared, art.routed_models,
+streams = clustering.val_calibration_streams(prepared, art.groups,
                                              (1, 3, 6), cfg)
 for h, (med, lo, hi, tv) in sorted(streams.items()):
     raw, cal = (interval_stats(tv, *apply_factor(med, lo, hi, s))[0]

@@ -4,18 +4,19 @@ Exit codes: 0 success; 2 configuration error (every key is checked when the
 config is read, before anything is written; also a K above the number of
 series and a bad ``synth`` argument: fewer series than regimes, an alpha
 outside [0, 1], a negative or non-finite noise or a size below 1); 3 data
-error (also unreadable ``csv``, ``packed`` or ``pems`` data, a ``run_dir``
-that cannot be created, a missing or unreadable checkpoint or
-``forecast-new`` segment, a checkpoint whose header is not the run's
-model, an unreadable manifest or report or one not of the shape the run
-writes, a quantile run's malformed or null ``calibration`` included, an
-``evaluate`` dataset whose series count or TRAIN standardizer is not the
-trained run's, and an output path, checkpoint or ``selection.csv`` that
-cannot be written);
+error (also unreadable ``csv``, ``packed`` or ``pems`` data, a component
+constant on TRAIN with ``eps = 0``, a ``run_dir`` that cannot be created, a
+missing or unreadable checkpoint or ``forecast-new`` segment, a checkpoint
+whose header is not the run's model, an unreadable manifest or report or
+one not of the shape the run writes, a quantile run's malformed or null
+``calibration``, a factor not finite and > 0 or a target outside (0, 1)
+included, an ``evaluate`` dataset whose series count or TRAIN standardizer
+is not the trained run's, and an output path, checkpoint or
+``selection.csv`` that cannot be written);
 4 training divergence; 5 protocol violation (repeated TEST evaluation, or
 ``prepare``, ``train`` or ``select-k`` of a run that has evaluated TEST).
-Run directories work from any working directory: the paths
-the manifest stores are resolved against the run directory given.
+Run directories work from any working directory: the manifest stores no
+paths, and a run's files have fixed names below its run directory.
 
 The (K, seed) selection sweeps run on min(runs, usable CPUs) forked worker
 processes, each with a one-thread BLAS; their outputs are bitwise those of
@@ -28,6 +29,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from .data import DataError
@@ -146,8 +148,8 @@ def main(argv=None) -> int:
                   f"sel_pen={kept['sel_pen']:.6f}); table: "
                   f"{cfg.run_dir}/selection.csv")
         elif args.command == "evaluate":
-            manifest = pipeline.cmd_evaluate(cfg)
-            with open(manifest["report"]["json"]) as fh:
+            pipeline.cmd_evaluate(cfg)
+            with open(os.path.join(cfg.run_dir, "report.json")) as fh:
                 print(format_rows(json.load(fh)["rows"]))
         elif args.command == "forecast-new":
             result = pipeline.cmd_forecast_new(cfg, args.segment, args.out)

@@ -159,20 +159,19 @@ def compute_cost_matrix(prepared: PreparedData, prototypes: list[ParamSet],
                         horizons, cfg: TrainConfig) -> CostMatrix:
     """VAL loss of every series under every prototype, averaged over horizons.
 
-    Point mode scores with Huber, quantile mode with multi-level pinball;
-    h > 1 entries use recursive rollout, one rollout per prototype for every
+    Scores with the mode's objective (:func:`losses.objective`); h > 1
+    entries use recursive rollout, one rollout per prototype for every
     horizon. Horizons with no valid VAL windows are skipped in the mean; if
     none remain, the whole matrix is NaN. The h = 1 losses are kept as well,
     for the fallback.
     """
     n, k = prepared.n_series, len(prototypes)
-    kind = "pinball" if cfg.mode == "quantile" else "huber"
     scored = tuple(sorted(set(horizons) | {1}))
     _, by_h = losses.split_forecasts([(proto, np.arange(n)) for proto in prototypes],
                                      prepared, "va", scored, cfg)
     # the panel's rows are prototype-major: row j * n + i is series i under
     # prototype j
-    scores = {h: losses.horizon_losses(kind, by_h[h], cfg) for h in scored}
+    scores = {h: losses.horizon_losses(None, by_h[h], cfg) for h in scored}
     per_h = {h: np.full((n, k), np.nan) if c is None else c.reshape(k, n).T
              for h, c in scores.items()}
     present = [per_h[h] for h in horizons if scores[h] is not None]
@@ -464,7 +463,7 @@ TRAJECTORY_SERIES = 3
 @dataclass
 class EvalArtifacts:
     refit_global: ParamSet
-    routed_models: list[ParamSet]      # one entry per series
+    groups: list[tuple]                # the method's (params, series) groups
     calibration: CalibrationTable | None
     report: list[dict]                 # summarize_method rows, as report.json
     series_mse: dict = None            # (method, horizon) -> per-series TEST MSE
@@ -473,15 +472,13 @@ class EvalArtifacts:
     trajectories: dict = None
 
 
-def val_calibration_streams(prepared: PreparedData, models: list[ParamSet],
-                            horizons, cfg: TrainConfig) -> dict:
-    """Per horizon, the VAL (median, lower, upper, target) streams of every
-    series under its routed model, for :func:`calibration.calibrate`: the
-    raveled :func:`losses.split_forecasts` panel, series in model-group
-    order. Needs a quantile-mode config; horizons without VAL windows are
-    left out. One rollout per model serves every horizon."""
-    _, by_h = losses.split_forecasts(losses.model_groups(models), prepared,
-                                     "va", horizons, cfg)
+def val_calibration_streams(prepared: PreparedData, groups, horizons,
+                            cfg: TrainConfig) -> dict:
+    """Per horizon, the VAL (median, lower, upper, target) streams of the
+    series of ``(params, series)`` groups, for :func:`calibration.calibrate`:
+    the raveled :func:`losses.split_forecasts` panel, in group order. Needs a
+    quantile-mode config; horizons without VAL windows are left out."""
+    _, by_h = losses.split_forecasts(groups, prepared, "va", horizons, cfg)
     return {h: (point.ravel(), fan[:, :, 0].ravel(), fan[:, :, -1].ravel(),
                 y.ravel())
             for h, (point, fan, y) in by_h.items() if y.shape[1]}
@@ -503,7 +500,11 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     bitwise identical to the reference rows. ``individual_models`` switches
     to one-model-per-series evaluation (no clustering, no fallback).
 
-    ``before_test(refit_global, routed, calibration)``, if given, runs
+    The method's models are built once, as ``(params, series)`` groups in
+    first-use order (by lowest series id, ids ascending): the refit pooled
+    model with the series it serves, each kept cluster's refit prototype
+    with its members, or each series' refit individual model.
+    ``before_test(refit_global, groups, calibration)``, if given, runs
     immediately before the first TEST read; a failure before it, a diverged
     refit or a calibration error included, has read no TEST value.
     """
@@ -525,12 +526,12 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
                             freeze_mix=True)
 
     frozen_before = None if flags is None else tuple(flags.flagged)
-    routed = [refit_global] * n
-    fallback_share = 0.0
+    groups, fallback_share = [(refit_global, np.arange(n))], 0.0
     if individual_models is not None:
         # one at a time: a stack of N models would need a workspace N deep
-        routed = [refit([individual_models[i]], None, [[i]],
-                        [("refit-individual", i)])[0] for i in range(n)]
+        groups = [(refit([individual_models[i]], None, [[i]],
+                         [("refit-individual", i)])[0], np.array([i]))
+                  for i in range(n)]
     elif assignment is not None:
         kept = [k for k in range(assignment.n_clusters)
                 if not flags.flagged[k] and len(assignment.members(k))]
@@ -541,27 +542,30 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
             warm = prototypes[k].copy()
             warm.mix[...] = refit_global.mix
             warms.append(warm)
-        refit_protos = dict(zip(kept, refit(
-            warms, refit_global, [assignment.members(k) for k in kept],
-            [("refit-proto", k) for k in kept])))
-        routed = [refit_protos.get(k, refit_global) for k in assignment.labels]
+        members = [assignment.members(k) for k in kept]
+        groups = list(zip(refit(warms, refit_global, members,
+                                [("refit-proto", k) for k in kept]), members))
+        pooled = np.flatnonzero(np.asarray(flags.flagged)[assignment.labels])
+        if len(pooled):
+            groups.append((refit_global, pooled))
+        groups.sort(key=lambda group: group[1][0])
         fallback_share = flags.fallback_share(assignment)
 
     calib = None
     if cfg.mode == "quantile":
         prepared.audit.set_phase("calibrate")
-        streams = val_calibration_streams(prepared, routed, horizons, cfg)
+        streams = val_calibration_streams(prepared, groups, horizons, cfg)
         calib = calibrate(streams, coverage_target)
 
     prepared.audit.set_phase("evaluate")
     if before_test is not None:
-        before_test(refit_global, routed, calib)
+        before_test(refit_global, groups, calib)
     scored = [("global", [(refit_global, np.arange(n))], 0.0)]
     if method != "global":
-        scored.append((method, losses.model_groups(routed), fallback_share))
+        scored.append((method, groups, fallback_share))
     rows, series_mse, trajectories = {}, {}, {}
-    for name, groups, share in scored:
-        order, by_h = losses.split_forecasts(groups, prepared, "te", horizons, cfg)
+    for name, models, share in scored:
+        order, by_h = losses.split_forecasts(models, prepared, "te", horizons, cfg)
         # the panel's rows are in group order; series i is row rank[i]
         rank = np.argsort(order)
         for h, (point, fan, y) in by_h.items():
@@ -586,7 +590,7 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
 
     if flags is not None and tuple(flags.flagged) != frozen_before:
         raise RuntimeError("fallback flags changed between freeze and TEST")
-    return EvalArtifacts(refit_global, routed, calib, report, series_mse,
+    return EvalArtifacts(refit_global, groups, calib, report, series_mse,
                          trajectories)
 
 
@@ -619,10 +623,9 @@ def assign_new_series(segment: np.ndarray, global_params: ParamSet,
                           np.arange(w - 1, segment.shape[0] - 1), w, 1)
 
     ids = [-1] + [k for k in range(len(prototypes)) if not flags.flagged[k]]
-    point, fan = model.rollout(
+    kind, pred = losses.objective(*model.rollout(
         ParamSet.stack([global_params] + [prototypes[k] for k in ids[1:]]),
-        x[0], 1, cfg)
-    kind, pred = ("huber", point) if fan is None else ("pinball", fan)
+        x[0], 1, cfg), cfg)
     # each model's losses are a contiguous block, reduced as on its own
     scores = [float(np.mean(e))
               for e in losses.loss_elem(kind, pred[:, :, 0], y[0], cfg)]

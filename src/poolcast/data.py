@@ -349,7 +349,8 @@ def fit_impute_standardize(ds: MtsDataset, spec: SplitSpec, eps: float = 1e-8,
     Per component p the fill value is the mean (or median, behind the flag)
     of observed TRAIN entries pooled over all series, and the scale is
     sqrt(TRAIN variance + eps). Both are applied to every segment. Raises if
-    a component has no observed TRAIN entry at all.
+    a component has no observed TRAIN entry at all, or a scale of 0 (a
+    component constant on TRAIN, with ``eps = 0``).
     """
     if impute not in ("mean", "median"):
         raise DataError(f"unknown imputation method {impute!r}")
@@ -368,6 +369,9 @@ def fit_impute_standardize(ds: MtsDataset, spec: SplitSpec, eps: float = 1e-8,
         mu[j] = obs.mean()
         var[j] = ((obs - mu[j]) ** 2).mean()
         fill[j] = mu[j] if impute == "mean" else np.median(obs)
+        if var[j] + eps == 0:
+            raise DataError(f"component {j} is constant on TRAIN, so its scale "
+                            f"is 0; set eps > 0")
     sigma = np.sqrt(var + eps)
     standardizer = Standardizer(mu=mu, sigma=sigma, eps=eps, fill=fill)
 

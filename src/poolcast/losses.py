@@ -56,19 +56,17 @@ def loss_elem(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarra
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
+def objective(point: np.ndarray, fan: np.ndarray | None, cfg) -> tuple:
+    """``(kind, forecast)`` of the mode's objective: Huber on the point
+    forecast in point mode, pinball on the quantile fan in quantile mode.
+    Every loss that follows the mode (routing, the cost matrix, the
+    forward-only batch loss) chooses it here."""
+    return ("pinball", fan) if cfg.mode == "quantile" else ("huber", point)
+
+
 # ---------------------------------------------------------------------------
 # split forecasts and per-series split losses
 # ---------------------------------------------------------------------------
-
-
-def model_groups(models) -> list[tuple]:
-    """(model, indices of the series it serves), one entry per distinct model
-    object in order of first use, so each model forecasts its series in one
-    batch."""
-    groups: dict[int, list[int]] = {}
-    for i, m in enumerate(models):
-        groups.setdefault(id(m), []).append(i)
-    return [(models[ids[0]], np.asarray(ids)) for ids in groups.values()]
 
 
 def _join(parts: list):
@@ -126,16 +124,19 @@ def series_means(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.nda
     return per.mean(axis=tuple(range(2, per.ndim))).mean(axis=1)
 
 
-def horizon_losses(kind: str, forecast: tuple, cfg) -> np.ndarray | None:
+def horizon_losses(kind: str | None, forecast: tuple, cfg) -> np.ndarray | None:
     """Per-series mean ``kind`` loss of one horizon's ``(point, fan,
     target)`` from :func:`split_forecasts`, or None when the segment has no
-    windows at that horizon. "pinball" scores the fan (and needs a
-    quantile-mode config); the point losses score the point forecast, i.e.
-    the median path in quantile mode."""
+    windows at that horizon. ``kind`` None scores the mode's
+    :func:`objective`; "pinball" scores the fan (and needs a quantile-mode
+    config); the point losses score the point forecast, i.e. the median
+    path in quantile mode."""
     point, fan, y = forecast
     if y.shape[1] == 0:
         return None
-    return series_means(kind, fan if kind == "pinball" else point, y, cfg)
+    kind, pred = (objective(point, fan, cfg) if kind is None
+                  else (kind, fan if kind == "pinball" else point))
+    return series_means(kind, pred, y, cfg)
 
 
 def per_series_split_losses(params, prepared, tag: str, h: int, cfg,
@@ -143,14 +144,13 @@ def per_series_split_losses(params, prepared, tag: str, h: int, cfg,
                             series=None) -> np.ndarray | None:
     """Per-series mean forecasting loss on one segment at one horizon.
 
-    Uses recursive rollout for h > 1. ``kind`` overrides the loss implied by
-    the config mode (any :func:`loss_elem` kind, scored as in
+    Uses recursive rollout for h > 1. ``kind`` overrides the mode's
+    :func:`objective` (any :func:`loss_elem` kind, scored as in
     :func:`horizon_losses`). Returns an array of shape
     (n_series_selected,), or None when the window index is empty.
     """
     if series is None:
         series = np.arange(prepared.n_series)
-    kind = kind or ("pinball" if cfg.mode == "quantile" else "huber")
     _, by_horizon = split_forecasts([(params, series)], prepared, tag, (h,),
                                     cfg)
     return horizon_losses(kind, by_horizon[h], cfg)

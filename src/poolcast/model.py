@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import atomic_open
-from .losses import huber_deriv, huber_elem, loss_elem
+from .losses import huber_deriv, huber_elem, loss_elem, objective
 
 CHECKPOINT_MAGIC = b"PCM1"
 _MODE_FLAGS = {"point": 0, "quantile": 1}
@@ -549,8 +549,7 @@ def batch_loss(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
     loss of its one-step :func:`rollout` plus the anchor pull."""
     if len(x) == 0:
         raise ValueError("empty batch")
-    point, fan = rollout(params, x, 1, cfg)
-    kind, pred = ("huber", point) if fan is None else ("pinball", fan)
+    kind, pred = objective(*rollout(params, x, 1, cfg), cfg)
     data = float(np.mean(loss_elem(kind, pred[:, 0], y, cfg)))
     return data + _anchor_penalty(params, anchor, cfg.l2sp_weight, None)
 

@@ -225,13 +225,10 @@ _NUMBER = (int, float)
 MANIFEST_TYPES = {
     "config": dict, "n_series": int, "n_components": int, "k": int,
     "assignment": [int], "flags": [bool],
-    "checkpoint_global": str, "checkpoint_refit_global": str,
-    "prototype_checkpoints": [str], "individual_checkpoints": [str],
-    "routed_checkpoints": [str],
     "calibration": (type(None), {"target": _NUMBER, "factors": {int: _NUMBER}}),
     "standardizer": {"mu": [_NUMBER], "sigma": [_NUMBER], "eps": _NUMBER,
                      "fill": [_NUMBER]},
-    "report": {"json": str},
+    "report": bool,
 }
 
 
@@ -256,8 +253,9 @@ def _has_type(value, kind) -> bool:
 
 
 def load_manifest(run_dir: str) -> dict:
-    """The run's manifest; one that is not a JSON object, or has a field of
-    another type than :data:`MANIFEST_TYPES` gives, is a :class:`DataError`."""
+    """The run's manifest; one that is not a JSON object, has a field of
+    another type than :data:`MANIFEST_TYPES` gives or a calibration that
+    cannot be served, is a :class:`DataError`."""
     path = _manifest_path(run_dir)
     if not os.path.exists(path):
         raise DataError(f"no manifest in {run_dir}; run prepare/train first")
@@ -272,17 +270,14 @@ def load_manifest(run_dir: str) -> dict:
         if key in manifest and not _has_type(manifest[key], kind):
             raise DataError(f"unreadable manifest {path}: field {key!r} "
                             f"has the wrong type")
-    # one label and one routed checkpoint per series, one flag and one
-    # prototype per cluster, one standardizer entry per component, and every
-    # label one of the k clusters; a missing field is left to the command
-    # that needs it (:func:`_require`)
+    # one label per series, one flag per cluster, one standardizer entry per
+    # component, and every label one of the k clusters; a missing field is
+    # left to the command that needs it (:func:`_require`)
     n, k, p = (manifest.get(key) for key in ("n_series", "k", "n_components"))
     std = manifest.get("standardizer", {})
     for name, value, size in (
             ("assignment", manifest.get("assignment"), n),
-            ("routed_checkpoints", manifest.get("routed_checkpoints"), n),
             ("flags", manifest.get("flags"), k),
-            ("prototype_checkpoints", manifest.get("prototype_checkpoints"), k),
             *((f"standardizer.{key}", std.get(key), p)
               for key in ("mu", "sigma", "fill"))):
         if value is not None and size is not None and len(value) != size:
@@ -292,11 +287,17 @@ def load_manifest(run_dir: str) -> dict:
                                  for label in manifest.get("assignment", ())):
         raise DataError(f"unreadable manifest {path}: a label of 'assignment' "
                         f"is not one of its k = {k} clusters")
+    # a factor that is not finite and > 0 would serve a NaN or inverted fan
+    calib = manifest.get("calibration")
+    if calib and not (0 < calib["target"] < 1 and all(
+            0 < s < math.inf for s in calib["factors"].values())):
+        raise DataError(f"unreadable manifest {path}: field 'calibration' needs "
+                        f"a target in (0, 1) and finite factors > 0")
     return manifest
 
 
-# the manifest fields a clustered run's evaluate and forecast-new read
-CLUSTER_FIELDS = ("assignment", "k", "flags", "prototype_checkpoints")
+# the manifest fields a clustered run's evaluate and forecast-new require
+CLUSTER_FIELDS = ("assignment", "k", "flags")
 
 
 def _require(manifest: dict, run_dir: str, keys) -> None:
@@ -377,15 +378,26 @@ def _fit_global(prepared: PreparedData, cfg: RunConfig) -> ParamSet:
     return model.train(fresh, None, x, y, fit_cfg)
 
 
-def _save_params(cfg: RunConfig, params: ParamSet, name: str) -> str:
-    """Write ``params`` to ``checkpoints/<name>`` of the run and return the
-    path the manifest stores; every checkpoint a run writes goes through
-    here, and a failure to write it is a :class:`DataError`."""
-    path = os.path.join(cfg.run_dir, "checkpoints", name)
+def _checkpoint(cfg: RunConfig, role: str, index: int = 0,
+                refit: bool = False) -> str:
+    """The path of the run's checkpoint of ``role`` and cluster or series
+    ``index``: the one declaration of every checkpoint name, which the
+    manifest does not store. A refit checkpoint is ``refit_`` plus the name
+    of the checkpoint it was refit from."""
+    name = {"global": "global.pcm", "proto": f"proto_{index:02d}.pcm",
+            "individual": f"individual_{index:04d}.pcm"}[role]
+    return os.path.join(cfg.run_dir, "checkpoints", "refit_" * refit + name)
+
+
+def _save_params(cfg: RunConfig, params: ParamSet, role: str, index: int = 0,
+                 refit: bool = False) -> None:
+    """Write ``params`` to the run's checkpoint of ``role`` (:func:`_checkpoint`);
+    every checkpoint a run writes goes through here, and a failure to write
+    it is a :class:`DataError`."""
+    path = _checkpoint(cfg, role, index, refit)
     with _writing(path):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         model.save_checkpoint(params, cfg.window, cfg.mode, path)
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +439,9 @@ def _store_cluster_artifacts(cfg: RunConfig, manifest: dict, result) -> None:
         "flags": list(result.flags.flagged),
         "label_trace": [t.tolist() for t in result.label_trace],
         "selection_table": result.table,
-        "prototype_checkpoints": [
-            _save_params(cfg, proto, f"proto_{k:02d}.pcm")
-            for k, proto in enumerate(result.prototypes)],
     })
+    for k, proto in enumerate(result.prototypes):
+        _save_params(cfg, proto, "proto", k)
     path = os.path.join(cfg.run_dir, "selection.csv")
     with _writing(path):
         losses.write_report_csv(path, result.table, clustering.SELECTION_COLUMNS)
@@ -448,7 +459,7 @@ def _train_core(cfg: RunConfig, candidates) -> dict:
     tc = cfg.train_config()
 
     global_params = _fit_global(prepared, cfg)
-    manifest["checkpoint_global"] = _save_params(cfg, global_params, "global.pcm")
+    _save_params(cfg, global_params, "global")
     manifest["method"] = cfg.method
 
     if cfg.method in CLUSTERED_METHODS:
@@ -463,10 +474,9 @@ def _train_core(cfg: RunConfig, candidates) -> dict:
                                             tc, sel_cfg, cfg.proto_epochs)
         _store_cluster_artifacts(cfg, manifest, result)
     elif cfg.method == "individual":
-        manifest["individual_checkpoints"] = [
-            _save_params(cfg, params, f"individual_{i:04d}.pcm")
-            for i, params in enumerate(baselines.fit_individual(
-                prepared, global_params, tc))]
+        for i, params in enumerate(baselines.fit_individual(
+                prepared, global_params, tc)):
+            _save_params(cfg, params, "individual", i)
     # method == "global": nothing beyond the pooled checkpoint
 
     _record_audit(manifest, prepared, "train")
@@ -493,22 +503,12 @@ def cmd_select_k(cfg: RunConfig) -> dict:
     return _train_core(cfg, None)
 
 
-def _run_file(run_dir: str, stored: str) -> str:
-    """Where a file the manifest names lies in ``run_dir`` as given now.
-
-    A stored path begins with the run directory as the command that wrote it
-    named it, relative to that command's working directory. Below the run
-    directory the layout is fixed (checkpoints in ``checkpoints/``, reports
-    at the top), so a run works from any directory and under any spelling."""
-    name = os.path.basename(stored)
-    return os.path.join(run_dir, "checkpoints" if name.endswith(".pcm") else "",
-                        name)
-
-
-def _load_params(cfg: RunConfig, p_dim: int, stored: str) -> ParamSet:
-    """The parameters of a checkpoint the manifest names; one that is missing,
-    unreadable or not the run's model (by its header) is a :class:`DataError`."""
-    path = _run_file(cfg.run_dir, stored)
+def _load_params(cfg: RunConfig, p_dim: int, role: str, index: int = 0,
+                 refit: bool = False) -> ParamSet:
+    """The parameters of the run's checkpoint of ``role`` (:func:`_checkpoint`);
+    one that is missing, unreadable or not the run's model (by its header) is
+    a :class:`DataError`."""
+    path = _checkpoint(cfg, role, index, refit)
     try:
         params, w, mode = model.load_checkpoint(path)
     except (OSError, ValueError) as exc:
@@ -523,18 +523,17 @@ def _load_params(cfg: RunConfig, p_dim: int, stored: str) -> ParamSet:
 
 
 def _load_trained(cfg: RunConfig, manifest: dict, p_dim: int):
-    global_params = _load_params(cfg, p_dim, manifest["checkpoint_global"])
+    global_params = _load_params(cfg, p_dim, "global")
     assignment = flags = prototypes = individual = None
     if cfg.method in CLUSTERED_METHODS:
         _require(manifest, cfg.run_dir, CLUSTER_FIELDS)
         assignment = clustering.Assignment(manifest["assignment"], manifest["k"])
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
-        prototypes = [_load_params(cfg, p_dim, p)
-                      for p in manifest["prototype_checkpoints"]]
+        prototypes = [_load_params(cfg, p_dim, "proto", k)
+                      for k in range(manifest["k"])]
     elif cfg.method == "individual":
-        _require(manifest, cfg.run_dir, ("individual_checkpoints",))
-        individual = [_load_params(cfg, p_dim, p)
-                      for p in manifest["individual_checkpoints"]]
+        individual = [_load_params(cfg, p_dim, "individual", i)
+                      for i in range(manifest["n_series"])]
     return global_params, assignment, flags, prototypes, individual
 
 
@@ -550,7 +549,7 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
     if manifest.get("test_evaluated"):
         raise ProtocolError(
             f"run {cfg.run_dir!r} already evaluated TEST; refusing a second use")
-    if "checkpoint_global" not in manifest:
+    if "method" not in manifest:
         raise DataError("no trained checkpoints in this run; run train/select-k")
     prepared = load_prepared(cfg)
     # another dataset shows in the series count or the TRAIN statistics
@@ -562,18 +561,17 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
         cfg, manifest, prepared.dataset.n_components)
     run_dir = cfg.run_dir
 
-    def before_test(refit_global, routed, calibration):
-        refit_global_path = _save_params(cfg, refit_global, "refit_global.pcm")
-        routed_paths = [None] * len(routed)
-        for g, (params, ids) in enumerate(losses.model_groups(routed)):
-            path = refit_global_path
-            if params is not refit_global:
-                path = _save_params(cfg, params, f"refit_routed_{g:02d}.pcm")
-            for i in ids:
-                routed_paths[i] = path
+    def before_test(refit_global, groups, calibration):
+        _save_params(cfg, refit_global, "global", refit=True)
+        for params, ids in groups:
+            # a refit individual model serves its one series, a refit
+            # prototype its cluster's members
+            if individual is not None:
+                _save_params(cfg, params, "individual", ids[0], refit=True)
+            elif params is not refit_global:
+                label = assignment.labels[ids[0]]
+                _save_params(cfg, params, "proto", label, refit=True)
         manifest.update({
-            "checkpoint_refit_global": refit_global_path,
-            "routed_checkpoints": routed_paths,
             "calibration": calibration.as_dict() if calibration else None,
             "test_evaluated": True,
         })
@@ -596,7 +594,7 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
         losses.write_report_csv(report_csv, artifacts.report,
                                 losses.REPORT_COLUMNS)
         _write_plot_data(cfg, prepared, artifacts)
-    manifest["report"] = {"json": report_json, "csv": report_csv}
+    manifest["report"] = True  # the evaluation's outputs are complete
     _record_audit(manifest, prepared, "evaluate")
     save_manifest(run_dir, manifest)
     return manifest
@@ -657,12 +655,11 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     quantile fan is served with its outer levels calibrated as on TEST."""
     manifest = load_manifest(cfg.run_dir)
     _check_identity(cfg, manifest)
-    if "checkpoint_refit_global" not in manifest:
+    if not manifest.get("test_evaluated"):
         raise DataError("run evaluate first: routing uses the final refit models")
     _require(manifest, cfg.run_dir, ("standardizer", "n_components")
              + (("calibration",) if cfg.mode == "quantile" else ())
-             + ((CLUSTER_FIELDS + ("routed_checkpoints",))
-                if cfg.method in CLUSTERED_METHODS else ()))
+             + (CLUSTER_FIELDS if cfg.method in CLUSTERED_METHODS else ()))
     stored = manifest["standardizer"]
     std = Standardizer(mu=np.asarray(stored["mu"]), sigma=np.asarray(stored["sigma"]),
                        eps=float(stored["eps"]), fill=np.asarray(stored["fill"]))
@@ -672,19 +669,14 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     filled = np.where(np.isfinite(raw), raw, std.fill)
     segment = std.transform(filled)
 
-    refit_global = _load_params(cfg, p_dim, manifest["checkpoint_refit_global"])
-    prototypes, flags = [], clustering.FallbackFlags(flagged=())
-    if cfg.method in CLUSTERED_METHODS:
-        flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
-        # flagged clusters route to the pooled model, which assign_new_series
-        # tries first; an unflagged cluster is served by its members' model
-        paths = dict(zip(manifest["assignment"], manifest["routed_checkpoints"]))
-        for k, flagged in enumerate(flags.flagged):
-            if not flagged and k not in paths:
-                raise DataError(f"unreadable manifest {_manifest_path(cfg.run_dir)}: "
-                                f"unflagged cluster {k} has no members")
-            prototypes.append(refit_global if flagged
-                              else _load_params(cfg, p_dim, paths[k]))
+    refit_global = _load_params(cfg, p_dim, "global", refit=True)
+    # only a clustered run has flags; flagged clusters route to the pooled
+    # model, which assign_new_series tries first, an unflagged cluster to its
+    # refit prototype
+    flags = clustering.FallbackFlags(flagged=tuple(manifest.get("flags", ())))
+    prototypes = [refit_global if flagged
+                  else _load_params(cfg, p_dim, "proto", k, refit=True)
+                  for k, flagged in enumerate(flags.flagged)]
 
     routed_id = clustering.assign_new_series(segment, refit_global, prototypes,
                                              flags, tc)
@@ -754,10 +746,9 @@ def cmd_report(run_dirs, out_path: str | None = None,
     """Merge evaluated runs into one comparison table."""
     merged = []
     for run_dir in run_dirs:
-        stored = load_manifest(run_dir).get("report", {}).get("json")
-        report_path = stored and _run_file(run_dir, stored)
-        if not report_path or not os.path.exists(report_path):
+        if not load_manifest(run_dir).get("report"):
             raise DataError(f"{run_dir}: no evaluation report; run evaluate")
+        report_path = os.path.join(run_dir, "report.json")
         try:
             with open(report_path) as fh:
                 report = json.load(fh)

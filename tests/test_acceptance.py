@@ -399,7 +399,7 @@ def test_criterion_09_calibration(quantile_run):
     table = art.calibration
     assert table is not None and table.target == 0.8
     streams = clustering.val_calibration_streams(
-        prepared, art.routed_models, (1, 3), cfg)
+        prepared, art.groups, (1, 3), cfg)
     for h, (med, lo, hi, tv) in streams.items():
         best_cov, _ = interval_stats(tv, *apply_factor(med, lo, hi, GRID[-1]))
         got_cov, _ = interval_stats(tv, *apply_factor(med, lo, hi,

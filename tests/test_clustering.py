@@ -161,9 +161,10 @@ def test_refit_prototypes_train_each_cluster_as_on_its_own(small_world):
     art = clustering.final_refit_and_test(prepared, a, flags, gp, protos, CFG,
                                           horizons=(1,), refit_epochs=2)
     refit_global = art.refit_global
+    served = {tuple(ids): params for params, ids in art.groups}
     for k in range(4):
         members = a.members(k)
-        routed = art.routed_models[members[0]]
+        routed = served[tuple(members)]
         if flags.flagged[k]:
             assert routed is refit_global
             continue
@@ -174,6 +175,41 @@ def test_refit_prototypes_train_each_cluster_as_on_its_own(small_world):
                       replace(CFG, seed=derive_seed(CFG.seed, "refit-proto", k)),
                       epochs=2)
         assert routed.flat.tobytes() == alone.flat.tobytes()
+
+
+@pytest.mark.parametrize("method", ["cluster", "individual", "global"])
+def test_refit_groups_cover_every_series_once_in_first_use_order(small_world,
+                                                                 method):
+    """The evaluated models as (params, series) groups: the refit pooled
+    model with the series of flagged clusters, each kept cluster's refit
+    prototype with its members, or one refit model per series; ordered by
+    their lowest series id, ids ascending."""
+    prepared, gp, _ = small_world
+    a = Assignment(np.array([1, 0, 0, 2, 1, 3, 3, 2, 0]), 4)
+    flags = FallbackFlags((False, True, False, True))
+    protos, _ = fit_prototypes(prepared, a, gp, CFG, proto_epochs=1)
+    kwargs = {"cluster": dict(assignment=a, flags=flags, prototypes=protos),
+              "individual": dict(assignment=None, flags=None, prototypes=None,
+                                 individual_models=[gp] * 9),
+              "global": dict(assignment=None, flags=None, prototypes=None)}
+    art = clustering.final_refit_and_test(
+        prepared, global_params=gp, cfg=CFG, horizons=(1,), method=method,
+        refit_epochs=1, **kwargs[method])
+    ids = [ids.tolist() for _, ids in art.groups]
+    assert sorted(sum(ids, [])) == list(range(9))
+    assert [i[0] for i in ids] == sorted(i[0] for i in ids)
+    assert all(i == sorted(i) for i in ids)
+    pooled = [i.tolist() for params, i in art.groups
+              if params is art.refit_global]
+    models = [params for params, _ in art.groups]
+    assert len({id(m) for m in models}) == len(models)
+    if method == "cluster":
+        assert ids == [[0, 4, 5, 6], [1, 2, 8], [3, 7]]
+        assert pooled == [[0, 4, 5, 6]]
+    elif method == "individual":
+        assert ids == [[i] for i in range(9)] and pooled == []
+    else:
+        assert ids == pooled == [list(range(9))]
 
 
 def test_prototypes_share_frozen_mix(small_world):

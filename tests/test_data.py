@@ -228,6 +228,21 @@ def test_component_fully_missing_on_train_raises():
         fit_impute_standardize(ds, SplitSpec(3, 2, 1))
 
 
+@pytest.mark.parametrize("where", ["everywhere", "train_only"])
+def test_constant_train_component_needs_positive_eps(where):
+    """With eps = 0 a component constant on TRAIN has no scale: a DataError
+    names it; eps > 0 gives it the scale sqrt(eps)."""
+    ds = make_ds(n=6, t=10, p=2, seed=3)
+    values = ds.values.copy()
+    values[:, :6 if where == "train_only" else None, 1] = 5.0
+    ds = MtsDataset(values)
+    spec = SplitSpec(6, 2, 2)
+    with pytest.raises(DataError, match="component 1 is constant on TRAIN.*eps > 0"):
+        fit_impute_standardize(ds, spec, eps=0.0)
+    std, out = fit_impute_standardize(ds, spec, eps=1e-8)
+    assert std.sigma[1] == np.sqrt(1e-8) and np.isfinite(out.values).all()
+
+
 def test_train_only_statistics_bitwise_invariant():
     ds = make_ds(n=3, t=30, p=4, seed=1)
     spec = SplitSpec(20, 5, 5)

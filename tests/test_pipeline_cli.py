@@ -58,6 +58,21 @@ def write_config(tmp_path, data_dir, run_dir, extra=""):
     return str(path)
 
 
+def refit_checkpoint(run_dir, routed_id):
+    """The refit checkpoint that serves ``routed_id``: the pooled model's for
+    -1, otherwise prototype ``routed_id``'s."""
+    name = ("refit_global.pcm" if routed_id < 0
+            else f"refit_proto_{routed_id:02d}.pcm")
+    return os.path.join(str(run_dir), "checkpoints", name)
+
+
+def served_by(run_dir, manifest):
+    """Per series, the refit checkpoint that serves it: its cluster's
+    prototype, or the pooled model for a flagged cluster."""
+    return [refit_checkpoint(run_dir, -1 if manifest["flags"][label] else label)
+            for label in manifest["assignment"]]
+
+
 # ---------------------------------------------------------------------------
 # configuration parsing
 # ---------------------------------------------------------------------------
@@ -311,7 +326,7 @@ def test_full_flow_train_evaluate_report(tmp_path, data_dir):
     assert manifest["k"] == 3
     assert len(manifest["assignment"]) == 9
     assert len(manifest["flags"]) == 3
-    assert os.path.exists(manifest["checkpoint_global"])
+    assert os.path.exists(os.path.join(run_dir, "checkpoints", "global.pcm"))
     assert not manifest["test_evaluated"]
 
     manifest = pipeline.cmd_evaluate(cfg)
@@ -406,7 +421,7 @@ def test_failure_before_the_test_read_leaves_test_unused(tmp_path, data_dir,
     monkeypatch.undo()
     manifest = pipeline.load_manifest(run_dir)
     assert not manifest["test_evaluated"]
-    assert "checkpoint_refit_global" not in manifest
+    assert not os.path.exists(refit_checkpoint(run_dir, -1))
     assert cli.main(["evaluate", "--config", cfg]) == 0
     assert cli.main(["evaluate", "--config", cfg]) == 5
 
@@ -429,7 +444,7 @@ def test_failure_after_the_test_read_leaves_a_spent_servable_run(
     manifest = pipeline.load_manifest(str(run_dir))
     assert manifest["test_evaluated"] and "report" not in manifest
     assert set(manifest["calibration"]["factors"]) == {"1", "3"}
-    for path in [manifest["checkpoint_refit_global"]] + manifest["routed_checkpoints"]:
+    for path in [refit_checkpoint(run_dir, -1)] + served_by(run_dir, manifest):
         assert os.path.exists(path)
     segment = os.path.join(data_dir, sorted(os.listdir(data_dir))[0])
     assert cli.main(["forecast-new", "--config", cfg, "--segment", segment]) == 0
@@ -462,7 +477,7 @@ def test_evaluate_writes_in_protocol_order(tmp_path, data_dir, monkeypatch):
     monkeypatch.undo()
     manifest = pipeline.load_manifest(run_dir)
     refits = {os.path.relpath(p, run_dir) for p in
-              [manifest["checkpoint_refit_global"]] + manifest["routed_checkpoints"]}
+              [refit_checkpoint(run_dir, -1)] + served_by(run_dir, manifest)}
     plots = {os.path.join("plots", f"{kind}_h{h}.csv")
              for kind in ("improvement", "trajectory") for h in (1, 3)}
     marker = len(refits)
@@ -609,11 +624,7 @@ def test_train_artifacts_reproducible_bitwise(tmp_path, data_dir):
     mb = json.load(open(os.path.join(cfg_b.run_dir, "manifest.json")))
     for volatile in ("config",):  # run_dir path differs inside the config echo
         ma.pop(volatile), mb.pop(volatile)
-    ma_s = json.dumps({k: v for k, v in ma.items() if "checkpoint" not in k
-                       and k != "report"}, sort_keys=True)
-    mb_s = json.dumps({k: v for k, v in mb.items() if "checkpoint" not in k
-                       and k != "report"}, sort_keys=True)
-    assert ma_s == mb_s
+    assert ma == mb  # the manifest stores no path
 
 
 def test_individual_method_flow(tmp_path, data_dir):
@@ -622,11 +633,13 @@ def test_individual_method_flow(tmp_path, data_dir):
                         "method = individual\nepochs = 2\n")
     cfg = RunConfig.from_file(path)
     pipeline.cmd_train(cfg)
-    manifest = pipeline.load_manifest(run_dir)
-    assert len(manifest["individual_checkpoints"]) == 9
-    manifest = pipeline.cmd_evaluate(cfg)
+    pipeline.cmd_evaluate(cfg)
     report = json.load(open(os.path.join(run_dir, "report.json")))
     assert {r["method"] for r in report["rows"]} == {"global", "individual"}
+    names = {"global.pcm", "refit_global.pcm"}
+    for i in range(9):
+        names |= {f"individual_{i:04d}.pcm", f"refit_individual_{i:04d}.pcm"}
+    assert set(os.listdir(os.path.join(run_dir, "checkpoints"))) == names
 
 
 def test_forecast_new_routing_flow(tmp_path, data_dir):
@@ -649,20 +662,13 @@ def test_forecast_new_routing_flow(tmp_path, data_dir):
     std = manifest["standardizer"]
     seg = ((np.loadtxt(os.path.join(data_dir, "s0000_r0.csv"), delimiter=",")
             - np.asarray(std["mu"])) / np.asarray(std["sigma"]))
-    point, fan = model.rollout(_routed_params(manifest, result["routed_id"]),
-                               seg[None, -cfg.window:], max(cfg.horizons),
-                               cfg.train_config())
+    routed = model.load_checkpoint(refit_checkpoint(run_dir,
+                                                    result["routed_id"]))[0]
+    point, fan = model.rollout(routed, seg[None, -cfg.window:],
+                               max(cfg.horizons), cfg.train_config())
     assert fan is None
     for h in cfg.horizons:
         assert result["forecasts"][str(h)]["standardized"] == point[0, h - 1].tolist()
-
-
-def _routed_params(manifest, routed_id):
-    """The refit checkpoint that serves ``routed_id``."""
-    if routed_id < 0:
-        return model.load_checkpoint(manifest["checkpoint_refit_global"])[0]
-    member = manifest["assignment"].index(routed_id)
-    return model.load_checkpoint(manifest["routed_checkpoints"][member])[0]
 
 
 def test_quantile_mode_flow(tmp_path, data_dir):
@@ -692,12 +698,10 @@ def test_forecast_new_quantile_routing(tmp_path, data_dir):
     tc = cfg.train_config()
     mu = np.asarray(manifest["standardizer"]["mu"])
     sigma = np.asarray(manifest["standardizer"]["sigma"])
-    pooled = model.load_checkpoint(manifest["checkpoint_refit_global"])[0]
-    # the refit checkpoint of each unflagged cluster, through its members
-    protos = {}
-    for label, ckpt in zip(manifest["assignment"], manifest["routed_checkpoints"]):
-        if not manifest["flags"][label]:
-            protos[label] = model.load_checkpoint(ckpt)[0]
+    pooled = model.load_checkpoint(refit_checkpoint(run_dir, -1))[0]
+    # the refit checkpoint of each unflagged cluster
+    protos = {k: model.load_checkpoint(refit_checkpoint(run_dir, k))[0]
+              for k, flagged in enumerate(manifest["flags"]) if not flagged}
 
     factors = manifest["calibration"]["factors"]
     routed = set()
@@ -708,8 +712,8 @@ def test_forecast_new_quantile_routing(tmp_path, data_dir):
         w = tc.w
         # the served fan: the raw rollout's outer levels calibrated around
         # its median path with the manifest's factors, the rest as they are
-        point, fan = model.rollout(_routed_params(manifest, result["routed_id"]),
-                                   seg[None, -w:], max(cfg.horizons), tc)
+        served = protos.get(result["routed_id"], pooled)
+        point, fan = model.rollout(served, seg[None, -w:], max(cfg.horizons), tc)
         for h in cfg.horizons:
             reply = result["forecasts"][str(h)]
             assert reply["levels"] == list(cfg.quantiles)
@@ -773,10 +777,10 @@ def test_evaluate_forecasts_nothing_after_the_test_evaluation(counted_evaluation
     cfg, manifest, counts, at_return = counted_evaluation
     # the plots format the evaluation's forecasts: no rollout, no gather
     assert counts == at_return
-    routed = set(manifest["routed_checkpoints"])
+    routed = set(served_by(cfg.run_dir, manifest))
     g = len(routed)                               # distinct routed models
     # refit prototypes: the routed models other than the refit pooled model
-    r = len(routed - {manifest["checkpoint_refit_global"]})
+    r = len(routed - {refit_checkpoint(cfg.run_dir, -1)})
     q = int(cfg.mode == "quantile")               # VAL calibration streams
     # One rollout to the longest horizon serves every horizon, so evaluate
     # makes one rollout and one window gather per model group and split:
@@ -793,7 +797,8 @@ def test_trajectories_are_the_evaluation_forecasts(counted_evaluation):
     cfg, manifest, _, _ = counted_evaluation
     tc = cfg.train_config()
     prepared = pipeline.load_prepared(cfg)
-    pooled = model.load_checkpoint(manifest["checkpoint_refit_global"])[0]
+    pooled = model.load_checkpoint(refit_checkpoint(cfg.run_dir, -1))[0]
+    served = served_by(cfg.run_dir, manifest)
     for h in cfg.horizons:
         with open(os.path.join(cfg.run_dir, "plots", f"trajectory_h{h}.csv"),
                   newline="") as fh:
@@ -801,7 +806,7 @@ def test_trajectories_are_the_evaluation_forecasts(counted_evaluation):
         ends = prepared.window_index("te", tc.w, [h]).end_times[h]
         expected = []
         for i in range(min(3, prepared.n_series)):
-            routed = model.load_checkpoint(manifest["routed_checkpoints"][i])[0]
+            routed = model.load_checkpoint(served[i])[0]
             # the series' TEST windows alone, under each saved checkpoint
             x, y = prepared.windows("te", h, tc.w, [i])
             pred_global = model.rollout(pooled, x, h, tc)[0][:, -1]
@@ -821,12 +826,12 @@ def test_report_rows_equal_a_series_by_series_oracle(counted_evaluation):
     tc = cfg.train_config()
     prepared = pipeline.load_prepared(cfg)
     n = prepared.n_series
-    pooled = manifest["checkpoint_refit_global"]
-    routed = manifest["routed_checkpoints"]
+    pooled = refit_checkpoint(cfg.run_dir, -1)
+    routed = served_by(cfg.run_dir, manifest)
     assert len(set(routed)) >= 2  # more than one routed model serves series
     params = {path: model.load_checkpoint(path)[0] for path in {pooled, *routed}}
     levels = np.asarray(tc.quantiles).reshape(-1, 1)
-    with open(manifest["report"]["json"]) as fh:
+    with open(os.path.join(cfg.run_dir, "report.json")) as fh:
         rows = json.load(fh)["rows"]
     assert [(r["method"], r["horizon"]) for r in rows] == [
         (m, h) for h in cfg.horizons for m in ("global", cfg.method)]
@@ -1068,8 +1073,8 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     # run files that cannot be read are data errors: a report or manifest
     # that is not JSON or is JSON of the wrong shape (also a report row
     # without the report columns or with a loss that is not a number, a
-    # manifest field of the wrong type, labels beyond k and an unflagged
-    # cluster without members), and a checkpoint header with a zero
+    # manifest field of the wrong type and labels beyond k), and a
+    # checkpoint header with a zero
     # dimension (here with the payload it implies) or one that implies a
     # payload far larger than the file
     forecast = ["forecast-new", "--config", good, "--segment", segment]
@@ -1109,8 +1114,6 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
             (report_path, text_loss, report),
             (report_path, text_loss, report + ["--paper-scale"]),
             (manifest_path, manifest_with(assignment=[2] * 9), evaluate),
-            (manifest_path, manifest_with(assignment=[0] * 9,
-                                          flags=[False, False]), forecast),
             (ckpt, header(2 ** 40) + stored[52:], forecast),
             (ckpt, header(2 ** 62) + stored[52:], forecast),
             (ckpt, header(0) + bytes(8 * (3 * hidden * hidden + 3 * hidden)),
@@ -1158,6 +1161,28 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
         assert err.startswith("config error:") and "Traceback" not in err
         assert "12" in err and "N=9" in err
     assert not os.path.exists(too_many)
+
+
+@pytest.mark.parametrize("where", ["everywhere", "train_only"])
+def test_constant_train_component_with_zero_eps_is_a_data_error(
+        tmp_path, capsys, where):
+    """eps = 0 and a component constant on TRAIN (t < 80 here) exits 3
+    naming the component, before anything is fitted."""
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(0)
+    for i in range(6):
+        values = rng.normal(size=(120, 2))
+        values[:80 if where == "train_only" else None, 1] = 5.0
+        np.savetxt(data / f"s{i}.csv", values, delimiter=",")
+    cfg = write_config(tmp_path, str(data), tmp_path / "run",
+                       "method = global\neps = 0\n")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert "component 1 is constant on TRAIN" in err and "eps > 0" in err
+    assert not os.path.exists(tmp_path / "run" / "checkpoints")
 
 
 def serve(root, extra=""):
@@ -1227,9 +1252,7 @@ def test_short_standardizer_list_is_a_data_error(served_run, capsys):
 
 @pytest.mark.parametrize(
     "command,field",
-    [("evaluate", f) for f in pipeline.CLUSTER_FIELDS]
-    + [("forecast-new", f)
-       for f in pipeline.CLUSTER_FIELDS + ("routed_checkpoints",)])
+    [(c, f) for c in ("evaluate", "forecast-new") for f in pipeline.CLUSTER_FIELDS])
 def test_missing_cluster_field_is_a_data_error(served_run, capsys, command,
                                                field):
     cfg, run_dir, segment = served_run
@@ -1245,6 +1268,24 @@ def test_missing_cluster_field_is_a_data_error(served_run, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "Traceback" not in err
     assert f"no field {field!r}" in err
+
+
+def test_missing_refit_prototype_is_a_data_error(served_run, capsys):
+    """forecast-new reads the refit prototype of every unflagged cluster by
+    its name; a missing one exits 3 and names the file."""
+    cfg, run_dir, segment = served_run
+    k = pipeline.load_manifest(run_dir)["flags"].index(False)  # a kept cluster
+    path = refit_checkpoint(run_dir, k)
+    os.rename(path, path + ".away")
+    capsys.readouterr()
+    try:
+        assert cli.main(["forecast-new", "--config", cfg,
+                         "--segment", segment]) == 3
+    finally:
+        os.rename(path + ".away", path)
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert f"cannot read checkpoint {path}" in err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "forecast-new"])
@@ -1286,7 +1327,13 @@ def test_checkpoint_of_another_model_is_a_data_error(served_run, capsys,
 
 @pytest.mark.parametrize("calibration", [
     {"target": 0.8}, {"target": 0.8, "factors": {"1": "x", "3": 1.0}},
-    {"target": 0.8, "factors": {"h1": 1.0, "3": 1.0}}, None])
+    {"target": 0.8, "factors": {"h1": 1.0, "3": 1.0}}, None,
+    # factors that would serve a NaN, collapsed or inverted fan, and a
+    # target that is no coverage level
+    {"target": 0.8, "factors": {"1": float("nan"), "3": 1.0}},
+    {"target": 0.8, "factors": {"1": 0.0, "3": 1.0}},
+    {"target": 0.8, "factors": {"1": -2.0, "3": 1.0}},
+    {"target": 1.5, "factors": {"1": 1.0, "3": 1.0}}])
 def test_malformed_calibration_is_a_data_error(served_quantile_run, capsys,
                                                calibration):
     cfg, run_dir, segment = served_quantile_run
