@@ -133,14 +133,14 @@ def fit_baseline(kind: str, prepared: PreparedData, global_params: ParamSet,
 def fit_individual(prepared: PreparedData, global_params: ParamSet,
                    cfg: TrainConfig) -> list[ParamSet]:
     """One model per series, each trained from a fresh seeded initialization
-    of the pooled model's shape on that series' TRAIN windows alone."""
+    of the pooled model's shape on that series' TRAIN windows alone; one
+    :func:`model.train_stacked` fit, each model bitwise its own ``train``."""
     prepared.audit.set_phase("fit-individual")
-    models = []
-    for i in range(prepared.n_series):
-        x, y = prepared.windows("tr", 1, cfg.w, [i])
-        models.append(model.train(
-            model.init_params(global_params.p_dim, global_params.latent,
-                              global_params.hidden, global_params.n_levels,
-                              derive_seed(cfg.seed, "individual", i)),
-            None, x, y, replace(cfg, seed=derive_seed(cfg.seed, "fit-ind", i))))
-    return models
+    shape = (global_params.p_dim, global_params.latent, global_params.hidden,
+             global_params.n_levels)
+    series = range(prepared.n_series)
+    return model.train_stacked(
+        [model.init_params(*shape, derive_seed(cfg.seed, "individual", i))
+         for i in series],
+        None, [prepared.windows("tr", 1, cfg.w, [i]) for i in series], cfg,
+        [derive_seed(cfg.seed, "fit-ind", i) for i in series])

@@ -528,10 +528,10 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     frozen_before = None if flags is None else tuple(flags.flagged)
     groups, fallback_share = [(refit_global, np.arange(n))], 0.0
     if individual_models is not None:
-        # one at a time: a stack of N models would need a workspace N deep
-        groups = [(refit([individual_models[i]], None, [[i]],
-                         [("refit-individual", i)])[0], np.array([i]))
-                  for i in range(n)]
+        ids = [np.array([i]) for i in range(n)]
+        groups = list(zip(refit(individual_models, None, ids,
+                                [("refit-individual", i) for i in range(n)]),
+                          ids))
     elif assignment is not None:
         kept = [k for k in range(assignment.n_clusters)
                 if not flags.flagged[k] and len(assignment.members(k))]
@@ -555,6 +555,9 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     if cfg.mode == "quantile":
         prepared.audit.set_phase("calibrate")
         streams = val_calibration_streams(prepared, groups, horizons, cfg)
+        # SplitSpec.validate(min_segment=w + max h) leaves every scored segment
+        # t - h + 1 >= w + 1 windows at every h, so on a CLI run this call, the
+        # TEST pass and group_val_losses never raise "no ... windows"
         calib = calibrate(streams, coverage_target)
 
     prepared.audit.set_phase("evaluate")

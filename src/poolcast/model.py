@@ -31,6 +31,7 @@ from .losses import huber_deriv, huber_elem, loss_elem, objective
 CHECKPOINT_MAGIC = b"PCM1"
 _MODE_FLAGS = {"point": 0, "quantile": 1}
 _FLAG_MODES = {v: k for k, v in _MODE_FLAGS.items()}
+STACK_BYTES = 6 << 20  # the workspace budget of one train_stacked stack
 
 
 class TrainingDiverged(Exception):
@@ -241,22 +242,44 @@ class _Workspace:
     of n windows: the gathered batch, the activations backprop reads, the
     temporaries and the gradients.
 
-    The buffers are views into one float64 arena. A fit allocates the arena
-    of its largest step and carves every smaller step's workspace out of the
-    same arena, so no step allocates: the large buffers, allocated anew on
-    every step, are mapped and unmapped by the allocator each time, which
-    costs more than stacking the models saves.
+    The buffers are views into one float64 arena. A stack allocates the
+    arena of its largest step and carves every smaller step's workspace out
+    of the same arena, so no step allocates: the large buffers, allocated
+    anew on every step, are mapped and unmapped by the allocator each time,
+    which costs more than stacking the models saves.
     """
 
     def __init__(self, params: ParamSet, m: int, n: int, w: int,
                  quantile: bool, arena: np.ndarray | None = None):
+        specs = self.specs(params, m, n, w, quantile)
+        if arena is None:
+            arena = np.empty(sum(math.prod(s) for _, s in specs))
+        self.arena = arena
+        offset = 0
+        for name, shape in specs:
+            size = math.prod(shape)
+            setattr(self, name, arena[offset:offset + size].reshape(shape))
+            offset += size
+        self.mask = self.mask.view(np.bool_)[:self.pred.size].reshape(self.pred.shape)
+        self.d_acts = self.gates.reshape(m, n, w, -1)  # series-major
+        # the candidate activations are dead once the backward loop ends;
+        # the hidden states, then the reset-gated ones, are written
+        # series-major over them
+        self.h_seq = self.cand.reshape(m, n, w, -1)
+        self.grads = ParamSet(params.layout, self.grads)
+
+    @staticmethod
+    def specs(params: ParamSet, m: int, n: int, w: int, quantile: bool) -> list:
+        """(name, shape) of every float64 buffer of the arena, in order, the
+        last holding the bool mask of the loss elements eight to a float64:
+        the workspace's size, known without allocating it."""
         p, r, hid, nq = (params.p_dim, params.latent, params.hidden,
                          params.n_levels)
         layout = params.layout
         # the output head's shapes: quantile levels carry their own axis
         lat, out = ((m, n, nq, r), (m, n, nq, p)) if quantile else ((m, n, r), (m, n, p))
         head = math.prod(lat[2:])
-        specs = [
+        return [
             ("x", (m, n, w, p)), ("y", (m, n, p)),
             ("xt", (m, w * n, p)), ("z_in", (m, w * n, r)),
             ("w_all", (m, 3 * hid, r)), ("b_all", (m, 3 * hid)),
@@ -277,24 +300,8 @@ class _Workspace:
             ("draw", (m, n, head)), ("dwo", (m, head, hid)), ("dbo", (m, head)),
             ("dpen", (m, layout.size - layout.spec_offset)),
             ("grads", (m, layout.size)),
+            ("mask", (-(-math.prod(out) // 8),)),
         ]
-        if arena is None:
-            # the bool mask of the loss elements takes the tail
-            arena = np.empty(sum(math.prod(s) for _, s in specs)
-                             + -(-math.prod(out) // 8))
-        self.arena = arena
-        offset = 0
-        for name, shape in specs:
-            size = math.prod(shape)
-            setattr(self, name, arena[offset:offset + size].reshape(shape))
-            offset += size
-        self.mask = arena[offset:].view(np.bool_)[:math.prod(out)].reshape(out)
-        self.d_acts = self.gates.reshape(m, n, w, 3 * hid)  # series-major
-        # likewise the candidate activations are dead once the backward
-        # loop ends; the hidden states, then the reset-gated ones, are
-        # written series-major over them
-        self.h_seq = self.cand.reshape(m, n, w, hid)
-        self.grads = ParamSet(layout, self.grads)
 
 
 def _gru_forward(params: ParamSet, x: np.ndarray,
@@ -719,25 +726,38 @@ def train_stacked(initials: list[ParamSet], anchor: ParamSet | None,
     model keeps its own permutations, Adam moments and step count. At every
     tick each unfinished model takes its next step, and the models whose
     batches have the same size take it in one stacked call. Every buffer of
-    a step lives in one workspace, allocated once for the fit. If models
-    diverge, the :class:`TrainingDiverged` of the lowest-index one is
-    raised, as training them one after another would raise it.
+    a step lives in one workspace, allocated once per stack. Stacks are
+    bounded: models whose workspaces at the fit's largest batch together
+    exceed :data:`STACK_BYTES` train as consecutive stacks of as many as
+    fit in it (at least one), each with its own parameters, moments and
+    arena. Stacking never changes a model's bits, however the fit is
+    split. If models diverge, the :class:`TrainingDiverged` of the
+    lowest-index one is raised, from the first stack that holds one, as
+    training them one after another would raise it.
     """
     if not data:
         return []
     if any(len(x) == 0 for x, _ in data):
         raise ValueError("empty training window set")
+    sizes = [len(x) for x, _ in data]
+    batch = [min(cfg.batch, n) for n in sizes]
+    w = data[0][0].shape[1]
+    quantile = cfg.mode == "quantile"
+    one = _Workspace.specs(initials[0], 1, max(batch), w, quantile)
+    depth = max(1, STACK_BYTES // (8 * sum(math.prod(s) for _, s in one)))
+    if len(data) > depth:
+        # each part's largest batch is at most the fit's: none splits again
+        return [trained for lo in range(0, len(data), depth)
+                for trained in train_stacked(
+                    initials[lo:lo + depth], anchor, data[lo:lo + depth], cfg,
+                    seeds[lo:lo + depth], epochs, freeze_mix)]
     params = ParamSet.stack(initials)
     skip_mix = anchor is not None or freeze_mix
     opt = Adam(params, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_adam,
                skip_mix=skip_mix)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    sizes = [len(x) for x, _ in data]
-    batch = [min(cfg.batch, n) for n in sizes]
     per_epoch = [-(-n // bs) for n, bs in zip(sizes, batch)]
     n_epochs = cfg.epochs if epochs is None else epochs
-    w = data[0][0].shape[1]
-    quantile = cfg.mode == "quantile"
     largest = _Workspace(params, len(data), max(batch), w, quantile)
     spaces = {(len(data), max(batch)): largest}
     orders = [None] * len(data)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import glob
 import json
 import math
 import os
@@ -422,10 +423,12 @@ def cmd_prepare(cfg: RunConfig, prepared: PreparedData | None = None) -> dict:
         "n_components": prepared.dataset.n_components,
         "test_evaluated": False,
     }
-    # a fresh manifest has no selection table, so the last training's goes
-    path = os.path.join(cfg.run_dir, "selection.csv")
-    with _writing(path), contextlib.suppress(FileNotFoundError):
-        os.remove(path)
+    # a fresh manifest has no selection table or trained model, so the last
+    # training's go
+    for path in [os.path.join(cfg.run_dir, "selection.csv"), *glob.glob(
+            os.path.join(glob.escape(cfg.run_dir), "checkpoints", "*.pcm"))]:
+        with _writing(path), contextlib.suppress(FileNotFoundError):
+            os.remove(path)
     save_manifest(cfg.run_dir, manifest)
     return manifest
 
@@ -616,13 +619,13 @@ def _write_plot_data(cfg: RunConfig, prepared: PreparedData, artifacts) -> None:
     # the TEST windows' targets are the segment's last n steps
     t_end = prepared.spec.bounds("te")[1]
     for h in cfg.horizons:
-        glob, target = artifacts.trajectories[("global", h)]
-        pred, _ = artifacts.trajectories.get((cfg.method, h), (glob, target))
+        pooled, target = artifacts.trajectories[("global", h)]
+        pred, _ = artifacts.trajectories.get((cfg.method, h), (pooled, target))
         n = target.shape[1]
         write_csv(os.path.join(plot_dir, f"trajectory_h{h}.csv"),
                   [("series", "time", "actual", "pred_global", "pred_method")]
                   + [(prepared.dataset.names[i], t_end - n + j,
-                      target[i, j, 0], glob[i, j, 0], pred[i, j, 0])
+                      target[i, j, 0], pooled[i, j, 0], pred[i, j, 0])
                      for i in range(len(target)) for j in range(n)])
 
 

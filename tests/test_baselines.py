@@ -1,12 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from poolcast import clustering
+from poolcast import clustering, model
 from poolcast.baselines import (fit_baseline, fit_individual, kmeans,
                                 training_feature_vectors)
 from poolcast.clustering import SelectionConfig
 from poolcast.data import SplitSpec, prepare
-from poolcast.model import TrainConfig, init_params, train
+from poolcast.model import TrainConfig, derive_seed, init_params, train
 from poolcast.synthetic import SyntheticSpec, generate
 
 CFG = TrainConfig(w=6, epochs=4, batch=64, mode="point", seed=0)
@@ -114,12 +117,26 @@ def test_fit_baseline_selects_k_and_seed(world):
     assert [t.tolist() for t in fit.label_trace] == [fit.assignment.labels.tolist()]
 
 
-def test_individual_baseline_one_model_per_series(world):
+def test_individual_baseline_one_model_per_series(world, monkeypatch):
     prepared, gp, _ = world
-    models = fit_individual(prepared, gp, CFG)
-    assert len(models) == 9
-    # distinct parameters per series
-    assert not np.array_equal(models[0].flat, models[1].flat)
+    # the reference: each series' model trained on its own
+    reference = [train(
+        init_params(gp.p_dim, gp.latent, gp.hidden, gp.n_levels,
+                    derive_seed(CFG.seed, "individual", i)),
+        None, *prepared.windows("tr", 1, CFG.w, [i]),
+        replace(CFG, seed=derive_seed(CFG.seed, "fit-ind", i)))
+        for i in range(9)]
+    # in one stack, and in stacks of four, four and one
+    one = model._Workspace.specs(gp, 1, CFG.batch, CFG.w, False)
+    for budget in (model.STACK_BYTES,
+                   4 * 8 * sum(math.prod(s) for _, s in one)):
+        monkeypatch.setattr(model, "STACK_BYTES", budget)
+        models = fit_individual(prepared, gp, CFG)
+        assert len(models) == 9
+        # distinct parameters per series
+        assert not np.array_equal(models[0].flat, models[1].flat)
+        for params, alone in zip(models, reference):
+            assert params.flat.tobytes() == alone.flat.tobytes()
 
 
 def test_all_flagged_collapses_to_global_bitwise(world):

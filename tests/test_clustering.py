@@ -17,7 +17,7 @@ from poolcast.clustering import (Assignment, CostMatrix, FallbackFlags,
                                  run_sweep, val_risk_pair)
 from poolcast.data import SplitSpec, prepare
 from poolcast.model import (TrainConfig, derive_seed, init_params, rollout,
-                            train)
+                            train, train_stacked)
 from poolcast.synthetic import SyntheticSpec, generate
 
 from oracles import huber
@@ -208,6 +208,12 @@ def test_refit_groups_cover_every_series_once_in_first_use_order(small_world,
         assert pooled == [[0, 4, 5, 6]]
     elif method == "individual":
         assert ids == [[i] for i in range(9)] and pooled == []
+        # each series' refit is its own one-model fit on its TRAIN+VAL windows
+        for i, params in enumerate(models):
+            (alone,) = train_stacked(
+                [gp], None, [prepared.windows("trval", 1, CFG.w, [i])], CFG,
+                [derive_seed(CFG.seed, "refit-individual", i)], epochs=1)
+            assert params.flat.tobytes() == alone.flat.tobytes()
     else:
         assert ids == pooled == [list(range(9))]
 

@@ -1,3 +1,4 @@
+import math
 import pickle
 import warnings
 from dataclasses import replace
@@ -5,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from poolcast import model
 from poolcast.losses import loss_elem
 from poolcast.model import (Adam, ParamSet, TrainConfig, TrainingDiverged,
-                            _gru_forward, _point_from_hidden,
+                            _Workspace, _gru_forward, _point_from_hidden,
                             _quantiles_from_hidden, batch_loss,
                             clip_gradients_, init_params, load_checkpoint,
                             loss_and_gradients, median_index, rollout,
@@ -411,26 +413,48 @@ def assert_trained_as_alone(fitted, initials, anchor, data, cfg, seeds,
         assert params.flat.tobytes() == alone.flat.tobytes()
 
 
+def bound_stacks(mp, depth, batch, mode="point"):
+    """Set the stack budget to ``depth`` models of TINY size at the largest
+    batch ``batch`` (None keeps the module's budget) on the monkeypatch
+    ``mp``; returns the list that records the model count of every stack
+    built while ``mp`` is in effect."""
+    if depth is not None:
+        one = _Workspace.specs(tiny_params(0), 1, batch, 5, mode == "quantile")
+        mp.setattr(model, "STACK_BYTES",
+                   depth * 8 * sum(math.prod(s) for _, s in one))
+    stacks, stack = [], ParamSet.stack
+    mp.setattr(ParamSet, "stack", staticmethod(
+        lambda models: stacks.append(len(models)) or stack(models)))
+    return stacks
+
+
 @pytest.mark.parametrize("mode", ["point", "quantile"])
 @pytest.mark.parametrize("anchored,freeze_mix", [(False, False), (True, False),
                                                  (False, True)],
                          ids=["free", "anchored", "freeze_mix"])
-def test_stacked_training_is_bitwise_each_models_own(mode, anchored, freeze_mix):
+def test_stacked_training_is_bitwise_each_models_own(mode, anchored, freeze_mix,
+                                                     monkeypatch):
     # batches of 16: unequal sizes with partial last batches (70 = 4 x 16 + 6,
     # 40 = 2 x 16 + 8), a model with fewer windows than one batch (5), one
-    # of exactly one batch, and two of equal size that stack throughout
+    # of exactly one batch, and two of equal size that stack throughout;
+    # under the module's budget, and under budgets of one and of two models,
+    # which split the fit into consecutive stacks
     sizes = [70, 5, 40, 70, 16]
     initials, data = stacked_instance(sizes)
     anchor = tiny_params(7) if anchored else None
     cfg = TrainConfig(w=5, epochs=3, batch=16, mode=mode, clip=0.5)
     seeds = [3, 4, 5, 3, 6]
-    fitted = train_stacked(initials, anchor, data, cfg, seeds,
-                           freeze_mix=freeze_mix)
-    assert_trained_as_alone(fitted, initials, anchor, data, cfg, seeds,
-                            freeze_mix)
-    if anchored or freeze_mix:  # the shared encoder stays as it was
-        for params, init in zip(fitted, initials):
-            assert params.mix.tobytes() == init.mix.tobytes()
+    for depth, expected in ((None, [5]), (1, [1] * 5), (2, [2, 2, 1])):
+        with monkeypatch.context() as mp:
+            stacks = bound_stacks(mp, depth, 16, mode)
+            fitted = train_stacked(initials, anchor, data, cfg, seeds,
+                                   freeze_mix=freeze_mix)
+        assert stacks == expected
+        assert_trained_as_alone(fitted, initials, anchor, data, cfg, seeds,
+                                freeze_mix)
+        if anchored or freeze_mix:  # the shared encoder stays as it was
+            for params, init in zip(fitted, initials):
+                assert params.mix.tobytes() == init.mix.tobytes()
 
 
 def test_back_to_back_stacked_fits_are_each_bitwise_alone():
@@ -447,29 +471,40 @@ def test_back_to_back_stacked_fits_are_each_bitwise_alone():
     assert train_stacked([], None, [], cfg, []) == []
 
 
-def test_stacked_divergence_raises_the_serial_orders_first():
-    # model 0 sits at a zero-loss fixed point, model 1 takes one step per
-    # epoch and overflows in its second epoch (lr = 1e308), model 2 starts
-    # at infinity and fails in its first: trained one after another, model
-    # 1 raises first, although model 2 fails first in lock-step
-    initials, data = stacked_instance([8, 8, 40])
-    initials[0] = init_params(**TINY, seed=0)  # biases zero
-    data[0] = (np.zeros((8, 5, 3)), np.zeros((8, 3)))
-    initials[2].flat[:] = np.inf
+def test_stacked_divergence_raises_the_serial_orders_first(monkeypatch):
+    # the first n_fine models sit at a zero-loss fixed point, the next takes
+    # one step per epoch and overflows in its second epoch (lr = 1e308), the
+    # last starts at infinity and fails in its first: trained one after
+    # another, the overflowing one raises first, although the last fails
+    # first in lock-step; under the module's budget, and under budgets of
+    # one and of two models, the last with both failing models in the
+    # second stack
     cfg = TrainConfig(w=5, epochs=3, batch=16, lr=1e308)
-    with np.errstate(all="ignore"):
-        expected = None
-        for init, (x, y) in zip(initials, data):
-            try:
-                train(init, None, x, y, cfg)
-            except TrainingDiverged as exc:
-                expected = exc
-                break
-        assert expected is not None and expected.last_finite_epoch == 0
-        with pytest.raises(TrainingDiverged) as err:
-            train_stacked(initials, None, data, cfg, [cfg.seed] * 3)
-    assert str(err.value) == str(expected)
-    assert err.value.last_finite_epoch == expected.last_finite_epoch
+    for depth, n_fine, expected_stacks in ((None, 1, [3]), (1, 1, [1, 1]),
+                                           (2, 1, [2]), (2, 2, [2, 2])):
+        initials, data = stacked_instance([8] * n_fine + [8, 40])
+        for i in range(n_fine):
+            initials[i] = init_params(**TINY, seed=0)  # biases zero
+            data[i] = (np.zeros((8, 5, 3)), np.zeros((8, 3)))
+        initials[-1].flat[:] = np.inf
+        with np.errstate(all="ignore"):
+            expected = None
+            for init, (x, y) in zip(initials, data):
+                try:
+                    train(init, None, x, y, cfg)
+                except TrainingDiverged as exc:
+                    expected = exc
+                    break
+            assert expected is not None and expected.last_finite_epoch == 0
+            with monkeypatch.context() as mp:
+                stacks = bound_stacks(mp, depth, 16)
+                with pytest.raises(TrainingDiverged) as err:
+                    train_stacked(initials, None, data, cfg,
+                                  [cfg.seed] * len(data))
+        # no stack after the one that raised is built
+        assert stacks == expected_stacks
+        assert str(err.value) == str(expected)
+        assert err.value.last_finite_epoch == expected.last_finite_epoch
 
 
 def test_paramset_copies_are_views_of_their_own_buffer(tmp_path):

@@ -642,6 +642,41 @@ def test_individual_method_flow(tmp_path, data_dir):
     assert set(os.listdir(os.path.join(run_dir, "checkpoints"))) == names
 
 
+def test_retraining_leaves_only_the_last_trainings_checkpoints(tmp_path,
+                                                               data_dir):
+    """prepare removes an earlier training's checkpoints with its
+    selection.csv, so a run directory holds the files of its last training
+    alone."""
+    run_dir = str(tmp_path / "r")
+    cfg = write_config(tmp_path, data_dir, run_dir)
+    for override in ("k=3", "method=individual", "k=2"):
+        assert cli.main(["train", "--config", cfg, "--set", override]) == 0
+    assert sorted(os.listdir(os.path.join(run_dir, "checkpoints"))) == [
+        "global.pcm", "proto_00.pcm", "proto_01.pcm"]
+
+
+def test_minimal_legal_split_trains_and_evaluates(tmp_path, data_dir):
+    """VAL and TEST of window + max horizon steps, the shortest segments
+    the split check admits, still hold windows at every horizon: a quantile
+    run trains, calibrates one factor per horizon and evaluates. One step
+    less is refused."""
+    run_dir = str(tmp_path / "r")
+    cfg = write_config(tmp_path, data_dir, run_dir, "k = 2\nmode = quantile\n")
+
+    shortest = 6 + 3  # FAST_KEYS' window + max horizon; the data has 120 steps
+
+    def split(t_val):
+        lengths = (120 - shortest - t_val, t_val, shortest)
+        return [arg for key, n in zip(("t_train", "t_val", "t_test"), lengths)
+                for arg in ("--set", f"{key}={n}")]
+
+    assert cli.main(["train", "--config", cfg, *split(shortest - 1)]) == 3
+    for command in ("train", "evaluate"):
+        assert cli.main([command, "--config", cfg, *split(shortest)]) == 0
+    factors = pipeline.load_manifest(run_dir)["calibration"]["factors"]
+    assert sorted(factors) == ["1", "3"]
+
+
 def test_forecast_new_routing_flow(tmp_path, data_dir):
     run_dir = str(tmp_path / "route")
     path = write_config(tmp_path, data_dir, run_dir, "k = 3\n")
