@@ -24,7 +24,7 @@ import numpy as np
 
 from . import losses, model
 from .calibration import CalibrationTable, calibrate
-from .data import PreparedData, gather_windows
+from .data import PreparedData
 from .losses import summarize_method
 from .model import ParamSet, TrainConfig, derive_seed
 
@@ -161,9 +161,11 @@ def compute_cost_matrix(prepared: PreparedData, prototypes: list[ParamSet],
 
     Scores with the mode's objective (:func:`losses.objective`); h > 1
     entries use recursive rollout, one rollout per prototype for every
-    horizon. Horizons with no valid VAL windows are skipped in the mean; if
-    none remain, the whole matrix is NaN. The h = 1 losses are kept as well,
-    for the fallback.
+    horizon, over each series' VAL windows as one run (see
+    :func:`losses.split_forecasts`), so a step shares the encoding of the
+    rows its window has in common with a later window. Horizons with no
+    valid VAL windows are skipped in the mean; if none remain, the whole
+    matrix is NaN. The h = 1 losses are kept as well, for the fallback.
     """
     n, k = prepared.n_series, len(prototypes)
     scored = tuple(sorted(set(horizons) | {1}))
@@ -610,9 +612,10 @@ def assign_new_series(segment: np.ndarray, global_params: ParamSet,
     Evaluates the one-step training loss (Huber, or pinball in quantile
     mode) of the pooled model and every unflagged prototype over all
     (window, target) pairs in the segment, in one stacked one-step
-    :func:`model.rollout`, and returns the winner's id: -1 for the pooled
-    model, otherwise the prototype index. The pooled model wins ties and
-    wins whenever no prototype strictly improves.
+    :func:`model.rollout` of the segment less its last row as one run, and
+    returns the winner's id: -1 for the pooled model, otherwise the
+    prototype index. The pooled model wins ties and wins whenever no
+    prototype strictly improves.
     The segment must already be standardized and hold at least w + 1 steps.
     """
     segment = np.asarray(segment, dtype=np.float64)
@@ -622,16 +625,14 @@ def assign_new_series(segment: np.ndarray, global_params: ParamSet,
     if segment.shape[0] < w + 1:
         raise ValueError(
             f"segment has {segment.shape[0]} steps; need at least w + 1 = {w + 1}")
-    x, y = gather_windows(segment[None], [0],
-                          np.arange(w - 1, segment.shape[0] - 1), w, 1)
-
     ids = [-1] + [k for k in range(len(prototypes)) if not flags.flagged[k]]
+    # window i holds rows i .. i + w - 1 and targets row i + w
     kind, pred = losses.objective(*model.rollout(
         ParamSet.stack([global_params] + [prototypes[k] for k in ids[1:]]),
-        x[0], 1, cfg), cfg)
+        segment[None, :-1], 1, cfg), cfg)
     # each model's losses are a contiguous block, reduced as on its own
     scores = [float(np.mean(e))
-              for e in losses.loss_elem(kind, pred[:, :, 0], y[0], cfg)]
+              for e in losses.loss_elem(kind, pred[:, :, 0], segment[w:], cfg)]
     best_id, best_loss = -1, scores[0]
     for k, loss_k in zip(ids[1:], scores[1:]):
         # strict: the pooled model wins ties, and a NaN loss never wins

@@ -86,6 +86,13 @@ def split_forecasts(groups, prepared, tag: str, horizons, cfg):
     the n_h windows of the segment at h (n_h = 0 when it has none). Each
     group's rows are exactly its own forecasts; a single group's arrays are
     not copied. Every split forecast runs through here.
+
+    A series' windows slide by one row, so each group gathers them once and
+    passes each series to :func:`model.rollout` as one run: the first
+    window, then each later window's last row. The rollout then projects
+    each row once and resumes every later step from the state a neighbouring
+    window reached on the rows they share, bitwise as if every window were
+    rolled out on its own.
     """
     from . import model  # deferred: model depends on this module for losses
 
@@ -101,6 +108,9 @@ def split_forecasts(groups, prepared, tag: str, horizons, cfg):
         # one rollout to the longest horizon forecasts them all.
         x, y = prepared.windows(tag, h_first, cfg.w, series)
         s, n, p = len(series), index.count(h_first), y.shape[-1]
+        if n:  # each series' windows as one run
+            x = x.reshape(s, n, cfg.w, p)
+            x = np.concatenate([x[:, 0], x[:, 1:, -1]], axis=1)
         point, fan = model.rollout(params, x, h_last, cfg)
         paths.append((point.reshape(s, n, h_last, p),
                       None if fan is None

@@ -304,57 +304,49 @@ class _Workspace:
         ]
 
 
-def _gru_forward(params: ParamSet, x: np.ndarray,
-                 work: _Workspace | None = None) -> np.ndarray:
-    """Final hidden state of a batch of windows.
+def _cell_weights(params: ParamSet, work: _Workspace | None = None) -> tuple:
+    """The GRU's fused weights (w_all (3H, r), b_all (3H,), u_zr (2H, H),
+    u_cand (H, H)): the update, reset and candidate input maps, biases and
+    recurrent maps, concatenated into ``work`` when given."""
+    out = (None,) * 3 if work is None else (work.w_all, work.b_all, work.u_zr)
+    return (np.concatenate([params.w_update, params.w_reset, params.w_cand], -2,
+                           out=out[0]),
+            np.concatenate([params.b_update, params.b_reset, params.b_cand], -1,
+                           out=out[1]),
+            np.concatenate([params.u_update, params.u_reset], -2, out=out[2]),
+            params.u_cand)
 
-    Without ``work`` (inference), ``x`` is (n, w, P), run by one model or
-    by every model of a stack (:meth:`ParamSet.stack`, which returns (M, n,
-    H)); two hidden-state buffers take turns, and ``x`` may be a view of
-    time-major memory, which then encodes without a copy. With ``work``
-    (training), ``params`` is a stack, ``x`` holds one batch per model (M,
-    n, w, P), and the workspace keeps every activation backprop reads.
 
-    The windows are encoded time-major, so every step reads and writes
-    contiguous (n, .) blocks in place. Each step's matmuls make one GEMM
-    call per model, so every model's state is bitwise its own pass's.
+def _gate_inputs(params: ParamSet, weights: tuple, rows: np.ndarray,
+                 z_in: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The gate inputs (..., k, 3H) of k observed rows (k, P): the latent
+    projection (into ``z_in``), the input maps and the biases. A row's gate
+    inputs are the same in every product of two or more rows; a one-row
+    product runs as a GEMV, which rounds differently."""
+    z_in = np.matmul(rows, params.mix.swapaxes(-1, -2), z_in)
+    gates = np.matmul(z_in, weights[0].swapaxes(-1, -2), out)
+    gates += weights[1][..., None, :]
+    return gates
+
+
+def _gru_cells(weights: tuple, g_zr, g_c, h_states, zr_all, cand,
+               tmp: np.ndarray) -> None:
+    """The GRU cell over the time steps of the gate inputs: ``h_states[t +
+    1]`` from ``h_states[t]``, the update and reset inputs ``g_zr[t]`` (...,
+    k, 2H) and the candidate inputs ``g_c[t]`` (..., k, H), with the step's
+    activations written into ``zr_all[t]`` and ``cand[t]``.
+
+    Every step writes contiguous (k, .) blocks in place, and its matmuls make
+    one GEMM call per model, so every model's state is bitwise its own
+    pass's. A row's state is the same in every batch of two or more rows;
+    one row runs as a GEMV, which rounds differently.
     """
-    n, w, p = x.shape[-3:]
-    hid = params.hidden
-    lead = params.mix.shape[:-2]  # () for one model, (M,) for a stack
-    w_parts = [params.w_update, params.w_reset, params.w_cand]
-    b_parts = [params.b_update, params.b_reset, params.b_cand]
-    u_parts = [params.u_update, params.u_reset]
-    mix_t = params.mix.swapaxes(-1, -2)
-    step = lead + (n, hid)
-    if work is None:
-        z_in = x.transpose(1, 0, 2).reshape(w * n, p) @ mix_t
-        w_all, b_all = np.concatenate(w_parts, -2), np.concatenate(b_parts, -1)
-        u_zr = np.concatenate(u_parts, -2)
-        gates_in = z_in @ w_all.swapaxes(-1, -2)
-        # one step's activations, rewritten every step, and two hidden
-        # states that take turns
-        zr_all = [np.empty(lead + (n, 2 * hid))] * w
-        cand = [np.empty(step)] * w
-        h_states = [np.zeros(step), np.empty(step)] * (w // 2 + 1)
-        tmp = np.empty(step)
-    else:
-        np.copyto(work.xt.reshape(lead + (w, n, p)), x.swapaxes(-3, -2))
-        z_in = np.matmul(work.xt, mix_t, work.z_in)
-        w_all = np.concatenate(w_parts, -2, out=work.w_all)
-        b_all = np.concatenate(b_parts, -1, out=work.b_all)
-        u_zr = np.concatenate(u_parts, -2, out=work.u_zr)
-        gates_in = np.matmul(z_in, w_all.swapaxes(-1, -2), work.gates)
-        zr_all, cand, h_states, tmp = work.zr, work.cand, work.hs, work.tmp
-        h_states[0] = 0.0
-    gates_in += b_all[..., None, :]
-    # time-major: gates_in[t] holds step t of every model
-    gates_in = gates_in.reshape(lead + (w, n, 3 * hid)).swapaxes(0, -3)
-    g_zr, g_c = gates_in[..., :2 * hid], gates_in[..., 2 * hid:]
-    # transposed views, not copies: at n = 1 a copy would change the BLAS call
-    u_zr_t, u_cand_t = u_zr.swapaxes(-1, -2), params.u_cand.swapaxes(-1, -2)
+    hid = weights[3].shape[-1]
+    # transposed views, not copies: at k = 1 a copy would change the BLAS call
+    u_zr_t, u_cand_t = weights[2].swapaxes(-1, -2), weights[3].swapaxes(-1, -2)
     with np.errstate(over="ignore"):
-        for t in range(w):
+        for t in range(len(g_zr)):
             zr, c, h, h_next = zr_all[t], cand[t], h_states[t], h_states[t + 1]
             z = zr[..., :hid]
             # zr = sigmoid(g_zr + h @ u_zr.T), in place (out arguments are
@@ -375,7 +367,61 @@ def _gru_forward(params: ParamSet, x: np.ndarray,
             np.subtract(1.0, z, tmp)
             np.multiply(tmp, c, tmp)
             np.add(h_next, tmp, h_next)
-    return h_states[w]
+
+
+def _encode(params: ParamSet, weights: tuple, gates: np.ndarray, runs: int,
+            starts: int, w: int, keep: int) -> np.ndarray:
+    """The states of the first ``starts`` windows of each of ``runs``
+    time-major runs, whose rows' gate inputs are ``gates`` (..., T * runs,
+    3H): window b reads row b + t at step t, so one step's windows are the
+    contiguous rows t * runs .. (t + starts) * runs, start-major. Returns
+    the states after the last ``keep`` of w steps from a zero state,
+    (keep, ..., starts * runs, H).
+
+    One step's activations are rewritten every step, and two states take
+    turns until the kept ones."""
+    hid = params.hidden
+    shape = params.mix.shape[:-2] + (starts * runs, hid)
+    kept = np.empty((keep,) + shape)
+    turns = [np.empty(shape), np.empty(shape)]
+    h_states = ([np.zeros(shape)] + [turns[t % 2] for t in range(1, w - keep + 1)]
+                + list(kept))
+    # steps[t] views step t's rows in the contiguous ``gates``
+    steps = np.ndarray((w,) + shape[:-1] + (3 * hid,), np.float64, gates, 0,
+                       (runs * gates.strides[-2],) + gates.strides)
+    _gru_cells(weights, steps[..., :2 * hid], steps[..., 2 * hid:], h_states,
+               [np.empty(shape[:-1] + (2 * hid,))] * w, [np.empty(shape)] * w,
+               np.empty(shape))
+    return kept
+
+
+def _gru_forward(params: ParamSet, x: np.ndarray,
+                 work: _Workspace | None = None) -> np.ndarray:
+    """Final hidden state of a batch of windows.
+
+    Without ``work`` (inference), ``x`` is (n, w, P), run by one model or
+    by every model of a stack (:meth:`ParamSet.stack`, which returns (M, n,
+    H)). With ``work`` (training), ``params`` is a stack, ``x`` holds one
+    batch per model (M, n, w, P), and the workspace keeps every activation
+    backprop reads. The windows are encoded time-major (see :func:`_encode`).
+    """
+    n, w, p = x.shape[-3:]
+    if work is None:
+        weights = _cell_weights(params)
+        rows = x.transpose(1, 0, 2).reshape(w * n, p)
+        return _encode(params, weights, _gate_inputs(params, weights, rows),
+                       n, 1, w, 1)[0]
+    lead = params.mix.shape[:-2]
+    hid = params.hidden
+    np.copyto(work.xt.reshape(lead + (w, n, p)), x.swapaxes(-3, -2))
+    weights = _cell_weights(params, work)
+    gates = _gate_inputs(params, weights, work.xt, work.z_in, work.gates)
+    work.hs[0] = 0.0
+    # time-major: gates[t] holds step t of every model
+    gates = gates.reshape(lead + (w, n, 3 * hid)).swapaxes(0, -3)
+    _gru_cells(weights, gates[..., :2 * hid], gates[..., 2 * hid:], work.hs,
+               work.zr, work.cand, work.tmp)
+    return work.hs[w]
 
 
 def _gru_backward(params: ParamSet, work: _Workspace, x: np.ndarray,
@@ -483,19 +529,34 @@ def _quantiles_from_hidden(params: ParamSet, h: np.ndarray,
 
 def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
             ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The h-step forecast paths of a batch of windows (n, w, P) in the
-    config's mode: the one forward pass outside training.
+    """The h-step forecast paths of every window of S runs (S, L, P), L >=
+    w = ``cfg.w``, in the config's mode: the one forward pass outside
+    training.
 
-    One-step predictions are fed back, dropping the oldest window row each
-    step; in quantile mode the value fed back is the median path. Returns
-    ``(point, fan)`` with step j at ``[:, j - 1]``: in point mode the point
-    forecasts (n, h, P) and None; in quantile mode the median path
-    (n, h, P) and the fan (n, h, Q, P) at ``cfg.quantiles``. A rollout to h
-    thus serves every horizon up to h.
+    Each length-w slice of a run is a window, n = L - w + 1 per run, so a
+    batch of windows (n, w, P) is the case L = w. One-step predictions are
+    fed back, dropping the oldest window row each step; in quantile mode the
+    value fed back is the median path. Returns ``(point, fan)`` over the
+    S * n windows run by run, with step j at ``[:, j - 1]``: in point mode
+    the point forecasts (S * n, h, P) and None; in quantile mode the median
+    path (S * n, h, P) and the fan (S * n, h, Q, P) at ``cfg.quantiles``. A
+    rollout to h thus serves every horizon up to h.
+
+    The windows of a run share prefixes. Step j < w of window i reads the
+    last w - j rows of the window, then the j fed-back forecasts; window
+    i + j starts on those same w - j rows from the same zero state. So each
+    run's rows are projected once, its windows are encoded once, and step j
+    of window i resumes from the state window i + j reached after w - j
+    rows; the last windows of a run, which have no such neighbour, resume
+    from starts encoded past the run's last window. A step then costs
+    min(j, w) cell steps, not w. Every forecast is bitwise that of encoding
+    each step's window whole: no product that was a GEMM becomes a
+    one-row GEMV or back (a one-row product rounds differently), so one
+    window is re-encoded at every step, as on its own.
 
     A stack of M models (:meth:`ParamSet.stack`) forecasts one step of the
-    same windows, (M, n, 1, P) and (M, n, 1, Q, P), each model bitwise as
-    on its own; it raises ``ValueError`` for h > 1.
+    same windows, (M, S * n, 1, P) and (M, S * n, 1, Q, P), each model
+    bitwise as on its own; it raises ``ValueError`` for h > 1.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
@@ -509,23 +570,59 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
                              f"produces {params.n_levels}")
         med = median_index(cfg.quantiles)
     x = np.asarray(window, dtype=np.float64)
-    n, w, p = x.shape
-    # the windows and the fed-back forecasts, time-major: step j reads rows
-    # j .. j + w - 1, which the GRU encodes without a copy
-    path = np.empty((w + h - 1, n, p))
-    path[:w] = x.transpose(1, 0, 2)
-    point = np.empty(lead + (n, h, p))
-    fan = np.empty(lead + (n, h, params.n_levels, p)) if quantile else None
-    for step in range(h):
-        hidden = _gru_forward(params, path[step:step + w].transpose(1, 0, 2))
-        if quantile:
-            fan[..., step, :, :] = _quantiles_from_hidden(params, hidden)[0]
-            point[..., step, :] = fan[..., step, med, :]
+    s, length, p = x.shape
+    w, hid = cfg.w, params.hidden
+    n = length - w + 1
+    if n < 1:
+        raise ValueError(f"a run of {length} rows holds no window of w = {w}")
+    rows = s * n  # window-major inside: row i * s + r is window i of run r
+    one = rows == 1
+    # starts past each run's last window, for the steps that resume there
+    extra = 0 if one else min(h - 1, w - 1)
+    weights = _cell_weights(params)
+    # the runs time-major, padded with zero rows the extra starts never keep
+    runs = np.zeros((length + extra, s, p))
+    runs[:length] = x.swapaxes(0, 1)
+    gates = _gate_inputs(params, weights, runs.reshape(-1, p))
+    # kept[k]: every start's state after w - extra + k rows
+    kept = _encode(params, weights, gates, s, n + extra, w, extra + 1)
+    point = np.empty(lead + (s, n, h, p))
+    fan = np.empty(lead + (s, n, h, params.n_levels, p)) if quantile else None
+    if h > 1:  # a stack has no later step
+        # the gate inputs a later step reads after the state it resumes
+        # from: one window's own rows, which it re-encodes at every step, as
+        # it has no neighbour, then the fed-back rows
+        own = w if one else 0
+        fed = np.empty((own + h - 1, rows, 3 * hid))
+        fed[:own] = gates[:own, None]
+        # a fed-back row is projected as a window's rows are: one window's
+        # row is padded to two, because its window's w rows made a GEMM
+        fed_rows = np.zeros((2 if one and w > 1 else rows, p))
+        # a zero state, the activations, and two states that take turns
+        zero, zr, c, tmp = (np.zeros((rows, k * hid)) for k in (1, 2, 1, 1))
+        turns = [np.empty((rows, hid)), np.empty((rows, hid))] * w
+    for j in range(h):
+        if j == 0:
+            state = kept[-1][..., :rows, :]
         else:
-            point[..., step, :] = _point_from_hidden(params, hidden)[0]
-        if step < h - 1:
-            path[w + step] = point[:, step]
-    return point, fan
+            h0 = kept[-1 - j][j * s:(j + n) * s] if j <= extra else zero
+            seq = fed[j if own else max(0, j - w):own + j]
+            _gru_cells(weights, seq[..., :2 * hid], seq[..., 2 * hid:],
+                       [h0] + turns, [zr] * len(seq), [c] * len(seq), tmp)
+            state = turns[len(seq) - 1]
+        if quantile:
+            fan_j = _quantiles_from_hidden(params, state)[0]
+            pred = fan_j[..., med, :]
+            fan[..., j, :, :] = fan_j.reshape(lead + (n, s) + fan_j.shape[-2:]
+                                              ).swapaxes(-4, -3)
+        else:
+            pred = _point_from_hidden(params, state)[0]
+        point[..., j, :] = pred.reshape(lead + (n, s, p)).swapaxes(-3, -2)
+        if j < h - 1:
+            fed_rows[:rows] = pred
+            fed[own + j] = _gate_inputs(params, weights, fed_rows)[:rows]
+    return (point.reshape(lead + (rows, h, p)),
+            None if fan is None else fan.reshape(lead + (rows,) + fan.shape[-3:]))
 
 
 # ---------------------------------------------------------------------------

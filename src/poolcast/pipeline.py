@@ -663,6 +663,14 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     _require(manifest, cfg.run_dir, ("standardizer", "n_components")
              + (("calibration",) if cfg.mode == "quantile" else ())
              + (CLUSTER_FIELDS if cfg.method in CLUSTERED_METHODS else ()))
+    calib = None
+    if cfg.mode == "quantile":
+        # before the segment or any checkpoint is read
+        calib = CalibrationTable.from_dict(manifest["calibration"])
+        for h in cfg.horizons:
+            if h not in calib.factors:
+                raise ConfigError(f"horizon {h} was not calibrated by evaluate "
+                                  f"(calibrated: {sorted(calib.factors)})")
     stored = manifest["standardizer"]
     std = Standardizer(mu=np.asarray(stored["mu"]), sigma=np.asarray(stored["sigma"]),
                        eps=float(stored["eps"]), fill=np.asarray(stored["fill"]))
@@ -688,11 +696,7 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     point, fan = model.rollout(chosen, segment[None, -tc.w:],
                                max(cfg.horizons), tc)
     if fan is not None:
-        calib = CalibrationTable.from_dict(manifest["calibration"])
         for h in cfg.horizons:
-            if h not in calib.factors:
-                raise ConfigError(f"horizon {h} was not calibrated by evaluate "
-                                  f"(calibrated: {sorted(calib.factors)})")
             fan[:, h - 1, 0], fan[:, h - 1, -1] = calib.apply(
                 h, point[:, h - 1], fan[:, h - 1, 0], fan[:, h - 1, -1])
     forecasts = {}

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poolcast import model
 from poolcast.losses import loss_elem
@@ -273,6 +275,61 @@ def test_rollout_rejects_bad_horizon():
     params = tiny_params(0)
     with pytest.raises(ValueError):
         rollout(params, np.zeros((1, 5, 3)), 0, TrainConfig(w=5))
+
+
+def compose_batch(params, windows, h, cfg):
+    """Test-only oracle: h explicit one-step forwards of a batch of windows
+    (n, w, P), each step encoding every window whole, as (point, fan)."""
+    x, points, fans = windows.copy(), [], []
+    for step in range(h):
+        hidden = _gru_forward(params, x)
+        if cfg.mode == "point":
+            pred, fan = _point_from_hidden(params, hidden)[0], None
+        else:
+            fan = _quantiles_from_hidden(params, hidden)[0]
+            pred = fan[..., median_index(cfg.quantiles), :]
+        points.append(pred)
+        fans.append(fan)
+        if step < h - 1:
+            x = np.concatenate([x[:, 1:], pred[:, None]], axis=1)
+    return (np.stack(points, -2),
+            None if fan is None else np.stack(fans, -3))
+
+
+@given(s=st.integers(1, 4), n=st.integers(1, 9), w=st.integers(2, 6),
+       h_rule=st.sampled_from(["1", "2", "w-1", "w", "w+3"]),
+       mode=st.sampled_from(["point", "quantile"]), seed=st.integers(0, 999))
+@example(s=1, n=1, w=5, h_rule="w+3", mode="point", seed=0)    # one window
+@example(s=1, n=1, w=5, h_rule="1", mode="quantile", seed=0)
+@example(s=1, n=4, w=5, h_rule="w-1", mode="point", seed=0)    # one series
+@example(s=1, n=2, w=5, h_rule="1", mode="quantile", seed=0)
+@settings(max_examples=80, deadline=None)
+def test_rollout_of_runs_is_bitwise_its_windows_batch(s, n, w, h_rule, mode,
+                                                      seed):
+    """Runs (S, L, P) forecast each of their windows bitwise as the same
+    windows passed as one (S * n, w, P) batch, and as that batch's explicit
+    composition, whose products are one-row exactly when it holds one
+    window."""
+    h = {"1": 1, "2": 2, "w-1": w - 1, "w": w, "w+3": w + 3}[h_rule]
+    rng = np.random.default_rng(seed)
+    runs = rng.normal(size=(s, w + n - 1, 3))
+    windows = np.lib.stride_tricks.sliding_window_view(runs, w, axis=1)
+    windows = windows.swapaxes(2, 3).reshape(s * n, w, 3)
+    cfg = TrainConfig(w=w, mode=mode, quantiles=(0.1, 0.5, 0.9))
+    models = [tiny_params(seed), tiny_params(seed + 1)]
+    for params in models[:1] + ([ParamSet.stack(models)] if h == 1 else []):
+        point, fan = rollout(params, runs, h, cfg)
+        assert point.shape == params.flat.shape[:-1] + (s * n, h, 3)
+        for want_point, want_fan in (rollout(params, windows, h, cfg),
+                                     compose_batch(params, windows, h, cfg)):
+            assert point.tobytes() == want_point.tobytes()
+            assert (fan is None if mode == "point"
+                    else fan.tobytes() == want_fan.tobytes())
+
+
+def test_rollout_refuses_a_run_shorter_than_the_window():
+    with pytest.raises(ValueError, match="no window"):
+        rollout(tiny_params(0), np.zeros((2, 4, 3)), 1, TrainConfig(w=5))
 
 
 # ---------------------------------------------------------------------------

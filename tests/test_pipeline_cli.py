@@ -1383,6 +1383,26 @@ def test_malformed_calibration_is_a_data_error(served_quantile_run, capsys,
     assert "'calibration'" in err
 
 
+def test_uncalibrated_horizon_fails_before_any_read(served_quantile_run,
+                                                   capsys, monkeypatch):
+    """A horizon evaluate did not calibrate is refused from the manifest
+    alone: no checkpoint is read, and neither is the segment, which here
+    does not exist."""
+    cfg, run_dir, _ = served_quantile_run
+
+    def no_checkpoint(path):
+        raise AssertionError(f"checkpoint read: {path}")
+
+    monkeypatch.setattr(model, "load_checkpoint", no_checkpoint)
+    capsys.readouterr()
+    assert cli.main(["forecast-new", "--config", cfg, "--set", "horizons=1,2",
+                     "--segment", os.path.join(run_dir, "no_such_segment.csv")]
+                    ) == 2
+    err = capsys.readouterr().err
+    assert "horizon 2 was not calibrated by evaluate (calibrated: [1, 3])" in err
+    assert "Traceback" not in err
+
+
 def test_retraining_an_evaluated_run_is_a_protocol_error(tmp_path, data_dir,
                                                          capsys):
     """A second prepare, train or select-k would write a fresh manifest and
