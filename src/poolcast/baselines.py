@@ -15,6 +15,8 @@ from .data import PreparedData
 from .model import ParamSet, TrainConfig, derive_seed
 
 METHODS = ("global", "individual", "feat_kmeans", "random_balanced", "cluster")
+KMEANS_MAX_ITERS = 100   # Lloyd iterations at most
+KMEANS_TOL = 1e-9        # stop once the inertia improves by no more
 
 
 def training_feature_vectors(prepared: PreparedData) -> np.ndarray:
@@ -51,13 +53,13 @@ def _plus_plus_centroids(x: np.ndarray, k: int, rng) -> np.ndarray:
     return centroids
 
 
-def kmeans(features: np.ndarray, k: int, seed: int, max_iters: int = 100,
-           tol: float = 1e-9) -> np.ndarray:
+def kmeans(features: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding, deterministic per seed.
 
     Empty clusters are repaired by stealing the point farthest from its
     assigned centroid. Stops when labels are stable, the inertia improvement
-    drops to ``tol``, or the iteration cap is reached.
+    drops to :data:`KMEANS_TOL`, or after :data:`KMEANS_MAX_ITERS`
+    iterations.
     """
     x = np.asarray(features, dtype=np.float64)
     n = len(x)
@@ -67,7 +69,7 @@ def kmeans(features: np.ndarray, k: int, seed: int, max_iters: int = 100,
     centroids = _plus_plus_centroids(x, k, rng)
     labels = np.full(n, -1)
     prev_inertia = np.inf
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
         point_d2 = d2[np.arange(n), new_labels]
@@ -79,7 +81,7 @@ def kmeans(features: np.ndarray, k: int, seed: int, max_iters: int = 100,
         inertia = float(point_d2.sum())
         for j in range(k):
             centroids[j] = x[new_labels == j].mean(axis=0)
-        if np.array_equal(new_labels, labels) or prev_inertia - inertia <= tol:
+        if np.array_equal(new_labels, labels) or prev_inertia - inertia <= KMEANS_TOL:
             labels = new_labels
             break
         labels = new_labels

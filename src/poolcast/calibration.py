@@ -1,9 +1,10 @@
 """Scalar interval calibration selected on VAL, one factor per horizon.
 
-Intervals are inflated (or sharpened) symmetrically around the median:
-lower' = m - s * (m - lower), upper' = m + s * (upper - m). Coverage is a
-nondecreasing step function of s, so the factor is picked by scanning a
-geometric grid for the smallest value that reaches the target coverage.
+Fans are inflated (or sharpened) around the median: every level moves to
+m + s * (level - m), so the levels keep their order for any s > 0. Coverage
+of the outer interval is a nondecreasing step function of s, so the factor
+is picked by scanning a geometric grid for the smallest value that reaches
+the target coverage.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ GRID = 0.5 * 1.05 ** np.arange(61)  # 0.5 .. ~9.34, 5% relative steps
 def apply_factor(median: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                  s: float) -> tuple[np.ndarray, np.ndarray]:
     """Rescale both half-widths around the median by s (s=1 is the identity)."""
-    return median - s * (median - lower), median + s * (upper - median)
+    return median + s * (lower - median), median + s * (upper - median)
 
 
 def calibrate_factor(median, lower, upper, target_values,
@@ -54,8 +55,11 @@ class CalibrationTable:
     target: float
     factors: dict[int, float] = field(default_factory=dict)
 
-    def apply(self, h: int, median, lower, upper):
-        return apply_factor(median, lower, upper, self.factors[h])
+    def apply(self, h: int, median: np.ndarray, fan: np.ndarray) -> np.ndarray:
+        """The fan (..., Q, P) with every level rescaled about the median
+        (..., P) by the factor of horizon h, as :func:`apply_factor` does."""
+        m = median[..., None, :]
+        return m + self.factors[h] * (fan - m)
 
     def as_dict(self) -> dict:
         return {"target": self.target,

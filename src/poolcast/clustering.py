@@ -581,10 +581,10 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
             s_pin = coverage = width = None
             if fan is not None:
                 s_pin = losses.series_means("pinball", fan, y, cfg)[rank]
-                lo, hi = fan[:, :, 0], fan[:, :, -1]
                 if calib is not None:
-                    lo, hi = calib.apply(h, point, lo, hi)
-                coverage, width = losses.interval_stats(y, lo, hi)
+                    fan = calib.apply(h, point, fan)
+                coverage, width = losses.interval_stats(y, fan[:, :, 0],
+                                                        fan[:, :, -1])
             reference = s_mse if name == "global" else series_mse[("global", h)]
             rows[(name, h)] = summarize_method(name, h, s_mse, s_mae, reference,
                                                share, s_pin, coverage, width)

@@ -408,19 +408,6 @@ class WindowIndex:
         return len(self.end_times[h])
 
 
-def gather_windows(values: np.ndarray, series: np.ndarray, ends: np.ndarray,
-                   w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """Input windows and h-step targets of the panel ``values`` (N, T, P):
-    for each of the S ``series`` and n window ``ends``, X (S, n, w, P) holds
-    times end - w + 1 .. end and Y (S, n, P) the value at end + h. Both are
-    fresh C-contiguous arrays indexed out of one strided view of ``values``,
-    with no copy of the panel. Every (window, target) gather runs through here."""
-    view = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
-    rows = np.asarray(series, dtype=np.int64)[:, None]
-    return (np.swapaxes(view, 2, 3)[rows, ends - (w - 1)],
-            values[rows, ends + h])
-
-
 # ---------------------------------------------------------------------------
 # access audit
 # ---------------------------------------------------------------------------
@@ -528,9 +515,12 @@ class PreparedData:
         """Gather (inputs, targets) for one segment and horizon.
 
         Returns X with shape (n_series_selected * n_windows, w, P) and Y with
-        shape (n_series_selected * n_windows, P), ordered series-major. Both
-        are copies; the read is recorded in the audit. Empty index yields
-        (0, w, P) and (0, P) arrays.
+        shape (n_series_selected * n_windows, P), ordered series-major: for
+        each series and window end, X holds times end - w + 1 .. end and Y
+        the value at end + h. Both are fresh arrays indexed out of one
+        strided view of the panel, with no copy of it; every (window,
+        target) gather runs through here, and the read is recorded in the
+        audit. Empty index yields (0, w, P) and (0, P) arrays.
         """
         if series is None:
             series = np.arange(self.n_series)
@@ -539,9 +529,12 @@ class PreparedData:
         if len(ends):
             self.audit.mark(series, ends[0] - w + 1, ends[-1])
             self.audit.mark(series, ends[0] + h, ends[-1] + h)
-        x, y = gather_windows(self.dataset.values, series, ends, w, h)
+        values = self.dataset.values
+        view = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
+        rows = series[:, None]
         p = self.dataset.n_components
-        return x.reshape(-1, w, p), y.reshape(-1, p)
+        return (np.swapaxes(view, 2, 3)[rows, ends - (w - 1)].reshape(-1, w, p),
+                values[rows, ends + h].reshape(-1, p))
 
 
 def prepare(ds: MtsDataset, spec: SplitSpec, eps: float = 1e-8,

@@ -321,9 +321,9 @@ def _gate_inputs(params: ParamSet, weights: tuple, rows: np.ndarray,
                  z_in: np.ndarray | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
     """The gate inputs (..., k, 3H) of k observed rows (k, P): the latent
-    projection (into ``z_in``), the input maps and the biases. A row's gate
-    inputs are the same in every product of two or more rows; a one-row
-    product runs as a GEMV, which rounds differently."""
+    projection (into ``z_in``), the input maps and the biases. At latent >=
+    2 a row's gate inputs are the same in every product of two or more
+    rows; a one-row product runs as a GEMV, which rounds differently."""
     z_in = np.matmul(rows, params.mix.swapaxes(-1, -2), z_in)
     gates = np.matmul(z_in, weights[0].swapaxes(-1, -2), out)
     gates += weights[1][..., None, :]
@@ -549,10 +549,12 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
     of window i resumes from the state window i + j reached after w - j
     rows; the last windows of a run, which have no such neighbour, resume
     from starts encoded past the run's last window. A step then costs
-    min(j, w) cell steps, not w. Every forecast is bitwise that of encoding
-    each step's window whole: no product that was a GEMM becomes a
-    one-row GEMV or back (a one-row product rounds differently), so one
-    window is re-encoded at every step, as on its own.
+    min(j, w) cell steps, not w. A lone window runs as two runs of itself:
+    NumPy runs a one-row product as a GEMV, which rounds differently from a
+    GEMM, whose rows do not depend on the row count. So at latent >= 2
+    every forecast is bitwise that of encoding each step's windows whole,
+    in any batch. At latent 1 the latent projection and point head are
+    one-column GEMVs, whose rows can depend on their place in the product.
 
     A stack of M models (:meth:`ParamSet.stack`) forecasts one step of the
     same windows, (M, S * n, 1, P) and (M, S * n, 1, Q, P), each model
@@ -575,10 +577,12 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
     n = length - w + 1
     if n < 1:
         raise ValueError(f"a run of {length} rows holds no window of w = {w}")
+    served = s * n
+    if served == 1:  # a lone window runs as two runs of itself
+        x, s = np.concatenate((x, x)), 2
     rows = s * n  # window-major inside: row i * s + r is window i of run r
-    one = rows == 1
     # starts past each run's last window, for the steps that resume there
-    extra = 0 if one else min(h - 1, w - 1)
+    extra = min(h - 1, w - 1)
     weights = _cell_weights(params)
     # the runs time-major, padded with zero rows the extra starts never keep
     runs = np.zeros((length + extra, s, p))
@@ -589,15 +593,9 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
     point = np.empty(lead + (s, n, h, p))
     fan = np.empty(lead + (s, n, h, params.n_levels, p)) if quantile else None
     if h > 1:  # a stack has no later step
-        # the gate inputs a later step reads after the state it resumes
-        # from: one window's own rows, which it re-encodes at every step, as
-        # it has no neighbour, then the fed-back rows
-        own = w if one else 0
-        fed = np.empty((own + h - 1, rows, 3 * hid))
-        fed[:own] = gates[:own, None]
-        # a fed-back row is projected as a window's rows are: one window's
-        # row is padded to two, because its window's w rows made a GEMM
-        fed_rows = np.zeros((2 if one and w > 1 else rows, p))
+        # the gate inputs of the fed-back rows, which a later step reads
+        # after the state it resumes from
+        fed = np.empty((h - 1, rows, 3 * hid))
         # a zero state, the activations, and two states that take turns
         zero, zr, c, tmp = (np.zeros((rows, k * hid)) for k in (1, 2, 1, 1))
         turns = [np.empty((rows, hid)), np.empty((rows, hid))] * w
@@ -606,7 +604,7 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
             state = kept[-1][..., :rows, :]
         else:
             h0 = kept[-1 - j][j * s:(j + n) * s] if j <= extra else zero
-            seq = fed[j if own else max(0, j - w):own + j]
+            seq = fed[max(0, j - w):j]
             _gru_cells(weights, seq[..., :2 * hid], seq[..., 2 * hid:],
                        [h0] + turns, [zr] * len(seq), [c] * len(seq), tmp)
             state = turns[len(seq) - 1]
@@ -619,10 +617,10 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
             pred = _point_from_hidden(params, state)[0]
         point[..., j, :] = pred.reshape(lead + (n, s, p)).swapaxes(-3, -2)
         if j < h - 1:
-            fed_rows[:rows] = pred
-            fed[own + j] = _gate_inputs(params, weights, fed_rows)[:rows]
-    return (point.reshape(lead + (rows, h, p)),
-            None if fan is None else fan.reshape(lead + (rows,) + fan.shape[-3:]))
+            _gate_inputs(params, weights, pred, out=fed[j])
+    return (point.reshape(lead + (rows, h, p))[..., :served, :, :],
+            None if fan is None
+            else fan.reshape(lead + (rows,) + fan.shape[-3:])[..., :served, :, :, :])
 
 
 # ---------------------------------------------------------------------------

@@ -655,7 +655,7 @@ def _read_segment(path: str, p_dim: int, w: int, csv_header: bool) -> np.ndarray
 def cmd_forecast_new(cfg: RunConfig, segment_path: str,
                      out_path: str | None = None) -> dict:
     """Route a new series through the frozen models and forecast ahead; a
-    quantile fan is served with its outer levels calibrated as on TEST."""
+    quantile fan is served with every level calibrated as on TEST."""
     manifest = load_manifest(cfg.run_dir)
     _check_identity(cfg, manifest)
     if not manifest.get("test_evaluated"):
@@ -697,8 +697,7 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
                                max(cfg.horizons), tc)
     if fan is not None:
         for h in cfg.horizons:
-            fan[:, h - 1, 0], fan[:, h - 1, -1] = calib.apply(
-                h, point[:, h - 1], fan[:, h - 1, 0], fan[:, h - 1, -1])
+            fan[:, h - 1] = calib.apply(h, point[:, h - 1], fan[:, h - 1])
     forecasts = {}
     for h in cfg.horizons:
         std_vals = point[0, h - 1] if fan is None else fan[0, h - 1]

@@ -82,8 +82,28 @@ def test_calibration_table_roundtrip():
     again = CalibrationTable.from_dict(table.as_dict())
     assert again.factors == table.factors
     assert again.target == table.target
-    lo2, hi2 = table.apply(1, med, lo, hi)
+    lo2, _, hi2 = table.apply(1, med, np.stack([lo, med, hi]))
     assert np.mean((target >= lo2) & (target <= hi2)) >= 0.8
+
+
+def test_table_rescales_every_level_about_the_median():
+    # five levels sharpened by s = 0.5 keep their order: the inner levels
+    # move with the outer ones
+    table = CalibrationTable(target=0.8, factors={1: 0.5, 3: 2.0})
+    fan = np.array([[[-2.0], [-1.5], [0.0], [1.5], [2.0]]])
+    median = fan[:, 2]
+    np.testing.assert_array_equal(table.apply(1, median, fan)[0, :, 0],
+                                  [-1.0, -0.75, 0.0, 0.75, 1.0])
+    np.testing.assert_array_equal(table.apply(3, median, fan)[0, :, 0],
+                                  [-4.0, -3.0, 0.0, 3.0, 4.0])
+    # at three levels the outer ones are bitwise m - s (m - lo) and
+    # m + s (hi - m), and the median stays as it is
+    med, lo, hi, _ = make_stream(6)
+    got = table.apply(1, med, np.stack([lo, med, hi]))
+    want_lo, want_hi = med - 0.5 * (med - lo), med + 0.5 * (hi - med)
+    assert got[0].tobytes() == want_lo.tobytes()
+    assert got[1].tobytes() == med.tobytes()
+    assert got[2].tobytes() == want_hi.tobytes()
 
 
 def test_calibrate_requires_streams():

@@ -828,6 +828,31 @@ def test_evaluate_forecasts_nothing_after_the_test_evaluation(counted_evaluation
     assert counts["windows"] == 1 + r + scored
 
 
+def test_served_forecast_is_its_windows_panel_row(counted_evaluation, data_dir):
+    """A ``forecast-new`` reply is bitwise the routed refit model's rollout
+    of the segment's last w + 1 rows as one run, at the run's second
+    window, with the manifest's factor applied to every level in quantile
+    mode: a lone window forecasts as it does in a panel."""
+    cfg, manifest, _, _ = counted_evaluation
+    tc = cfg.train_config()
+    mu = np.asarray(manifest["standardizer"]["mu"])
+    sigma = np.asarray(manifest["standardizer"]["sigma"])
+    for name in sorted(os.listdir(data_dir)):
+        path = os.path.join(data_dir, name)
+        result = pipeline.cmd_forecast_new(cfg, path)
+        seg = (np.loadtxt(path, delimiter=",") - mu) / sigma
+        served = model.load_checkpoint(refit_checkpoint(cfg.run_dir,
+                                                        result["routed_id"]))[0]
+        point, fan = model.rollout(served, seg[None, -(tc.w + 1):],
+                                   max(cfg.horizons), tc)
+        for h in cfg.horizons:
+            want = point[1, h - 1]
+            if fan is not None:
+                s = manifest["calibration"]["factors"][str(h)]
+                want = want + s * (fan[1, h - 1] - want)
+            assert result["forecasts"][str(h)]["standardized"] == want.tolist()
+
+
 def test_trajectories_are_the_evaluation_forecasts(counted_evaluation):
     cfg, manifest, _, _ = counted_evaluation
     tc = cfg.train_config()
