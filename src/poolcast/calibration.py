@@ -1,10 +1,12 @@
 """Scalar interval calibration selected on VAL, one factor per horizon.
 
 Fans are inflated (or sharpened) around the median: every level moves to
-m + s * (level - m), so the levels keep their order for any s > 0. Coverage
-of the outer interval is a nondecreasing step function of s, so the factor
-is picked by scanning a geometric grid for the smallest value that reaches
-the target coverage.
+m + s * (level - m), so the levels keep their order for any s > 0. The
+factor is the first value of a geometric grid, scanned upwards, whose
+coverage of the outer interval reaches the target. Coverage need not grow
+with s: for a crossed pair (the lower level above the median, or the upper
+one below it) m - s * (m - lo) rises with s, so that element can leave the
+interval as s grows.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ def apply_factor(median: np.ndarray, lower: np.ndarray, upper: np.ndarray,
 
 def calibrate_factor(median, lower, upper, target_values,
                      target_coverage: float) -> float:
-    """Smallest grid factor whose coverage reaches the target.
+    """First grid factor whose coverage reaches the target.
 
-    Falls back to the grid maximum (with a warning) when even that cannot
-    reach the target.
+    Falls back to the grid maximum (with a warning) when no grid factor
+    reaches the target. The factors are tried one at a time, each with a
+    few temporaries of the stream's length.
     """
     median = np.asarray(median, dtype=np.float64).ravel()
     lower = np.asarray(lower, dtype=np.float64).ravel()
@@ -36,16 +39,16 @@ def calibrate_factor(median, lower, upper, target_values,
     target_values = np.asarray(target_values, dtype=np.float64).ravel()
     lo_half = median - lower
     hi_half = upper - median
-    lo_all = median[None, :] - GRID[:, None] * lo_half[None, :]
-    hi_all = median[None, :] + GRID[:, None] * hi_half[None, :]
-    cov = ((target_values >= lo_all) & (target_values <= hi_all)).mean(axis=1)
-    reached = np.flatnonzero(cov >= target_coverage)
-    if len(reached) == 0:
-        warnings.warn(
-            f"target coverage {target_coverage:.3f} unreachable on the grid "
-            f"(best {cov[-1]:.3f} at s={GRID[-1]:.3f})", RuntimeWarning)
-        return float(GRID[-1])
-    return float(GRID[reached[0]])
+    for s in GRID:
+        inside = ((target_values >= median - s * lo_half)
+                  & (target_values <= median + s * hi_half))
+        cov = inside.mean()  # an exact count over the stream's length
+        if cov >= target_coverage:
+            return float(s)
+    warnings.warn(
+        f"target coverage {target_coverage:.3f} unreachable on the grid "
+        f"(best {cov:.3f} at s={GRID[-1]:.3f})", RuntimeWarning)
+    return float(GRID[-1])
 
 
 @dataclass

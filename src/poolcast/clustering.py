@@ -159,24 +159,32 @@ def compute_cost_matrix(prepared: PreparedData, prototypes: list[ParamSet],
                         horizons, cfg: TrainConfig) -> CostMatrix:
     """VAL loss of every series under every prototype, averaged over horizons.
 
-    Scores with the mode's objective (:func:`losses.objective`); h > 1
-    entries use recursive rollout, one rollout per prototype for every
-    horizon, over each series' VAL windows as one run (see
-    :func:`losses.split_forecasts`), so a step shares the encoding of the
-    rows its window has in common with a later window. Horizons with no
-    valid VAL windows are skipped in the mean; if none remain, the whole
-    matrix is NaN. The h = 1 losses are kept as well, for the fallback.
+    Scores with the mode's objective (:func:`losses.objective`). Each
+    prototype forecasts every series at every horizon in one
+    :func:`losses.split_forecasts` panel (one gather, one rollout; h > 1
+    entries are recursive, and a step shares the encoding of the rows its
+    window has in common with a later window), whose per-series losses fill
+    that prototype's column; the panel is released before the next
+    prototype's rollout, so one prototype's forecasts are held at a time.
+    Horizons with no valid VAL windows are skipped in the mean; if none
+    remain, the whole matrix is NaN. The h = 1 losses are kept as well, for
+    the fallback.
     """
     n, k = prepared.n_series, len(prototypes)
+    series = np.arange(n)
     scored = tuple(sorted(set(horizons) | {1}))
-    _, by_h = losses.split_forecasts([(proto, np.arange(n)) for proto in prototypes],
-                                     prepared, "va", scored, cfg)
-    # the panel's rows are prototype-major: row j * n + i is series i under
-    # prototype j
-    scores = {h: losses.horizon_losses(None, by_h[h], cfg) for h in scored}
-    per_h = {h: np.full((n, k), np.nan) if c is None else c.reshape(k, n).T
-             for h, c in scores.items()}
-    present = [per_h[h] for h in horizons if scores[h] is not None]
+    per_h = {h: np.full((n, k), np.nan) for h in scored}
+    windowed = set()
+    for j, proto in enumerate(prototypes):
+        _, by_h = losses.split_forecasts([(proto, series)], prepared, "va",
+                                         scored, cfg)
+        for h in scored:
+            c = losses.horizon_losses(None, by_h[h], cfg)
+            if c is not None:
+                per_h[h][:, j] = c
+                windowed.add(h)
+        del by_h  # release the panel before the next prototype's rollout
+    present = [per_h[h] for h in horizons if h in windowed]
     return CostMatrix(np.mean(present, axis=0) if present
                       else np.full((n, k), np.nan), per_h)
 

@@ -1,5 +1,7 @@
 """Independent reference implementations that tests compare the library with."""
 
+import warnings
+
 import numpy as np
 
 
@@ -30,3 +32,28 @@ def cached_windows(values, series, ends, w: int, h: int):
     x = every[series][:, ends - (w - 1)]
     y = values[series][:, ends + h]
     return x.reshape(-1, w, p), y.reshape(-1, p)
+
+
+def grid_coverage(median, lower, upper, target_values, grid):
+    """Coverage of the intervals rescaled about the median by every grid
+    factor, from (len(grid), N) matrices of every factor's bounds."""
+    lo_half = median - lower
+    hi_half = upper - median
+    lo_all = median[None, :] - grid[:, None] * lo_half[None, :]
+    hi_all = median[None, :] + grid[:, None] * hi_half[None, :]
+    return ((target_values >= lo_all) & (target_values <= hi_all)).mean(axis=1)
+
+
+def calibrate_factor(median, lower, upper, target_values, target_coverage,
+                     grid):
+    """The calibration factor from the whole coverage-by-factor curve: the
+    first grid factor whose coverage reaches the target, else the last one
+    with a RuntimeWarning naming the coverage there."""
+    cov = grid_coverage(median, lower, upper, target_values, grid)
+    reached = np.flatnonzero(cov >= target_coverage)
+    if len(reached) == 0:
+        warnings.warn(
+            f"target coverage {target_coverage:.3f} unreachable on the grid "
+            f"(best {cov[-1]:.3f} at s={grid[-1]:.3f})", RuntimeWarning)
+        return float(grid[-1])
+    return float(grid[reached[0]])

@@ -1,6 +1,10 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+import oracles
 from poolcast.calibration import (GRID, CalibrationTable, apply_factor,
                                   calibrate, calibrate_factor)
 from poolcast.losses import interval_stats
@@ -18,6 +22,40 @@ def make_stream(seed=0, n=400, spread=1.0):
     hi = med + spread * rng.uniform(0.5, 1.5, size=n)
     target = med + rng.normal(scale=1.0, size=n)
     return med, lo, hi, target
+
+
+def crossed_stream(seed, n=500):
+    """A stream in which about a fifth of the pairs cross: the lower level
+    above the median, the upper one below it, or both."""
+    med, lo, hi, target = make_stream(seed, n)
+    rng = np.random.default_rng(seed + 100)
+    side = rng.choice(4, size=n, p=[0.8, 0.07, 0.07, 0.06])
+    lo_crossed = np.isin(side, (1, 3))
+    hi_crossed = np.isin(side, (2, 3))
+    lo[lo_crossed] = 2 * med[lo_crossed] - lo[lo_crossed]
+    hi[hi_crossed] = 2 * med[hi_crossed] - hi[hi_crossed]
+    # a crossed pair's target sits in its interval at small factors and
+    # leaves it as the factor grows
+    one = side == 1
+    target[one] = lo[one] + rng.uniform(0.5, 3.0, one.sum()) * (lo - med)[one]
+    two = side == 2
+    target[two] = hi[two] + rng.uniform(0.5, 3.0, two.sum()) * (hi - med)[two]
+    return med, lo, hi, target
+
+
+def factor_and_warnings(fn, stream, target_coverage, *extra):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = fn(*stream, target_coverage, *extra)
+    return s, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_matches_oracle(stream, target_coverage):
+    got = factor_and_warnings(calibrate_factor, stream, target_coverage)
+    want = factor_and_warnings(oracles.calibrate_factor, stream,
+                               target_coverage, GRID)
+    assert got == want
+    return got
 
 
 def test_apply_factor_formula():
@@ -109,3 +147,49 @@ def test_table_rescales_every_level_about_the_median():
 def test_calibrate_requires_streams():
     with pytest.raises(ValueError):
         calibrate({}, 0.8)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_calibrate_factor_equals_the_grid_matrix_oracle(seed):
+    stream = crossed_stream(seed)
+    med, lo, hi, target = stream
+    assert np.any(lo > med) and np.any(hi < med)
+    cov = oracles.grid_coverage(*stream, GRID)
+    # crossed pairs leave the interval as s grows: coverage falls somewhere
+    assert np.any(np.diff(cov) < 0)
+    for target_coverage in (0.3, 0.5, 0.8, 0.9):
+        assert_matches_oracle(stream, target_coverage)
+    # targets met exactly at a grid factor that first reaches them
+    records = [j for j in range(1, len(GRID)) if cov[j] > cov[:j].max()]
+    assert records
+    for j in records[::3]:
+        s, caught = assert_matches_oracle(stream, cov[j])
+        assert s == GRID[j] and not caught
+    # covered already at the grid's first factor
+    s, caught = assert_matches_oracle(stream, cov[0])
+    assert s == GRID[0] and not caught
+    s, caught = assert_matches_oracle(
+        (med, lo - 50.0, hi + 50.0, target), 0.8)
+    assert s == GRID[0] and not caught
+    # unreachable: the warning names the coverage at the last factor
+    s, caught = assert_matches_oracle(stream, cov.max() + 1e-3)
+    assert s == GRID[-1]
+    assert caught == [(RuntimeWarning,
+                       f"target coverage {cov.max() + 1e-3:.3f} unreachable "
+                       f"on the grid (best {cov[-1]:.3f} at "
+                       f"s={GRID[-1]:.3f})")]
+
+
+def test_calibrate_factor_memory_is_a_few_stream_copies():
+    # tracemalloc counts NumPy's buffers; the stream itself is allocated
+    # before tracing starts
+    n = 50_000
+    stream = crossed_stream(7, n)
+    tracemalloc.start()
+    try:
+        s = calibrate_factor(*stream, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s == oracles.calibrate_factor(*stream, 0.7, GRID)
+    assert peak / n < 100

@@ -1,5 +1,6 @@
 import itertools
 import os
+import tracemalloc
 
 from dataclasses import replace
 
@@ -275,6 +276,28 @@ def test_cost_matrix_keeps_each_horizon_and_h1(small_world):
                 losses.per_series_split_losses(proto, prepared, "va", h, CFG))
     np.testing.assert_array_equal(
         cost.values, np.mean([cost.by_horizon[3], cost.by_horizon[6]], axis=0))
+
+
+@pytest.mark.parametrize("mode", ["point", "quantile"])
+def test_cost_matrix_holds_one_prototype_panel_at_a_time(small_world, mode):
+    # tracemalloc counts NumPy's buffers: scoring four prototypes peaks no
+    # higher than scoring one, because each panel is released before the
+    # next prototype's rollout
+    prepared, gp, _ = small_world
+    cfg = replace(CFG, mode=mode)
+    protos = [gp.copy() for _ in range(4)]
+    for j, proto in enumerate(protos):
+        proto.flat[proto.spec_offset:] += 0.01 * j
+    compute_cost_matrix(prepared, protos[:1], (1, 3, 6), cfg)  # warm caches
+    peaks = []
+    for k in (1, 4):
+        tracemalloc.start()
+        try:
+            compute_cost_matrix(prepared, protos[:k], (1, 3, 6), cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 @pytest.mark.parametrize("mode", ["point", "quantile"])
