@@ -15,11 +15,10 @@ from poolcast.synthetic import SyntheticSpec, generate
 spec = SyntheticSpec(n_series=6, n_times=288, n_components=3, n_regimes=2, seed=0)
 ds, labels = generate(spec)
 
-# knock out a few observations to exercise imputation
+# knock out a few observations to exercise imputation: NaN marks a missing
+# value, with no separate mask
 ds.values[0, 10, 1] = np.nan
 ds.values[3, 250, 0] = np.nan   # missing inside TEST
-ds.mask[0, 10, 1] = False
-ds.mask[3, 250, 0] = False
 
 split_spec = SplitSpec(t_train=200, t_val=40, t_test=48)
 print("segments:", {tag: split_spec.bounds(tag) for tag in ("tr", "va", "te")})
@@ -41,9 +40,8 @@ for tag in ("tr", "va", "te"):
     print(f"{tag}: end-times (1-based first, last, count) per horizon: {ends}")
 
 # leakage check: arbitrary finite garbage in VAL and TEST, same TRAIN
-tampered = MtsDataset(ds.values.copy(), ds.mask.copy(), ds.names)
+tampered = MtsDataset(ds.values.copy(), ds.names)
 tampered.values[:, 200:, :] = 1234.5
-tampered.mask[:, 200:, :] = True
 standardizer_b, _ = fit_impute_standardize(tampered, split_spec)
 same = (np.array_equal(standardizer.mu, standardizer_b.mu)
         and np.array_equal(standardizer.sigma, standardizer_b.sigma))

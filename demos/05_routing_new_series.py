@@ -18,8 +18,7 @@ ds, labels = generate(spec)
 # hold the last 60 steps of every series out entirely: they play the role of
 # "newly observed segments" arriving after deployment
 deploy_segments = ds.values[:, 300:, :]
-fitting = MtsDataset(ds.values[:, :300, :].copy(), ds.mask[:, :300, :].copy(),
-                     list(ds.names))
+fitting = MtsDataset(ds.values[:, :300, :].copy(), list(ds.names))
 
 prepared = prepare(fitting, SplitSpec(200, 50, 50))
 cfg = TrainConfig(w=8, epochs=10, batch=64, seed=0)

@@ -19,18 +19,13 @@ import numpy as np
 GRID = 0.5 * 1.05 ** np.arange(61)  # 0.5 .. ~9.34, 5% relative steps
 
 
-def apply_factor(median: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                 s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale both half-widths around the median by s (s=1 is the identity)."""
-    return median + s * (lower - median), median + s * (upper - median)
-
-
 def calibrate_factor(median, lower, upper, target_values,
                      target_coverage: float) -> float:
     """First grid factor whose coverage reaches the target.
 
-    Falls back to the grid maximum (with a warning) when no grid factor
-    reaches the target. The factors are tried one at a time, each with a
+    Falls back to the grid maximum (with a warning naming the coverage
+    there, which a smaller factor may exceed) when no grid factor reaches
+    the target. The factors are tried one at a time, each with a
     few temporaries of the stream's length.
     """
     median = np.asarray(median, dtype=np.float64).ravel()
@@ -47,7 +42,8 @@ def calibrate_factor(median, lower, upper, target_values,
             return float(s)
     warnings.warn(
         f"target coverage {target_coverage:.3f} unreachable on the grid "
-        f"(best {cov:.3f} at s={GRID[-1]:.3f})", RuntimeWarning)
+        f"(coverage {cov:.3f} at its largest factor s={GRID[-1]:.3f})",
+        RuntimeWarning)
     return float(GRID[-1])
 
 
@@ -60,7 +56,8 @@ class CalibrationTable:
 
     def apply(self, h: int, median: np.ndarray, fan: np.ndarray) -> np.ndarray:
         """The fan (..., Q, P) with every level rescaled about the median
-        (..., P) by the factor of horizon h, as :func:`apply_factor` does."""
+        (..., P) by the factor s of horizon h: m + s * (level - m), so s = 1
+        is the identity."""
         m = median[..., None, :]
         return m + self.factors[h] * (fan - m)
 

@@ -2,10 +2,10 @@
 
 A dataset is N series observed on a shared time grid of length T, each with P
 real components. The time axis is cut once into contiguous TRAIN / VAL / TEST
-segments. Every statistic used to transform the data (imputation fill values,
-per-component scale) is estimated from observed TRAIN entries only and then
-applied verbatim to all three segments, so nothing fitted upstream can depend
-on later data.
+segments. NaN marks a missing value. Every statistic used to transform the
+data (fill values, per-component scale) is estimated from observed (non-NaN)
+TRAIN entries only and applied by :meth:`Standardizer.transform` to all three
+segments, so nothing fitted upstream can depend on later data.
 
 Model-facing reads (window and target gathering) are recorded in an
 :class:`AccessAudit` so a run can prove after the fact that no TEST value was
@@ -35,34 +35,27 @@ class DataError(Exception):
 
 
 class MtsDataset:
-    """N series x T time points x P components, plus an observed-value mask.
+    """N series x T time points x P components.
 
-    ``values`` holds NaN wherever the raw input was missing until
-    :func:`fit_impute_standardize` fills it; ``mask`` stays True exactly at
-    originally observed positions.
+    NaN is the one marker of a missing value: ``values`` holds NaN wherever
+    the raw input was missing, and :func:`fit_impute_standardize` returns a
+    copy with every NaN filled.
     """
 
-    def __init__(self, values: np.ndarray, mask: np.ndarray | None = None,
-                 names: list[str] | None = None):
+    def __init__(self, values: np.ndarray, names: list[str] | None = None):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 3:
             raise DataError(f"expected (N, T, P) values, got shape {values.shape}")
         n, t, p = values.shape
         if n == 0 or t == 0 or p == 0:
             raise DataError(f"degenerate dataset shape {values.shape}")
-        if mask is None:
-            mask = np.isfinite(values)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != values.shape:
-            raise DataError("mask shape does not match values")
         if np.isinf(values).any():
             raise DataError("dataset contains non-finite (inf) values")
         if names is None:
             names = [f"s{i:04d}" for i in range(n)]
-        if len(names) != n:
-            raise DataError("need one name per series")
+        if len(names) != n or not all(isinstance(x, str) for x in names):
+            raise DataError("need one name (a string) per series")
         self.values = values
-        self.mask = mask
         self.names = list(names)
 
     @property
@@ -76,11 +69,6 @@ class MtsDataset:
     @property
     def n_components(self) -> int:
         return self.values.shape[2]
-
-    def freeze(self) -> "MtsDataset":
-        self.values.flags.writeable = False
-        self.mask.flags.writeable = False
-        return self
 
 
 @dataclass(frozen=True)
@@ -140,10 +128,23 @@ class Standardizer:
     fill: np.ndarray
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mu) / self.sigma
+        """Fill every NaN entry of ``values`` (..., P) with ``fill``, then
+        rescale: the one fill-and-scale step."""
+        return (np.where(np.isnan(values), self.fill, values) - self.mu) / self.sigma
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         return values * self.sigma + self.mu
+
+    def as_dict(self) -> dict:
+        """The record a run's manifest stores as ``standardizer``."""
+        return {"mu": self.mu.tolist(), "sigma": self.sigma.tolist(),
+                "eps": self.eps, "fill": self.fill.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Standardizer":
+        return cls(mu=np.asarray(d["mu"], dtype=np.float64),
+                   sigma=np.asarray(d["sigma"], dtype=np.float64),
+                   eps=float(d["eps"]), fill=np.asarray(d["fill"], dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +234,7 @@ def _load_csv_dir(path: str, header: bool) -> MtsDataset:
                 f"{f}: shape {arr.shape} does not match {files[0]}: {arrays[0].shape}")
         arrays.append(arr)
         names.append(os.path.splitext(f)[0])
-    values = np.stack(arrays)
-    return MtsDataset(values, np.isfinite(values), names)
+    return MtsDataset(np.stack(arrays), names)
 
 
 def load_packed(path: str) -> MtsDataset:
@@ -253,7 +253,7 @@ def load_packed(path: str) -> MtsDataset:
     if len(payload) != expected:
         raise DataError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
     values = np.frombuffer(payload, dtype="<f8").reshape(n, t, p).astype(np.float64)
-    return MtsDataset(values, np.isfinite(values))
+    return MtsDataset(values)
 
 
 def load_pems(path: str) -> MtsDataset:
@@ -284,9 +284,8 @@ def load_pems(path: str) -> MtsDataset:
     shapes = {m.shape for m in day_matrices}
     if len(shapes) != 1:
         raise DataError(f"{path}: day matrices differ in shape: {sorted(shapes)}")
-    values = np.stack(day_matrices)
     names = [f"day{i:04d}" for i in range(len(day_matrices))]
-    return MtsDataset(values, np.isfinite(values), names)
+    return MtsDataset(np.stack(day_matrices), names)
 
 
 @contextlib.contextmanager
@@ -309,11 +308,10 @@ def atomic_open(path: str, mode: str = "w"):
 def save_packed(ds: MtsDataset, path: str) -> None:
     """Write the packed binary format: magic, N/T/P as little-endian u64,
     then row-major float64 values series by series, NaN marking missing."""
-    values = np.where(ds.mask, ds.values, np.nan)
     with open(path, "wb") as fh:
         fh.write(PACKED_MAGIC)
         fh.write(struct.pack("<QQQ", ds.n_series, ds.n_times, ds.n_components))
-        fh.write(values.astype("<f8").tobytes(order="C"))
+        fh.write(ds.values.astype("<f8").tobytes(order="C"))
 
 
 def write_csv(path: str, rows) -> None:
@@ -330,11 +328,10 @@ def write_csv(path: str, rows) -> None:
 
 def save_csv(ds: MtsDataset, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    values = np.where(ds.mask, ds.values, np.nan)
     for i, name in enumerate(ds.names):
         write_csv(os.path.join(directory, f"{name}.csv"),
                   [[None if x != x else x for x in row]  # NaN is missing
-                   for row in values[i].tolist()])
+                   for row in ds.values[i].tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -347,23 +344,23 @@ def fit_impute_standardize(ds: MtsDataset, spec: SplitSpec, eps: float = 1e-8,
     """Fill missing entries and rescale, using observed TRAIN statistics only.
 
     Per component p the fill value is the mean (or median, behind the flag)
-    of observed TRAIN entries pooled over all series, and the scale is
-    sqrt(TRAIN variance + eps). Both are applied to every segment. Raises if
-    a component has no observed TRAIN entry at all, or a scale of 0 (a
-    component constant on TRAIN, with ``eps = 0``).
+    of the observed (non-NaN) TRAIN entries pooled over all series, and the
+    scale is sqrt(TRAIN variance + eps). :meth:`Standardizer.transform`
+    applies both to every segment. Raises if a component has no observed
+    TRAIN entry at all, or a scale of 0 (a component constant on TRAIN, with
+    ``eps = 0``).
     """
     if impute not in ("mean", "median"):
         raise DataError(f"unknown imputation method {impute!r}")
     spec.validate(ds.n_times)
     p = ds.n_components
     train_vals = ds.values[:, :spec.t_train, :]
-    train_mask = ds.mask[:, :spec.t_train, :]
 
     mu = np.empty(p)
     fill = np.empty(p)
     var = np.empty(p)
     for j in range(p):
-        obs = train_vals[:, :, j][train_mask[:, :, j]]
+        obs = train_vals[:, :, j][~np.isnan(train_vals[:, :, j])]
         if obs.size == 0:
             raise DataError(f"component {j} has no observed TRAIN entries")
         mu[j] = obs.mean()
@@ -374,13 +371,9 @@ def fit_impute_standardize(ds: MtsDataset, spec: SplitSpec, eps: float = 1e-8,
                             f"is 0; set eps > 0")
     sigma = np.sqrt(var + eps)
     standardizer = Standardizer(mu=mu, sigma=sigma, eps=eps, fill=fill)
-
-    values = ds.values.copy()
-    missing = ~ds.mask
-    values[missing] = np.broadcast_to(fill, ds.values.shape)[missing]
-    values = standardizer.transform(values)
-    out = MtsDataset(values, ds.mask.copy(), list(ds.names)).freeze()
-    return standardizer, out
+    values = standardizer.transform(ds.values)
+    values.flags.writeable = False  # the prepared panel is read-only
+    return standardizer, MtsDataset(values, list(ds.names))
 
 
 # ---------------------------------------------------------------------------

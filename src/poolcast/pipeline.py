@@ -360,13 +360,6 @@ def load_prepared(cfg: RunConfig) -> PreparedData:
                    min_segment=cfg.min_segment())
 
 
-def _standardizer_record(prepared: PreparedData) -> dict:
-    """The TRAIN standardizer as the manifest stores it."""
-    std = prepared.standardizer
-    return {"mu": std.mu.tolist(), "sigma": std.sigma.tolist(),
-            "eps": std.eps, "fill": std.fill.tolist()}
-
-
 def _fit_global(prepared: PreparedData, cfg: RunConfig) -> ParamSet:
     tc = cfg.train_config()
     prepared.audit.set_phase("fit-global")
@@ -418,7 +411,7 @@ def cmd_prepare(cfg: RunConfig, prepared: PreparedData | None = None) -> dict:
         prepared = load_prepared(cfg)
     manifest = {
         "config": cfg.as_dict(),
-        "standardizer": _standardizer_record(prepared),
+        "standardizer": prepared.standardizer.as_dict(),
         "n_series": prepared.n_series,
         "n_components": prepared.dataset.n_components,
         "test_evaluated": False,
@@ -557,7 +550,7 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
     prepared = load_prepared(cfg)
     # another dataset shows in the series count or the TRAIN statistics
     if (manifest.get("n_series") != prepared.n_series
-            or manifest.get("standardizer") != _standardizer_record(prepared)):
+            or manifest.get("standardizer") != prepared.standardizer.as_dict()):
         raise DataError(f"{cfg.data_dir!r} is not the dataset run {cfg.run_dir!r} "
                         f"was trained on: its series count or TRAIN standardizer differs")
     global_params, assignment, flags, prototypes, individual = _load_trained(
@@ -640,7 +633,7 @@ def _read_segment(path: str, p_dim: int, w: int, csv_header: bool) -> np.ndarray
             ds = load_packed(path)
             if ds.n_series != 1:
                 raise DataError(f"{path}: expected a single-series packed file")
-            seg = np.where(ds.mask[0], ds.values[0], np.nan)
+            seg = ds.values[0]
     except OSError as exc:
         raise DataError(f"cannot read segment: {exc}") from None
     if seg.shape[1] != p_dim:
@@ -671,14 +664,10 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
             if h not in calib.factors:
                 raise ConfigError(f"horizon {h} was not calibrated by evaluate "
                                   f"(calibrated: {sorted(calib.factors)})")
-    stored = manifest["standardizer"]
-    std = Standardizer(mu=np.asarray(stored["mu"]), sigma=np.asarray(stored["sigma"]),
-                       eps=float(stored["eps"]), fill=np.asarray(stored["fill"]))
+    std = Standardizer.from_dict(manifest["standardizer"])
     tc = cfg.train_config()
     p_dim = len(std.mu)
-    raw = _read_segment(segment_path, p_dim, tc.w, cfg.csv_header)
-    filled = np.where(np.isfinite(raw), raw, std.fill)
-    segment = std.transform(filled)
+    segment = std.transform(_read_segment(segment_path, p_dim, tc.w, cfg.csv_header))
 
     refit_global = _load_params(cfg, p_dim, "global", refit=True)
     # only a clustered run has flags; flagged clusters route to the pooled

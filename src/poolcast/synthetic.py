@@ -100,7 +100,7 @@ def generate(spec: SyntheticSpec) -> tuple[MtsDataset, np.ndarray]:
             x = maps[reg] @ x + forcing[t] + noise[t]
             values[i, t] = x
     names = [f"s{i:04d}_r{labels[i]}" for i in range(spec.n_series)]
-    return MtsDataset(values, np.ones_like(values, dtype=bool), names), labels.copy()
+    return MtsDataset(values, names), labels.copy()
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

@@ -34,6 +34,13 @@ def cached_windows(values, series, ends, w: int, h: int):
     return x.reshape(-1, w, p), y.reshape(-1, p)
 
 
+def apply_factor(median, lower, upper, s: float):
+    """An interval's two ends with both half-widths rescaled around the
+    median by s: the calibration formula served and TEST fans are checked
+    against."""
+    return median + s * (lower - median), median + s * (upper - median)
+
+
 def grid_coverage(median, lower, upper, target_values, grid):
     """Coverage of the intervals rescaled about the median by every grid
     factor, from (len(grid), N) matrices of every factor's bounds."""
@@ -48,12 +55,14 @@ def calibrate_factor(median, lower, upper, target_values, target_coverage,
                      grid):
     """The calibration factor from the whole coverage-by-factor curve: the
     first grid factor whose coverage reaches the target, else the last one
-    with a RuntimeWarning naming the coverage there."""
+    with a RuntimeWarning naming the coverage there, which need not be the
+    highest on the grid."""
     cov = grid_coverage(median, lower, upper, target_values, grid)
     reached = np.flatnonzero(cov >= target_coverage)
     if len(reached) == 0:
         warnings.warn(
             f"target coverage {target_coverage:.3f} unreachable on the grid "
-            f"(best {cov[-1]:.3f} at s={grid[-1]:.3f})", RuntimeWarning)
+            f"(coverage {cov[-1]:.3f} at its largest factor s={grid[-1]:.3f})",
+            RuntimeWarning)
         return float(grid[-1])
     return float(grid[reached[0]])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from poolcast.calibration import (GRID, CalibrationTable, apply_factor,
-                                  calibrate, calibrate_factor)
+from oracles import apply_factor
+from poolcast.calibration import GRID, CalibrationTable, calibrate, calibrate_factor
 from poolcast.losses import interval_stats
 
 
@@ -58,17 +58,28 @@ def assert_matches_oracle(stream, target_coverage):
     return got
 
 
+def table_interval(med, lo, hi, s):
+    """The interval's two ends as ``CalibrationTable.apply`` rescales them by
+    s, checked bitwise against the oracle's formula."""
+    got_lo, _, got_hi = CalibrationTable(0.8, {1: s}).apply(
+        1, med, np.stack([lo, med, hi]))
+    want_lo, want_hi = apply_factor(med, lo, hi, s)
+    assert got_lo.tobytes() == want_lo.tobytes()
+    assert got_hi.tobytes() == want_hi.tobytes()
+    return got_lo, got_hi
+
+
 def test_apply_factor_formula():
-    lo, hi = apply_factor(np.array([0.0]), np.array([-1.0]), np.array([1.0]), 2.0)
+    lo, hi = table_interval(np.array([0.0]), np.array([-1.0]), np.array([1.0]), 2.0)
     assert lo[0] == -2.0 and hi[0] == 2.0
 
 
 def test_apply_identity_and_collapse():
     med, lo, hi, _ = make_stream()
-    lo1, hi1 = apply_factor(med, lo, hi, 1.0)
+    lo1, hi1 = table_interval(med, lo, hi, 1.0)
     np.testing.assert_allclose(lo1, lo, atol=1e-15)
     np.testing.assert_allclose(hi1, hi, atol=1e-15)
-    lo0, hi0 = apply_factor(med, lo, hi, 0.0)
+    lo0, hi0 = table_interval(med, lo, hi, 0.0)
     np.testing.assert_array_equal(lo0, med)
     np.testing.assert_array_equal(hi0, med)
 
@@ -76,7 +87,7 @@ def test_apply_identity_and_collapse():
 def test_apply_scales_half_widths_exactly():
     med, lo, hi, _ = make_stream(1)
     s = 1.7
-    lo2, hi2 = apply_factor(med, lo, hi, s)
+    lo2, hi2 = table_interval(med, lo, hi, s)
     np.testing.assert_allclose(hi2 - med, s * (hi - med), rtol=1e-15)
     np.testing.assert_allclose(med - lo2, s * (med - lo), rtol=1e-15)
 
@@ -171,13 +182,14 @@ def test_calibrate_factor_equals_the_grid_matrix_oracle(seed):
     s, caught = assert_matches_oracle(
         (med, lo - 50.0, hi + 50.0, target), 0.8)
     assert s == GRID[0] and not caught
-    # unreachable: the warning names the coverage at the last factor
+    # unreachable: the warning names the coverage at the last factor, and
+    # does not call it the best
     s, caught = assert_matches_oracle(stream, cov.max() + 1e-3)
     assert s == GRID[-1]
     assert caught == [(RuntimeWarning,
                        f"target coverage {cov.max() + 1e-3:.3f} unreachable "
-                       f"on the grid (best {cov[-1]:.3f} at "
-                       f"s={GRID[-1]:.3f})")]
+                       f"on the grid (coverage {cov[-1]:.3f} at its largest "
+                       f"factor s={GRID[-1]:.3f})")]
 
 
 def test_calibrate_factor_memory_is_a_few_stream_copies():

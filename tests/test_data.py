@@ -1,27 +1,38 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
-from poolcast.data import (DataError, MtsDataset, SplitSpec, _check_csv_records,
-                           _load_csv_file, fit_impute_standardize,
-                           load_dataset, prepare, save_csv, save_packed)
+from poolcast.data import (DataError, MtsDataset, SplitSpec, Standardizer,
+                           _check_csv_records, _load_csv_file,
+                           fit_impute_standardize, load_dataset, prepare,
+                           save_csv, save_packed)
 from oracles import cached_windows
 
 
 def make_ds(n=2, t=10, p=3, seed=0, missing=()):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=(n, t, p))
-    mask = np.ones((n, t, p), dtype=bool)
     for pos in missing:
-        mask[pos] = False
         values[pos] = np.nan
-    return MtsDataset(values, mask)
+    return MtsDataset(values)
 
 
 # ---------------------------------------------------------------------------
 # loading
 # ---------------------------------------------------------------------------
+
+
+def test_dataset_takes_values_and_names_only():
+    # a bool mask in the names' place (the old MtsDataset(values, mask) call)
+    # is refused, not taken as names
+    values = make_ds(n=2, t=4, p=1).values
+    with pytest.raises(DataError, match="one name"):
+        MtsDataset(values, np.isfinite(values))
+    with pytest.raises(DataError, match="one name"):
+        MtsDataset(values, ["a"])
+    assert MtsDataset(values, ["a", "b"]).names == ["a", "b"]
 
 
 def test_csv_roundtrip_shapes(tmp_path):
@@ -37,9 +48,8 @@ def test_csv_empty_cell_becomes_missing(tmp_path):
     d.mkdir()
     (d / "a.csv").write_text("1,2\n,4\n5,6\n")
     ds = load_dataset(str(d))
-    assert not ds.mask[0, 1, 0]
-    assert ds.mask[0, 1, 1]
     assert np.isnan(ds.values[0, 1, 0])
+    assert ds.values[0, 1, 1] == 4.0
 
 
 def test_csv_nan_token_and_unreadable(tmp_path):
@@ -47,7 +57,8 @@ def test_csv_nan_token_and_unreadable(tmp_path):
     d.mkdir()
     (d / "a.csv").write_text("1,NaN\n2,3\n")
     ds = load_dataset(str(d))
-    assert not ds.mask[0, 0, 1]
+    assert np.isnan(ds.values[0, 0, 1])
+    assert np.isnan(ds.values).sum() == 1
     (d / "a.csv").write_text("1,bogus\n2,3\n")
     with pytest.raises(DataError, match="unreadable"):
         load_dataset(str(d))
@@ -77,8 +88,8 @@ def test_packed_roundtrip(tmp_path):
     path = tmp_path / "data.mts"
     save_packed(ds, str(path))
     loaded = load_dataset(str(path), fmt="packed")
-    np.testing.assert_array_equal(loaded.mask, ds.mask)
-    np.testing.assert_array_equal(loaded.values[loaded.mask], ds.values[ds.mask])
+    assert loaded.values.tobytes() == ds.values.tobytes()  # NaN included
+    assert np.isnan(loaded.values[1, 2, 0]) and np.isnan(loaded.values).sum() == 1
     raw = path.read_bytes()
     assert raw[:4] == b"MTS1"
     assert int.from_bytes(raw[4:12], "little") == 3
@@ -183,8 +194,6 @@ def test_prepared_values_are_read_only():
     dataset = prepare(make_ds(), SplitSpec(4, 3, 3)).dataset
     with pytest.raises(ValueError):
         dataset.values[0, 0, 0] = 1.0
-    with pytest.raises(ValueError):
-        dataset.mask[0, 0, 0] = False
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +214,24 @@ def test_standardizer_matches_hand_computation():
 def test_missing_val_cell_imputed_to_zero():
     ds = make_ds(n=2, t=10, p=2, missing=[(0, 5, 1)])  # time 5 is in VAL below
     _, out = fit_impute_standardize(ds, SplitSpec(4, 3, 3))
+    assert np.isnan(ds.values[0, 5, 1])  # the input keeps its NaN
     assert out.values[0, 5, 1] == pytest.approx(0.0)
-    assert not out.mask[0, 5, 1]
     assert np.isfinite(out.values).all()  # no missing values remain anywhere
+
+
+@pytest.mark.parametrize("impute", ["mean", "median"])
+def test_manifest_standardizer_fills_and_scales_as_prepare(impute):
+    """The standardizer rebuilt from its JSON manifest record fills and
+    rescales a panel with missing cells in TRAIN, VAL and TEST bitwise as
+    ``prepare`` did: the one fill-and-scale step serves both."""
+    ds = make_ds(n=3, t=30, p=2, seed=5,
+                 missing=[(0, 3, 1), (2, 11, 0), (1, 22, 0), (0, 27, 1)])
+    prepared = prepare(ds, SplitSpec(20, 5, 5), impute=impute)
+    record = json.loads(json.dumps(prepared.standardizer.as_dict()))
+    assert list(record) == ["mu", "sigma", "eps", "fill"]
+    got = Standardizer.from_dict(record).transform(ds.values)
+    assert got.tobytes() == prepared.dataset.values.tobytes()
+    assert np.isfinite(got).all()
 
 
 def test_median_imputation_variant():

@@ -15,10 +15,11 @@ import pytest
 
 import poolcast
 from poolcast import cli, clustering, model, pipeline
-from poolcast.calibration import apply_factor
 from poolcast.data import PreparedData
 from poolcast.model import TrainingDiverged, derive_seed
 from poolcast.pipeline import ConfigError, ProtocolError, RunConfig
+
+from oracles import apply_factor
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="sweep workers are forked")
