@@ -19,8 +19,11 @@ Run directories work from any working directory: the manifest stores no
 paths, and a run's files have fixed names below its run directory.
 
 The (K, seed) selection sweeps run on min(runs, usable CPUs) forked worker
-processes, each with a one-thread BLAS; their outputs are bitwise those of
-the serial sweep, and platforms without fork run the sweep serially.
+processes, each with a one-thread BLAS, which the calling process sets just
+before they fork and restores to its own count afterwards (its other
+threads run single-threaded BLAS during the sweep); their outputs are
+bitwise those of the serial sweep, and platforms without fork run the sweep
+serially.
 """
 
 from __future__ import annotations

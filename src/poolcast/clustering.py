@@ -338,10 +338,13 @@ class SelectionResult:
 # the sweep in progress, as (per-run function, audit), for forked workers to
 # inherit: a per-run closure cannot be pickled into a pool task
 _SWEEP = None
-# OpenBLAS's thread-count setter under its plain and 64-bit-integer names
+# OpenBLAS's thread-count setter and getter under their plain and
+# 64-bit-integer names
 _BLAS_SET_THREADS = ("openblas_set_num_threads", "openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads",
                      "scipy_openblas_set_num_threads64_")
+_BLAS_GET_THREADS = tuple(name.replace("_set_", "_get_")
+                          for name in _BLAS_SET_THREADS)
 
 
 def sweep_workers(n_runs: int) -> int:
@@ -354,23 +357,28 @@ def sweep_workers(n_runs: int) -> int:
     return max(1, min(n_runs, cpus))
 
 
-def _pin_blas_to_one_thread() -> None:
-    """Cap the BLAS numpy already loaded at one thread, so workers running side
-    by side do not contend for cores; a no-op if no OpenBLAS setter is found.
-    Results do not depend on the BLAS thread count."""
+def _set_blas_threads(n: int) -> int | None:
+    """Set the thread count of the BLAS numpy already loaded to ``n`` and
+    return the previous count; a no-op returning None if no OpenBLAS setter
+    and getter are found. Results do not depend on the BLAS thread count."""
     try:
         # symbols are looked up in this numpy extension and the libraries it
         # links, which include numpy's BLAS
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
-        return
-    for name in _BLAS_SET_THREADS:
-        setter = getattr(lib, name, None)
-        if setter is not None:
+        return None
+    for set_name, get_name in zip(_BLAS_SET_THREADS, _BLAS_GET_THREADS):
+        setter = getattr(lib, set_name, None)
+        getter = getattr(lib, get_name, None)
+        if setter is not None and getter is not None:
             setter.argtypes = [ctypes.c_int]
             setter.restype = None
-            setter(1)
-            return
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            previous = getter()
+            setter(n)
+            return previous
+    return None
 
 
 def _sweep_task(key):
@@ -383,7 +391,13 @@ def _sweep_outcomes(prepared: PreparedData, run, keys):
 
     With more than one worker the runs execute in forked processes; each
     returns its audit, whose reads are merged into ``prepared.audit``, and a
-    worker's exception is re-raised here with its original type.
+    worker's exception is re-raised here with its original type. The workers
+    run a one-thread BLAS, so that they do not contend for cores: it is set
+    in this process before they fork, since a worker that set it after the
+    fork ran its first run about 70 ms slower, and the caller's count is
+    restored when the sweep ends or fails. Other threads of this process
+    meanwhile run single-threaded BLAS too. The serial path leaves BLAS
+    alone.
     """
     workers = sweep_workers(len(keys))
     if workers == 1:
@@ -393,15 +407,17 @@ def _sweep_outcomes(prepared: PreparedData, run, keys):
     import multiprocessing  # only the parallel path pays for the import
 
     global _SWEEP
+    blas_threads = _set_blas_threads(1)
     _SWEEP = (run, prepared.audit)
     try:
-        with multiprocessing.get_context("fork").Pool(
-                workers, initializer=_pin_blas_to_one_thread) as pool:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             for key, (outcome, audit) in zip(keys, pool.imap(_sweep_task, keys)):
                 prepared.audit.merge(audit)
                 yield key, outcome
     finally:
         _SWEEP = None
+        if blas_threads is not None:
+            _set_blas_threads(blas_threads)
 
 
 def run_sweep(prepared: PreparedData, sel_cfg: SelectionConfig, run,
@@ -415,8 +431,10 @@ def run_sweep(prepared: PreparedData, sel_cfg: SelectionConfig, run,
     from ``own`` and the pooled losses ``pooled``, in this process and in key
     order. The kept run minimizes routed risk + gamma * K / N; ties prefer
     the smaller K, then the smaller seed. Runs execute on
-    :func:`sweep_workers` forked processes, each with a one-thread BLAS, and
-    give bitwise the results of a serial sweep.
+    :func:`sweep_workers` forked processes, which inherit a one-thread BLAS
+    set in this process before they fork (the caller's count is restored
+    afterwards, and other threads of this process run single-threaded BLAS
+    during the sweep), and give bitwise the results of a serial sweep.
     """
     n = prepared.n_series
     keys = [(k, seed) for k in sorted(sel_cfg.candidates) for seed in sel_cfg.seeds]

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import os
 import tracemalloc
@@ -17,8 +18,8 @@ from poolcast.clustering import (Assignment, CostMatrix, FallbackFlags,
                                  init_assignments, outer_loop, reassign,
                                  run_sweep, val_risk_pair)
 from poolcast.data import SplitSpec, prepare
-from poolcast.model import (TrainConfig, derive_seed, init_params, rollout,
-                            train, train_stacked)
+from poolcast.model import (TrainConfig, TrainingDiverged, derive_seed,
+                            init_params, rollout, train, train_stacked)
 from poolcast.synthetic import SyntheticSpec, generate
 
 from oracles import huber
@@ -645,3 +646,76 @@ def test_parallel_sweep_is_bitwise_serial(small_world, monkeypatch, method):
     assert serial[7]["fit-prototypes"]["va"] == 0
     assert serial[7]["fit-prototypes"]["te"] == 0
     assert parallel == serial
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, with this process at two BLAS threads
+    during the test and at its own count again after it."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    getter = next((getattr(lib, name) for name in clustering._BLAS_GET_THREADS
+                   if hasattr(lib, name)), None)
+    if getter is None:
+        pytest.skip("no OpenBLAS thread-count getter found")
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    previous = clustering._set_blas_threads(2)
+    yield getter
+    clustering._set_blas_threads(previous)
+
+
+@needs_fork
+def test_sweep_workers_inherit_one_blas_thread(small_world, monkeypatch,
+                                              blas_threads):
+    prepared, _, _ = small_world
+    calls = []
+    set_blas_threads = clustering._set_blas_threads
+
+    def record(n):
+        calls.append(n)
+        return set_blas_threads(n)
+
+    monkeypatch.setattr(clustering, "_set_blas_threads", record)
+    keys = [(2, 0), (2, 1), (3, 0), (3, 1)]
+    parent = os.getpid()
+
+    def run(k, seed):
+        return os.getpid(), blas_threads()
+
+    monkeypatch.setattr(clustering, "sweep_workers", lambda n: 1)
+    serial = dict(clustering._sweep_outcomes(prepared, run, keys))
+    assert serial == {key: (parent, 2) for key in keys}
+    assert calls == []  # the serial path leaves BLAS alone
+    monkeypatch.setattr(clustering, "sweep_workers", lambda n: 2)
+    outcomes = dict(clustering._sweep_outcomes(prepared, run, keys))
+    assert list(outcomes) == keys
+    assert all(pid != parent and threads == 1
+               for pid, threads in outcomes.values())
+    assert blas_threads() == 2
+    # set once before the workers fork, restored once after them
+    assert calls == [1, 2]
+
+
+@needs_fork
+def test_failed_sweep_restores_the_callers_blas_threads(small_world,
+                                                        monkeypatch,
+                                                        blas_threads):
+    prepared, _, _ = small_world
+    monkeypatch.setattr(clustering, "sweep_workers", lambda n: 2)
+
+    def run(k, seed):
+        if seed == 1:
+            raise TrainingDiverged("non-finite training loss in epoch 1; "
+                                   "last finite epoch was 0", 0)
+        return k, seed
+
+    with pytest.raises(TrainingDiverged) as err:
+        list(clustering._sweep_outcomes(prepared, run, [(2, 0), (2, 1)]))
+    assert err.value.last_finite_epoch == 0
+    assert blas_threads() == 2
+
+
+def test_blas_thread_helper_needs_setter_and_getter(monkeypatch):
+    monkeypatch.setattr(clustering, "_BLAS_GET_THREADS",
+                        ("no_such_getter",) * len(clustering._BLAS_SET_THREADS))
+    assert clustering._set_blas_threads(1) is None
