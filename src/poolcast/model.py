@@ -28,7 +28,7 @@ import numpy as np
 from .data import atomic_open
 from .losses import huber_deriv, huber_elem, loss_elem, objective
 
-CHECKPOINT_MAGIC = b"PCM1"
+CHECKPOINT_MAGIC = b"PCM2"
 _MODE_FLAGS = {"point": 0, "quantile": 1}
 _FLAG_MODES = {v: k for k, v in _MODE_FLAGS.items()}
 STACK_BYTES = 6 << 20  # the workspace budget of one train_stacked stack
@@ -82,6 +82,10 @@ class ParamSet:
 
     ``mix`` is the shared encoder/decoder pair (decode = mix.T); everything
     else is the specialized part that cluster prototypes are allowed to move.
+    The GRU's gates are stored fused, as the cell multiplies them: the input
+    maps ``w_gates`` (3H, r) and biases ``b_gates`` (3H,) hold the update,
+    reset and candidate gates' rows in that order, ``u_zr`` (2H, H) the
+    update and reset recurrent maps, and ``u_cand`` (H, H) the candidate's.
     Tensors are views into one flat float64 buffer so the optimizer and
     gradient clipping can operate with a few vectorized calls; ``mix`` sits
     first, which makes the specialized part the contiguous tail.
@@ -127,7 +131,7 @@ class ParamSet:
 
     @property
     def hidden(self) -> int:
-        return self.w_update.shape[-2]
+        return self.u_cand.shape[-1]
 
     @property
     def n_levels(self) -> int:
@@ -143,12 +147,8 @@ class ParamSet:
     def shapes(p_dim: int, latent: int, hidden: int, n_levels: int):
         return (
             ("mix", (latent, p_dim)),
-            ("w_update", (hidden, latent)), ("u_update", (hidden, hidden)),
-            ("b_update", (hidden,)),
-            ("w_reset", (hidden, latent)), ("u_reset", (hidden, hidden)),
-            ("b_reset", (hidden,)),
-            ("w_cand", (hidden, latent)), ("u_cand", (hidden, hidden)),
-            ("b_cand", (hidden,)),
+            ("w_gates", (3 * hidden, latent)), ("u_zr", (2 * hidden, hidden)),
+            ("u_cand", (hidden, hidden)), ("b_gates", (3 * hidden,)),
             ("w_out", (latent, hidden)), ("b_out", (latent,)),
             ("w_quant", (n_levels * latent, hidden)), ("b_quant", (n_levels * latent,)),
         )
@@ -176,15 +176,21 @@ def _layout(p_dim: int, latent: int, hidden: int, n_levels: int) -> _Layout:
 
 def init_params(p_dim: int, latent: int, hidden: int, n_levels: int,
                 seed: int) -> ParamSet:
-    """Fresh parameters: weights ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero."""
+    """Fresh parameters: weights ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero.
+
+    The draws keep the order of the earlier per-gate layout, so a seed gives
+    the values it always gave: ``mix``, then each gate's input map and
+    recurrent map (update, reset, candidate), then the two heads."""
     rng = np.random.default_rng(seed)
     layout = _layout(p_dim, latent, hidden, n_levels)
-    flat = np.zeros(layout.size)
-    for name, shape, lo, hi in layout.slots:
-        if not name.startswith("b_"):
-            bound = 1.0 / np.sqrt(shape[1])  # fan-in
-            flat[lo:hi] = rng.uniform(-bound, bound, size=hi - lo)
-    return ParamSet(layout, flat)
+    params = ParamSet(layout, np.zeros(layout.size))
+    w_gates, u_zr = params.w_gates, params.u_zr
+    for t in (params.mix, w_gates[:hidden], u_zr[:hidden],
+              w_gates[hidden:2 * hidden], u_zr[hidden:], w_gates[2 * hidden:],
+              params.u_cand, params.w_out, params.w_quant):
+        bound = 1.0 / np.sqrt(t.shape[1])  # fan-in
+        t[...] = rng.uniform(-bound, bound, size=t.shape)
+    return params
 
 
 @dataclass(frozen=True)
@@ -240,7 +246,8 @@ class TrainConfig:
 class _Workspace:
     """Every buffer of one training step of a stack of M models on batches
     of n windows: the gathered batch, the activations backprop reads, the
-    temporaries and the gradients.
+    temporaries and the gradients. The weights are read where they are
+    stored, so the workspace holds no copy of them.
 
     The buffers are views into one float64 arena. A stack allocates the
     arena of its largest step and carves every smaller step's workspace out
@@ -282,8 +289,6 @@ class _Workspace:
         return [
             ("x", (m, n, w, p)), ("y", (m, n, p)),
             ("xt", (m, w * n, p)), ("z_in", (m, w * n, r)),
-            ("w_all", (m, 3 * hid, r)), ("b_all", (m, 3 * hid)),
-            ("u_zr", (m, 2 * hid, hid)),
             # the gate inputs are dead once the forward pass ends; the
             # backward pass writes the gate gradients (d_acts) over them
             ("gates", (m, w * n, 3 * hid)),
@@ -304,47 +309,36 @@ class _Workspace:
         ]
 
 
-def _cell_weights(params: ParamSet, work: _Workspace | None = None) -> tuple:
-    """The GRU's fused weights (w_all (3H, r), b_all (3H,), u_zr (2H, H),
-    u_cand (H, H)): the update, reset and candidate input maps, biases and
-    recurrent maps, concatenated into ``work`` when given."""
-    out = (None,) * 3 if work is None else (work.w_all, work.b_all, work.u_zr)
-    return (np.concatenate([params.w_update, params.w_reset, params.w_cand], -2,
-                           out=out[0]),
-            np.concatenate([params.b_update, params.b_reset, params.b_cand], -1,
-                           out=out[1]),
-            np.concatenate([params.u_update, params.u_reset], -2, out=out[2]),
-            params.u_cand)
-
-
-def _gate_inputs(params: ParamSet, weights: tuple, rows: np.ndarray,
+def _gate_inputs(params: ParamSet, rows: np.ndarray,
                  z_in: np.ndarray | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """The gate inputs (..., k, 3H) of k observed rows (k, P): the latent
-    projection (into ``z_in``), the input maps and the biases. At latent >=
-    2 a row's gate inputs are the same in every product of two or more
-    rows; a one-row product runs as a GEMV, which rounds differently."""
+    """The gate inputs (..., k, 3H) of k observed rows (k, P), columns in the
+    row order of ``w_gates`` (update, reset, candidate): the latent
+    projection (into ``z_in``), the fused input map and the biases. At
+    latent >= 2 a row's gate inputs are the same in every product of two or
+    more rows; a one-row product runs as a GEMV, which rounds differently."""
     z_in = np.matmul(rows, params.mix.swapaxes(-1, -2), z_in)
-    gates = np.matmul(z_in, weights[0].swapaxes(-1, -2), out)
-    gates += weights[1][..., None, :]
+    gates = np.matmul(z_in, params.w_gates.swapaxes(-1, -2), out)
+    gates += params.b_gates[..., None, :]
     return gates
 
 
-def _gru_cells(weights: tuple, g_zr, g_c, h_states, zr_all, cand,
+def _gru_cells(params: ParamSet, g_zr, g_c, h_states, zr_all, cand,
                tmp: np.ndarray) -> None:
-    """The GRU cell over the time steps of the gate inputs: ``h_states[t +
-    1]`` from ``h_states[t]``, the update and reset inputs ``g_zr[t]`` (...,
-    k, 2H) and the candidate inputs ``g_c[t]`` (..., k, H), with the step's
-    activations written into ``zr_all[t]`` and ``cand[t]``.
+    """The GRU cell of ``params`` over the time steps of the gate inputs:
+    ``h_states[t + 1]`` from ``h_states[t]``, the update and reset inputs
+    ``g_zr[t]`` (..., k, 2H), which meet ``h @ u_zr.T`` in one product, and
+    the candidate inputs ``g_c[t]`` (..., k, H), with the step's activations
+    written into ``zr_all[t]`` and ``cand[t]``.
 
     Every step writes contiguous (k, .) blocks in place, and its matmuls make
     one GEMM call per model, so every model's state is bitwise its own
     pass's. A row's state is the same in every batch of two or more rows;
     one row runs as a GEMV, which rounds differently.
     """
-    hid = weights[3].shape[-1]
+    hid = params.hidden
     # transposed views, not copies: at k = 1 a copy would change the BLAS call
-    u_zr_t, u_cand_t = weights[2].swapaxes(-1, -2), weights[3].swapaxes(-1, -2)
+    u_zr_t, u_cand_t = params.u_zr.swapaxes(-1, -2), params.u_cand.swapaxes(-1, -2)
     with np.errstate(over="ignore"):
         for t in range(len(g_zr)):
             zr, c, h, h_next = zr_all[t], cand[t], h_states[t], h_states[t + 1]
@@ -369,8 +363,8 @@ def _gru_cells(weights: tuple, g_zr, g_c, h_states, zr_all, cand,
             np.add(h_next, tmp, h_next)
 
 
-def _encode(params: ParamSet, weights: tuple, gates: np.ndarray, runs: int,
-            starts: int, w: int, keep: int) -> np.ndarray:
+def _encode(params: ParamSet, gates: np.ndarray, runs: int, starts: int,
+            w: int, keep: int) -> np.ndarray:
     """The states of the first ``starts`` windows of each of ``runs``
     time-major runs, whose rows' gate inputs are ``gates`` (..., T * runs,
     3H): window b reads row b + t at step t, so one step's windows are the
@@ -389,7 +383,7 @@ def _encode(params: ParamSet, weights: tuple, gates: np.ndarray, runs: int,
     # steps[t] views step t's rows in the contiguous ``gates``
     steps = np.ndarray((w,) + shape[:-1] + (3 * hid,), np.float64, gates, 0,
                        (runs * gates.strides[-2],) + gates.strides)
-    _gru_cells(weights, steps[..., :2 * hid], steps[..., 2 * hid:], h_states,
+    _gru_cells(params, steps[..., :2 * hid], steps[..., 2 * hid:], h_states,
                [np.empty(shape[:-1] + (2 * hid,))] * w, [np.empty(shape)] * w,
                np.empty(shape))
     return kept
@@ -407,19 +401,16 @@ def _gru_forward(params: ParamSet, x: np.ndarray,
     """
     n, w, p = x.shape[-3:]
     if work is None:
-        weights = _cell_weights(params)
         rows = x.transpose(1, 0, 2).reshape(w * n, p)
-        return _encode(params, weights, _gate_inputs(params, weights, rows),
-                       n, 1, w, 1)[0]
+        return _encode(params, _gate_inputs(params, rows), n, 1, w, 1)[0]
     lead = params.mix.shape[:-2]
     hid = params.hidden
     np.copyto(work.xt.reshape(lead + (w, n, p)), x.swapaxes(-3, -2))
-    weights = _cell_weights(params, work)
-    gates = _gate_inputs(params, weights, work.xt, work.z_in, work.gates)
+    gates = _gate_inputs(params, work.xt, work.z_in, work.gates)
     work.hs[0] = 0.0
     # time-major: gates[t] holds step t of every model
     gates = gates.reshape(lead + (w, n, 3 * hid)).swapaxes(0, -3)
-    _gru_cells(weights, gates[..., :2 * hid], gates[..., 2 * hid:], work.hs,
+    _gru_cells(params, gates[..., :2 * hid], gates[..., 2 * hid:], work.hs,
                work.zr, work.cand, work.tmp)
     return work.hs[w]
 
@@ -432,7 +423,7 @@ def _gru_backward(params: ParamSet, work: _Workspace, x: np.ndarray,
     ``frozen_mix`` the encoder's share of the mixing gradient is added too."""
     m, n, w, p = x.shape
     hid, r = params.hidden, params.latent
-    u_zr, u_cand = work.u_zr, params.u_cand
+    u_zr, u_cand = params.u_zr, params.u_cand
     omz, tmp, da_c, d_rh = work.tmp, work.tmp2, work.tmp3, work.d_rh
     # series-major, like the activations copied below, so the weight
     # gradients sum over windows in series-major order
@@ -471,26 +462,20 @@ def _gru_backward(params: ParamSet, work: _Workspace, x: np.ndarray,
         np.add(dh, tmp, dh)
     flat_acts = d_acts.reshape(m, n * w, 3 * hid)
     np.copyto(work.z_sm, work.z_in.reshape(m, w, n, r).swapaxes(1, 2))
-    dw_all = np.matmul(flat_acts.swapaxes(-1, -2),
-                       work.z_sm.reshape(m, n * w, r), work.dw_all)
-    grads.w_update += dw_all[:, :hid]
-    grads.w_reset += dw_all[:, hid:2 * hid]
-    grads.w_cand += dw_all[:, 2 * hid:]
-    db_all = np.add.reduce(flat_acts, 1, None, work.db_all)
-    grads.b_update += db_all[:, :hid]
-    grads.b_reset += db_all[:, hid:2 * hid]
-    grads.b_cand += db_all[:, 2 * hid:]
+    grads.w_gates += np.matmul(flat_acts.swapaxes(-1, -2),
+                               work.z_sm.reshape(m, n * w, r), work.dw_all)
+    grads.b_gates += np.add.reduce(flat_acts, 1, None, work.db_all)
     h_prevs = work.hs[:w].transpose(1, 2, 0, 3)
     states = work.h_seq.reshape(m, n * w, hid)
     np.copyto(work.h_seq, h_prevs)
-    for tensor, lo in ((grads.u_update, 0), (grads.u_reset, hid)):
-        tensor += np.matmul(flat_acts[..., lo:lo + hid].swapaxes(-1, -2),
-                            states, work.du)
+    for lo in (0, hid):  # the update, then the reset rows of u_zr
+        grads.u_zr[:, lo:lo + hid] += np.matmul(
+            flat_acts[..., lo:lo + hid].swapaxes(-1, -2), states, work.du)
     np.multiply(work.zr[..., hid:].transpose(1, 2, 0, 3), h_prevs, work.h_seq)
     grads.u_cand += np.matmul(flat_acts[..., 2 * hid:].swapaxes(-1, -2),
                               states, work.du)
     if not frozen_mix:
-        dz_in = np.matmul(flat_acts, work.w_all, work.dz_in)
+        dz_in = np.matmul(flat_acts, params.w_gates, work.dz_in)
         grads.mix += np.matmul(dz_in.swapaxes(-1, -2), x.reshape(m, n * w, p),
                                work.dmix)
 
@@ -583,13 +568,12 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
     rows = s * n  # window-major inside: row i * s + r is window i of run r
     # starts past each run's last window, for the steps that resume there
     extra = min(h - 1, w - 1)
-    weights = _cell_weights(params)
     # the runs time-major, padded with zero rows the extra starts never keep
     runs = np.zeros((length + extra, s, p))
     runs[:length] = x.swapaxes(0, 1)
-    gates = _gate_inputs(params, weights, runs.reshape(-1, p))
+    gates = _gate_inputs(params, runs.reshape(-1, p))
     # kept[k]: every start's state after w - extra + k rows
-    kept = _encode(params, weights, gates, s, n + extra, w, extra + 1)
+    kept = _encode(params, gates, s, n + extra, w, extra + 1)
     point = np.empty(lead + (s, n, h, p))
     fan = np.empty(lead + (s, n, h, params.n_levels, p)) if quantile else None
     if h > 1:  # a stack has no later step
@@ -605,7 +589,7 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
         else:
             h0 = kept[-1 - j][j * s:(j + n) * s] if j <= extra else zero
             seq = fed[max(0, j - w):j]
-            _gru_cells(weights, seq[..., :2 * hid], seq[..., 2 * hid:],
+            _gru_cells(params, seq[..., :2 * hid], seq[..., 2 * hid:],
                        [h0] + turns, [zr] * len(seq), [c] * len(seq), tmp)
             state = turns[len(seq) - 1]
         if quantile:
@@ -617,7 +601,7 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
             pred = _point_from_hidden(params, state)[0]
         point[..., j, :] = pred.reshape(lead + (n, s, p)).swapaxes(-3, -2)
         if j < h - 1:
-            _gate_inputs(params, weights, pred, out=fed[j])
+            _gate_inputs(params, pred, out=fed[j])
     return (point.reshape(lead + (rows, h, p))[..., :served, :, :],
             None if fan is None
             else fan.reshape(lead + (rows,) + fan.shape[-3:])[..., :served, :, :, :])

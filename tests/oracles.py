@@ -66,3 +66,33 @@ def calibrate_factor(median, lower, upper, target_values, target_coverage,
             RuntimeWarning)
         return float(grid[-1])
     return float(grid[reached[0]])
+
+
+def legacy_init(p_dim: int, latent: int, hidden: int, n_levels: int,
+                seed: int) -> dict:
+    """Fresh parameters as the per-gate layout drew them: name -> tensor.
+
+    The weights are drawn in that layout's slot order (mix, then the
+    update, reset and candidate input and recurrent maps, then the two
+    heads), each from U(-1/sqrt(fan_in), +1/sqrt(fan_in)); biases are zero
+    and draw nothing."""
+    rng = np.random.default_rng(seed)
+    r, h = latent, hidden
+    tensors = {}
+    for name, shape in (("mix", (r, p_dim)),
+                        ("w_update", (h, r)), ("u_update", (h, h)),
+                        ("b_update", (h,)),
+                        ("w_reset", (h, r)), ("u_reset", (h, h)),
+                        ("b_reset", (h,)),
+                        ("w_cand", (h, r)), ("u_cand", (h, h)),
+                        ("b_cand", (h,)),
+                        ("w_out", (r, h)), ("b_out", (r,)),
+                        ("w_quant", (n_levels * r, h)),
+                        ("b_quant", (n_levels * r,))):
+        if len(shape) == 1:
+            tensors[name] = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[1])
+            tensors[name] = rng.uniform(-bound, bound, size=shape[0] * shape[1]
+                                        ).reshape(shape)
+    return tensors

@@ -17,7 +17,7 @@ from poolcast.model import (Adam, ParamSet, TrainConfig, TrainingDiverged,
                             loss_and_gradients, median_index, rollout,
                             save_checkpoint, train, train_stacked)
 
-from oracles import huber
+from oracles import huber, legacy_init
 
 TINY = dict(p_dim=3, latent=2, hidden=4, n_levels=3)
 
@@ -614,7 +614,7 @@ def test_gru_forward_saturates_without_overflow_warning():
     x = np.full((4, 5, 3), 30.0)
     x[1::2] *= -1.0
     y = np.zeros((4, 3))
-    pre = x[:, 0] @ params.mix.T @ params.w_update.T
+    pre = x[:, 0] @ params.mix.T @ params.w_gates[:params.hidden].T
     assert np.abs(pre).max() > 1000.0  # exp(-pre) overflows float64
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -660,6 +660,29 @@ def test_stacked_pass_is_bitwise_each_models_own(mode, n, m):
         rollout(stack, x, 2, cfg)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("shape", [(8, 6, 16, 3), (5, 1, 4, 1)])
+def test_init_params_keeps_every_seeds_draws(shape, seed):
+    # the fused tensors hold, slice by slice, the per-gate tensors the seed
+    # has always drawn, in that order and with those fan-in bounds
+    params = init_params(*shape, seed)
+    old = legacy_init(*shape, seed)
+    hid = shape[2]
+    gates = [slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, 3 * hid)]
+    pairs = [(params.mix, old["mix"]), (params.u_cand, old["u_cand"]),
+             (params.w_out, old["w_out"]), (params.b_out, old["b_out"]),
+             (params.w_quant, old["w_quant"]), (params.b_quant, old["b_quant"])]
+    for rows, gate in zip(gates, ("update", "reset", "cand")):
+        pairs += [(params.w_gates[rows], old["w_" + gate]),
+                  (params.b_gates[rows], old["b_" + gate])]
+    for rows, gate in zip(gates, ("update", "reset")):
+        pairs.append((params.u_zr[rows], old["u_" + gate]))
+    assert sum(new.size for new, _ in pairs) == params.flat.size
+    for new, expected in pairs:
+        assert new.shape == expected.shape
+        assert new.tobytes() == expected.tobytes()
+
+
 def test_stack_needs_models_of_one_layout():
     with pytest.raises(ValueError, match="one tensor layout"):
         ParamSet.stack([tiny_params(0), init_params(3, 2, 5, 3, 0)])
@@ -682,7 +705,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert (w, mode) == (5, "quantile")
     assert np.array_equal(loaded.flat, params.flat)
     with open(path, "rb") as fh:
-        assert fh.read(4) == b"PCM1"
+        assert fh.read(4) == model.CHECKPOINT_MAGIC
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

@@ -1137,7 +1137,9 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     # manifest field of the wrong type and labels beyond k), and a
     # checkpoint header with a zero
     # dimension (here with the payload it implies) or one that implies a
-    # payload far larger than the file
+    # payload far larger than the file, and a checkpoint of the old per-gate
+    # layout, which is refused by its magic, not read as fused tensors; a
+    # case that names its fault must report that one
     forecast = ["forecast-new", "--config", good, "--segment", segment]
     ckpt = os.path.join(run_dir, "checkpoints", "refit_global.pcm")
     with open(ckpt, "rb") as fh:
@@ -1145,8 +1147,8 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     _, p_dim, hidden, w, n_levels, mode_flag = struct.unpack("<6Q", stored[4:52])
 
     def header(latent):
-        return b"PCM1" + struct.pack("<6Q", latent, p_dim, hidden, w,
-                                     n_levels, mode_flag)
+        return model.CHECKPOINT_MAGIC + struct.pack(
+            "<6Q", latent, p_dim, hidden, w, n_levels, mode_flag)
 
     report = ["report", "--runs", run_dir]
     evaluate = ["evaluate", "--config", good]
@@ -1162,7 +1164,7 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     def manifest_with(**fields):
         return json.dumps(dict(manifest, **fields)).encode()
 
-    for path, content, argv in (
+    for path, content, argv, *fault in (
             (os.path.join(run_dir, "report.json"), b'{"rows": [', report),
             (os.path.join(run_dir, "report.json"), b"{}", report),
             (os.path.join(run_dir, "report.json"), b'{"rows": 5}', report),
@@ -1175,10 +1177,14 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
             (report_path, text_loss, report),
             (report_path, text_loss, report + ["--paper-scale"]),
             (manifest_path, manifest_with(assignment=[2] * 9), evaluate),
-            (ckpt, header(2 ** 40) + stored[52:], forecast),
-            (ckpt, header(2 ** 62) + stored[52:], forecast),
+            (ckpt, header(2 ** 40) + stored[52:], forecast,
+             "truncated checkpoint payload"),
+            (ckpt, header(2 ** 62) + stored[52:], forecast,
+             "truncated checkpoint payload"),
             (ckpt, header(0) + bytes(8 * (3 * hidden * hidden + 3 * hidden)),
-             forecast)):
+             forecast, "dimensions must be >= 1"),
+            (ckpt, b"PCM1" + stored[4:], forecast,
+             "bad checkpoint magic b'PCM1'")):
         with open(path, "rb") as fh:
             original = fh.read()
         with open(path, "wb") as fh:
@@ -1186,6 +1192,7 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+        assert all(f in err for f in fault), (fault, err)
         with open(path, "wb") as fh:
             fh.write(original)
 
