@@ -22,7 +22,7 @@ cfg = TrainConfig(w=8, epochs=10, batch=64, mode="point", seed=0)
 prepared.audit.set_phase("fit-global")
 x, y = prepared.windows("tr", 1, cfg.w)
 print(f"pooled fit on {len(x)} TRAIN windows")
-pooled = train(init_params(6, 5, 16, 3, seed=derive_seed(0, "init")), None, x, y, cfg)
+pooled = train(init_params(6, 5, 16, cfg.n_levels, seed=derive_seed(0, "init")), None, x, y, cfg)
 
 sel = clustering.SelectionConfig(candidates=(3,), seeds=(0,),
                                  max_outer_iters=8, assign_horizons=(1, 3))

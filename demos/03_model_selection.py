@@ -18,7 +18,7 @@ cfg = TrainConfig(w=8, epochs=10, batch=64, seed=0)
 
 prepared.audit.set_phase("fit-global")
 x, y = prepared.windows("tr", 1, cfg.w)
-pooled = train(init_params(8, 6, 16, 3, seed=derive_seed(0, "init")), None, x, y, cfg)
+pooled = train(init_params(8, 6, 16, cfg.n_levels, seed=derive_seed(0, "init")), None, x, y, cfg)
 
 sel = clustering.SelectionConfig(candidates=(2, 3, 4, 5), seeds=(0, 1, 2),
                                  gamma=0.05, max_outer_iters=3,

@@ -1,7 +1,7 @@
 """Quantile forecasting: non-crossing fans, pinball-driven routing, and
 interval calibration.
 
-The quantile head emits a base level plus softplus increments, so the latent
+The output head emits a base level plus softplus increments, so the latent
 fan can never cross regardless of parameter values. Multi-step forecasts
 feed the median path back; intervals are then widened (or sharpened) by a
 per-horizon scalar chosen on VAL to hit the 80% coverage target.
@@ -23,7 +23,7 @@ cfg = TrainConfig(w=8, epochs=12, batch=64, mode="quantile",
 
 prepared.audit.set_phase("fit-global")
 x, y = prepared.windows("tr", 1, cfg.w)
-pooled = train(init_params(6, 5, 16, 3, seed=derive_seed(0, "init")), None, x, y, cfg)
+pooled = train(init_params(6, 5, 16, cfg.n_levels, seed=derive_seed(0, "init")), None, x, y, cfg)
 
 window = prepared.dataset.values[0:1, 192:200, :]  # a batch of one window
 # one rollout gives the whole path: step j of the fan is path[:, j - 1]

@@ -24,7 +24,7 @@ prepared = prepare(fitting, SplitSpec(200, 50, 50))
 cfg = TrainConfig(w=8, epochs=10, batch=64, seed=0)
 prepared.audit.set_phase("fit-global")
 x, y = prepared.windows("tr", 1, cfg.w)
-pooled = train(init_params(6, 5, 16, 3, seed=derive_seed(0, "init")), None, x, y, cfg)
+pooled = train(init_params(6, 5, 16, cfg.n_levels, seed=derive_seed(0, "init")), None, x, y, cfg)
 truth = clustering.Assignment(labels.copy(), 3)
 prototypes, _ = clustering.fit_prototypes(prepared, truth, pooled, cfg,
                                           proto_epochs=10)

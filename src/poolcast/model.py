@@ -4,9 +4,9 @@ Architecture: a learned linear mixing matrix projects each P-dimensional
 observation to an r-dimensional latent, a single-layer GRU consumes the
 latent sequence, and a linear head maps the final hidden state back to the
 latent space; decoding to observation space reuses the transpose of the
-mixing matrix. A second head parameterizes a monotone fan of quantiles as a
-base plus cumulative softplus increments, so predicted quantile levels can
-never cross in latent space.
+mixing matrix. The head gives a monotone fan of levels as a base plus
+cumulative softplus increments, so predicted quantile levels can never cross
+in latent space; a point forecast is a one-level fan, the linear base.
 
 Everything is plain float64 numpy. Gradients are backpropagated through the
 exact forward graph (verified against central finite differences), training
@@ -28,7 +28,7 @@ import numpy as np
 from .data import atomic_open
 from .losses import huber_deriv, huber_elem, loss_elem, objective
 
-CHECKPOINT_MAGIC = b"PCM2"
+CHECKPOINT_MAGIC = b"PCM3"
 _MODE_FLAGS = {"point": 0, "quantile": 1}
 _FLAG_MODES = {v: k for k, v in _MODE_FLAGS.items()}
 STACK_BYTES = 6 << 20  # the workspace budget of one train_stacked stack
@@ -86,9 +86,13 @@ class ParamSet:
     maps ``w_gates`` (3H, r) and biases ``b_gates`` (3H,) hold the update,
     reset and candidate gates' rows in that order, ``u_zr`` (2H, H) the
     update and reset recurrent maps, and ``u_cand`` (H, H) the candidate's.
-    Tensors are views into one flat float64 buffer so the optimizer and
-    gradient clipping can operate with a few vectorized calls; ``mix`` sits
-    first, which makes the specialized part the contiguous tail.
+    The one output head, ``w_head`` (L * r, H) and ``b_head`` (L * r,), gives
+    a fan of L latent levels (:func:`_fan_from_hidden`): L is the number of
+    quantile levels in quantile mode and 1 in point mode, whose forecast is
+    the fan's base (:attr:`TrainConfig.n_levels`). Tensors are views into
+    one flat float64 buffer so the optimizer and gradient clipping can
+    operate with a few vectorized calls; ``mix`` sits first, which makes the
+    specialized part the contiguous tail.
     """
 
     def __init__(self, layout: "_Layout", flat: np.ndarray):
@@ -135,7 +139,7 @@ class ParamSet:
 
     @property
     def n_levels(self) -> int:
-        return self.w_quant.shape[-2] // self.latent
+        return self.w_head.shape[-2] // self.latent
 
     def copy(self) -> "ParamSet":
         return ParamSet(self.layout, self.flat.copy())
@@ -149,8 +153,7 @@ class ParamSet:
             ("mix", (latent, p_dim)),
             ("w_gates", (3 * hidden, latent)), ("u_zr", (2 * hidden, hidden)),
             ("u_cand", (hidden, hidden)), ("b_gates", (3 * hidden,)),
-            ("w_out", (latent, hidden)), ("b_out", (latent,)),
-            ("w_quant", (n_levels * latent, hidden)), ("b_quant", (n_levels * latent,)),
+            ("w_head", (n_levels * latent, hidden)), ("b_head", (n_levels * latent,)),
         )
 
 
@@ -178,16 +181,19 @@ def init_params(p_dim: int, latent: int, hidden: int, n_levels: int,
                 seed: int) -> ParamSet:
     """Fresh parameters: weights ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero.
 
-    The draws keep the order of the earlier per-gate layout, so a seed gives
-    the values it always gave: ``mix``, then each gate's input map and
-    recurrent map (update, reset, candidate), then the two heads."""
+    The draws keep the order of the earlier per-gate, two-head layout, so a
+    seed gives the values it always gave: ``mix``, then each gate's input
+    map and recurrent map (update, reset, candidate), then the (r, H) block
+    of the point head, which a one-level head keeps, then, for L > 1, the
+    (L * r, H) block of the fan, which replaces it."""
     rng = np.random.default_rng(seed)
     layout = _layout(p_dim, latent, hidden, n_levels)
     params = ParamSet(layout, np.zeros(layout.size))
-    w_gates, u_zr = params.w_gates, params.u_zr
+    w_gates, u_zr, w_head = params.w_gates, params.u_zr, params.w_head
+    fan = (w_head,) if n_levels > 1 else ()
     for t in (params.mix, w_gates[:hidden], u_zr[:hidden],
               w_gates[hidden:2 * hidden], u_zr[hidden:], w_gates[2 * hidden:],
-              params.u_cand, params.w_out, params.w_quant):
+              params.u_cand, w_head[:latent]) + fan:
         bound = 1.0 / np.sqrt(t.shape[1])  # fan-in
         t[...] = rng.uniform(-bound, bound, size=t.shape)
     return params
@@ -237,6 +243,12 @@ class TrainConfig:
         if any(b <= a for a, b in zip(q, q[1:])):
             raise ValueError("quantiles must be strictly increasing")
 
+    @property
+    def n_levels(self) -> int:
+        """The output head's level count: the quantile levels in quantile
+        mode, the base alone in point mode."""
+        return len(self.quantiles) if self.mode == "quantile" else 1
+
 
 # ---------------------------------------------------------------------------
 # forward graph
@@ -257,8 +269,8 @@ class _Workspace:
     """
 
     def __init__(self, params: ParamSet, m: int, n: int, w: int,
-                 quantile: bool, arena: np.ndarray | None = None):
-        specs = self.specs(params, m, n, w, quantile)
+                 arena: np.ndarray | None = None):
+        specs = self.specs(params, m, n, w)
         if arena is None:
             arena = np.empty(sum(math.prod(s) for _, s in specs))
         self.arena = arena
@@ -276,16 +288,14 @@ class _Workspace:
         self.grads = ParamSet(params.layout, self.grads)
 
     @staticmethod
-    def specs(params: ParamSet, m: int, n: int, w: int, quantile: bool) -> list:
+    def specs(params: ParamSet, m: int, n: int, w: int) -> list:
         """(name, shape) of every float64 buffer of the arena, in order, the
         last holding the bool mask of the loss elements eight to a float64:
         the workspace's size, known without allocating it."""
         p, r, hid, nq = (params.p_dim, params.latent, params.hidden,
                          params.n_levels)
         layout = params.layout
-        # the output head's shapes: quantile levels carry their own axis
-        lat, out = ((m, n, nq, r), (m, n, nq, p)) if quantile else ((m, n, r), (m, n, p))
-        head = math.prod(lat[2:])
+        lat, out, head = (m, n, nq, r), (m, n, nq, p), nq * r
         return [
             ("x", (m, n, w, p)), ("y", (m, n, p)),
             ("xt", (m, w * n, p)), ("z_in", (m, w * n, r)),
@@ -301,7 +311,7 @@ class _Workspace:
             ("du", (m, hid, hid)), ("dmix", (m, r, p)),
             ("raw", (m, n, head)), ("lat", lat), ("sp", (m, n, nq - 1, r)),
             ("pred", out), ("err", out), ("elem", out), ("quad", out),
-            ("dpred", out), ("dlat", lat), ("suffix", lat),
+            ("dpred", out),
             ("draw", (m, n, head)), ("dwo", (m, head, hid)), ("dbo", (m, head)),
             ("dpen", (m, layout.size - layout.spec_offset)),
             ("grads", (m, layout.size)),
@@ -480,52 +490,46 @@ def _gru_backward(params: ParamSet, work: _Workspace, x: np.ndarray,
                                work.dmix)
 
 
-def _point_from_hidden(params: ParamSet, h: np.ndarray,
-                       work: _Workspace | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """(forecast, latent) of hidden states, in ``work`` when given."""
-    latent = np.matmul(h, params.w_out.swapaxes(-1, -2),
-                       None if work is None else work.lat)
-    latent += params.b_out[..., None, :]
-    return np.matmul(latent, params.mix, None if work is None else work.pred), latent
-
-
-def _quantiles_from_hidden(params: ParamSet, h: np.ndarray,
-                           work: _Workspace | None = None
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fan, latent levels, raw head output) of hidden states, in ``work``
-    when given."""
+def _fan_from_hidden(params: ParamSet, h: np.ndarray,
+                     work: _Workspace | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fan (..., n, L, P), latent levels (..., n, L, r), raw head output
+    (..., n, L, r)) of hidden states (..., n, H), in ``work`` when given:
+    the base plus the cumulative softplus increments, each model's n * L
+    levels decoded in one product."""
     q, r = params.n_levels, params.latent
-    raw = np.matmul(h, params.w_quant.swapaxes(-1, -2),
+    raw = np.matmul(h, params.w_head.swapaxes(-1, -2),
                     None if work is None else work.raw)
-    raw += params.b_quant[..., None, :]
-    raw = raw.reshape(h.shape[:-1] + (q, r))
-    latents = np.empty_like(raw) if work is None else work.lat
-    latents[..., 0, :] = raw[..., 0, :]
+    raw += params.b_head[..., None, :]
+    raw = latents = raw.reshape(h.shape[:-1] + (q, r))
     if q > 1:
-        # the base plus the cumulative softplus increments
+        latents = np.empty_like(raw) if work is None else work.lat
+        latents[..., 0, :] = raw[..., 0, :]
         rest = latents[..., 1:, :]
         np.cumsum(softplus(raw[..., 1:, :], None if work is None else work.sp),
                   axis=-2, out=rest)
         np.add(raw[..., :1, :], rest, rest)
-    return (np.matmul(latents, params.mix[..., None, :, :],
-                      None if work is None else work.pred), latents, raw)
+    lead, p = h.shape[:-2], params.p_dim
+    out = None if work is None else work.pred.reshape(lead + (-1, p))
+    fan = np.matmul(latents.reshape(lead + (-1, r)), params.mix, out)
+    return fan.reshape(raw.shape[:-1] + (p,)), latents, raw
 
 
 def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
             ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The h-step forecast paths of every window of S runs (S, L, P), L >=
+    """The h-step forecast paths of every window of S runs (S, T, P), T >=
     w = ``cfg.w``, in the config's mode: the one forward pass outside
     training.
 
-    Each length-w slice of a run is a window, n = L - w + 1 per run, so a
-    batch of windows (n, w, P) is the case L = w. One-step predictions are
-    fed back, dropping the oldest window row each step; in quantile mode the
-    value fed back is the median path. Returns ``(point, fan)`` over the
-    S * n windows run by run, with step j at ``[:, j - 1]``: in point mode
-    the point forecasts (S * n, h, P) and None; in quantile mode the median
-    path (S * n, h, P) and the fan (S * n, h, Q, P) at ``cfg.quantiles``. A
-    rollout to h thus serves every horizon up to h.
+    Each length-w slice of a run is a window, n = T - w + 1 per run, so a
+    batch of windows (n, w, P) is the case T = w. One-step predictions are
+    fed back, dropping the oldest window row each step: the fan's first
+    level, its linear base, in point mode, and the median level in quantile
+    mode. Returns ``(point, fan)`` over the S * n windows run by run, with
+    step j at ``[:, j - 1]``: in point mode the point forecasts (S * n, h, P)
+    and None; in quantile mode the median path (S * n, h, P) and the fan
+    (S * n, h, Q, P) at ``cfg.quantiles``. A rollout to h thus serves every
+    horizon up to h.
 
     The windows of a run share prefixes. Step j < w of window i reads the
     last w - j rows of the window, then the j fed-back forecasts; window
@@ -538,8 +542,8 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
     NumPy runs a one-row product as a GEMV, which rounds differently from a
     GEMM, whose rows do not depend on the row count. So at latent >= 2
     every forecast is bitwise that of encoding each step's windows whole,
-    in any batch. At latent 1 the latent projection and point head are
-    one-column GEMVs, whose rows can depend on their place in the product.
+    in any batch. At latent 1 the latent projection and a one-level head
+    are one-column GEMVs, whose rows can depend on their place in the product.
 
     A stack of M models (:meth:`ParamSet.stack`) forecasts one step of the
     same windows, (M, S * n, 1, P) and (M, S * n, 1, Q, P), each model
@@ -551,11 +555,10 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
     if lead and h > 1:
         raise ValueError("a stack of models forecasts one step only")
     quantile = cfg.mode == "quantile"
-    if quantile:
-        if len(cfg.quantiles) != params.n_levels:
-            raise ValueError(f"{len(cfg.quantiles)} levels given but head "
-                             f"produces {params.n_levels}")
-        med = median_index(cfg.quantiles)
+    if quantile and len(cfg.quantiles) != params.n_levels:
+        raise ValueError(f"{len(cfg.quantiles)} levels given but head "
+                         f"produces {params.n_levels}")
+    level = median_index(cfg.quantiles) if quantile else 0  # the one fed back
     x = np.asarray(window, dtype=np.float64)
     s, length, p = x.shape
     w, hid = cfg.w, params.hidden
@@ -574,8 +577,7 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
     gates = _gate_inputs(params, runs.reshape(-1, p))
     # kept[k]: every start's state after w - extra + k rows
     kept = _encode(params, gates, s, n + extra, w, extra + 1)
-    point = np.empty(lead + (s, n, h, p))
-    fan = np.empty(lead + (s, n, h, params.n_levels, p)) if quantile else None
+    fan = np.empty(lead + (s, n, h, params.n_levels, p))
     if h > 1:  # a stack has no later step
         # the gate inputs of the fed-back rows, which a later step reads
         # after the state it resumes from
@@ -592,19 +594,14 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
             _gru_cells(params, seq[..., :2 * hid], seq[..., 2 * hid:],
                        [h0] + turns, [zr] * len(seq), [c] * len(seq), tmp)
             state = turns[len(seq) - 1]
-        if quantile:
-            fan_j = _quantiles_from_hidden(params, state)[0]
-            pred = fan_j[..., med, :]
-            fan[..., j, :, :] = fan_j.reshape(lead + (n, s) + fan_j.shape[-2:]
-                                              ).swapaxes(-4, -3)
-        else:
-            pred = _point_from_hidden(params, state)[0]
-        point[..., j, :] = pred.reshape(lead + (n, s, p)).swapaxes(-3, -2)
+        fan_j = _fan_from_hidden(params, state)[0]
+        fan[..., j, :, :] = fan_j.reshape(lead + (n, s) + fan_j.shape[-2:]
+                                          ).swapaxes(-4, -3)
         if j < h - 1:
-            _gate_inputs(params, pred, out=fed[j])
-    return (point.reshape(lead + (rows, h, p))[..., :served, :, :],
-            None if fan is None
-            else fan.reshape(lead + (rows,) + fan.shape[-3:])[..., :served, :, :, :])
+            _gate_inputs(params, fan_j[..., level, :], out=fed[j])
+    fan = fan.reshape(lead + (rows,) + fan.shape[-3:])[..., :served, :, :, :]
+    # the point path as a contiguous array, not a strided view of the fan
+    return np.ascontiguousarray(fan[..., level, :]), fan if quantile else None
 
 
 # ---------------------------------------------------------------------------
@@ -643,15 +640,20 @@ def batch_loss(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
 def loss_and_gradients(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
                        y: np.ndarray, cfg: TrainConfig,
                        grads: ParamSet | None = None,
-                       work: _Workspace | None = None) -> tuple:
+                       work: _Workspace | None = None,
+                       freeze_mix: bool = False) -> tuple:
     """Batch objective and its exact gradient, of one model or of a stack.
 
-    The data term is the batch mean of the Huber loss (point mode) or of the
-    multi-quantile pinball loss (quantile mode). With an anchor, the squared
-    distance of the specialized tensors to the anchor is added with weight
-    ``l2sp_weight``, and the shared mixing matrix is frozen (zero gradient).
-    The gradient is accumulated into ``grads`` when given, which must then be
-    all zero, and into a new :class:`ParamSet` otherwise; it is returned.
+    The data term is the batch mean of the Huber loss of the fan's first
+    level, its linear base (point mode; the levels above it, if the head has
+    any, get zero gradient), or of the pinball loss of every level (quantile
+    mode); one head forward and one head backward serve both. With an
+    anchor, the squared distance of the specialized tensors to the anchor is
+    added with weight ``l2sp_weight``. The shared mixing matrix is frozen
+    (zero gradient, none of it computed) under an anchor or ``freeze_mix``,
+    as :func:`train_stacked` freezes it. The gradient is accumulated into
+    ``grads`` when given, which must then be all zero, and into a new
+    :class:`ParamSet` otherwise; it is returned.
 
     A stack of M models (:meth:`ParamSet.stack`) takes one batch per model,
     ``x`` (M, n, w, P) and ``y`` (M, n, P), and returns an array of M
@@ -670,54 +672,48 @@ def loss_and_gradients(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
         stack, g = (ParamSet(s.layout, s.flat[None]) for s in (params, grads))
         x, y = x[None], y[None]
     m, n, w, p = x.shape
-    quantile = cfg.mode == "quantile"
     if work is None:
-        work = _Workspace(stack, m, n, w, quantile)
-    frozen = anchor is not None
+        work = _Workspace(stack, m, n, w)
+    frozen = anchor is not None or freeze_mix
     h = _gru_forward(stack, x, work)
-    dh = work.dh
-    if not quantile:
-        pred, latent = _point_from_hidden(stack, h, work)
-        err = np.subtract(pred, y, work.err)
-        # each model's mean, as np.mean reduces it
-        loss = np.add.reduce(huber_elem(err, cfg.huber_delta, work.elem,
-                                        work.quad, work.mask), (1, 2)) / (n * p)
-        dpred = huber_deriv(err, cfg.huber_delta, work.dpred)
-        dpred /= n * p
-        if not frozen:
-            g.mix += np.matmul(latent.swapaxes(-1, -2), dpred, work.dmix)
-        dlatent = np.matmul(dpred, stack.mix.swapaxes(-1, -2), work.dlat)
-        g.w_out += np.matmul(dlatent.swapaxes(-1, -2), h, work.dwo)
-        g.b_out += np.add.reduce(dlatent, 1, None, work.dbo)
-        np.matmul(dlatent, stack.w_out, dh)
-    else:
-        preds, latents, raw = _quantiles_from_hidden(stack, h, work)
-        nq = stack.n_levels
+    preds, latents, raw = _fan_from_hidden(stack, h, work)
+    nq, r = stack.n_levels, stack.latent
+    dpreds = work.dpred
+    if cfg.mode == "quantile":
         q = np.asarray(cfg.quantiles).reshape(-1, 1)
         u = np.subtract(y[:, :, None, :], preds, work.err)
         below = np.less(u, 0.0, work.mask)
         elem = np.subtract(q, below, work.elem)
         elem *= u
         loss = np.add.reduce(elem, (1, 2, 3)) / (n * nq * p)
-        dpreds = np.subtract(below, q, work.dpred)
+        np.subtract(below, q, dpreds)
         dpreds /= n * nq * p
-        if not frozen:
-            for g_mix, lat_i, dp_i in zip(g.mix, latents, dpreds):
-                g_mix += np.einsum("nqr,nqp->rp", lat_i, dp_i)
-        dlatents = np.matmul(dpreds, stack.mix.swapaxes(-1, -2)[:, None],
-                             work.dlat)
-        # suffix sums: increment j feeds every level from j on
-        suffix = work.suffix
-        np.cumsum(dlatents[:, :, ::-1], axis=2, out=suffix[:, :, ::-1])
-        draw = work.draw.reshape(m, n, nq, -1)
-        draw[:, :, 0] = suffix[:, :, 0]     # base feeds all levels
-        if nq > 1:
-            with np.errstate(over="ignore"):
-                sig = _sigmoid(raw[:, :, 1:], work.sp)
-            np.multiply(suffix[:, :, 1:], sig, draw[:, :, 1:])
-        g.w_quant += np.matmul(work.draw.swapaxes(-1, -2), h, work.dwo)
-        g.b_quant += np.add.reduce(work.draw, 1, None, work.dbo)
-        np.matmul(work.draw, stack.w_quant, dh)
+    else:  # Huber on the base alone: the levels above it get zero gradient
+        err, elem, quad, small = (buf[:, :, 0] for buf in (
+            work.err, work.elem, work.quad, work.mask))
+        np.subtract(preds[:, :, 0], y, err)
+        # each model's mean, as np.mean reduces it
+        loss = np.add.reduce(huber_elem(err, cfg.huber_delta, elem, quad, small),
+                             (1, 2)) / (n * p)
+        dpred = huber_deriv(err, cfg.huber_delta, dpreds[:, :, 0])
+        dpred /= n * p
+        dpreds[:, :, 1:] = 0.0
+    # every model's n * L levels as the rows of one product
+    dpreds = dpreds.reshape(m, n * nq, p)
+    if not frozen:
+        g.mix += np.matmul(latents.reshape(m, n * nq, r).swapaxes(-1, -2),
+                           dpreds, work.dmix)
+    draw = np.matmul(dpreds, stack.mix.swapaxes(-1, -2),
+                     work.draw.reshape(m, n * nq, r)).reshape(m, n, nq, r)
+    if nq > 1:
+        # suffix sums in place: increment j feeds every level from j on,
+        # the base all
+        np.cumsum(draw[:, :, ::-1], axis=2, out=draw[:, :, ::-1])
+        with np.errstate(over="ignore"):
+            draw[:, :, 1:] *= _sigmoid(raw[:, :, 1:], work.sp)
+    g.w_head += np.matmul(work.draw.swapaxes(-1, -2), h, work.dwo)
+    g.b_head += np.add.reduce(work.draw, 1, None, work.dbo)
+    dh = np.matmul(work.draw, stack.w_head, work.dh)
 
     _gru_backward(stack, work, x, dh, g, frozen)
     loss += _anchor_penalty(stack, anchor, cfg.l2sp_weight, g, work.dpen)
@@ -821,8 +817,7 @@ def train_stacked(initials: list[ParamSet], anchor: ParamSet | None,
     sizes = [len(x) for x, _ in data]
     batch = [min(cfg.batch, n) for n in sizes]
     w = data[0][0].shape[1]
-    quantile = cfg.mode == "quantile"
-    one = _Workspace.specs(initials[0], 1, max(batch), w, quantile)
+    one = _Workspace.specs(initials[0], 1, max(batch), w)
     depth = max(1, STACK_BYTES // (8 * sum(math.prod(s) for _, s in one)))
     if len(data) > depth:
         # each part's largest batch is at most the fit's: none splits again
@@ -837,7 +832,7 @@ def train_stacked(initials: list[ParamSet], anchor: ParamSet | None,
     rngs = [np.random.default_rng(seed) for seed in seeds]
     per_epoch = [-(-n // bs) for n, bs in zip(sizes, batch)]
     n_epochs = cfg.epochs if epochs is None else epochs
-    largest = _Workspace(params, len(data), max(batch), w, quantile)
+    largest = _Workspace(params, len(data), max(batch), w)
     spaces = {(len(data), max(batch)): largest}
     orders = [None] * len(data)
     diverged = {}
@@ -859,8 +854,7 @@ def train_stacked(initials: list[ParamSet], anchor: ParamSet | None,
                 rows = [i for i, _ in members]
                 key = (len(rows), n)
                 if key not in spaces:
-                    spaces[key] = _Workspace(params, *key, w, quantile,
-                                             largest.arena)
+                    spaces[key] = _Workspace(params, *key, w, largest.arena)
                 work = spaces[key]
                 # (the indices are valid; "clip" writes straight into out,
                 # where "raise" would gather into a temporary first)
@@ -875,7 +869,7 @@ def train_stacked(initials: list[ParamSet], anchor: ParamSet | None,
                          else ParamSet(params.layout, params.flat[sel]))
                 work.grads.flat.fill(0.0)
                 losses, _ = loss_and_gradients(group, anchor, work.x, work.y,
-                                               cfg, work.grads, work)
+                                               cfg, work.grads, work, skip_mix)
                 bad = [i for i, loss in zip(rows, losses) if not np.isfinite(loss)]
                 if not bad:
                     clip_gradients_(work.grads, cfg.clip, skip_mix=skip_mix)
@@ -917,7 +911,7 @@ def train(initial: ParamSet, anchor: ParamSet | None, x: np.ndarray,
 
 
 def save_checkpoint(params: ParamSet, w: int, mode: str, path: str) -> None:
-    """Binary checkpoint: magic, (r, P, H, w, Q, mode) header, then tensors
+    """Binary checkpoint: magic, (r, P, H, w, L, mode) header, then tensors
     in declared order as little-endian float64, written atomically."""
     with atomic_open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)

@@ -366,7 +366,7 @@ def _fit_global(prepared: PreparedData, cfg: RunConfig) -> ParamSet:
     x, y = prepared.windows("tr", 1, tc.w)
     fresh = model.init_params(prepared.dataset.n_components,
                               cfg.resolved_latent(prepared.dataset.n_components),
-                              cfg.hidden, len(tc.quantiles),
+                              cfg.hidden, tc.n_levels,
                               derive_seed(cfg.seed, "init-global"))
     fit_cfg = dataclasses.replace(tc, seed=derive_seed(cfg.seed, "fit-global"))
     return model.train(fresh, None, x, y, fit_cfg)
@@ -499,11 +499,11 @@ def cmd_select_k(cfg: RunConfig) -> dict:
     return _train_core(cfg, None)
 
 
-def _load_params(cfg: RunConfig, p_dim: int, role: str, index: int = 0,
-                 refit: bool = False) -> ParamSet:
+def _load_params(cfg: RunConfig, tc: TrainConfig, p_dim: int, role: str,
+                 index: int = 0, refit: bool = False) -> ParamSet:
     """The parameters of the run's checkpoint of ``role`` (:func:`_checkpoint`);
-    one that is missing, unreadable or not the run's model (by its header) is
-    a :class:`DataError`."""
+    one that is missing, unreadable or not the run's model (by its header,
+    against ``cfg`` and its train config ``tc``) is a :class:`DataError`."""
     path = _checkpoint(cfg, role, index, refit)
     try:
         params, w, mode = model.load_checkpoint(path)
@@ -511,24 +511,24 @@ def _load_params(cfg: RunConfig, p_dim: int, role: str, index: int = 0,
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     found = (params.p_dim, params.latent, params.hidden, params.n_levels, w, mode)
     expected = (p_dim, cfg.resolved_latent(p_dim), cfg.hidden,
-                len(cfg.quantiles), cfg.window, cfg.mode)
+                tc.n_levels, tc.w, tc.mode)
     if found != expected:
         raise DataError(f"checkpoint {path} is not the run's model: (P, latent, "
                         f"hidden, levels, window, mode) {found}, not {expected}")
     return params
 
 
-def _load_trained(cfg: RunConfig, manifest: dict, p_dim: int):
-    global_params = _load_params(cfg, p_dim, "global")
+def _load_trained(cfg: RunConfig, tc: TrainConfig, manifest: dict, p_dim: int):
+    global_params = _load_params(cfg, tc, p_dim, "global")
     assignment = flags = prototypes = individual = None
     if cfg.method in CLUSTERED_METHODS:
         _require(manifest, cfg.run_dir, CLUSTER_FIELDS)
         assignment = clustering.Assignment(manifest["assignment"], manifest["k"])
         flags = clustering.FallbackFlags(flagged=tuple(manifest["flags"]))
-        prototypes = [_load_params(cfg, p_dim, "proto", k)
+        prototypes = [_load_params(cfg, tc, p_dim, "proto", k)
                       for k in range(manifest["k"])]
     elif cfg.method == "individual":
-        individual = [_load_params(cfg, p_dim, "individual", i)
+        individual = [_load_params(cfg, tc, p_dim, "individual", i)
                       for i in range(manifest["n_series"])]
     return global_params, assignment, flags, prototypes, individual
 
@@ -553,8 +553,9 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
             or manifest.get("standardizer") != prepared.standardizer.as_dict()):
         raise DataError(f"{cfg.data_dir!r} is not the dataset run {cfg.run_dir!r} "
                         f"was trained on: its series count or TRAIN standardizer differs")
+    tc = cfg.train_config()
     global_params, assignment, flags, prototypes, individual = _load_trained(
-        cfg, manifest, prepared.dataset.n_components)
+        cfg, tc, manifest, prepared.dataset.n_components)
     run_dir = cfg.run_dir
 
     def before_test(refit_global, groups, calibration):
@@ -575,7 +576,7 @@ def cmd_evaluate(cfg: RunConfig) -> dict:
 
     artifacts = clustering.final_refit_and_test(
         prepared, assignment, flags, global_params, prototypes,
-        cfg.train_config(), horizons=tuple(cfg.horizons), method=cfg.method,
+        tc, horizons=tuple(cfg.horizons), method=cfg.method,
         refit_epochs=cfg.resolved_refit_epochs(),
         coverage_target=cfg.coverage_target,
         individual_models=individual, before_test=before_test)
@@ -669,13 +670,13 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
     p_dim = len(std.mu)
     segment = std.transform(_read_segment(segment_path, p_dim, tc.w, cfg.csv_header))
 
-    refit_global = _load_params(cfg, p_dim, "global", refit=True)
+    refit_global = _load_params(cfg, tc, p_dim, "global", refit=True)
     # only a clustered run has flags; flagged clusters route to the pooled
     # model, which assign_new_series tries first, an unflagged cluster to its
     # refit prototype
     flags = clustering.FallbackFlags(flagged=tuple(manifest.get("flags", ())))
     prototypes = [refit_global if flagged
-                  else _load_params(cfg, p_dim, "proto", k, refit=True)
+                  else _load_params(cfg, tc, p_dim, "proto", k, refit=True)
                   for k, flagged in enumerate(flags.flagged)]
 
     routed_id = clustering.assign_new_series(segment, refit_global, prototypes,

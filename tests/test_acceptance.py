@@ -50,7 +50,7 @@ def fit_global(prepared, cfg, seed):
     prepared.audit.set_phase("fit-global")
     x, y = prepared.windows("tr", 1, cfg.w)
     fresh = init_params(prepared.dataset.n_components, LATENT, HIDDEN,
-                        len(cfg.quantiles), derive_seed(seed, "init"))
+                        cfg.n_levels, derive_seed(seed, "init"))
     return train(fresh, None, x, y, cfg)
 
 
@@ -127,10 +127,10 @@ def quantile_run():
 
 def _gradcheck_instance(mode, seed, step=1e-5):
     rng = np.random.default_rng(seed)
-    params = init_params(p_dim=3, latent=2, hidden=4, n_levels=3,
+    cfg = TrainConfig(w=5, mode=mode)
+    params = init_params(p_dim=3, latent=2, hidden=4, n_levels=cfg.n_levels,
                          seed=derive_seed(seed, "gc"))
     params.flat += rng.normal(scale=0.3, size=params.flat.shape)
-    cfg = TrainConfig(w=5, mode=mode)
     x = rng.normal(size=(3, 5, 3))
     y = rng.normal(size=(3, 3))
     # central differences straddle a loss kink when a residual sits within
@@ -233,7 +233,7 @@ def test_criterion_03_non_crossing():
         params.flat += rng.normal(scale=1.5, size=params.flat.shape)
         window = rng.normal(scale=2.0, size=(1, 6, 3))
         h = model._gru_forward(params, window)
-        _, latents, _ = model._quantiles_from_hidden(params, h)
+        _, latents, _ = model._fan_from_hidden(params, h)
         if np.any(np.diff(latents, axis=1) < 0.0):
             crossings += 1
     assert crossings == 0
@@ -255,7 +255,7 @@ def test_criterion_04_leakage_audit(weak_heterogeneity_run):
     fits = []
     for data in (ds, tampered):
         prepared = prepare(data, split)
-        gp = train(init_params(4, 3, 8, 3, seed=7), None,
+        gp = train(init_params(4, 3, 8, cfg.n_levels, seed=7), None,
                    *prepared.windows("tr", 1, cfg.w), cfg)
         feats = baselines.training_feature_vectors(prepared)
         fits.append((prepared.standardizer, gp, feats))

@@ -28,7 +28,7 @@ def world():
                                         n_components=4, n_regimes=3, seed=5))
     prepared = prepare(ds, SplitSpec(80, 20, 20))
     x, y = prepared.windows("tr", 1, CFG.w)
-    gp = train(init_params(4, 3, 8, 3, seed=1), None, x, y, CFG)
+    gp = train(init_params(4, 3, 8, CFG.n_levels, seed=1), None, x, y, CFG)
     return prepared, gp, labels
 
 
@@ -127,7 +127,7 @@ def test_individual_baseline_one_model_per_series(world, monkeypatch):
         replace(CFG, seed=derive_seed(CFG.seed, "fit-ind", i)))
         for i in range(9)]
     # in one stack, and in stacks of four, four and one
-    one = model._Workspace.specs(gp, 1, CFG.batch, CFG.w, False)
+    one = model._Workspace.specs(gp, 1, CFG.batch, CFG.w)
     for budget in (model.STACK_BYTES,
                    4 * 8 * sum(math.prod(s) for _, s in one)):
         monkeypatch.setattr(model, "STACK_BYTES", budget)

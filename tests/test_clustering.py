@@ -37,8 +37,18 @@ def small_world():
                                         n_components=4, n_regimes=3, seed=5))
     prepared = prepare(ds, SplitSpec(80, 20, 20))
     x, y = prepared.windows("tr", 1, CFG.w)
-    global_params = train(init_params(4, 3, 8, 3, seed=1), None, x, y, CFG)
+    global_params = train(init_params(4, 3, 8, CFG.n_levels, seed=1), None,
+                          x, y, CFG)
     return prepared, global_params, labels
+
+
+@pytest.fixture(scope="module")
+def quantile_pooled(small_world):
+    """The small world's pooled model in quantile mode: a fan of the
+    default levels, trained as the point model was."""
+    cfg = replace(CFG, mode="quantile")
+    x, y = small_world[0].windows("tr", 1, cfg.w)
+    return train(init_params(4, 3, 8, cfg.n_levels, seed=1), None, x, y, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +290,13 @@ def test_cost_matrix_keeps_each_horizon_and_h1(small_world):
 
 
 @pytest.mark.parametrize("mode", ["point", "quantile"])
-def test_cost_matrix_holds_one_prototype_panel_at_a_time(small_world, mode):
+def test_cost_matrix_holds_one_prototype_panel_at_a_time(
+        small_world, quantile_pooled, mode):
     # tracemalloc counts NumPy's buffers: scoring four prototypes peaks no
     # higher than scoring one, because each panel is released before the
     # next prototype's rollout
     prepared, gp, _ = small_world
+    gp = quantile_pooled if mode == "quantile" else gp
     cfg = replace(CFG, mode=mode)
     protos = [gp.copy() for _ in range(4)]
     for j, proto in enumerate(protos):
@@ -302,10 +314,12 @@ def test_cost_matrix_holds_one_prototype_panel_at_a_time(small_world, mode):
 
 
 @pytest.mark.parametrize("mode", ["point", "quantile"])
-def test_own_losses_of_member_batches_equal_the_cost_matrix(small_world, mode):
+def test_own_losses_of_member_batches_equal_the_cost_matrix(
+        small_world, quantile_pooled, mode):
     # the fallback reads each series' own-prototype loss from the cost
     # matrix, scored in one all-series batch; member-only batches agree
     prepared, gp, _ = small_world
+    gp = quantile_pooled if mode == "quantile" else gp
     cfg = replace(CFG, mode=mode)
     kind = "pinball" if mode == "quantile" else "huber"
     for seed in range(3):
@@ -319,8 +333,9 @@ def test_own_losses_of_member_batches_equal_the_cost_matrix(small_world, mode):
 @pytest.mark.parametrize("tag", ["va", "te"])
 @pytest.mark.parametrize("mode", ["point", "quantile"])
 def test_split_forecasts_over_horizons_equal_single_horizon_calls(
-        small_world, mode, tag):
+        small_world, quantile_pooled, mode, tag):
     prepared, gp, _ = small_world
+    gp = quantile_pooled if mode == "quantile" else gp
     cfg = replace(CFG, mode=mode)
     other = gp.copy()
     other.flat[other.spec_offset:] += 0.05
@@ -495,7 +510,7 @@ def test_new_series_routes_to_matching_regime():
     prepared = prepare(ds, SplitSpec(160, 30, 30))
     cfg = TrainConfig(w=6, epochs=8, batch=64, seed=0)
     x, y = prepared.windows("tr", 1, cfg.w)
-    gp = train(init_params(4, 4, 12, 3, seed=2), None, x, y, cfg)
+    gp = train(init_params(4, 4, 12, cfg.n_levels, seed=2), None, x, y, cfg)
     truth = Assignment(labels.copy(), 3)
     protos, _ = fit_prototypes(prepared, truth, gp, cfg, proto_epochs=8)
     flags = FallbackFlags(flagged=(False, False, False))
@@ -540,7 +555,7 @@ def test_nan_loss_never_wins_routing(small_world):
     worse = gp.copy()
     worse.flat += np.random.default_rng(2).normal(scale=0.5, size=worse.flat.shape)
     broken = gp.copy()
-    broken.w_out[...] = np.nan
+    broken.w_head[...] = np.nan
     segment = prepared.dataset.values[0, :40]
     flags = FallbackFlags(flagged=(False, False))
     # a NaN loss, before or after the best candidate, is passed over

@@ -149,7 +149,7 @@ def test_split_mean_loss_sentinel_and_mean():
                                    n_regimes=2, seed=0))
     prepared = prepare(ds, SplitSpec(26, 7, 7))
     cfg = TrainConfig(w=4, seed=0)
-    params = init_params(2, 2, 4, 3, seed=0)
+    params = init_params(2, 2, 4, cfg.n_levels, seed=0)
 
     def series_0(h):
         out = per_series_split_losses(params, prepared, "va", h, cfg,

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from poolcast import model
 from poolcast.losses import loss_elem
 from poolcast.model import (Adam, ParamSet, TrainConfig, TrainingDiverged,
-                            _Workspace, _gru_forward, _point_from_hidden,
-                            _quantiles_from_hidden, batch_loss,
-                            clip_gradients_, init_params, load_checkpoint,
-                            loss_and_gradients, median_index, rollout,
-                            save_checkpoint, train, train_stacked)
+                            _Workspace, _fan_from_hidden, _gru_forward,
+                            batch_loss, clip_gradients_, init_params,
+                            load_checkpoint, loss_and_gradients, median_index,
+                            rollout, save_checkpoint, train, train_stacked)
 
 from oracles import huber, legacy_init
 
-TINY = dict(p_dim=3, latent=2, hidden=4, n_levels=3)
+TINY = dict(p_dim=3, latent=2, hidden=4, n_levels=1)  # a point model
 
 
 def tiny_params(seed, jitter=0.3, **shape):
@@ -27,6 +26,11 @@ def tiny_params(seed, jitter=0.3, **shape):
     rng = np.random.default_rng(seed + 1000)
     params.flat += rng.normal(scale=jitter, size=params.flat.shape)
     return params
+
+
+def levels(mode):
+    """The head's level count of a model of ``mode``."""
+    return TrainConfig(mode=mode).n_levels
 
 
 def finite_difference_check(params, anchor, x, y, cfg, step=1e-5,
@@ -67,9 +71,9 @@ def residuals_near_kink(params, x, y, cfg, margin):
     return bool(np.any(np.abs(y[:, None, :] - fan) < margin))
 
 
-def draw_instance(mode, seed, n=3):
+def draw_instance(mode, seed, n=3, n_levels=None):
     rng = np.random.default_rng(seed)
-    params = tiny_params(seed)
+    params = tiny_params(seed, n_levels=n_levels or levels(mode))
     cfg = TrainConfig(w=5, mode=mode)
     x = rng.normal(size=(n, 5, 3))
     y = rng.normal(size=(n, 3))
@@ -84,17 +88,26 @@ def draw_instance(mode, seed, n=3):
 @pytest.mark.parametrize("mode", ["point", "quantile"])
 def test_gradients_match_finite_differences(mode):
     # batches of 3 and of 1; at n = 1 the recurrent products are
-    # matrix-vector calls
-    for n in (3, 1):
-        checked = 0
-        seed = 0
-        while checked < 3:
-            params, x, y, cfg = draw_instance(mode, seed, n)
-            seed += 1
-            if residuals_near_kink(params, x, y, cfg, margin=1e-4):
-                continue
-            assert finite_difference_check(params, None, x, y, cfg) < 1e-4
-            checked += 1
+    # matrix-vector calls. In point mode also a three-level head, as the
+    # benchmark's model probe builds: Huber reads the base alone, so the
+    # levels above it get zero gradient
+    for n_levels in sorted({levels(mode), 3}):
+        for n in (3, 1):
+            checked = 0
+            seed = 0
+            while checked < 3:
+                params, x, y, cfg = draw_instance(mode, seed, n, n_levels)
+                seed += 1
+                if residuals_near_kink(params, x, y, cfg, margin=1e-4):
+                    continue
+                assert finite_difference_check(params, None, x, y, cfg) < 1e-4
+                if mode == "point":
+                    r = params.latent
+                    grads = loss_and_gradients(params, None, x, y, cfg)[1]
+                    assert not grads.w_head[r:].any()
+                    assert not grads.b_head[r:].any()
+                    assert grads.w_head[:r].all()
+                checked += 1
 
 
 def test_gradients_with_anchor_include_penalty():
@@ -105,6 +118,28 @@ def test_gradients_with_anchor_include_penalty():
     # frozen mix: gradient exactly zero
     _, grads = loss_and_gradients(params, anchor, x, y, cfg)
     assert np.all(grads.mix == 0.0)
+
+
+@pytest.mark.parametrize("mode", ["point", "quantile"])
+def test_frozen_mix_step_skips_only_the_mix_gradient(mode, monkeypatch):
+    # the refit's step: mix frozen without an anchor; its gradient is never
+    # formed, and every other gradient is bitwise the unfrozen step's
+    params, x, y, cfg = draw_instance(mode, 4, n=5)
+    loss, free = loss_and_gradients(params, None, x, y, cfg)
+    frozen_loss, frozen = loss_and_gradients(params, None, x, y, cfg,
+                                             freeze_mix=True)
+    assert frozen_loss == loss
+    assert free.mix.any() and not frozen.mix.any()
+    off = params.spec_offset
+    assert frozen.flat[off:].tobytes() == free.flat[off:].tobytes()
+    # train_stacked passes its one freezing rule down to every step
+    seen, step = [], model.loss_and_gradients
+    monkeypatch.setattr(model, "loss_and_gradients",
+                        lambda *a: seen.append(a[-1]) or step(*a))
+    for anchor, freeze_mix in ((None, False), (params, False), (None, True)):
+        seen.clear()
+        train(params, anchor, x, y, replace(cfg, epochs=2), freeze_mix=freeze_mix)
+        assert seen == [anchor is not None or freeze_mix] * 2
 
 
 def test_anchor_at_current_point_is_inert():
@@ -126,7 +161,7 @@ def test_perfect_prediction_loss_is_anchor_term_only():
     loss, _ = loss_and_gradients(params, None, x, y, cfg)
     assert loss == 0.0
     anchor = params.copy()
-    anchor.w_out += 0.5
+    anchor.w_head += 0.5
     eta = 0.25
     loss, _ = loss_and_gradients(params, anchor,
                                  x, y, TrainConfig(w=5, l2sp_weight=eta))
@@ -172,10 +207,10 @@ def test_quantile_softplus_ladder():
 def test_latent_quantiles_never_cross():
     rng = np.random.default_rng(0)
     for trial in range(50):
-        params = tiny_params(trial, jitter=1.0)
+        params = tiny_params(trial, jitter=1.0, n_levels=3)
         window = rng.normal(scale=3.0, size=(5, 3))
         h = _gru_forward(params, window[None])
-        _, latents, _ = _quantiles_from_hidden(params, h)
+        _, latents, _ = _fan_from_hidden(params, h)
         diffs = np.diff(latents, axis=1)
         assert np.all(diffs >= 0.0)
 
@@ -210,21 +245,22 @@ def compose_manually(params, window, h, cfg):
     lone window; the first row is returned."""
     x = np.stack([window, window])
     for step in range(h):
-        hidden = _gru_forward(params, x)
-        if cfg.mode == "point":
-            pred = _point_from_hidden(params, hidden)[0]
-            fan = None
-        else:
-            fan = _quantiles_from_hidden(params, hidden)[0]
-            pred = fan[:, median_index(cfg.quantiles)]
+        fan = _fan_from_hidden(params, _gru_forward(params, x))[0]
+        pred = fan[:, fed_level(cfg)]
         if step < h - 1:
             x = np.concatenate([x[:, 1:], pred[:, None]], axis=1)
-    return pred[0], None if fan is None else fan[0]
+    return pred[0], None if cfg.mode == "point" else fan[0]
+
+
+def fed_level(cfg):
+    """The fan level a rollout feeds back: the base in point mode, the
+    median in quantile mode."""
+    return 0 if cfg.mode == "point" else median_index(cfg.quantiles)
 
 
 @pytest.mark.parametrize("mode", ["point", "quantile"])
 def test_rollout_equals_composition_oracle(mode):
-    params = tiny_params(5)
+    params = tiny_params(5, n_levels=levels(mode))
     window = np.random.default_rng(5).normal(size=(5, 3))
     cfg = TrainConfig(w=5, mode=mode, quantiles=(0.1, 0.5, 0.9))
     for h in (1, 2, 3):
@@ -242,7 +278,7 @@ def test_rollout_equals_composition_oracle(mode):
 @pytest.mark.parametrize("mode", ["point", "quantile"])
 def test_rollout_path_steps_equal_shorter_rollouts(mode, n):
     # step j of one rollout to 6 is bitwise a rollout to j on its own
-    params = tiny_params(6)
+    params = tiny_params(6, n_levels=levels(mode))
     windows = np.random.default_rng(n).normal(size=(n, 5, 3))
     cfg = TrainConfig(w=5, mode=mode, quantiles=(0.1, 0.5, 0.9))
     point, fan = rollout(params, windows, 6, cfg)
@@ -259,13 +295,13 @@ def test_rollout_path_steps_equal_shorter_rollouts(mode, n):
 def test_rollout_median_path_ignores_upper_increments():
     # zeroing the head rows that produce the above-median increment leaves the
     # h=2 median path bitwise unchanged
-    params = tiny_params(8)
+    params = tiny_params(8, n_levels=3)
     window = np.random.default_rng(8).normal(size=(5, 3))
     cfg = TrainConfig(w=5, mode="quantile", quantiles=(0.1, 0.5, 0.9))
     r = params.latent
     zeroed = params.copy()
-    zeroed.w_quant[2 * r:, :] = 0.0   # increment feeding only the 0.9 level
-    zeroed.b_quant[2 * r:] = 0.0
+    zeroed.w_head[2 * r:, :] = 0.0   # increment feeding only the 0.9 level
+    zeroed.b_head[2 * r:] = 0.0
     med = median_index(cfg.quantiles)
     a = rollout(params, window[None], 2, cfg)[1][:, -1]
     b = rollout(zeroed, window[None], 2, cfg)[1][:, -1]
@@ -284,18 +320,14 @@ def compose_batch(params, windows, h, cfg):
     (n, w, P), each step encoding every window whole, as (point, fan)."""
     x, points, fans = windows.copy(), [], []
     for step in range(h):
-        hidden = _gru_forward(params, x)
-        if cfg.mode == "point":
-            pred, fan = _point_from_hidden(params, hidden)[0], None
-        else:
-            fan = _quantiles_from_hidden(params, hidden)[0]
-            pred = fan[..., median_index(cfg.quantiles), :]
+        fan = _fan_from_hidden(params, _gru_forward(params, x))[0]
+        pred = fan[..., fed_level(cfg), :]
         points.append(pred)
         fans.append(fan)
         if step < h - 1:
             x = np.concatenate([x[:, 1:], pred[:, None]], axis=1)
     return (np.stack(points, -2),
-            None if fan is None else np.stack(fans, -3))
+            None if cfg.mode == "point" else np.stack(fans, -3))
 
 
 @given(s=st.integers(1, 4), n=st.integers(1, 9), w=st.integers(2, 6),
@@ -315,17 +347,18 @@ def test_rollout_of_runs_is_bitwise_its_windows_batch(s, n, w, h_rule, mode,
     windows passed as one (S * n, w, P) batch, and, at latent >= 2, as that
     batch's explicit composition, a lone window composed as the two-row
     batch of itself. At latent 1 only the first is asserted: the one-column
-    latent projection and point head run as GEMVs, whose rows can depend on
-    their place in the product (with OpenBLAS 0.3.31 on Haswell they do not
-    at this test's P = 3 and hidden 4, and can from an inner size of 8)."""
+    latent projection and a one-level head run as GEMVs, whose rows can
+    depend on their place in the product (with OpenBLAS 0.3.31 on Haswell
+    they do not at this test's P = 3 and hidden 4, and can from an inner
+    size of 8)."""
     h = {"1": 1, "2": 2, "w-1": w - 1, "w": w, "w+3": w + 3}[h_rule]
     rng = np.random.default_rng(seed)
     runs = rng.normal(size=(s, w + n - 1, 3))
     windows = np.lib.stride_tricks.sliding_window_view(runs, w, axis=1)
     windows = windows.swapaxes(2, 3).reshape(s * n, w, 3)
     cfg = TrainConfig(w=w, mode=mode, quantiles=(0.1, 0.5, 0.9))
-    models = [tiny_params(seed, latent=latent),
-              tiny_params(seed + 1, latent=latent)]
+    models = [tiny_params(seed, latent=latent, n_levels=levels(mode)),
+              tiny_params(seed + 1, latent=latent, n_levels=levels(mode))]
     for params in models[:1] + ([ParamSet.stack(models)] if h == 1 else []):
         point, fan = rollout(params, runs, h, cfg)
         assert point.shape == params.flat.shape[:-1] + (s * n, h, 3)
@@ -457,8 +490,8 @@ def test_train_with_reused_gradient_buffer_is_bitwise_reference(
     rng = np.random.default_rng(11)
     x = rng.normal(size=(70, 5, 3))  # 70 = 4 batches of 16 and one of 6
     y = rng.normal(size=(70, 3))
-    init = tiny_params(6)
-    anchor = tiny_params(7) if anchored else None
+    init = tiny_params(6, n_levels=levels(mode))
+    anchor = tiny_params(7, n_levels=levels(mode)) if anchored else None
     cfg = TrainConfig(w=5, epochs=3, batch=16, mode=mode, clip=0.5, seed=2)
     fitted = train(init, anchor, x, y, cfg, freeze_mix=freeze_mix)
     expected = reference_train(init, anchor, x, y, cfg, freeze_mix)
@@ -468,11 +501,13 @@ def test_train_with_reused_gradient_buffer_is_bitwise_reference(
         assert fitted.mix.tobytes() == init.mix.tobytes()
 
 
-def stacked_instance(sizes, seed=0):
-    """One start and one (x, y) training set of each size per model."""
+def stacked_instance(sizes, seed=0, mode="point"):
+    """One start of ``mode``'s shape and one (x, y) training set of each
+    size per model."""
     rng = np.random.default_rng(seed)
     data = [(rng.normal(size=(n, 5, 3)), rng.normal(size=(n, 3))) for n in sizes]
-    return [tiny_params(10 + i) for i in range(len(sizes))], data
+    return ([tiny_params(10 + i, n_levels=levels(mode))
+             for i in range(len(sizes))], data)
 
 
 def assert_trained_as_alone(fitted, initials, anchor, data, cfg, seeds,
@@ -484,13 +519,13 @@ def assert_trained_as_alone(fitted, initials, anchor, data, cfg, seeds,
         assert params.flat.tobytes() == alone.flat.tobytes()
 
 
-def bound_stacks(mp, depth, batch, mode="point"):
-    """Set the stack budget to ``depth`` models of TINY size at the largest
-    batch ``batch`` (None keeps the module's budget) on the monkeypatch
-    ``mp``; returns the list that records the model count of every stack
-    built while ``mp`` is in effect."""
+def bound_stacks(mp, depth, batch, like):
+    """Set the stack budget to ``depth`` models of the size of ``like`` at
+    the largest batch ``batch`` (None keeps the module's budget) on the
+    monkeypatch ``mp``; returns the list that records the model count of
+    every stack built while ``mp`` is in effect."""
     if depth is not None:
-        one = _Workspace.specs(tiny_params(0), 1, batch, 5, mode == "quantile")
+        one = _Workspace.specs(like, 1, batch, 5)
         mp.setattr(model, "STACK_BYTES",
                    depth * 8 * sum(math.prod(s) for _, s in one))
     stacks, stack = [], ParamSet.stack
@@ -511,13 +546,13 @@ def test_stacked_training_is_bitwise_each_models_own(mode, anchored, freeze_mix,
     # under the module's budget, and under budgets of one and of two models,
     # which split the fit into consecutive stacks
     sizes = [70, 5, 40, 70, 16]
-    initials, data = stacked_instance(sizes)
-    anchor = tiny_params(7) if anchored else None
+    initials, data = stacked_instance(sizes, mode=mode)
+    anchor = tiny_params(7, n_levels=levels(mode)) if anchored else None
     cfg = TrainConfig(w=5, epochs=3, batch=16, mode=mode, clip=0.5)
     seeds = [3, 4, 5, 3, 6]
     for depth, expected in ((None, [5]), (1, [1] * 5), (2, [2, 2, 1])):
         with monkeypatch.context() as mp:
-            stacks = bound_stacks(mp, depth, 16, mode)
+            stacks = bound_stacks(mp, depth, 16, initials[0])
             fitted = train_stacked(initials, anchor, data, cfg, seeds,
                                    freeze_mix=freeze_mix)
         assert stacks == expected
@@ -568,7 +603,7 @@ def test_stacked_divergence_raises_the_serial_orders_first(monkeypatch):
                     break
             assert expected is not None and expected.last_finite_epoch == 0
             with monkeypatch.context() as mp:
-                stacks = bound_stacks(mp, depth, 16)
+                stacks = bound_stacks(mp, depth, 16, initials[0])
                 with pytest.raises(TrainingDiverged) as err:
                     train_stacked(initials, None, data, cfg,
                                   [cfg.seed] * len(data))
@@ -609,7 +644,7 @@ def test_unpickled_paramset_tensors_are_views_of_its_buffer():
 
 
 def test_gru_forward_saturates_without_overflow_warning():
-    params = tiny_params(3)
+    params = tiny_params(3, n_levels=3)
     params.flat *= 100.0
     x = np.full((4, 5, 3), 30.0)
     x[1::2] *= -1.0
@@ -628,19 +663,18 @@ def test_gru_forward_saturates_without_overflow_warning():
 @pytest.mark.parametrize("mode", ["point", "quantile"])
 def test_stacked_pass_is_bitwise_each_models_own(mode, n, m):
     # the serving size of the models; each has its own jittered mix
-    models = [init_params(8, 6, 16, 3, seed) for seed in range(m)]
+    cfg = TrainConfig(w=7, mode=mode)
+    models = [init_params(8, 6, 16, cfg.n_levels, seed) for seed in range(m)]
     for seed, params in enumerate(models):
         params.flat += np.random.default_rng(seed).normal(
             scale=0.3, size=params.flat.shape)
     assert len({params.mix.tobytes() for params in models}) == m
     rng = np.random.default_rng([n, m])
     x, y = rng.normal(size=(n, 7, 8)), rng.normal(size=(n, 8))
-    cfg = TrainConfig(w=7, mode=mode)
-    head = _point_from_hidden if mode == "point" else _quantiles_from_hidden
     stack = ParamSet.stack(models)
     hs = _gru_forward(stack, x)
     assert hs.shape == (m, n, 16)
-    preds = head(stack, hs)[0]
+    preds = _fan_from_hidden(stack, hs)[0]
     # the one-step rollout of the stack, and the loss routing scores it by
     point, fan = rollout(stack, x, 1, cfg)
     assert point.shape == (m, n, 1, 8)
@@ -650,7 +684,7 @@ def test_stacked_pass_is_bitwise_each_models_own(mode, n, m):
     for i, params in enumerate(models):
         h = _gru_forward(params, x)
         assert hs[i].tobytes() == h.tobytes()
-        assert preds[i].tobytes() == head(params, h)[0].tobytes()
+        assert preds[i].tobytes() == _fan_from_hidden(params, h)[0].tobytes()
         own_point, own_fan = rollout(params, x, 1, cfg)
         assert point[i].tobytes() == own_point.tobytes()
         if fan is not None:
@@ -669,9 +703,10 @@ def test_init_params_keeps_every_seeds_draws(shape, seed):
     old = legacy_init(*shape, seed)
     hid = shape[2]
     gates = [slice(0, hid), slice(hid, 2 * hid), slice(2 * hid, 3 * hid)]
+    # a one-level head keeps the point head's draws, a fan the fan's
+    head = "_out" if shape[3] == 1 else "_quant"
     pairs = [(params.mix, old["mix"]), (params.u_cand, old["u_cand"]),
-             (params.w_out, old["w_out"]), (params.b_out, old["b_out"]),
-             (params.w_quant, old["w_quant"]), (params.b_quant, old["b_quant"])]
+             (params.w_head, old["w" + head]), (params.b_head, old["b" + head])]
     for rows, gate in zip(gates, ("update", "reset", "cand")):
         pairs += [(params.w_gates[rows], old["w_" + gate]),
                   (params.b_gates[rows], old["b_" + gate])]
@@ -698,7 +733,7 @@ def test_stack_needs_models_of_one_layout():
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
-    params = tiny_params(9)
+    params = tiny_params(9, n_levels=3)
     path = str(tmp_path / "model.pcm")
     save_checkpoint(params, w=5, mode="quantile", path=path)
     loaded, w, mode = load_checkpoint(path)

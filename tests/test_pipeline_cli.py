@@ -1137,9 +1137,9 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     # manifest field of the wrong type and labels beyond k), and a
     # checkpoint header with a zero
     # dimension (here with the payload it implies) or one that implies a
-    # payload far larger than the file, and a checkpoint of the old per-gate
-    # layout, which is refused by its magic, not read as fused tensors; a
-    # case that names its fault must report that one
+    # payload far larger than the file, and a checkpoint of the old
+    # two-head layout, which is refused by its magic, not read as one head;
+    # a case that names its fault must report that one
     forecast = ["forecast-new", "--config", good, "--segment", segment]
     ckpt = os.path.join(run_dir, "checkpoints", "refit_global.pcm")
     with open(ckpt, "rb") as fh:
@@ -1183,8 +1183,8 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
              "truncated checkpoint payload"),
             (ckpt, header(0) + bytes(8 * (3 * hidden * hidden + 3 * hidden)),
              forecast, "dimensions must be >= 1"),
-            (ckpt, b"PCM1" + stored[4:], forecast,
-             "bad checkpoint magic b'PCM1'")):
+            (ckpt, b"PCM2" + stored[4:], forecast,
+             "bad checkpoint magic b'PCM2'")):
         with open(path, "rb") as fh:
             original = fh.read()
         with open(path, "wb") as fh:
@@ -1376,7 +1376,8 @@ def test_checkpoint_of_another_model_is_a_data_error(served_run, capsys,
     with open(path, "rb") as fh:
         original = fh.read()
     params, w, mode = model.load_checkpoint(path)
-    assert (params.hidden, w, mode) == (8, 6, "point")
+    # a point model's head is a one-level fan
+    assert (params.hidden, params.n_levels, w, mode) == (8, 1, 6, "point")
     if swap == "hidden":
         params = model.init_params(params.p_dim, params.latent, 5,
                                    params.n_levels, 0)
