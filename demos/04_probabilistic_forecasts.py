@@ -26,9 +26,12 @@ x, y = prepared.windows("tr", 1, cfg.w)
 pooled = train(init_params(6, 5, 16, cfg.n_levels, seed=derive_seed(0, "init")), None, x, y, cfg)
 
 window = prepared.dataset.values[0:1, 192:200, :]  # a batch of one window
-# one rollout gives the whole path: step j of the fan is path[:, j - 1]
-_, path = rollout(pooled, window, 6, cfg)
+# one rollout gives the whole path: step j of the fan is path[:, j - 1], and
+# its point level (the median) is the forecast fed back at every step
+path = rollout(pooled, window, 6, cfg)
 fan, deep = path[:, 0], path[:, -1]
+median = path[..., cfg.point_level, :]
+print("median path, first component:", np.round(median[0, :, 0], 3))
 print("one-step fan for one window, first three components:")
 for level, row in zip(cfg.quantiles, fan[0]):
     print(f"  q={level:.1f}: {np.round(row[:3], 3)}")

@@ -53,7 +53,9 @@ print(f"pure-noise segment routes to: "
 segment = prepared.standardizer.transform(deploy_segments[4])
 routed = clustering.assign_new_series(segment, pooled, prototypes, flags, cfg)
 chosen = pooled if routed < 0 else prototypes[routed]
-forecast = rollout(chosen, segment[None, -cfg.w:], 6, cfg)[0][0, -1]
+# the fans of one window; a point model's forecast is the fan's point level
+path = rollout(chosen, segment[None, -cfg.w:], 6, cfg)
+forecast = path[..., cfg.point_level, :][0, -1]
 print(f"\nseries 4 routes to prototype {routed}; 6-step-ahead forecast "
       f"(standardized): {np.round(forecast[:4], 3)} ...")
 print("forecast in raw units:",

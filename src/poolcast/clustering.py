@@ -495,8 +495,8 @@ class EvalArtifacts:
     calibration: CalibrationTable | None
     report: list[dict]                 # summarize_method rows, as report.json
     series_mse: dict = None            # (method, horizon) -> per-series TEST MSE
-    # (method, horizon) -> TEST (point, target), each (S, n, P), of series
-    # 0 .. S - 1, S = min(TRAJECTORY_SERIES, N), taken from the TEST panel
+    # (method, horizon) -> TEST (fan's point level, target), each (S, n, P),
+    # of series 0 .. S - 1, S = min(TRAJECTORY_SERIES, N), from the TEST panel
     trajectories: dict = None
 
 
@@ -504,12 +504,12 @@ def val_calibration_streams(prepared: PreparedData, groups, horizons,
                             cfg: TrainConfig) -> dict:
     """Per horizon, the VAL (median, lower, upper, target) streams of the
     series of ``(params, series)`` groups, for :func:`calibration.calibrate`:
-    the raveled :func:`losses.split_forecasts` panel, in group order. Needs a
+    the raveled :func:`losses.split_forecasts` fans, in group order. Needs a
     quantile-mode config; horizons without VAL windows are left out."""
     _, by_h = losses.split_forecasts(groups, prepared, "va", horizons, cfg)
-    return {h: (point.ravel(), fan[:, :, 0].ravel(), fan[:, :, -1].ravel(),
-                y.ravel())
-            for h, (point, fan, y) in by_h.items() if y.shape[1]}
+    return {h: (fan[:, :, cfg.point_level].ravel(), fan[:, :, 0].ravel(),
+                fan[:, :, -1].ravel(), y.ravel())
+            for h, (fan, y) in by_h.items() if y.shape[1]}
 
 
 def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
@@ -599,16 +599,16 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
         order, by_h = losses.split_forecasts(models, prepared, "te", horizons, cfg)
         # the panel's rows are in group order; series i is row rank[i]
         rank = np.argsort(order)
-        for h, (point, fan, y) in by_h.items():
+        for h, (fan, y) in by_h.items():
             if y.shape[1] == 0:
                 raise ValueError(f"no TEST windows at h={h}")
+            point = fan[:, :, cfg.point_level]
             s_mse, s_mae = (losses.series_means(kind, point, y, cfg)[rank]
                             for kind in ("mse", "mae"))
             s_pin = coverage = width = None
-            if fan is not None:
+            if cfg.mode == "quantile":
                 s_pin = losses.series_means("pinball", fan, y, cfg)[rank]
-                if calib is not None:
-                    fan = calib.apply(h, point, fan)
+                fan = calib.apply(h, point, fan)
                 coverage, width = losses.interval_stats(y, fan[:, :, 0],
                                                         fan[:, :, -1])
             reference = s_mse if name == "global" else series_mse[("global", h)]
@@ -653,7 +653,7 @@ def assign_new_series(segment: np.ndarray, global_params: ParamSet,
             f"segment has {segment.shape[0]} steps; need at least w + 1 = {w + 1}")
     ids = [-1] + [k for k in range(len(prototypes)) if not flags.flagged[k]]
     # window i holds rows i .. i + w - 1 and targets row i + w
-    kind, pred = losses.objective(*model.rollout(
+    kind, pred = losses.objective(model.rollout(
         ParamSet.stack([global_params] + [prototypes[k] for k in ids[1:]]),
         segment[None, :-1], 1, cfg), cfg)
     # each model's losses are a contiguous block, reduced as on its own

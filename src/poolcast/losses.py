@@ -40,12 +40,16 @@ def loss_elem(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarra
 
     "huber", "mse" and "mae" compare point forecasts (..., P) with targets
     (..., P); "pinball" compares a quantile fan (..., Q, P) with targets
-    (..., P) at the levels ``cfg.quantiles``. Huber uses ``cfg.huber_delta``.
+    (..., P) at the Q levels ``cfg.quantiles``, another Q a ``ValueError``.
+    Huber uses ``cfg.huber_delta``.
     """
     if kind == "pinball":
+        q = np.asarray(cfg.quantiles).reshape((-1, 1))
+        if pred.shape[-2] != len(q):
+            raise ValueError(f"{len(q)} levels given but fan has {pred.shape[-2]}")
         # rho_q(u) = u * (q - 1{u < 0}) with u = target - pred
         u = target[..., None, :] - pred
-        return u * (np.asarray(cfg.quantiles).reshape((-1, 1)) - (u < 0))
+        return u * (q - (u < 0))
     e = pred - target
     if kind == "huber":
         return huber_elem(e, cfg.huber_delta)
@@ -56,12 +60,12 @@ def loss_elem(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarra
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def objective(point: np.ndarray, fan: np.ndarray | None, cfg) -> tuple:
-    """``(kind, forecast)`` of the mode's objective: Huber on the point
-    forecast in point mode, pinball on the quantile fan in quantile mode.
-    Every loss that follows the mode (routing, the cost matrix, the
-    forward-only batch loss) chooses it here."""
-    return ("pinball", fan) if cfg.mode == "quantile" else ("huber", point)
+def objective(fan: np.ndarray, cfg) -> tuple:
+    """``(kind, forecast)`` of the mode's objective on a fan (..., L, P): Huber
+    on its point level, or pinball on the whole fan in quantile mode. Every
+    mode-following loss (routing, cost matrix, batch loss) chooses it here."""
+    return (("pinball", fan) if cfg.mode == "quantile"
+            else ("huber", fan[..., cfg.point_level, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +74,9 @@ def objective(point: np.ndarray, fan: np.ndarray | None, cfg) -> tuple:
 
 
 def _join(parts: list):
-    """Group arrays concatenated in group order; one group's array, or point
-    mode's None fan, is returned as it is."""
-    return parts[0] if len(parts) == 1 or parts[0] is None else np.concatenate(parts)
+    """Group arrays concatenated in group order; one group's array is
+    returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def split_forecasts(groups, prepared, tag: str, horizons, cfg):
@@ -80,10 +84,9 @@ def split_forecasts(groups, prepared, tag: str, horizons, cfg):
     ``(params, series)`` group, as one panel.
 
     Returns ``(series, by_horizon)``: the groups' series ids concatenated in
-    group order, and per horizon h the ``(point, fan, target)`` of those S
-    rows: the h-step point forecasts (S, n_h, P), the quantile fan
-    (S, n_h, Q, P) or None in point mode, and the targets (S, n_h, P), over
-    the n_h windows of the segment at h (n_h = 0 when it has none). Each
+    group order, and per horizon h the ``(fan, target)`` of those S rows:
+    the h-step fans (S, n_h, L, P) and the targets (S, n_h, P), over the
+    n_h windows of the segment at h (n_h = 0 when it has none). Each
     group's rows are exactly its own forecasts; a single group's arrays are
     not copied. Every split forecast runs through here.
 
@@ -111,18 +114,14 @@ def split_forecasts(groups, prepared, tag: str, horizons, cfg):
         if n:  # each series' windows as one run
             x = x.reshape(s, n, cfg.w, p)
             x = np.concatenate([x[:, 0], x[:, 1:, -1]], axis=1)
-        point, fan = model.rollout(params, x, h_last, cfg)
-        paths.append((point.reshape(s, n, h_last, p),
-                      None if fan is None
-                      else fan.reshape(s, n, h_last, fan.shape[-2], p),
+        fan = model.rollout(params, x, h_last, cfg)
+        paths.append((fan.reshape(s, n, h_last, fan.shape[-2], p),
                       y.reshape(s, n, p)))
     by_horizon = {}
     for h in horizons:
         n_h, lag = index.count(h), h - h_first
         by_horizon[h] = tuple(_join(parts) for parts in zip(*(
-            (point[:, :n_h, h - 1],
-             None if fan is None else fan[:, :n_h, h - 1],
-             y[:, lag:lag + n_h]) for point, fan, y in paths)))
+            (fan[:, :n_h, h - 1], y[:, lag:lag + n_h]) for fan, y in paths)))
     return _join([series for _, series in groups]), by_horizon
 
 
@@ -135,17 +134,15 @@ def series_means(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.nda
 
 
 def horizon_losses(kind: str | None, forecast: tuple, cfg) -> np.ndarray | None:
-    """Per-series mean ``kind`` loss of one horizon's ``(point, fan,
-    target)`` from :func:`split_forecasts`, or None when the segment has no
-    windows at that horizon. ``kind`` None scores the mode's
-    :func:`objective`; "pinball" scores the fan (and needs a quantile-mode
-    config); the point losses score the point forecast, i.e. the median
-    path in quantile mode."""
-    point, fan, y = forecast
+    """Per-series mean ``kind`` loss of one horizon's ``(fan, target)``
+    from :func:`split_forecasts`, or None when the segment has no windows at
+    that horizon. ``kind`` None scores the mode's :func:`objective`;
+    "pinball" scores the fan; the point losses score its point level."""
+    fan, y = forecast
     if y.shape[1] == 0:
         return None
-    kind, pred = (objective(point, fan, cfg) if kind is None
-                  else (kind, fan if kind == "pinball" else point))
+    kind, pred = objective(fan, cfg) if kind is None else (
+        kind, fan if kind == "pinball" else fan[..., cfg.point_level, :])
     return series_means(kind, pred, y, cfg)
 
 

@@ -249,6 +249,11 @@ class TrainConfig:
         mode, the base alone in point mode."""
         return len(self.quantiles) if self.mode == "quantile" else 1
 
+    @property
+    def point_level(self) -> int:
+        """The fan level of the point forecast: the base, or the median."""
+        return median_index(self.quantiles) if self.mode == "quantile" else 0
+
 
 # ---------------------------------------------------------------------------
 # forward graph
@@ -515,21 +520,25 @@ def _fan_from_hidden(params: ParamSet, h: np.ndarray,
     return fan.reshape(raw.shape[:-1] + (p,)), latents, raw
 
 
+def _check_levels(params: ParamSet, cfg: TrainConfig) -> None:
+    """Refuse a quantile-mode config whose level count is not the head's."""
+    if cfg.mode == "quantile" and cfg.n_levels != params.n_levels:
+        raise ValueError(f"{cfg.n_levels} levels given but head "
+                         f"produces {params.n_levels}")
+
+
 def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
-            ) -> tuple[np.ndarray, np.ndarray | None]:
+            ) -> np.ndarray:
     """The h-step forecast paths of every window of S runs (S, T, P), T >=
     w = ``cfg.w``, in the config's mode: the one forward pass outside
     training.
 
     Each length-w slice of a run is a window, n = T - w + 1 per run, so a
-    batch of windows (n, w, P) is the case T = w. One-step predictions are
-    fed back, dropping the oldest window row each step: the fan's first
-    level, its linear base, in point mode, and the median level in quantile
-    mode. Returns ``(point, fan)`` over the S * n windows run by run, with
-    step j at ``[:, j - 1]``: in point mode the point forecasts (S * n, h, P)
-    and None; in quantile mode the median path (S * n, h, P) and the fan
-    (S * n, h, Q, P) at ``cfg.quantiles``. A rollout to h thus serves every
-    horizon up to h.
+    batch of windows (n, w, P) is the case T = w. Returns the fan
+    (S * n, h, L, P) of the head's L levels over the S * n windows run by
+    run, with step j at ``[:, j - 1]``; level ``cfg.point_level`` is the
+    point forecast, which is fed back, dropping the oldest window row each
+    step. A rollout to h thus serves every horizon up to h.
 
     The windows of a run share prefixes. Step j < w of window i reads the
     last w - j rows of the window, then the j fed-back forecasts; window
@@ -546,19 +555,16 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
     are one-column GEMVs, whose rows can depend on their place in the product.
 
     A stack of M models (:meth:`ParamSet.stack`) forecasts one step of the
-    same windows, (M, S * n, 1, P) and (M, S * n, 1, Q, P), each model
-    bitwise as on its own; it raises ``ValueError`` for h > 1.
+    same windows, (M, S * n, 1, L, P), each model bitwise as on its own;
+    it raises ``ValueError`` for h > 1.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
     lead = params.flat.shape[:-1]  # () for one model, (M,) for a stack
     if lead and h > 1:
         raise ValueError("a stack of models forecasts one step only")
-    quantile = cfg.mode == "quantile"
-    if quantile and len(cfg.quantiles) != params.n_levels:
-        raise ValueError(f"{len(cfg.quantiles)} levels given but head "
-                         f"produces {params.n_levels}")
-    level = median_index(cfg.quantiles) if quantile else 0  # the one fed back
+    _check_levels(params, cfg)
+    level = cfg.point_level  # the one fed back
     x = np.asarray(window, dtype=np.float64)
     s, length, p = x.shape
     w, hid = cfg.w, params.hidden
@@ -599,9 +605,7 @@ def rollout(params: ParamSet, window: np.ndarray, h: int, cfg: TrainConfig
                                           ).swapaxes(-4, -3)
         if j < h - 1:
             _gate_inputs(params, fan_j[..., level, :], out=fed[j])
-    fan = fan.reshape(lead + (rows,) + fan.shape[-3:])[..., :served, :, :, :]
-    # the point path as a contiguous array, not a strided view of the fan
-    return np.ascontiguousarray(fan[..., level, :]), fan if quantile else None
+    return fan.reshape(lead + (rows,) + fan.shape[-3:])[..., :served, :, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +636,7 @@ def batch_loss(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
     loss of its one-step :func:`rollout` plus the anchor pull."""
     if len(x) == 0:
         raise ValueError("empty batch")
-    kind, pred = objective(*rollout(params, x, 1, cfg), cfg)
+    kind, pred = objective(rollout(params, x, 1, cfg), cfg)
     data = float(np.mean(loss_elem(kind, pred[:, 0], y, cfg)))
     return data + _anchor_penalty(params, anchor, cfg.l2sp_weight, None)
 
@@ -664,6 +668,7 @@ def loss_and_gradients(params: ParamSet, anchor: ParamSet | None, x: np.ndarray,
     """
     if x.shape[-3] == 0:
         raise ValueError("empty batch")
+    _check_levels(params, cfg)
     if grads is None:
         grads = params.zeros_like()
     single = params.flat.ndim == 1

@@ -683,17 +683,15 @@ def cmd_forecast_new(cfg: RunConfig, segment_path: str,
                                              flags, tc)
     chosen = refit_global if routed_id < 0 else prototypes[routed_id]
     # one rollout to the longest horizon serves every horizon
-    point, fan = model.rollout(chosen, segment[None, -tc.w:],
-                               max(cfg.horizons), tc)
-    if fan is not None:
-        for h in cfg.horizons:
-            fan[:, h - 1] = calib.apply(h, point[:, h - 1], fan[:, h - 1])
+    fan = model.rollout(chosen, segment[None, -tc.w:], max(cfg.horizons), tc)[0]
     forecasts = {}
     for h in cfg.horizons:
-        std_vals = point[0, h - 1] if fan is None else fan[0, h - 1]
+        std_vals = fan[h - 1, tc.point_level]
+        if calib is not None:
+            std_vals = calib.apply(h, std_vals, fan[h - 1])
         forecasts[str(h)] = {"standardized": std_vals.tolist(),
                              "raw": std.inverse(std_vals).tolist()}
-        if fan is not None:
+        if calib is not None:
             forecasts[str(h)]["levels"] = list(tc.quantiles)
     result = {
         "routed_model": "global" if routed_id < 0 else f"prototype_{routed_id}",

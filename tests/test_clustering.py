@@ -266,7 +266,7 @@ def test_cost_matrix_agrees_with_composition_oracle(small_world):
     for window in x:
         cur = window.copy()
         for step in range(3):
-            p = rollout(gp, cur[None], 1, CFG)[0][:, -1][0]
+            p = rollout(gp, cur[None], 1, CFG)[0, -1, 0]
             cur = np.concatenate([cur[1:], p[None, :]], axis=0)
         preds.append(p)
     manual = np.mean([huber(p, t, CFG.huber_delta)
@@ -344,11 +344,8 @@ def test_split_forecasts_over_horizons_equal_single_horizon_calls(
 
     def assert_bitwise(got, want):
         for g, w in zip(got, want, strict=True):
-            if w is None:
-                assert g is None
-            else:
-                assert g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
     prepared.audit.set_phase("multi")
     series, multi = losses.split_forecasts(groups, prepared, tag, horizons, cfg)
@@ -357,7 +354,8 @@ def test_split_forecasts_over_horizons_equal_single_horizon_calls(
         ids_s, single = losses.split_forecasts(groups, prepared, tag, (h,), cfg)
         np.testing.assert_array_equal(series, ids_s)
         assert_bitwise(multi[h], single[h])
-    assert multi[21][2].shape == (9, 0, 4)
+    assert multi[21][0].shape == (9, 0, cfg.n_levels, 4)
+    assert multi[21][1].shape == (9, 0, 4)
     assert prepared.audit.counts("multi") == prepared.audit.counts("single")
     np.testing.assert_array_equal(prepared.audit._touched["multi"],
                                   prepared.audit._touched["single"])
@@ -371,8 +369,7 @@ def test_split_forecasts_over_horizons_equal_single_horizon_calls(
         assert own_ids is ids
         rows = slice(start, start + len(ids))
         for h in horizons:
-            assert_bitwise([None if a is None else a[rows] for a in multi[h]],
-                           own[h])
+            assert_bitwise([a[rows] for a in multi[h]], own[h])
         start += len(ids)
 
 

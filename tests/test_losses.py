@@ -85,6 +85,13 @@ def test_multi_pinball_averages_levels_and_components():
     assert elems.mean() == pytest.approx(expected)
 
 
+def test_pinball_refuses_a_fan_of_another_level_count():
+    # a point model's one-level fan against the three default levels would
+    # broadcast to three levels' losses; it is refused instead
+    with pytest.raises(ValueError, match="3 levels given but fan has 1"):
+        loss_elem("pinball", np.zeros((4, 1, 2)), np.zeros((4, 2)), TrainConfig())
+
+
 def test_empirical_minimizer_matches_sort_oracle_fixed():
     sample = np.arange(1.0, 11.0)
     assert empirical_quantile(sample, 0.3) == 3.0
@@ -159,7 +166,7 @@ def test_split_mean_loss_sentinel_and_mean():
     # mean over windows equals the mean of manually computed per-window losses
     got = series_0(1)
     x, y = prepared.windows("va", 1, cfg.w, [0])
-    per_window = [huber(rollout(params, w_[None], 1, cfg)[0][:, -1][0], t,
+    per_window = [huber(rollout(params, w_[None], 1, cfg)[0, -1, 0], t,
                         cfg.huber_delta)
                   for w_, t in zip(x, y)]
     assert got == pytest.approx(np.mean(per_window), rel=0, abs=1e-15)
@@ -168,7 +175,7 @@ def test_split_mean_loss_sentinel_and_mean():
     single = series_0(7)
     x7, y7 = prepared.windows("va", 7, cfg.w, [0])
     assert len(x7) == 1
-    only = huber(rollout(params, x7[:1], 7, cfg)[0][:, -1][0], y7[0],
+    only = huber(rollout(params, x7[:1], 7, cfg)[0, -1, 0], y7[0],
                  cfg.huber_delta)
     assert single == pytest.approx(only, rel=0, abs=1e-15)
     # h=8 exceeds the segment: undefined sentinel

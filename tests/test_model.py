@@ -64,9 +64,9 @@ def finite_difference_check(params, anchor, x, y, cfg, step=1e-5,
 def residuals_near_kink(params, x, y, cfg, margin):
     """True when any residual sits within ``margin`` of a loss kink, where
     central differences would straddle the non-smooth point."""
-    pred, fan = rollout(params, x, 1, cfg)
-    pred, fan = pred[:, -1], None if fan is None else fan[:, -1]
+    fan = rollout(params, x, 1, cfg)[:, -1]
     if cfg.mode == "point":
+        pred = fan[:, fed_level(cfg)]
         return bool(np.any(np.abs(np.abs(pred - y) - cfg.huber_delta) < margin))
     return bool(np.any(np.abs(y[:, None, :] - fan) < margin))
 
@@ -177,18 +177,18 @@ def test_perfect_prediction_loss_is_anchor_term_only():
 def test_zero_network_outputs_zero():
     params = tiny_params(0)
     params.flat[:] = 0.0
-    out, fan = rollout(params, np.random.default_rng(0).normal(size=(1, 5, 3)),
-                       1, TrainConfig(w=5))
-    out = out[:, -1]
+    fan = rollout(params, np.random.default_rng(0).normal(size=(1, 5, 3)),
+                  1, TrainConfig(w=5))
+    out = fan[:, -1, 0]
     np.testing.assert_array_equal(out, np.zeros((1, 3)))
-    assert fan is None
+    assert fan.shape[-2] == 1
 
 
 def test_output_shape_and_determinism():
     params = tiny_params(1)
     window = np.random.default_rng(1).normal(size=(1, 5, 3))
-    a = rollout(params, window, 1, TrainConfig(w=5))[0][:, -1]
-    b = rollout(params, window, 1, TrainConfig(w=5))[0][:, -1]
+    a = rollout(params, window, 1, TrainConfig(w=5))[:, -1, 0]
+    b = rollout(params, window, 1, TrainConfig(w=5))[:, -1, 0]
     assert a.shape == (1, 3)
     np.testing.assert_array_equal(a, b)
 
@@ -199,7 +199,7 @@ def test_quantile_softplus_ladder():
     params.flat[:] = 0.0
     params.mix[0, 0] = 1.0
     cfg = TrainConfig(w=4, mode="quantile", quantiles=(0.1, 0.5, 0.9))
-    fan = rollout(params, np.zeros((1, 4, 1)), 1, cfg)[1][:, -1]
+    fan = rollout(params, np.zeros((1, 4, 1)), 1, cfg)[:, -1]
     np.testing.assert_allclose(
         fan[0, :, 0], [0.0, np.log(2.0), 2.0 * np.log(2.0)], atol=1e-15)
 
@@ -219,18 +219,29 @@ def test_single_level_grid():
     params = init_params(2, 2, 3, 1, seed=0)
     params.flat[:] = np.random.default_rng(0).normal(size=params.flat.size)
     cfg = TrainConfig(w=4, mode="quantile", quantiles=(0.5,))
-    point, fan = rollout(params, np.zeros((1, 4, 2)), 1, cfg)
-    point, fan = point[:, -1], fan[:, -1]
+    x, y = np.zeros((1, 4, 2)), np.zeros((1, 2))
+    fan = rollout(params, x, 1, cfg)[:, -1]
     assert fan.shape == (1, 1, 2)
-    np.testing.assert_array_equal(point, fan[:, 0])
-    # a level grid that does not match the head is refused
-    with pytest.raises(ValueError, match="levels"):
-        rollout(params, np.zeros((1, 4, 2)), 1, replace(cfg, quantiles=(0.1, 0.5)))
+    np.testing.assert_array_equal(fan[:, cfg.point_level], fan[:, 0])
+    # a level grid that does not match the head is refused, by the forward
+    # pass, by the training step and by training alike
+    wrong = replace(cfg, quantiles=(0.1, 0.5))
+    for call in (lambda: rollout(params, x, 1, wrong),
+                 lambda: loss_and_gradients(params, None, x, y, wrong),
+                 lambda: train(params, None, x, y, wrong)):
+        with pytest.raises(ValueError, match="2 levels given but head produces 1"):
+            call()
 
 
 def test_median_index_prefers_half():
     assert median_index((0.1, 0.5, 0.9)) == 1
     assert median_index((0.25, 0.75)) == 0  # tie resolved to the lower index
+    # the config's point level is the level the oracle feeds back
+    for mode in ("point", "quantile"):
+        for quantiles in ((0.1, 0.5, 0.9), (0.25, 0.75)):
+            cfg = TrainConfig(mode=mode, quantiles=quantiles)
+            assert cfg.point_level == fed_level(cfg)
+    assert TrainConfig(mode="quantile", quantiles=(0.25, 0.75)).point_level == 0
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +253,14 @@ def compose_manually(params, window, h, cfg):
     """Test-only oracle: h explicit one-step forwards of one (w, P) window,
     shifting in each step's point forecast (the median in quantile mode).
     The window is encoded as the two-row batch of itself, as rollout runs a
-    lone window; the first row is returned."""
+    lone window; the first row's last fan is returned."""
     x = np.stack([window, window])
     for step in range(h):
         fan = _fan_from_hidden(params, _gru_forward(params, x))[0]
         pred = fan[:, fed_level(cfg)]
         if step < h - 1:
             x = np.concatenate([x[:, 1:], pred[:, None]], axis=1)
-    return pred[0], None if cfg.mode == "point" else fan[0]
+    return fan[0]
 
 
 def fed_level(cfg):
@@ -264,14 +275,13 @@ def test_rollout_equals_composition_oracle(mode):
     window = np.random.default_rng(5).normal(size=(5, 3))
     cfg = TrainConfig(w=5, mode=mode, quantiles=(0.1, 0.5, 0.9))
     for h in (1, 2, 3):
-        point, fan = rollout(params, window[None], h, cfg)
-        point, fan = point[:, -1], None if fan is None else fan[:, -1]
-        want_point, want_fan = compose_manually(params, window, h, cfg)
-        np.testing.assert_array_equal(point[0], want_point)
+        fan = rollout(params, window[None], h, cfg)[:, -1]
+        want = compose_manually(params, window, h, cfg)
+        np.testing.assert_array_equal(fan[0, fed_level(cfg)],
+                                      want[fed_level(cfg)])
         if mode == "point":
-            assert fan is None
-        else:
-            np.testing.assert_array_equal(fan[0], want_fan)
+            assert fan.shape[-2] == 1
+        np.testing.assert_array_equal(fan[0], want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 37])
@@ -281,15 +291,16 @@ def test_rollout_path_steps_equal_shorter_rollouts(mode, n):
     params = tiny_params(6, n_levels=levels(mode))
     windows = np.random.default_rng(n).normal(size=(n, 5, 3))
     cfg = TrainConfig(w=5, mode=mode, quantiles=(0.1, 0.5, 0.9))
-    point, fan = rollout(params, windows, 6, cfg)
+    fan = rollout(params, windows, 6, cfg)
+    point = fan[..., fed_level(cfg), :]
     assert point.shape == (n, 6, 3)
-    assert fan is None if mode == "point" else fan.shape == (n, 6, 3, 3)
+    assert fan.shape == (n, 6, levels(mode), 3)
     for j in range(1, 7):
-        point_j, fan_j = rollout(params, windows, j, cfg)
+        fan_j = rollout(params, windows, j, cfg)
+        point_j = fan_j[..., fed_level(cfg), :]
         np.testing.assert_array_equal(point[:, j - 1], point_j[:, -1])
         np.testing.assert_array_equal(point[:, :j], point_j)
-        if mode == "quantile":
-            np.testing.assert_array_equal(fan[:, j - 1], fan_j[:, -1])
+        np.testing.assert_array_equal(fan[:, j - 1], fan_j[:, -1])
 
 
 def test_rollout_median_path_ignores_upper_increments():
@@ -303,8 +314,8 @@ def test_rollout_median_path_ignores_upper_increments():
     zeroed.w_head[2 * r:, :] = 0.0   # increment feeding only the 0.9 level
     zeroed.b_head[2 * r:] = 0.0
     med = median_index(cfg.quantiles)
-    a = rollout(params, window[None], 2, cfg)[1][:, -1]
-    b = rollout(zeroed, window[None], 2, cfg)[1][:, -1]
+    a = rollout(params, window[None], 2, cfg)[:, -1]
+    b = rollout(zeroed, window[None], 2, cfg)[:, -1]
     np.testing.assert_array_equal(a[0, med], b[0, med])
     assert not np.array_equal(a[0, 2], b[0, 2])
 
@@ -317,17 +328,16 @@ def test_rollout_rejects_bad_horizon():
 
 def compose_batch(params, windows, h, cfg):
     """Test-only oracle: h explicit one-step forwards of a batch of windows
-    (n, w, P), each step encoding every window whole, as (point, fan)."""
-    x, points, fans = windows.copy(), [], []
+    (n, w, P), each step encoding every window whole, as the fans'
+    (n, h, L, P) path."""
+    x, fans = windows.copy(), []
     for step in range(h):
         fan = _fan_from_hidden(params, _gru_forward(params, x))[0]
-        pred = fan[..., fed_level(cfg), :]
-        points.append(pred)
         fans.append(fan)
         if step < h - 1:
+            pred = fan[..., fed_level(cfg), :]
             x = np.concatenate([x[:, 1:], pred[:, None]], axis=1)
-    return (np.stack(points, -2),
-            None if cfg.mode == "point" else np.stack(fans, -3))
+    return np.stack(fans, -3)
 
 
 @given(s=st.integers(1, 4), n=st.integers(1, 9), w=st.integers(2, 6),
@@ -360,18 +370,17 @@ def test_rollout_of_runs_is_bitwise_its_windows_batch(s, n, w, h_rule, mode,
     models = [tiny_params(seed, latent=latent, n_levels=levels(mode)),
               tiny_params(seed + 1, latent=latent, n_levels=levels(mode))]
     for params in models[:1] + ([ParamSet.stack(models)] if h == 1 else []):
-        point, fan = rollout(params, runs, h, cfg)
+        fan = rollout(params, runs, h, cfg)
+        point = fan[..., fed_level(cfg), :]
         assert point.shape == params.flat.shape[:-1] + (s * n, h, 3)
+        assert fan.shape[-2] == levels(mode)
         wants = [rollout(params, windows, h, cfg)]
         if latent > 1:
             pair = np.concatenate([windows] * (2 if s * n == 1 else 1))
-            want_point, want_fan = compose_batch(params, pair, h, cfg)
-            wants.append((want_point[..., :s * n, :, :], None if want_fan is None
-                          else want_fan[..., :s * n, :, :, :]))
-        for want_point, want_fan in wants:
-            assert point.tobytes() == want_point.tobytes()
-            assert (fan is None if mode == "point"
-                    else fan.tobytes() == want_fan.tobytes())
+            wants.append(compose_batch(params, pair, h, cfg)[..., :s * n, :, :, :])
+        for want in wants:
+            assert point.tobytes() == want[..., fed_level(cfg), :].tobytes()
+            assert fan.tobytes() == want.tobytes()
 
 
 def test_rollout_refuses_a_run_shorter_than_the_window():
@@ -403,7 +412,7 @@ def test_training_fits_constant_target():
     y = np.full((64, 2), 0.7)
     cfg = TrainConfig(w=4, epochs=400, batch=64, lr=3e-3, seed=0)
     fitted = train(params, None, x, y, cfg)
-    final = huber(rollout(fitted, x, 1, cfg)[0][:, -1], np.broadcast_to(y, (64, 2)), 1.0)
+    final = huber(rollout(fitted, x, 1, cfg)[:, -1, 0], np.broadcast_to(y, (64, 2)), 1.0)
     assert final < 1e-3
 
 
@@ -676,19 +685,19 @@ def test_stacked_pass_is_bitwise_each_models_own(mode, n, m):
     assert hs.shape == (m, n, 16)
     preds = _fan_from_hidden(stack, hs)[0]
     # the one-step rollout of the stack, and the loss routing scores it by
-    point, fan = rollout(stack, x, 1, cfg)
+    fan = rollout(stack, x, 1, cfg)
+    point = fan[..., fed_level(cfg), :]
     assert point.shape == (m, n, 1, 8)
-    assert fan is None if mode == "point" else fan.shape == (m, n, 1, 3, 8)
-    kind, pred = ("huber", point) if fan is None else ("pinball", fan)
+    assert fan.shape == (m, n, 1, levels(mode), 8)
+    kind, pred = ("huber", point) if mode == "point" else ("pinball", fan)
     losses = loss_elem(kind, pred[:, :, 0], y, cfg)
     for i, params in enumerate(models):
         h = _gru_forward(params, x)
         assert hs[i].tobytes() == h.tobytes()
         assert preds[i].tobytes() == _fan_from_hidden(params, h)[0].tobytes()
-        own_point, own_fan = rollout(params, x, 1, cfg)
-        assert point[i].tobytes() == own_point.tobytes()
-        if fan is not None:
-            assert fan[i].tobytes() == own_fan.tobytes()
+        own_fan = rollout(params, x, 1, cfg)
+        assert point[i].tobytes() == own_fan[..., fed_level(cfg), :].tobytes()
+        assert fan[i].tobytes() == own_fan.tobytes()
         assert float(np.mean(losses[i])) == batch_loss(params, None, x, y, cfg)
     with pytest.raises(ValueError, match="one step"):
         rollout(stack, x, 2, cfg)

@@ -700,11 +700,11 @@ def test_forecast_new_routing_flow(tmp_path, data_dir):
             - np.asarray(std["mu"])) / np.asarray(std["sigma"]))
     routed = model.load_checkpoint(refit_checkpoint(run_dir,
                                                     result["routed_id"]))[0]
-    point, fan = model.rollout(routed, seg[None, -cfg.window:],
-                               max(cfg.horizons), cfg.train_config())
-    assert fan is None
+    fan = model.rollout(routed, seg[None, -cfg.window:],
+                        max(cfg.horizons), cfg.train_config())
+    assert fan.shape[-2] == 1
     for h in cfg.horizons:
-        assert result["forecasts"][str(h)]["standardized"] == point[0, h - 1].tolist()
+        assert result["forecasts"][str(h)]["standardized"] == fan[0, h - 1, 0].tolist()
 
 
 def test_quantile_mode_flow(tmp_path, data_dir):
@@ -749,13 +749,13 @@ def test_forecast_new_quantile_routing(tmp_path, data_dir):
         # the served fan: the raw rollout's outer levels calibrated around
         # its median path with the manifest's factors, the rest as they are
         served = protos.get(result["routed_id"], pooled)
-        point, fan = model.rollout(served, seg[None, -w:], max(cfg.horizons), tc)
+        fan = model.rollout(served, seg[None, -w:], max(cfg.horizons), tc)
         for h in cfg.horizons:
             reply = result["forecasts"][str(h)]
             assert reply["levels"] == list(cfg.quantiles)
             assert np.asarray(reply["standardized"]).shape == (3, 4)
             assert np.asarray(reply["raw"]).shape == (3, 4)
-            lo, hi = apply_factor(point[0, h - 1], fan[0, h - 1, 0],
+            lo, hi = apply_factor(fan[0, h - 1, tc.point_level], fan[0, h - 1, 0],
                                   fan[0, h - 1, -1], factors[str(h)])
             assert reply["standardized"] == [lo.tolist(), fan[0, h - 1, 1].tolist(),
                                              hi.tolist()]
@@ -844,11 +844,11 @@ def test_served_forecast_is_its_windows_panel_row(counted_evaluation, data_dir):
         seg = (np.loadtxt(path, delimiter=",") - mu) / sigma
         served = model.load_checkpoint(refit_checkpoint(cfg.run_dir,
                                                         result["routed_id"]))[0]
-        point, fan = model.rollout(served, seg[None, -(tc.w + 1):],
-                                   max(cfg.horizons), tc)
+        fan = model.rollout(served, seg[None, -(tc.w + 1):],
+                            max(cfg.horizons), tc)
         for h in cfg.horizons:
-            want = point[1, h - 1]
-            if fan is not None:
+            want = fan[1, h - 1, tc.point_level]
+            if cfg.mode == "quantile":
                 s = manifest["calibration"]["factors"][str(h)]
                 want = want + s * (fan[1, h - 1] - want)
             assert result["forecasts"][str(h)]["standardized"] == want.tolist()
@@ -870,8 +870,8 @@ def test_trajectories_are_the_evaluation_forecasts(counted_evaluation):
             routed = model.load_checkpoint(served[i])[0]
             # the series' TEST windows alone, under each saved checkpoint
             x, y = prepared.windows("te", h, tc.w, [i])
-            pred_global = model.rollout(pooled, x, h, tc)[0][:, -1]
-            pred_method = model.rollout(routed, x, h, tc)[0][:, -1]
+            pred_global = model.rollout(pooled, x, h, tc)[:, -1, tc.point_level]
+            pred_method = model.rollout(routed, x, h, tc)[:, -1, tc.point_level]
             expected += [{"series": prepared.dataset.names[i],
                           "time": str(t + h), "actual": repr(float(y[j, 0])),
                           "pred_global": repr(float(pred_global[j, 0])),
@@ -903,12 +903,12 @@ def test_report_rows_equal_a_series_by_series_oracle(counted_evaluation):
         inside = cells = 0
         for i, path in enumerate(paths):
             x, y = prepared.windows("te", h, tc.w, [i])
-            point, fan = model.rollout(params[path], x, h, tc)
-            med = point[:, -1]
+            fan = model.rollout(params[path], x, h, tc)
+            med = fan[:, -1, tc.point_level]
             e = med - y
             mse.append((e * e).mean(axis=1).mean())
             mae.append(np.abs(e).mean(axis=1).mean())
-            if fan is None:
+            if cfg.mode == "point":
                 continue
             u = y[:, None, :] - fan[:, -1]
             pinball.append((u * (levels - (u < 0))).mean(axis=(1, 2)).mean())
