@@ -36,7 +36,7 @@ print(f"imputed TEST cell (standardized units): {transformed.values[3, 250, 0]:+
 prepared = prepare(ds, split_spec)
 for tag in ("tr", "va", "te"):
     idx = prepared.window_index(tag, w=12, horizons=[1, 6])
-    ends = {h: (int(e[0]) + 1, int(e[-1]) + 1, len(e)) for h, e in idx.end_times.items() if len(e)}
+    ends = {h: (int(e[0]) + 1, int(e[-1]) + 1, len(e)) for h, e in idx.end_times.items()}
     print(f"{tag}: end-times (1-based first, last, count) per horizon: {ends}")
 
 # leakage check: arbitrary finite garbage in VAL and TEST, same TRAIN

@@ -74,7 +74,7 @@ class CalibrationTable:
 def calibrate(streams: dict, target_coverage: float = 0.8) -> CalibrationTable:
     """Fit one factor per horizon from (median, lower, upper, target) streams."""
     if not streams:
-        raise ValueError("no calibration streams (no VAL windows at any horizon)")
+        raise ValueError("no calibration streams (the streams dict is empty)")
     table = CalibrationTable(target=target_coverage)
     for h, (med, lo, hi, tv) in sorted(streams.items()):
         table.factors[h] = calibrate_factor(med, lo, hi, tv, target_coverage)

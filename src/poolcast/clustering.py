@@ -56,9 +56,9 @@ class CostMatrix:
     ``values`` holds the means over the assignment horizons;
     ``by_horizon`` maps every horizon scored, the assignment horizons and
     always h = 1 (the fallback's horizon), to its own (N, K) losses. NaN
-    marks an undefined entry (no valid windows). Rows of ``values`` that are
-    entirely NaN are excluded from reassignment and keep their previous
-    label.
+    marks an undefined entry (non-finite forecasts). Rows of ``values``
+    that are entirely NaN are excluded from reassignment and keep their
+    previous label.
     """
 
     values: np.ndarray
@@ -166,27 +166,19 @@ def compute_cost_matrix(prepared: PreparedData, prototypes: list[ParamSet],
     window has in common with a later window), whose per-series losses fill
     that prototype's column; the panel is released before the next
     prototype's rollout, so one prototype's forecasts are held at a time.
-    Horizons with no valid VAL windows are skipped in the mean; if none
-    remain, the whole matrix is NaN. The h = 1 losses are kept as well, for
-    the fallback.
+    The h = 1 losses are kept as well, for the fallback.
     """
     n, k = prepared.n_series, len(prototypes)
     series = np.arange(n)
     scored = tuple(sorted(set(horizons) | {1}))
-    per_h = {h: np.full((n, k), np.nan) for h in scored}
-    windowed = set()
+    per_h = {h: np.empty((n, k)) for h in scored}
     for j, proto in enumerate(prototypes):
         _, by_h = losses.split_forecasts([(proto, series)], prepared, "va",
                                          scored, cfg)
         for h in scored:
-            c = losses.horizon_losses(None, by_h[h], cfg)
-            if c is not None:
-                per_h[h][:, j] = c
-                windowed.add(h)
+            per_h[h][:, j] = losses.series_means(None, *by_h[h], cfg)
         del by_h  # release the panel before the next prototype's rollout
-    present = [per_h[h] for h in horizons if h in windowed]
-    return CostMatrix(np.mean(present, axis=0) if present
-                      else np.full((n, k), np.nan), per_h)
+    return CostMatrix(np.mean([per_h[h] for h in horizons], axis=0), per_h)
 
 
 def reassign(cost: CostMatrix, prev: Assignment) -> Assignment:
@@ -255,11 +247,8 @@ def group_val_losses(prepared: PreparedData, groups, cfg: TrainConfig,
     fallback. ``kind`` is as in :func:`losses.per_series_split_losses`."""
     out = np.full(prepared.n_series, np.nan)
     for params, ids in groups:
-        scored = losses.per_series_split_losses(params, prepared, "va", 1, cfg,
-                                                kind=kind, series=ids)
-        if scored is None:
-            raise ValueError("no VAL windows at h=1; cannot compute fallback")
-        out[ids] = scored
+        out[ids] = losses.per_series_split_losses(params, prepared, "va", 1,
+                                                  cfg, kind=kind, series=ids)
     return out
 
 
@@ -505,11 +494,11 @@ def val_calibration_streams(prepared: PreparedData, groups, horizons,
     """Per horizon, the VAL (median, lower, upper, target) streams of the
     series of ``(params, series)`` groups, for :func:`calibration.calibrate`:
     the raveled :func:`losses.split_forecasts` fans, in group order. Needs a
-    quantile-mode config; horizons without VAL windows are left out."""
+    quantile-mode config."""
     _, by_h = losses.split_forecasts(groups, prepared, "va", horizons, cfg)
     return {h: (fan[:, :, cfg.point_level].ravel(), fan[:, :, 0].ravel(),
                 fan[:, :, -1].ravel(), y.ravel())
-            for h, (fan, y) in by_h.items() if y.shape[1]}
+            for h, (fan, y) in by_h.items()}
 
 
 def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
@@ -583,9 +572,6 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
     if cfg.mode == "quantile":
         prepared.audit.set_phase("calibrate")
         streams = val_calibration_streams(prepared, groups, horizons, cfg)
-        # SplitSpec.validate(min_segment=w + max h) leaves every scored segment
-        # t - h + 1 >= w + 1 windows at every h, so on a CLI run this call, the
-        # TEST pass and group_val_losses never raise "no ... windows"
         calib = calibrate(streams, coverage_target)
 
     prepared.audit.set_phase("evaluate")
@@ -600,10 +586,8 @@ def final_refit_and_test(prepared: PreparedData, assignment: Assignment | None,
         # the panel's rows are in group order; series i is row rank[i]
         rank = np.argsort(order)
         for h, (fan, y) in by_h.items():
-            if y.shape[1] == 0:
-                raise ValueError(f"no TEST windows at h={h}")
             point = fan[:, :, cfg.point_level]
-            s_mse, s_mae = (losses.series_means(kind, point, y, cfg)[rank]
+            s_mse, s_mae = (losses.series_means(kind, fan, y, cfg)[rank]
                             for kind in ("mse", "mae"))
             s_pin = coverage = width = None
             if cfg.mode == "quantile":

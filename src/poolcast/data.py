@@ -487,7 +487,8 @@ class PreparedData:
 
     def window_index(self, tag: str, w: int, horizons) -> WindowIndex:
         """Window end times of segment ``tag`` at each of ``horizons``: the
-        one place the window rule of :class:`WindowIndex` is stated."""
+        one place the window rule of :class:`WindowIndex` is stated, and a
+        horizon at which the segment has no window refused (``ValueError``)."""
         if w < 1:
             raise ValueError("window length must be >= 1")
         t0, t1 = self.spec.bounds(tag)
@@ -499,6 +500,8 @@ class PreparedData:
         for h in horizons:
             if h < 1:
                 raise ValueError("horizons must be >= 1")
+            if t1 - h <= lo:
+                raise ValueError(f"segment {tag!r} has no window at w={w}, h={h}")
             end_times[h] = np.arange(lo, t1 - h, dtype=np.int64)
         return WindowIndex(end_times)
 
@@ -513,15 +516,14 @@ class PreparedData:
         the value at end + h. Both are fresh arrays indexed out of one
         strided view of the panel, with no copy of it; every (window,
         target) gather runs through here, and the read is recorded in the
-        audit. Empty index yields (0, w, P) and (0, P) arrays.
+        audit.
         """
         if series is None:
             series = np.arange(self.n_series)
         series = np.asarray(series, dtype=np.int64)
         ends = self.window_index(tag, w, [h]).end_times[h]
-        if len(ends):
-            self.audit.mark(series, ends[0] - w + 1, ends[-1])
-            self.audit.mark(series, ends[0] + h, ends[-1] + h)
+        self.audit.mark(series, ends[0] - w + 1, ends[-1])
+        self.audit.mark(series, ends[0] + h, ends[-1] + h)
         values = self.dataset.values
         view = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
         rows = series[:, None]

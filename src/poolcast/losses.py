@@ -2,9 +2,7 @@
 
 Huber and pinball are the two training/selection losses; MSE and MAE are the
 reporting metrics. Components are always averaged with equal weight, and in
-the multi-quantile case levels are averaged too. Degenerate cases (no valid
-windows) return None so callers can exclude the pair instead of biasing a
-mean with zeros.
+the multi-quantile case levels are averaged too.
 """
 
 from __future__ import annotations
@@ -86,9 +84,9 @@ def split_forecasts(groups, prepared, tag: str, horizons, cfg):
     Returns ``(series, by_horizon)``: the groups' series ids concatenated in
     group order, and per horizon h the ``(fan, target)`` of those S rows:
     the h-step fans (S, n_h, L, P) and the targets (S, n_h, P), over the
-    n_h windows of the segment at h (n_h = 0 when it has none). Each
-    group's rows are exactly its own forecasts; a single group's arrays are
-    not copied. Every split forecast runs through here.
+    n_h windows of the segment at h. Each group's rows are exactly its own
+    forecasts; a single group's arrays are not copied. Every split forecast
+    runs through here.
 
     A series' windows slide by one row, so each group gathers them once and
     passes each series to :func:`model.rollout` as one run: the first
@@ -111,9 +109,8 @@ def split_forecasts(groups, prepared, tag: str, horizons, cfg):
         # one rollout to the longest horizon forecasts them all.
         x, y = prepared.windows(tag, h_first, cfg.w, series)
         s, n, p = len(series), index.count(h_first), y.shape[-1]
-        if n:  # each series' windows as one run
-            x = x.reshape(s, n, cfg.w, p)
-            x = np.concatenate([x[:, 0], x[:, 1:, -1]], axis=1)
+        x = x.reshape(s, n, cfg.w, p)  # each series' windows as one run
+        x = np.concatenate([x[:, 0], x[:, 1:, -1]], axis=1)
         fan = model.rollout(params, x, h_last, cfg)
         paths.append((fan.reshape(s, n, h_last, fan.shape[-2], p),
                       y.reshape(s, n, p)))
@@ -125,42 +122,32 @@ def split_forecasts(groups, prepared, tag: str, horizons, cfg):
     return _join([series for _, series in groups]), by_horizon
 
 
-def series_means(kind: str, pred: np.ndarray, target: np.ndarray, cfg) -> np.ndarray:
-    """Per-series mean :func:`loss_elem` of forecasts (S, n, ...) against
-    targets (S, n, P): the mean over each window's elements, then over the
-    windows."""
+def series_means(kind: str | None, fan: np.ndarray, target: np.ndarray,
+                 cfg) -> np.ndarray:
+    """Per-series mean ``kind`` loss of fans (S, n, L, P) against targets
+    (S, n, P), such as one horizon's :func:`split_forecasts` panel: the mean
+    over each window's elements, then over the windows. ``kind`` None scores
+    the mode's :func:`objective`; "pinball" scores the fan; the point losses
+    score its point level. Every per-series score runs through here."""
+    kind, pred = objective(fan, cfg) if kind is None else (
+        kind, fan if kind == "pinball" else fan[..., cfg.point_level, :])
     per = loss_elem(kind, pred, target, cfg)
     return per.mean(axis=tuple(range(2, per.ndim))).mean(axis=1)
 
 
-def horizon_losses(kind: str | None, forecast: tuple, cfg) -> np.ndarray | None:
-    """Per-series mean ``kind`` loss of one horizon's ``(fan, target)``
-    from :func:`split_forecasts`, or None when the segment has no windows at
-    that horizon. ``kind`` None scores the mode's :func:`objective`;
-    "pinball" scores the fan; the point losses score its point level."""
-    fan, y = forecast
-    if y.shape[1] == 0:
-        return None
-    kind, pred = objective(fan, cfg) if kind is None else (
-        kind, fan if kind == "pinball" else fan[..., cfg.point_level, :])
-    return series_means(kind, pred, y, cfg)
-
-
 def per_series_split_losses(params, prepared, tag: str, h: int, cfg,
                             kind: str | None = None,
-                            series=None) -> np.ndarray | None:
+                            series=None) -> np.ndarray:
     """Per-series mean forecasting loss on one segment at one horizon.
 
-    Uses recursive rollout for h > 1. ``kind`` overrides the mode's
-    :func:`objective` (any :func:`loss_elem` kind, scored as in
-    :func:`horizon_losses`). Returns an array of shape
-    (n_series_selected,), or None when the window index is empty.
+    Uses recursive rollout for h > 1. ``kind`` is as in
+    :func:`series_means`. Returns an array of shape (n_series_selected,).
     """
     if series is None:
         series = np.arange(prepared.n_series)
     _, by_horizon = split_forecasts([(params, series)], prepared, tag, (h,),
                                     cfg)
-    return horizon_losses(kind, by_horizon[h], cfg)
+    return series_means(kind, *by_horizon[h], cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,11 @@ class RunConfig:
             assign_horizons=self.assign_horizons, init_strategy=self.init)
 
     def min_segment(self) -> int:
+        """Window length + longest horizon: the shortest segment that
+        :meth:`SplitSpec.validate` accepts. It leaves TRAIN at least one
+        window, and VAL and TEST at least w + 1, at every horizon of the run,
+        so a CLI run never reaches the refusal of a horizon with no window
+        in :meth:`PreparedData.window_index`."""
         return self.window + max(tuple(self.horizons) + tuple(self.assign_horizons))
 
     def as_dict(self) -> dict:
@@ -250,7 +255,8 @@ def _has_type(value, kind) -> bool:
             k in value and _has_type(value[k], t) for k, t in kind.items())
     if isinstance(kind, tuple):
         return any(_has_type(value, k) for k in kind)
-    return isinstance(value, kind)
+    # JSON true and false are bools, which Python also counts as ints
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def load_manifest(run_dir: str) -> dict:

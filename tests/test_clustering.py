@@ -340,7 +340,7 @@ def test_split_forecasts_over_horizons_equal_single_horizon_calls(
     other = gp.copy()
     other.flat[other.spec_offset:] += 0.05
     groups = [(gp, np.array([0, 4, 7])), (other, np.array([1, 2, 3, 5, 6, 8]))]
-    horizons = (1, 3, 6, 21)  # a 20-step segment has no windows at h = 21
+    horizons = (1, 3, 6, 20)  # a 20-step segment's last horizon is h = 20
 
     def assert_bitwise(got, want):
         for g, w in zip(got, want, strict=True):
@@ -354,8 +354,7 @@ def test_split_forecasts_over_horizons_equal_single_horizon_calls(
         ids_s, single = losses.split_forecasts(groups, prepared, tag, (h,), cfg)
         np.testing.assert_array_equal(series, ids_s)
         assert_bitwise(multi[h], single[h])
-    assert multi[21][0].shape == (9, 0, cfg.n_levels, 4)
-    assert multi[21][1].shape == (9, 0, 4)
+    assert multi[20][0].shape == (9, 1, cfg.n_levels, 4)
     assert prepared.audit.counts("multi") == prepared.audit.counts("single")
     np.testing.assert_array_equal(prepared.audit._touched["multi"],
                                   prepared.audit._touched["single"])
@@ -371,6 +370,12 @@ def test_split_forecasts_over_horizons_equal_single_horizon_calls(
         for h in horizons:
             assert_bitwise([a[rows] for a in multi[h]], own[h])
         start += len(ids)
+    # it has no windows at h = 21: refused before any read
+    prepared.audit.set_phase(f"refused-{mode}-{tag}")
+    with pytest.raises(ValueError, match=f"segment {tag!r} has no window at "
+                                         f"w={cfg.w}, h=21"):
+        losses.split_forecasts(groups, prepared, tag, (1, 21), cfg)
+    assert f"refused-{mode}-{tag}" not in prepared.audit.phases()
 
 
 def test_outer_loop_stops_at_fixed_point(small_world):
@@ -492,7 +497,8 @@ def test_group_val_losses_need_a_val_window_at_h1(small_world):
                                    n_regimes=3, seed=5))
     # t_train + t_val <= w: every VAL target lies before a full window
     prepared = prepare(ds, SplitSpec(4, 2, 114), min_segment=None)
-    with pytest.raises(ValueError, match="no VAL windows at h=1"):
+    with pytest.raises(ValueError, match=f"segment 'va' has no window at "
+                                         f"w={CFG.w}, h=1"):
         group_val_losses(prepared, [(gp, np.arange(3))], CFG)
 
 

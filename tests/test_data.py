@@ -318,10 +318,28 @@ def test_val_windows_cross_boundary_backward():
     assert ends[0] == 199 and ends[-1] == 238 and len(ends) == 40
 
 
-def test_val_too_short_for_horizon_gives_empty_index():
-    idx = window_index(200, 5, 40, tag="va", w=12, horizons=[6, 1])
-    assert idx.end_times[6].dtype == np.int64 and idx.count(6) == 0
+def test_val_too_short_for_horizon_is_refused():
+    with pytest.raises(ValueError, match=r"segment 'va' has no window at w=12, h=6"):
+        window_index(200, 5, 40, tag="va", w=12, horizons=[6, 1])
+    idx = window_index(200, 5, 40, tag="va", w=12, horizons=[5, 1])
+    assert idx.end_times[5].dtype == np.int64 and idx.count(5) == 1
     assert idx.count(1) == 5
+
+
+@pytest.mark.parametrize("tag,last", [("tr", 24 - 5), ("va", 6), ("te", 10),
+                                      ("trval", 30 - 5)])
+def test_each_segment_is_refused_past_its_last_horizon(tag, last):
+    # TRAIN segments end a window and its target inside; VAL and TEST keep
+    # only the forecast path inside, so their last horizon is their length
+    prepared = prepare(make_ds(n=3, t=40, p=2), SplitSpec(24, 6, 10))
+    assert prepared.window_index(tag, 5, [last]).count(last) == 1
+    prepared.audit.set_phase("refused")
+    with pytest.raises(ValueError, match=f"segment {tag!r} has no window at "
+                                         f"w=5, h={last + 1}"):
+        prepared.window_index(tag, 5, [1, last + 1])
+    with pytest.raises(ValueError, match="no window"):
+        prepared.windows(tag, last + 1, 5)
+    assert prepared.audit.phases() == []
 
 
 def test_window_index_shared_across_series():
@@ -352,12 +370,16 @@ def test_gather_shapes_and_alignment():
 
 @pytest.mark.parametrize("tag", ["tr", "va", "te", "trval"])
 def test_windows_equal_the_cached_gather(tag):
-    # a 2-step VAL segment has no windows at h = 3: the empty index
+    # a 2-step VAL segment has no windows at h = 3: the refusal
     prepared = prepare(make_ds(n=5, t=40, p=3, seed=6, missing=[(1, 7, 2)]),
                        SplitSpec(24, 2, 14))
     values = prepared.dataset.values
     for w in (1, 2, 5):
         for h in (1, 3):
+            if tag == "va" and h == 3:
+                with pytest.raises(ValueError, match="no window"):
+                    prepared.windows(tag, h, w)
+                continue
             ends = prepared.window_index(tag, w, [h]).end_times[h]
             for series in (None, [3], [4, 0, 2]):
                 rows = np.arange(5) if series is None else np.asarray(series)
@@ -366,7 +388,8 @@ def test_windows_equal_the_cached_gather(tag):
                 for a, b in zip(got, want):
                     assert a.shape == b.shape and a.dtype == b.dtype
                     assert a.tobytes() == b.tobytes()
-    assert prepared.window_index("va", 5, [3]).count(3) == 0
+    with pytest.raises(ValueError, match="segment 'va' has no window at w=5, h=3"):
+        prepared.window_index("va", 5, [3])
 
 
 def test_audit_records_phases_and_splits():

@@ -159,9 +159,8 @@ def test_split_mean_loss_sentinel_and_mean():
     params = init_params(2, 2, 4, cfg.n_levels, seed=0)
 
     def series_0(h):
-        out = per_series_split_losses(params, prepared, "va", h, cfg,
-                                      series=[0])
-        return None if out is None else float(out[0])
+        return float(per_series_split_losses(params, prepared, "va", h, cfg,
+                                             series=[0])[0])
 
     # mean over windows equals the mean of manually computed per-window losses
     got = series_0(1)
@@ -178,8 +177,9 @@ def test_split_mean_loss_sentinel_and_mean():
     only = huber(rollout(params, x7[:1], 7, cfg)[0, -1, 0], y7[0],
                  cfg.huber_delta)
     assert single == pytest.approx(only, rel=0, abs=1e-15)
-    # h=8 exceeds the segment: undefined sentinel
-    assert series_0(8) is None
+    # h=8 exceeds the segment: refused, not a mean over no window
+    with pytest.raises(ValueError, match="segment 'va' has no window at w=4, h=8"):
+        series_0(8)
 
 
 def test_train_config_validation():

@@ -1096,6 +1096,14 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not pipeline.load_manifest(run_dir)["test_evaluated"]
+    # a horizon at which the 20-step TEST segment has no window is refused by
+    # the split check before the refit, not by the window rule mid-evaluation
+    assert cli.main(["evaluate", "--config", good, "--set", "horizons=1,21"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "window + max horizon" in err
+    assert not pipeline.load_manifest(run_dir)["test_evaluated"]
+    assert not [f for f in os.listdir(os.path.join(run_dir, "checkpoints"))
+                if f.startswith("refit_")]
     # a missing checkpoint is a data error, and an evaluation that failed
     # before reading TEST leaves the run's one TEST evaluation unused
     proto = os.path.join(run_dir, "checkpoints", "proto_01.pcm")
@@ -1133,8 +1141,9 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
 
     # run files that cannot be read are data errors: a report or manifest
     # that is not JSON or is JSON of the wrong shape (also a report row
-    # without the report columns or with a loss that is not a number, a
-    # manifest field of the wrong type and labels beyond k), and a
+    # without the report columns or with a loss or horizon that is not a
+    # number, JSON true included, a manifest field of the wrong type, a
+    # boolean where a number belongs, and labels beyond k), and a
     # checkpoint header with a zero
     # dimension (here with the payload it implies) or one that implies a
     # payload far larger than the file, and a checkpoint of the old
@@ -1158,8 +1167,9 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     assert manifest["k"] == 2 and len(manifest["assignment"]) == 9
     report_path = os.path.join(run_dir, "report.json")
     with open(report_path) as fh:
-        text_loss = json.dumps({"rows": [dict(json.load(fh)["rows"][0],
-                                              mse="x")]}).encode()
+        row = json.load(fh)["rows"][0]
+    text_loss = json.dumps({"rows": [dict(row, mse="x")]}).encode()
+    bool_loss = json.dumps({"rows": [dict(row, horizon=True, mse=True)]}).encode()
 
     def manifest_with(**fields):
         return json.dumps(dict(manifest, **fields)).encode()
@@ -1176,6 +1186,12 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
             (manifest_path, manifest_with(flags=5), forecast),
             (report_path, text_loss, report),
             (report_path, text_loss, report + ["--paper-scale"]),
+            (report_path, bool_loss, report + ["--paper-scale"]),
+            (manifest_path, manifest_with(k=True), report,
+             "field 'k' has the wrong type"),
+            (manifest_path, manifest_with(calibration={
+                "target": 0.8, "factors": {"1": True}}), report,
+             "field 'calibration' has the wrong type"),
             (manifest_path, manifest_with(assignment=[2] * 9), evaluate),
             (ckpt, header(2 ** 40) + stored[52:], forecast,
              "truncated checkpoint payload"),
