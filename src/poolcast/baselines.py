@@ -22,8 +22,9 @@ KMEANS_TOL = 1e-9        # stop once the inertia improves by no more
 def training_feature_vectors(prepared: PreparedData) -> np.ndarray:
     """Per-series summary features: TRAIN mean and standard deviation of each
     component (2P values), then standardized across series. TRAIN-only by
-    construction, so later segments can never move the clustering."""
-    seg = prepared.dataset.values[:, :prepared.spec.t_train, :]
+    construction (read as the rows of the TRAIN windows of length 1 at h = 1,
+    the whole segment), so later segments can never move the clustering."""
+    seg = prepared.rows("tr", 1, (1,))
     feats = np.concatenate([seg.mean(axis=1), seg.std(axis=1)], axis=1)
     mu = feats.mean(axis=0)
     sd = feats.std(axis=0)

@@ -10,8 +10,9 @@ missing or unreadable checkpoint or ``forecast-new`` segment, a checkpoint
 whose header is not the run's model, an unreadable manifest or report or
 one not of the shape the run writes, a quantile run's malformed or null
 ``calibration``, a factor not finite and > 0 or a target outside (0, 1)
-included, an ``evaluate`` dataset whose series count or TRAIN standardizer
-is not the trained run's, and an output path, checkpoint or
+included, a ``standardizer`` with a mean or fill not finite or a scale not
+finite and > 0, an ``evaluate`` dataset whose series count or TRAIN
+standardizer is not the trained run's, and an output path, checkpoint or
 ``selection.csv`` that cannot be written);
 4 training divergence; 5 protocol violation (repeated TEST evaluation, or
 ``prepare``, ``train`` or ``select-k`` of a run that has evaluated TEST).

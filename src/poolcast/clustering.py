@@ -161,7 +161,7 @@ def compute_cost_matrix(prepared: PreparedData, prototypes: list[ParamSet],
 
     Scores with the mode's objective (:func:`losses.objective`). Each
     prototype forecasts every series at every horizon in one
-    :func:`losses.split_forecasts` panel (one gather, one rollout; h > 1
+    :func:`losses.split_forecasts` panel (one slice of rows, one rollout; h > 1
     entries are recursive, and a step shares the encoding of the rows its
     window has in common with a later window), whose per-series losses fill
     that prototype's column; the panel is released before the next

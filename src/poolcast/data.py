@@ -7,9 +7,9 @@ data (fill values, per-component scale) is estimated from observed (non-NaN)
 TRAIN entries only and applied by :meth:`Standardizer.transform` to all three
 segments, so nothing fitted upstream can depend on later data.
 
-Model-facing reads (window and target gathering) are recorded in an
-:class:`AccessAudit` so a run can prove after the fact that no TEST value was
-consumed before the final evaluation phase.
+Model-facing reads go through one method, :meth:`PreparedData.rows`, which
+records them in an :class:`AccessAudit`, so a run can prove after the fact
+that no TEST value was consumed before the final evaluation phase.
 """
 
 from __future__ import annotations
@@ -409,7 +409,7 @@ class WindowIndex:
 class AccessAudit:
     """Phase-tagged record of model-facing (series, time) value reads.
 
-    Only window/target gathering is recorded; applying the TRAIN-fitted
+    Only :meth:`PreparedData.rows` records a read; applying the TRAIN-fitted
     affine transform during preprocessing is not a model-facing read (its
     leakage-freeness is established separately and bitwise). Queries report
     distinct touched cells per segment.
@@ -505,31 +505,35 @@ class PreparedData:
             end_times[h] = np.arange(lo, t1 - h, dtype=np.int64)
         return WindowIndex(end_times)
 
-    def windows(self, tag: str, h: int, w: int,
-                series: np.ndarray | list[int] | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Gather (inputs, targets) for one segment and horizon.
-
-        Returns X with shape (n_series_selected * n_windows, w, P) and Y with
-        shape (n_series_selected * n_windows, P), ordered series-major: for
-        each series and window end, X holds times end - w + 1 .. end and Y
-        the value at end + h. Both are fresh arrays indexed out of one
-        strided view of the panel, with no copy of it; every (window,
-        target) gather runs through here, and the read is recorded in the
-        audit.
-        """
+    def rows(self, tag: str, w: int, horizons,
+             series: np.ndarray | list[int] | None = None) -> np.ndarray:
+        """The one model-facing read of the panel: a fresh (S, T, P) array of
+        the rows of the chosen series (all by default) that segment ``tag``'s
+        windows at ``horizons`` read, where window i reads rows i .. i + w - 1
+        and its target at h is row w - 1 + i + h. The audit records the
+        inputs and the shortest horizon's targets (which hold every longer
+        horizon's), not the rows between them that no window reads."""
         if series is None:
             series = np.arange(self.n_series)
         series = np.asarray(series, dtype=np.int64)
-        ends = self.window_index(tag, w, [h]).end_times[h]
+        h = min(horizons)
+        ends = self.window_index(tag, w, horizons).end_times[h]
         self.audit.mark(series, ends[0] - w + 1, ends[-1])
         self.audit.mark(series, ends[0] + h, ends[-1] + h)
-        values = self.dataset.values
-        view = np.lib.stride_tricks.sliding_window_view(values, w, axis=1)
-        rows = series[:, None]
-        p = self.dataset.n_components
-        return (np.swapaxes(view, 2, 3)[rows, ends - (w - 1)].reshape(-1, w, p),
-                values[rows, ends + h].reshape(-1, p))
+        return self.dataset.values[series, ends[0] - w + 1:ends[-1] + h + 1]
+
+    def windows(self, tag: str, h: int, w: int,
+                series: np.ndarray | list[int] | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Gather (inputs, targets) of one segment and horizon, fresh and
+        series-major: X (S * n, w, P) holds each series' windows, times
+        end - w + 1 .. end of each window end, and Y (S * n, P) the values at
+        end + h, taken from a strided view of the series' :meth:`rows`. The
+        training fits read their (window, target) pairs through here."""
+        rows = self.rows(tag, w, (h,), series)
+        view = np.lib.stride_tricks.sliding_window_view(rows[:, :-h], w, axis=1)
+        return (np.swapaxes(view, 2, 3).copy().reshape(-1, w, rows.shape[-1]),
+                rows[:, w - 1 + h:].reshape(-1, rows.shape[-1]))
 
 
 def prepare(ds: MtsDataset, spec: SplitSpec, eps: float = 1e-8,

@@ -88,37 +88,26 @@ def split_forecasts(groups, prepared, tag: str, horizons, cfg):
     forecasts; a single group's arrays are not copied. Every split forecast
     runs through here.
 
-    A series' windows slide by one row, so each group gathers them once and
-    passes each series to :func:`model.rollout` as one run: the first
-    window, then each later window's last row. The rollout then projects
-    each row once and resumes every later step from the state a neighbouring
-    window reached on the rows they share, bitwise as if every window were
-    rolled out on its own.
+    Each group reads its series' :meth:`PreparedData.rows` once. Less the
+    shortest horizon's targets, they are one run per series, which one
+    :func:`model.rollout` to the longest horizon takes whole, sharing the
+    windows' prefixes, bitwise as if each window were rolled out alone.
     """
     from . import model  # deferred: model depends on this module for losses
 
     horizons = tuple(horizons)
     h_first, h_last = min(horizons), max(horizons)
-    index = prepared.window_index(tag, cfg.w, horizons)
     paths = []
     for params, series in groups:
-        # Every horizon's end times start at the same first end time, so the
-        # windows of a longer horizon are a prefix of the shortest horizon's,
-        # and the target of window i at h is the shortest horizon's target of
-        # window i + h - h_first. One gather thus serves every horizon, and
-        # one rollout to the longest horizon forecasts them all.
-        x, y = prepared.windows(tag, h_first, cfg.w, series)
-        s, n, p = len(series), index.count(h_first), y.shape[-1]
-        x = x.reshape(s, n, cfg.w, p)  # each series' windows as one run
-        x = np.concatenate([x[:, 0], x[:, 1:, -1]], axis=1)
-        fan = model.rollout(params, x, h_last, cfg)
-        paths.append((fan.reshape(s, n, h_last, fan.shape[-2], p),
-                      y.reshape(s, n, p)))
+        rows = prepared.rows(tag, cfg.w, horizons, series)
+        n = rows.shape[1] - cfg.w + 1 - h_first  # windows per series
+        fan = model.rollout(params, rows[:, :-h_first], h_last, cfg)
+        paths.append((fan.reshape((len(rows), n) + fan.shape[1:]), rows))
     by_horizon = {}
-    for h in horizons:
-        n_h, lag = index.count(h), h - h_first
+    for h in horizons:  # a prefix of the windows; window i's target: row w-1+i+h
         by_horizon[h] = tuple(_join(parts) for parts in zip(*(
-            (fan[:, :n_h, h - 1], y[:, lag:lag + n_h]) for fan, y in paths)))
+            (fan[:, :fan.shape[1] + h_first - h, h - 1], rows[:, cfg.w - 1 + h:])
+            for fan, rows in paths)))
     return _join([series for _, series in groups]), by_horizon
 
 

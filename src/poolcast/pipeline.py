@@ -294,12 +294,17 @@ def load_manifest(run_dir: str) -> dict:
                                  for label in manifest.get("assignment", ())):
         raise DataError(f"unreadable manifest {path}: a label of 'assignment' "
                         f"is not one of its k = {k} clusters")
-    # a factor that is not finite and > 0 would serve a NaN or inverted fan
+    # a factor or scale that is not finite and > 0, or a mean or fill that is
+    # not finite, would serve a NaN, collapsed or inverted forecast
     calib = manifest.get("calibration")
     if calib and not (0 < calib["target"] < 1 and all(
             0 < s < math.inf for s in calib["factors"].values())):
         raise DataError(f"unreadable manifest {path}: field 'calibration' needs "
                         f"a target in (0, 1) and finite factors > 0")
+    if std and not (all(map(math.isfinite, std["mu"] + std["fill"]))
+                    and all(0 < s < math.inf for s in std["sigma"])):
+        raise DataError(f"unreadable manifest {path}: field 'standardizer' "
+                        f"needs finite entries and scales sigma > 0")
     return manifest
 
 

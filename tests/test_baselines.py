@@ -32,6 +32,17 @@ def world():
     return prepared, gp, labels
 
 
+def test_feature_vectors_are_an_audited_train_read():
+    """The features read every TRAIN cell of every series, and no VAL or
+    TEST cell, as a model-facing read the audit records in its phase."""
+    ds, _ = generate(SyntheticSpec(n_series=5, n_times=60, n_components=2,
+                                   n_regimes=2, seed=3))
+    prepared = prepare(ds, SplitSpec(40, 10, 10))
+    prepared.audit.set_phase("fit-global")
+    training_feature_vectors(prepared)
+    assert prepared.audit.counts("fit-global") == {"tr": 5 * 40, "va": 0, "te": 0}
+
+
 # ---------------------------------------------------------------------------
 # k-means
 # ---------------------------------------------------------------------------

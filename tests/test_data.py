@@ -8,6 +8,8 @@ from poolcast.data import (DataError, MtsDataset, SplitSpec, Standardizer,
                            _check_csv_records, _load_csv_file,
                            fit_impute_standardize, load_dataset, prepare,
                            save_csv, save_packed)
+from poolcast.losses import split_forecasts
+from poolcast.model import TrainConfig, init_params
 from oracles import cached_windows
 
 
@@ -390,6 +392,61 @@ def test_windows_equal_the_cached_gather(tag):
                     assert a.tobytes() == b.tobytes()
     with pytest.raises(ValueError, match="segment 'va' has no window at w=5, h=3"):
         prepared.window_index("va", 5, [3])
+
+
+def window_cells(prepared, tag, w, horizons, series):
+    """The (series, time) cells that the windows of ``tag`` at ``horizons``
+    read as inputs or targets, window by window from the window index."""
+    cells = np.zeros((prepared.n_series, prepared.spec.total), dtype=bool)
+    index = prepared.window_index(tag, w, horizons)
+    for h in horizons:
+        for t in index.end_times[h]:
+            cells[series, t - w + 1:t + 1] = True
+            cells[series, t + h] = True
+    return cells
+
+
+@pytest.mark.parametrize("tag", ["tr", "va", "te", "trval"])
+def test_split_reads_mark_exactly_the_windows_cells(tag):
+    """A split's audit grid is the union of its windows' input and target
+    cells, and its rows less the shortest horizon's targets, viewed as
+    sliding windows, are bitwise the windows' gather."""
+    prepared = prepare(make_ds(n=4, t=44, p=2, seed=8), SplitSpec(24, 10, 10))
+    cfg = TrainConfig(w=3)
+    params = init_params(2, 2, 4, cfg.n_levels, seed=0)
+    series = np.array([3, 1])
+    for horizons in ((1,), (2, 5), (4, 1, 3)):
+        prepared.audit.set_phase(str(horizons))
+        split_forecasts([(params, series)], prepared, tag, horizons, cfg)
+        np.testing.assert_array_equal(
+            prepared.audit._touched[str(horizons)],
+            window_cells(prepared, tag, cfg.w, horizons, series))
+        h = min(horizons)
+        rows = prepared.rows(tag, cfg.w, horizons, series)
+        x, y = prepared.windows(tag, h, cfg.w, series)
+        view = np.lib.stride_tricks.sliding_window_view(rows[:, :-h], cfg.w,
+                                                        axis=1)
+        assert np.swapaxes(view, 2, 3).reshape(x.shape).tobytes() == x.tobytes()
+        assert rows[:, cfg.w - 1 + h:].reshape(y.shape).tobytes() == y.tobytes()
+
+
+def test_split_read_leaves_the_rows_between_inputs_and_targets_unmarked():
+    # w = 2 and h = 6 on a 7-step VAL from t0 = 20: the two windows read
+    # t0 - 2 .. t0 and their targets t0 + 5 and t0 + 6, so t0 + 1 .. t0 + 4
+    # are rows of the slice that no window reads. A direct spec: the CLI's
+    # min_segment (window + max horizon = 8) refuses this split.
+    prepared = prepare(make_ds(n=3, t=34, p=2, seed=9), SplitSpec(20, 7, 7))
+    cfg = TrainConfig(w=2)
+    params = init_params(2, 2, 4, cfg.n_levels, seed=0)
+    prepared.audit.set_phase("gap")
+    _, by_h = split_forecasts([(params, np.arange(3))], prepared, "va", (6,),
+                              cfg)
+    grid = prepared.audit._touched["gap"]
+    np.testing.assert_array_equal(
+        grid, window_cells(prepared, "va", 2, (6,), np.arange(3)))
+    assert grid[:, [18, 19, 20, 25, 26]].all() and grid.sum() == 3 * 5
+    assert not grid[:, 21:25].any()
+    assert by_h[6][1].tobytes() == prepared.dataset.values[:, 25:27].tobytes()
 
 
 def test_audit_records_phases_and_splits():

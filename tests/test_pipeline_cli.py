@@ -777,14 +777,15 @@ def test_forecast_new_quantile_routing(tmp_path, data_dir):
 
 @pytest.fixture(scope="module", params=["point", "quantile"])
 def counted_evaluation(request, tmp_path_factory, data_dir):
-    """A cluster run evaluated with its ``model.rollout`` and
-    ``PreparedData.windows`` calls counted: (config, manifest, counts at the
-    end of evaluate, counts when final_refit_and_test returned)."""
+    """A cluster run evaluated with its ``model.rollout``,
+    ``PreparedData.rows`` and ``PreparedData.windows`` calls counted:
+    (config, manifest, counts at the end of evaluate, counts when
+    final_refit_and_test returned)."""
     tmp = tmp_path_factory.mktemp(f"counted_{request.param}")
     cfg = RunConfig.from_file(write_config(
         tmp, data_dir, str(tmp / "run"), f"k = 3\nmode = {request.param}\n"))
     pipeline.cmd_train(cfg)
-    counts = {"rollout": 0, "windows": 0}
+    counts = {"rollout": 0, "rows": 0, "windows": 0}
     at_return = {}
 
     def counting(name, fn):
@@ -802,6 +803,7 @@ def counted_evaluation(request, tmp_path_factory, data_dir):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "rollout", counting("rollout", model.rollout))
+        mp.setattr(PreparedData, "rows", counting("rows", PreparedData.rows))
         mp.setattr(PreparedData, "windows",
                    counting("windows", PreparedData.windows))
         mp.setattr(clustering, "final_refit_and_test", final_then_snapshot)
@@ -811,7 +813,7 @@ def counted_evaluation(request, tmp_path_factory, data_dir):
 
 def test_evaluate_forecasts_nothing_after_the_test_evaluation(counted_evaluation):
     cfg, manifest, counts, at_return = counted_evaluation
-    # the plots format the evaluation's forecasts: no rollout, no gather
+    # the plots format the evaluation's forecasts: no rollout, no read
     assert counts == at_return
     routed = set(served_by(cfg.run_dir, manifest))
     g = len(routed)                               # distinct routed models
@@ -819,14 +821,16 @@ def test_evaluate_forecasts_nothing_after_the_test_evaluation(counted_evaluation
     r = len(routed - {refit_checkpoint(cfg.run_dir, -1)})
     q = int(cfg.mode == "quantile")               # VAL calibration streams
     # One rollout to the longest horizon serves every horizon, so evaluate
-    # makes one rollout and one window gather per model group and split:
+    # makes one rollout and one read of rows per model group and split:
     #   1 + G + q * G          rollouts and
-    #   1 + R + 1 + G + q * G  window gathers,
+    #   1 + R + 1 + G + q * G  reads of rows,
     # for the pooled reference, the routed models and calibration, plus one
-    # TRAIN+VAL gather for the refit pooled model and one per refit prototype.
+    # TRAIN+VAL read for the refit pooled model and one per refit prototype.
+    # Only those refit reads gather windows; a split is scored from its rows.
     scored = 1 + g + q * g
     assert counts["rollout"] == scored
-    assert counts["windows"] == 1 + r + scored
+    assert counts["rows"] == 1 + r + scored
+    assert counts["windows"] == 1 + r
 
 
 def test_served_forecast_is_its_windows_panel_row(counted_evaluation, data_dir):
@@ -1143,8 +1147,8 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     # that is not JSON or is JSON of the wrong shape (also a report row
     # without the report columns or with a loss or horizon that is not a
     # number, JSON true included, a manifest field of the wrong type, a
-    # boolean where a number belongs, and labels beyond k), and a
-    # checkpoint header with a zero
+    # boolean where a number belongs, labels beyond k, and a standardizer
+    # with a zero scale or a NaN mean), and a checkpoint header with a zero
     # dimension (here with the payload it implies) or one that implies a
     # payload far larger than the file, and a checkpoint of the old
     # two-head layout, which is refused by its magic, not read as one head;
@@ -1171,6 +1175,8 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
     text_loss = json.dumps({"rows": [dict(row, mse="x")]}).encode()
     bool_loss = json.dumps({"rows": [dict(row, horizon=True, mse=True)]}).encode()
 
+    standardizer = manifest["standardizer"]
+
     def manifest_with(**fields):
         return json.dumps(dict(manifest, **fields)).encode()
 
@@ -1193,6 +1199,13 @@ def test_cli_exit_codes(tmp_path, data_dir, capsys):
                 "target": 0.8, "factors": {"1": True}}), report,
              "field 'calibration' has the wrong type"),
             (manifest_path, manifest_with(assignment=[2] * 9), evaluate),
+            (manifest_path, manifest_with(standardizer=dict(
+                standardizer, sigma=[0.0] + standardizer["sigma"][1:])),
+             forecast, "field 'standardizer' needs finite entries"),
+            (manifest_path, manifest_with(standardizer=dict(
+                standardizer, mu=standardizer["mu"][:1] + [float("nan")]
+                + standardizer["mu"][2:])),
+             forecast, "field 'standardizer' needs finite entries"),
             (ckpt, header(2 ** 40) + stored[52:], forecast,
              "truncated checkpoint payload"),
             (ckpt, header(2 ** 62) + stored[52:], forecast,
